@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .construct import _require_valid, build_g_pair, build_sg_presentation, build_sp_pair, sg_vertex_lifts
+from .construct import _require_valid, sg_vertex_lifts
 from .errors import InternalInconsistency, LimitExceeded, NotSpecial
 from .quiver import BoundQuiver, SkewedGentleTriple, relation_free_paths
 
@@ -89,7 +89,7 @@ def basis(t: SkewedGentleTriple) -> list[BasisPath]:
         for sign in _endpoint_signs(v, t.special):
             name = _signed(v, sign)
             out.append(BasisPath((), name, name))
-    for p in relation_free_paths(admissible_base_pair(t)):
+    for p in relation_free_paths(t.admissible_pair):
         if p.is_trivial:
             continue
         if p.source == p.target and p.source in t.special:
@@ -143,7 +143,7 @@ def dimension(t: SkewedGentleTriple, which: str) -> int:
     if which == "gentle":
         return len(relation_free_paths(t.pair))
     if which == "g":
-        return len(relation_free_paths(build_g_pair(t).pair))
+        return len(relation_free_paths(t.g_pair.pair))
     if which == "sg":
         return len(basis(t))
     raise ValueError(f"unknown algebra {which!r}")
@@ -180,12 +180,12 @@ def _oracle_presentation(t, which):
         return (bq.quiver.vertex_list, triples, set(bq.relations), {},
                 longest_relation_free_length(bq))
     if which == "g":
-        bq = build_g_pair(t).pair
+        bq = t.g_pair.pair
         triples = [(a.name, a.source, a.target) for a in bq.quiver.arrows]
         return (bq.quiver.vertex_list, triples, set(bq.relations), {},
                 longest_relation_free_length(bq))
     if which == "sg":
-        pres = build_sg_presentation(t)
+        pres = t.sg_presentation
         triples = [(a.name, a.source, a.target) for a in pres.arrows]
         # in application order a comm factor reads (first, later)
         comm = {}
@@ -194,7 +194,7 @@ def _oracle_presentation(t, which):
             comm[(rel.minus[1], rel.minus[0])] = (rel.plus[1], rel.plus[0])
         return (pres.vertex_names, triples,
                 set(pres.zero_relations), comm,
-                longest_relation_free_length(build_sp_pair(t)))
+                longest_relation_free_length(t.sp_pair))
     raise ValueError(f"unknown algebra {which!r}")
 
 
@@ -318,7 +318,7 @@ def corner_data(t: SkewedGentleTriple, a: str) -> CornerData:
 
 def _corner_prime_counts(t, a):
     """Sizes of S1 / S2: admissible base paths leaving / entering vertex a."""
-    admissible = admissible_base_pair(t)
+    admissible = t.admissible_pair
     outs = t.pair.quiver.outgoing[a]
     ins = t.pair.quiver.incoming[a]
     s1 = s2 = 0

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 validation failed, 2 parse error, 3 limit
 exceeded, 4 usage error.  Diagnostics go to stderr, data to stdout, and
 every command is deterministic: the same file yields byte-identical output.
-The environment variable QSG_ORACLE_CAP overrides the oracle path cap.
+The environment variable QSG_ORACLE_CAP, a positive integer, overrides the
+oracle path cap.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import sys
 from pathlib import Path
 
 from .algebra import DEFAULT_ORACLE_CAP, corner_data, dimension, dimension_oracle
-from .construct import build_g_pair, build_sg_presentation, build_sp_pair
 from .dsl import parse, serialize
 from .errors import (
     LimitExceeded,
@@ -32,7 +32,7 @@ from .reports import (
     report_json,
     to_dot,
 )
-from .validate import admissible_special_sets, validate_skewed_gentle
+from .validate import admissible_special_sets
 
 
 class _UsageError(Exception):
@@ -78,12 +78,23 @@ def _build_parser() -> _Parser:
 
 
 def _load(path: str) -> SkewedGentleTriple:
-    return parse(Path(path).read_text(encoding="utf-8"))
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(
+            f"input is not UTF-8: byte 0x{data[e.start]:02x} at offset {e.start}"
+        ) from None
+    return parse(text)
 
 
 def _oracle_cap() -> int:
     value = os.environ.get("QSG_ORACLE_CAP")
-    return int(value) if value else DEFAULT_ORACLE_CAP
+    if not value:
+        return DEFAULT_ORACLE_CAP
+    if not (value.isascii() and value.isdigit()) or int(value) == 0:
+        raise _UsageError(f"QSG_ORACLE_CAP must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def _flags_line(rep):
@@ -105,7 +116,7 @@ def _print_validation(t, rep, out):
 
 def _cmd_validate(args, out):
     t = _load(args.file)
-    rep = validate_skewed_gentle(t)
+    rep = t.validation
     if args.json:
         out.write(report_json(rep, name=t.name))
     else:
@@ -116,7 +127,7 @@ def _cmd_validate(args, out):
 def _cmd_construct(args, out):
     t = _load(args.file)
     if args.target == "sp":
-        pair = build_sp_pair(t)
+        pair = t.sp_pair
         made = SkewedGentleTriple(pair, frozenset(), name=f"{t.name}_sp")
         if args.format == "text":
             out.write(serialize(made) + "\n")
@@ -125,7 +136,7 @@ def _cmd_construct(args, out):
         else:
             out.write(_pair_json(made))
     elif args.target == "g":
-        labels = build_g_pair(t)
+        labels = t.g_pair
         made = SkewedGentleTriple(labels.pair, frozenset(), name=f"{t.name}_g")
         if args.format == "text":
             out.write(serialize(made) + "\n")
@@ -134,7 +145,7 @@ def _cmd_construct(args, out):
         else:
             out.write(_pair_json(made))
     else:
-        pres = build_sg_presentation(t)
+        pres = t.sg_presentation
         if args.format == "text":
             _print_sg(t, pres, out)
         elif args.format == "dot":
@@ -191,15 +202,16 @@ def _print_sg(t, pres, out):
 
 
 def _cmd_invariants(args, out):
+    cap = _oracle_cap() if args.dims else None
     t = _load(args.file)
-    rep = validate_skewed_gentle(t)
+    rep = t.validation
     if not rep.skewed_gentle:
         if args.json:
             out.write(report_json(rep, name=t.name))
         else:
             _print_validation(t, rep, out)
         return 1
-    report = build_invariant_report(t, with_dims=args.dims, oracle_cap=_oracle_cap())
+    report = build_invariant_report(t, with_dims=args.dims, oracle_cap=cap)
     if args.json:
         out.write(report_json(report))
         return 0
@@ -221,11 +233,12 @@ def _cmd_invariants(args, out):
 
 
 def _cmd_dim(args, out):
+    cap = _oracle_cap() if args.oracle else None
     t = _load(args.file)
     value = dimension(t, args.algebra)
     print(value, file=out)
     if args.oracle:
-        oracle = dimension_oracle(t, args.algebra, cap=_oracle_cap())
+        oracle = dimension_oracle(t, args.algebra, cap=cap)
         print(f"oracle: {oracle}", file=out)
         if oracle != value:
             raise SkewGentleError(
@@ -281,6 +294,9 @@ def run(argv, out=None, err=None) -> int:
         return 0 if e.code in (0, None) else 4
     try:
         return _COMMANDS[args.command](args, out)
+    except _UsageError as e:
+        print(f"usage error: {e}", file=err)
+        return 4
     except ParseError as e:
         print(f"parse error: {e}", file=err)
         return 2

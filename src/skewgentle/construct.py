@@ -21,14 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InternalInconsistency, NameCollision, NotSkewedGentle
-from .quiver import (
-    Arrow,
-    BoundQuiver,
-    SkewedGentleTriple,
-    build_quiver,
-    is_finite_dimensional,
-)
-from .validate import is_gentle, validate_skewed_gentle
+from .quiver import Arrow, BoundQuiver, SkewedGentleTriple, build_quiver
 
 _SUFFIX_BUDGET = 1000
 
@@ -123,7 +116,7 @@ def build_sp_pair(t: SkewedGentleTriple) -> BoundQuiver:
 
 
 def _require_valid(t):
-    report = validate_skewed_gentle(t)
+    report = t.validation
     if not report.skewed_gentle:
         rules = sorted({v.rule for v in report.violations})
         raise NotSkewedGentle(f"triple {t.name!r} is not skewed-gentle (violations: {rules})")
@@ -244,17 +237,16 @@ def build_g_pair(t: SkewedGentleTriple) -> GPairLabels:
             relations.add((x + "-", y + "-"))
 
     pair = BoundQuiver(build_quiver(sorted(vertex_label), arrows), frozenset(relations))
-    gentle, violations = is_gentle(pair)
-    if not gentle or not is_finite_dimensional(pair):
+    if pair.gentle_violations or pair.fd_witness is not None:
         raise InternalInconsistency(
-            f"associated pair of {t.name!r} is not gentle/finite: {violations}"
+            f"associated pair of {t.name!r} is not gentle/finite: {list(pair.gentle_violations)}"
         )
     return GPairLabels(pair, vertex_label, arrow_label)
 
 
 def canonical_involution(t: SkewedGentleTriple) -> Involution:
     """The sign swap on (Q^g, I^g): v+ <-> v-, a+ <-> a-, specials fixed."""
-    g = build_g_pair(t)
+    g = t.g_pair
     flip = {"+": "-", "-": "+", "": ""}
     vertex_map = {
         name: sv.base + flip[sv.sign] for name, sv in sorted(g.vertex_label.items())

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .construct import _require_valid, build_g_pair
+from .construct import _require_valid
 from .errors import InternalInconsistency, NotGentle
-from .quiver import BoundQuiver, Quiver, SkewedGentleTriple, is_finite_dimensional
-from .validate import is_gentle
+from .quiver import BoundQuiver, Quiver, SkewedGentleTriple
 
 
 @dataclass(frozen=True)
@@ -83,9 +82,9 @@ def sign_sequences(quiver: Quiver, arrows, special) -> tuple[tuple[str, ...], tu
 
 def full_cycles(bq: BoundQuiver, special=None) -> set[CycleClass]:
     """All full repetition-free relation cycles of a gentle pair."""
-    gentle, violations = is_gentle(bq)
-    if not gentle or not is_finite_dimensional(bq):
-        raise NotGentle(f"full_cycles needs a gentle finite-dimensional pair: {violations}")
+    if bq.gentle_violations or bq.fd_witness is not None:
+        raise NotGentle("full_cycles needs a gentle finite-dimensional pair: "
+                        f"{list(bq.gentle_violations)}")
     nxt = {x: y for x, y in bq.relations}  # y follows x in the written sequence
     cycles = set()
     placed = set()
@@ -125,7 +124,7 @@ def lift_cycles(t: SkewedGentleTriple) -> set[CycleClass]:
     """
     _require_valid(t)
     lifted = set()
-    for cycle in full_cycles(t.pair, t.special):
+    for cycle in t.cycles:
         names = cycle.arrows
         plus = [names[0] + "+"] + [n + s for n, s in zip(names[1:], cycle.sigma)]
         minus = [names[0] + "-"] + [n + s for n, s in zip(names[1:], cycle.tau)]
@@ -144,14 +143,14 @@ def descriptor_gentle(bq: BoundQuiver) -> SingularityDescriptor:
 def descriptor_sg(t: SkewedGentleTriple) -> SingularityDescriptor:
     """Descriptor of the skewed-gentle algebra: equal to the base pair's."""
     _require_valid(t)
-    return descriptor_gentle(t.pair)
+    return SingularityDescriptor.of(c.length for c in t.cycles)
 
 
 def descriptor_g(t: SkewedGentleTriple) -> SingularityDescriptor:
     """Descriptor of the associated gentle algebra, from base cycle parities."""
     _require_valid(t)
     shifts = []
-    for cycle in full_cycles(t.pair, t.special):
+    for cycle in t.cycles:
         if cycle.parity == "even":
             shifts.extend([cycle.length, cycle.length])
         else:
@@ -166,9 +165,9 @@ def gldim_flags(t: SkewedGentleTriple) -> dict[str, bool]:
     the three answers must agree, anything else is an implementation bug.
     """
     _require_valid(t)
-    gentle_flag = descriptor_gentle(t.pair).is_trivial
+    gentle_flag = not t.cycles
     sg_flag = descriptor_sg(t).is_trivial
-    g_direct = descriptor_gentle(build_g_pair(t).pair).is_trivial
+    g_direct = descriptor_gentle(t.g_pair.pair).is_trivial
     g_formula = descriptor_g(t).is_trivial
     if not (gentle_flag == sg_flag == g_direct == g_formula):
         raise InternalInconsistency(

@@ -162,11 +162,11 @@ def parse(text: str) -> SkewedGentleTriple:
     """Parse a triple exactly as written; only referential integrity is checked."""
     name, stmts = _Parser(text).file()
 
-    vertices = []
+    vertices = set()
     for v, span in stmts["vertices"]:
         if v in vertices:
             raise IntegrityError(f"vertex {v!r} declared twice", span)
-        vertices.append(v)
+        vertices.add(v)
 
     arrows = []
     arrow_names = {}

@@ -4,12 +4,18 @@ Path convention: a path ``p = a1 a2 ... ar`` is written with the rightmost
 arrow applied first, so ``t(a_i) = s(a_{i-1})`` for i = 2..r, the source of
 ``p`` is ``s(ar)`` and its target is ``t(a1)``.  A relation pair ``(x, y)``
 (serialized as ``x*y``) declares the length-2 path "y, then x" to be zero.
+
+Bound quivers and triples are immutable, so what is derived from them is
+kept on them as cached properties: a bound quiver's relation index and its
+gentle and finiteness checks, a triple's validation, its three constructions
+and its cycles.  Each is computed at most once per object and dies with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .errors import (
     DanglingEndpoint,
@@ -18,6 +24,11 @@ from .errors import (
     NotComposable,
     UnknownVertex,
 )
+
+if TYPE_CHECKING:
+    from .construct import GPairLabels, SgPresentation
+    from .cycles import CycleClass
+    from .validate import ValidationReport, Violation
 
 VertexId = str
 ArrowId = str
@@ -153,6 +164,14 @@ def valency(q: Quiver, v: VertexId) -> int:
     return len(q.outgoing[v]) + len(q.incoming[v])
 
 
+def _group(keys, pairs) -> dict:
+    """Map each key to the values paired with it, in the order of ``pairs``."""
+    index: dict = {k: [] for k in keys}
+    for k, v in pairs:
+        index[k].append(v)
+    return {k: tuple(values) for k, values in index.items()}
+
+
 @dataclass(frozen=True)
 class BoundQuiver:
     """A quiver bound by length-2 zero relations.
@@ -176,6 +195,28 @@ class BoundQuiver:
     def relation_list(self) -> tuple[tuple[ArrowId, ArrowId], ...]:
         return tuple(sorted(self.relations))
 
+    @cached_property
+    def relations_before(self) -> dict[ArrowId, tuple[ArrowId, ...]]:
+        """For each arrow x, the arrows y with (x, y) a relation, in name order."""
+        return _group(self.quiver.arrow_map, self.relation_list)
+
+    @cached_property
+    def relations_after(self) -> dict[ArrowId, tuple[ArrowId, ...]]:
+        """For each arrow y, the arrows x with (x, y) a relation, in name order."""
+        return _group(self.quiver.arrow_map, ((y, x) for x, y in self.relation_list))
+
+    @cached_property
+    def fd_witness(self) -> tuple[ArrowId, ...] | None:
+        """The relation-free cycle of ``finite_dimensional_witness``, found once."""
+        return finite_dimensional_witness(self)
+
+    @cached_property
+    def gentle_violations(self) -> tuple[Violation, ...]:
+        """The violations ``is_gentle`` reports, found once; empty when gentle."""
+        from .validate import is_gentle  # deferred: validate imports this module
+
+        return tuple(is_gentle(self)[1])
+
 
 @dataclass(frozen=True)
 class SkewedGentleTriple:
@@ -194,10 +235,57 @@ class SkewedGentleTriple:
     def special_list(self) -> tuple[VertexId, ...]:
         return tuple(sorted(self.special))
 
+    # Everything below is derived from the triple once and kept with it, so
+    # it dies with the triple.  The modules that compute these import this
+    # one, hence the deferred imports.
+
+    @cached_property
+    def validation(self) -> ValidationReport:
+        """The report of ``validate_skewed_gentle``: the one decision on the triple."""
+        from .validate import validate_skewed_gentle
+
+        return validate_skewed_gentle(self)
+
+    @cached_property
+    def sp_pair(self) -> BoundQuiver:
+        """(Q^sp, I^sp), as ``build_sp_pair`` makes it."""
+        from .construct import build_sp_pair
+
+        return build_sp_pair(self)
+
+    @cached_property
+    def sg_presentation(self) -> SgPresentation:
+        """Q^sg, as ``build_sg_presentation`` makes it; needs a valid triple."""
+        from .construct import build_sg_presentation
+
+        return build_sg_presentation(self)
+
+    @cached_property
+    def g_pair(self) -> GPairLabels:
+        """(Q^g, I^g) with its labels, as ``build_g_pair`` makes it; needs a valid triple."""
+        from .construct import build_g_pair
+
+        return build_g_pair(self)
+
+    @cached_property
+    def admissible_pair(self) -> BoundQuiver:
+        """(Q, I1), as ``admissible_base_pair`` makes it."""
+        from .algebra import admissible_base_pair
+
+        return admissible_base_pair(self)
+
+    @cached_property
+    def cycles(self) -> tuple[CycleClass, ...]:
+        """Full relation cycles of the base pair with their parities, by arrows."""
+        from .cycles import full_cycles
+
+        return tuple(sorted(full_cycles(self.pair, self.special), key=lambda c: c.arrows))
+
 
 def successor_arrows(bq: BoundQuiver, a: Arrow) -> list[Arrow]:
     """Arrows g with s(g) = t(a) and (g, a) not a relation, in name order."""
-    return [g for g in bq.quiver.outgoing[a.target] if (g.name, a.name) not in bq.relations]
+    killed = bq.relations_after[a.name]
+    return [g for g in bq.quiver.outgoing[a.target] if g.name not in killed]
 
 
 def finite_dimensional_witness(bq: BoundQuiver) -> tuple[ArrowId, ...] | None:
@@ -236,7 +324,7 @@ def finite_dimensional_witness(bq: BoundQuiver) -> tuple[ArrowId, ...] | None:
 
 
 def is_finite_dimensional(bq: BoundQuiver) -> bool:
-    return finite_dimensional_witness(bq) is None
+    return bq.fd_witness is None
 
 
 def relation_free_paths(bq: BoundQuiver) -> list[Path]:
@@ -244,7 +332,7 @@ def relation_free_paths(bq: BoundQuiver) -> list[Path]:
 
     Their number is the dimension of the monomial algebra presented by ``bq``.
     """
-    witness = finite_dimensional_witness(bq)
+    witness = bq.fd_witness
     if witness is not None:
         raise InfiniteDimensional(
             f"relation-free cycle {list(witness)} makes the algebra infinite dimensional",

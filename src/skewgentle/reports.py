@@ -15,14 +15,12 @@ from .cycles import (
     CycleClass,
     SingularityDescriptor,
     descriptor_g,
-    descriptor_gentle,
     descriptor_sg,
-    full_cycles,
     gldim_flags,
 )
 from .errors import InternalInconsistency
 from .quiver import BoundQuiver, Quiver, SkewedGentleTriple
-from .validate import ValidationReport, validate_skewed_gentle
+from .validate import ValidationReport
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,10 +38,10 @@ class InvariantReport:
 def build_invariant_report(t: SkewedGentleTriple, with_dims: bool = False,
                            oracle_cap: int | None = None) -> InvariantReport:
     """Assemble the full report; with_dims adds the sg oracle cross-check."""
-    validation = validate_skewed_gentle(t)
-    cycles = tuple(sorted(full_cycles(t.pair, t.special), key=lambda c: c.arrows))
+    validation = t.validation
+    cycles = t.cycles
     descriptors = {
-        "gentle": descriptor_gentle(t.pair),
+        "gentle": SingularityDescriptor.of(c.length for c in cycles),
         "sg": descriptor_sg(t),
         "g": descriptor_g(t),
     }

@@ -16,14 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import NotGentle
-from .quiver import (
-    BoundQuiver,
-    SkewedGentleTriple,
-    finite_dimensional_witness,
-    is_finite_dimensional,
-    successor_arrows,
-    valency,
-)
+from .quiver import BoundQuiver, SkewedGentleTriple, successor_arrows, valency
 
 
 @dataclass(frozen=True)
@@ -41,11 +34,6 @@ class ValidationReport:
     violations: tuple[Violation, ...]
 
 
-def _predecessor_arrows(bq, a):
-    """Arrows b with t(b) = s(a) and (a, b) not a relation, in name order."""
-    return [b for b in bq.quiver.incoming[a.source] if (a.name, b.name) not in bq.relations]
-
-
 def is_special_biserial(bq: BoundQuiver) -> tuple[bool, list[Violation]]:
     violations = []
     q = bq.quiver
@@ -56,19 +44,20 @@ def is_special_biserial(bq: BoundQuiver) -> tuple[bool, list[Violation]]:
         nonrel_succ = successor_arrows(bq, a)
         if len(nonrel_succ) > 1:
             violations.append(Violation("SB2", (a.name, *(g.name for g in nonrel_succ))))
-        nonrel_pred = _predecessor_arrows(bq, a)
+        killed = bq.relations_before[a.name]
+        nonrel_pred = [b.name for b in q.incoming[a.source] if b.name not in killed]
         if len(nonrel_pred) > 1:
-            violations.append(Violation("SB2", (a.name, *(b.name for b in nonrel_pred))))
+            violations.append(Violation("SB2", (a.name, *nonrel_pred)))
     return not violations, violations
 
 
 def is_gentle(bq: BoundQuiver) -> tuple[bool, list[Violation]]:
     ok, violations = is_special_biserial(bq)
     for name in sorted(bq.quiver.arrow_map):
-        rel_pred = sorted(y for x, y in bq.relations if x == name)
+        rel_pred = bq.relations_before[name]
         if len(rel_pred) > 1:
             violations.append(Violation("G1", (name, *rel_pred)))
-        rel_succ = sorted(x for x, y in bq.relations if y == name)
+        rel_succ = bq.relations_after[name]
         if len(rel_succ) > 1:
             violations.append(Violation("G1", (name, *rel_succ)))
     return not violations, violations
@@ -79,26 +68,22 @@ def validate_skewed_gentle(t: SkewedGentleTriple) -> ValidationReport:
 
     The special_biserial / gentle / finite_dimensional flags describe the
     base pair (Q, I); skewed_gentle and the violations describe (Q^sp, I^sp),
-    which subsumes every defect of the base pair.
+    which subsumes every defect of the base pair.  ``t.validation`` keeps
+    the report with the triple; every other check reads it from there.
     """
-    from .construct import build_sp_pair  # deferred: construct imports this module
-
     base = t.pair
-    base_sb, _ = is_special_biserial(base)
-    base_gentle, _ = is_gentle(base)
-    base_fd = is_finite_dimensional(base)
-
-    sp = build_sp_pair(t)
-    sp_gentle, violations = is_gentle(sp)
-    witness = finite_dimensional_witness(sp)
+    sp = t.sp_pair
+    violations = list(sp.gentle_violations)
+    witness = sp.fd_witness
     if witness is not None:
         violations.append(Violation("FD", witness))
     violations.sort(key=lambda v: (v.rule, v.items))
+    # is_gentle reports the SB violations too: only G1 ones leave the pair special biserial
     return ValidationReport(
-        special_biserial=base_sb,
-        gentle=base_gentle,
-        finite_dimensional=base_fd,
-        skewed_gentle=sp_gentle and witness is None,
+        special_biserial=all(v.rule == "G1" for v in base.gentle_violations),
+        gentle=not base.gentle_violations,
+        finite_dimensional=base.fd_witness is None,
+        skewed_gentle=not sp.gentle_violations and witness is None,
         violations=tuple(violations),
     )
 
@@ -110,8 +95,7 @@ def admissible_special_sets(bq: BoundQuiver) -> list[tuple[str, ...]]:
     vertices of valency >= 3 are skipped, since adding a loop there always
     breaks the at-most-two-arrows condition.
     """
-    gentle, _ = is_gentle(bq)
-    if not gentle or not is_finite_dimensional(bq):
+    if bq.gentle_violations or bq.fd_witness is not None:
         raise NotGentle("admissible_special_sets needs a gentle finite-dimensional pair")
     candidates = [v for v in bq.quiver.vertex_list if valency(bq.quiver, v) <= 2]
     admissible = []

@@ -196,6 +196,30 @@ def test_oracle_cap_exit_three(monkeypatch):
     assert code == 3
 
 
+def test_non_utf8_input_exit_two(tmp_path):
+    raw = tmp_path / "raw.q"
+    raw.write_bytes(b"\xff\xfe")
+    for command in ("validate", "invariants", "spset"):
+        code, out, err = invoke(command, str(raw))
+        assert code == 2
+        assert out == ""
+        assert err == "parse error: input is not UTF-8: byte 0xff at offset 0\n"
+
+
+def test_oracle_cap_must_be_positive_integer(monkeypatch):
+    for value in ("abc", "0", "-5", "2.5", "1e3"):
+        monkeypatch.setenv("QSG_ORACLE_CAP", value)
+        for argv in (("dim", str(fixture_path("fix_a2.q")), "--algebra", "sg", "--oracle"),
+                     ("invariants", str(fixture_path("fix_a2.q")), "--dims")):
+            code, out, err = invoke(*argv)
+            assert code == 4
+            assert out == ""
+            assert err == f"usage error: QSG_ORACLE_CAP must be a positive integer, got {value!r}\n"
+    # the cap is read only by the commands that run the oracle
+    code, _, err = invoke("invariants", str(fixture_path("fix_a2.q")))
+    assert code == 0 and err == ""
+
+
 def test_usage_error_exit_four():
     code, _, err = invoke("frobnicate")
     assert code == 4

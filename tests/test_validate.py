@@ -15,6 +15,7 @@ from skewgentle import (
     valency,
     validate_skewed_gentle,
 )
+from skewgentle.validate import Violation
 
 
 def test_special_biserial_fix_a(fix_a):
@@ -29,11 +30,7 @@ def test_special_biserial_kronecker():
 
 
 def test_special_biserial_star_fails():
-    q = build_quiver(
-        ["0", "1", "2", "3"],
-        [Arrow("a", "0", "1"), Arrow("b", "0", "2"), Arrow("c", "0", "3")],
-    )
-    ok, violations = is_special_biserial(BoundQuiver(q))
+    ok, violations = is_special_biserial(_star())
     assert not ok
     assert any(v.rule == "SB1" and v.items == ("0",) for v in violations)
 
@@ -54,10 +51,23 @@ def test_gentle_fix_d_skeleton(fix_d):
     assert is_finite_dimensional(fix_d.pair)
 
 
+def _star():
+    return BoundQuiver(build_quiver(
+        ["0", "1", "2", "3"],
+        [Arrow("a", "0", "1"), Arrow("b", "0", "2"), Arrow("c", "0", "3")],
+    ))
+
+
+def _g1_violator(fix_d):
+    return BoundQuiver(fix_d.pair.quiver, fix_d.pair.relations | {("b1", "al")})
+
+
+def _sb2_violator(fix_d):
+    return BoundQuiver(fix_d.pair.quiver, fix_d.pair.relations - {("b2", "al")})
+
+
 def test_gentle_g1_violation(fix_d):
-    doubled = BoundQuiver(
-        fix_d.pair.quiver, fix_d.pair.relations | {("b1", "al")}
-    )
+    doubled = _g1_violator(fix_d)
     ok, violations = is_gentle(doubled)
     assert not ok
     assert any(v.rule == "G1" and v.items[0] == "al" for v in violations)
@@ -66,9 +76,7 @@ def test_gentle_g1_violation(fix_d):
 def test_gentle_sb2_violation(fix_d):
     # dropping the zero relation leaves the branching vertex with two free
     # compositions after al
-    dropped = BoundQuiver(
-        fix_d.pair.quiver, fix_d.pair.relations - {("b2", "al")}
-    )
+    dropped = _sb2_violator(fix_d)
     ok, violations = is_gentle(dropped)
     assert not ok
     assert any(v.rule == "SB2" and v.items[0] == "al" for v in violations)
@@ -164,3 +172,58 @@ def test_random_triples_validate():
         report = validate_skewed_gentle(random_triple(seed, 6, 7))
         assert report.skewed_gentle
         assert report.violations == ()
+
+
+# The checks as they were before the relation index: every relation is
+# scanned for every arrow.  They are the reference for the indexed checks.
+
+def _reference_special_biserial(bq):
+    violations = []
+    q = bq.quiver
+    for v in q.vertex_list:
+        if len(q.outgoing[v]) > 2 or len(q.incoming[v]) > 2:
+            violations.append(Violation("SB1", (v,)))
+    for a in sorted(q.arrows, key=lambda a: a.name):
+        succ = [g for g in q.outgoing[a.target] if (g.name, a.name) not in bq.relations]
+        if len(succ) > 1:
+            violations.append(Violation("SB2", (a.name, *(g.name for g in succ))))
+        pred = [b for b in q.incoming[a.source] if (a.name, b.name) not in bq.relations]
+        if len(pred) > 1:
+            violations.append(Violation("SB2", (a.name, *(b.name for b in pred))))
+    return not violations, violations
+
+
+def _reference_gentle(bq):
+    ok, violations = _reference_special_biserial(bq)
+    for name in sorted(bq.quiver.arrow_map):
+        rel_pred = sorted(y for x, y in bq.relations if x == name)
+        if len(rel_pred) > 1:
+            violations.append(Violation("G1", (name, *rel_pred)))
+        rel_succ = sorted(x for x, y in bq.relations if y == name)
+        if len(rel_succ) > 1:
+            violations.append(Violation("G1", (name, *rel_succ)))
+    return not violations, violations
+
+
+def _assert_matches_reference(bq):
+    assert is_special_biserial(bq) == _reference_special_biserial(bq)
+    assert is_gentle(bq) == _reference_gentle(bq)
+
+
+def test_indexed_checks_match_reference_on_random_triples():
+    for seed in range(200):
+        t = random_triple(seed, 6, 7)
+        q = t.pair.quiver
+        # invalid variants: every vertex special (SB1, SB2), every 2-path zero (G1)
+        every = SkewedGentleTriple(t.pair, q.vertices)
+        zero = BoundQuiver(q, frozenset((x.name, y.name)
+                                        for y in q.arrows for x in q.outgoing[y.target]))
+        for bq in (t.pair, build_sp_pair(t), build_sp_pair(every), zero):
+            _assert_matches_reference(bq)
+
+
+def test_indexed_checks_match_reference_on_violators(fix_d):
+    for bq in (_star(), _g1_violator(fix_d), _sb2_violator(fix_d)):
+        ok, _ = _reference_gentle(bq)
+        assert not ok
+        _assert_matches_reference(bq)

@@ -1,0 +1,46 @@
+"""Each triple is decided once and each derived pair is built once per command."""
+
+import io
+import sys
+
+import pytest
+
+from conftest import fixture_path
+
+from skewgentle import construct, validate
+from skewgentle.cli import run
+
+
+def _count_calls(monkeypatch, fn):
+    """Route every package reference to ``fn`` through a recorder of (arg, result)."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        calls.append((args[0], result))
+        return result
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "skewgentle" and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv,triples", [
+    (["invariants", "FILE", "--dims", "--json"], 1),
+    (["reduce", "FILE", "--vertex", "2"], 2),  # the triple and its reduced triple
+])
+def test_one_decision_per_triple(monkeypatch, argv, triples):
+    decisions = _count_calls(monkeypatch, validate.validate_skewed_gentle)
+    sp_builds = _count_calls(monkeypatch, construct.build_sp_pair)
+    gentle_checks = _count_calls(monkeypatch, validate.is_gentle)
+    argv = [str(fixture_path("fix_a2.q")) if a == "FILE" else a for a in argv]
+
+    assert run(argv, out=io.StringIO(), err=io.StringIO()) == 0
+
+    assert len(decisions) == triples
+    assert len(sp_builds) == triples
+    checked = [bq for bq, _ in gentle_checks]
+    assert len({id(bq) for bq in checked}) == len(checked), "a pair was checked twice"
+    for _, sp in sp_builds:
+        assert sum(bq is sp for bq in checked) == 1
