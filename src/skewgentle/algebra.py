@@ -8,8 +8,12 @@ keeps only the relations with an ordinary middle vertex; a relation with a
 special middle vertex turns into the commutativity rewrite that pins the
 junction to minus with coefficient +1.
 
-The independent check is dimension_oracle: enumerate every lifted path up
-to the length bound given by (Q^sp, I^sp), impose all embedded zero and
+``dimension`` counts without listing paths: one dynamic programme over the
+arrow-successor graph of the pair (see ``count_relation_free_paths``), in
+time linear in arrows plus relations; for sg a special endpoint weighs 2,
+one per sign.  ``basis`` lists the normal forms one by one, and so does the
+independent check, dimension_oracle: enumerate every lifted path up to the
+length bound given by (Q^sp, I^sp), impose all embedded zero and
 commutativity relations, and compute the rank of the relation span by
 exact rational elimination.
 """
@@ -21,7 +25,13 @@ from fractions import Fraction
 
 from .construct import _require_valid, sg_vertex_lifts
 from .errors import InternalInconsistency, LimitExceeded, NotSpecial
-from .quiver import BoundQuiver, SkewedGentleTriple, relation_free_paths
+from .quiver import (
+    BoundQuiver,
+    SkewedGentleTriple,
+    count_relation_free_paths,
+    relation_free_paths,
+    successor_order,
+)
 
 DEFAULT_ORACLE_CAP = 20000
 
@@ -80,23 +90,62 @@ def _endpoint_signs(vertex, special):
     return ("+", "-") if vertex in special else ("",)
 
 
-def basis(t: SkewedGentleTriple) -> list[BasisPath]:
-    """All normal forms: trivial paths plus signed lifts of admissible paths."""
+def _special_cycle(bq: BoundQuiver, special) -> tuple[str, ...] | None:
+    """A nontrivial relation-free path from a special vertex back to itself.
+
+    Reachability over the arrow-successor graph, successors first: bit i of
+    ``reach[a]`` is set when a path applying arrow a first can end at the
+    i-th special vertex.  The path found first in arrow-name order is
+    returned as arrow names in written order; None when there is none.
+    """
+    order = successor_order(bq)
+    bit = {v: 1 << i for i, v in enumerate(sorted(special))}
+    if not bit:
+        return None
+    succ = bq.successors
+    reach: dict[str, int] = {}
+    for a in order:
+        r = bit.get(a.target, 0)
+        for g in succ[a.name]:
+            r |= reach[g]
+        reach[a.name] = r
+    amap = bq.quiver.arrow_map
+    for name in sorted(amap):
+        home = bit.get(amap[name].source, 0)
+        if reach[name] & home:
+            walk = [name]
+            while bit.get(amap[walk[-1]].target) != home:
+                walk.append(next(g for g in succ[walk[-1]] if reach[g] & home))
+            return tuple(reversed(walk))
+    return None
+
+
+def _sg_admissible_pair(t: SkewedGentleTriple) -> BoundQuiver:
+    """(Q, I1) once the checks the sg basis and its count rest on have passed."""
     _require_valid(t)
     sg_vertex_lifts(t)  # name-collision guard for the signed vertex names
+    admissible = t.admissible_pair
+    cycle = _special_cycle(admissible, t.special)
+    if cycle is not None:
+        vertex = admissible.quiver.arrow_map[cycle[-1]].source
+        raise InternalInconsistency(
+            f"admissible cycle {''.join(cycle)} at special vertex {vertex!r};"
+            " the triple should have failed validation"
+        )
+    return admissible
+
+
+def basis(t: SkewedGentleTriple) -> list[BasisPath]:
+    """All normal forms: trivial paths plus signed lifts of admissible paths."""
+    admissible = _sg_admissible_pair(t)
     out = []
     for v in t.pair.quiver.vertex_list:
         for sign in _endpoint_signs(v, t.special):
             name = _signed(v, sign)
             out.append(BasisPath((), name, name))
-    for p in relation_free_paths(t.admissible_pair):
+    for p in relation_free_paths(admissible):
         if p.is_trivial:
             continue
-        if p.source == p.target and p.source in t.special:
-            raise InternalInconsistency(
-                f"admissible cycle {p!r} at special vertex {p.source!r};"
-                " the triple should have failed validation"
-            )
         names = tuple(a.name for a in p.arrows)
         for ssign in _endpoint_signs(p.source, t.special):
             for tsign in _endpoint_signs(p.target, t.special):
@@ -134,18 +183,38 @@ def multiply(t: SkewedGentleTriple, p, q):
 
 
 def longest_relation_free_length(bq: BoundQuiver) -> int:
-    return max(p.length for p in relation_free_paths(bq))
+    """Length of the longest relation-free path, from one pass over the
+    arrow-successor graph: L(a) = 1 + the largest L(g) over successors g."""
+    succ = bq.successors
+    depth: dict[str, int] = {}
+    for a in successor_order(bq):
+        depth[a.name] = 1 + max((depth[g] for g in succ[a.name]), default=0)
+    return max(depth.values(), default=0)
+
+
+def _one(vertex) -> int:
+    return 1
+
+
+def _counted_dimension(bq: BoundQuiver, weight) -> int:
+    """Trivial paths weigh ``weight(v)``, a nontrivial path p ``weight(s(p)) * weight(t(p))``."""
+    trivial = sum(weight(v) for v in bq.quiver.vertex_list)
+    return trivial + count_relation_free_paths(bq, weight, weight)
 
 
 def dimension(t: SkewedGentleTriple, which: str) -> int:
-    """K-dimension of the chosen algebra: "gentle", "sg", or "g"."""
+    """K-dimension of the chosen algebra: "gentle", "sg", or "g".
+
+    Counted, not listed: for sg every special endpoint weighs 2, one per
+    sign, which is what ``basis`` lists.
+    """
     _require_valid(t)
     if which == "gentle":
-        return len(relation_free_paths(t.pair))
+        return _counted_dimension(t.pair, _one)
     if which == "g":
-        return len(relation_free_paths(t.g_pair.pair))
+        return _counted_dimension(t.g_pair.pair, _one)
     if which == "sg":
-        return len(basis(t))
+        return _counted_dimension(_sg_admissible_pair(t), lambda v: 2 if v in t.special else 1)
     raise ValueError(f"unknown algebra {which!r}")
 
 
@@ -319,14 +388,9 @@ def corner_data(t: SkewedGentleTriple, a: str) -> CornerData:
 def _corner_prime_counts(t, a):
     """Sizes of S1 / S2: admissible base paths leaving / entering vertex a."""
     admissible = t.admissible_pair
-    outs = t.pair.quiver.outgoing[a]
-    ins = t.pair.quiver.incoming[a]
-    s1 = s2 = 0
-    for p in relation_free_paths(admissible):
-        if p.is_trivial:
-            continue
-        if any(p.arrows[-1].name == o.name for o in outs):
-            s1 += 1
-        if any(p.arrows[0].name == i.name for i in ins):
-            s2 += 1
-    return s1, s2
+
+    def at_a(v):
+        return int(v == a)
+
+    return (count_relation_free_paths(admissible, at_a, _one),
+            count_relation_free_paths(admissible, _one, at_a))

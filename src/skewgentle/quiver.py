@@ -6,9 +6,11 @@ arrow applied first, so ``t(a_i) = s(a_{i-1})`` for i = 2..r, the source of
 (serialized as ``x*y``) declares the length-2 path "y, then x" to be zero.
 
 Bound quivers and triples are immutable, so what is derived from them is
-kept on them as cached properties: a bound quiver's relation index and its
-gentle and finiteness checks, a triple's validation, its three constructions
-and its cycles.  Each is computed at most once per object and dies with it.
+kept on them as cached properties: a bound quiver's relation index, its
+arrow-successor graph with the one walk of it that decides finiteness and
+orders it for counting, and its gentle check; a triple's validation, its
+three constructions and its cycles.  Each is computed at most once per
+object and dies with it.
 """
 
 from __future__ import annotations
@@ -206,9 +208,54 @@ class BoundQuiver:
         return _group(self.quiver.arrow_map, ((y, x) for x, y in self.relation_list))
 
     @cached_property
+    def successors(self) -> dict[ArrowId, tuple[ArrowId, ...]]:
+        """The arrow-successor graph: for each arrow a, the arrows g with
+        s(g) = t(a) and (g, a) not a relation, in name order."""
+        out = self.quiver.outgoing
+        after = self.relations_after
+        return {
+            a.name: tuple(g.name for g in out[a.target] if g.name not in after[a.name])
+            for a in self.quiver.arrows
+        }
+
+    @cached_property
+    def arrow_dag(self) -> tuple[tuple[ArrowId, ...] | None, tuple[Arrow, ...]]:
+        """One iterative depth-first walk of the arrow-successor graph.
+
+        Gives ``(cycle, ())`` when the graph has a relation-free cycle, else
+        ``(None, order)`` with every arrow placed after all its successors,
+        as arrows are recorded when they finish.  Starts and successors are
+        taken in name order, so the cycle found is always the same one.
+        """
+        succ = self.successors
+        amap = self.quiver.arrow_map
+        state = dict.fromkeys(succ, 0)  # 0 unvisited, 1 on the trail, 2 done
+        order: list[Arrow] = []
+        for start in sorted(succ):
+            if state[start]:
+                continue
+            state[start] = 1
+            trail = [start]
+            pending = [iter(succ[start])]
+            while pending:
+                nxt = next(pending[-1], None)
+                if nxt is None:
+                    done = trail.pop()
+                    state[done] = 2
+                    order.append(amap[done])
+                    pending.pop()
+                elif state[nxt] == 1:
+                    return tuple(trail[trail.index(nxt):]), ()
+                elif state[nxt] == 0:
+                    state[nxt] = 1
+                    trail.append(nxt)
+                    pending.append(iter(succ[nxt]))
+        return None, tuple(order)
+
+    @cached_property
     def fd_witness(self) -> tuple[ArrowId, ...] | None:
-        """The relation-free cycle of ``finite_dimensional_witness``, found once."""
-        return finite_dimensional_witness(self)
+        """The relation-free cycle ``arrow_dag`` found, or None when there is none."""
+        return self.arrow_dag[0]
 
     @cached_property
     def gentle_violations(self) -> tuple[Violation, ...]:
@@ -284,8 +331,8 @@ class SkewedGentleTriple:
 
 def successor_arrows(bq: BoundQuiver, a: Arrow) -> list[Arrow]:
     """Arrows g with s(g) = t(a) and (g, a) not a relation, in name order."""
-    killed = bq.relations_after[a.name]
-    return [g for g in bq.quiver.outgoing[a.target] if g.name not in killed]
+    amap = bq.quiver.arrow_map
+    return [amap[g] for g in bq.successors[a.name]]
 
 
 def finite_dimensional_witness(bq: BoundQuiver) -> tuple[ArrowId, ...] | None:
@@ -295,49 +342,51 @@ def finite_dimensional_witness(bq: BoundQuiver) -> tuple[ArrowId, ...] | None:
     whenever t(b) = s(a) and (a, b) is not a relation.  The quotient algebra
     is finite dimensional exactly when this graph is acyclic.
     """
-    arrows = sorted(bq.quiver.arrow_map)
-    state = {a: 0 for a in arrows}  # 0 unvisited, 1 on stack, 2 done
-    amap = bq.quiver.arrow_map
-    for start in arrows:
-        if state[start]:
-            continue
-        stack: list[tuple[ArrowId, list[ArrowId]]] = [
-            (start, [g.name for g in successor_arrows(bq, amap[start])])
-        ]
-        state[start] = 1
-        trail = [start]
-        while stack:
-            node, succs = stack[-1]
-            if succs:
-                nxt = succs.pop(0)
-                if state[nxt] == 1:
-                    return tuple(trail[trail.index(nxt):])
-                if state[nxt] == 0:
-                    state[nxt] = 1
-                    trail.append(nxt)
-                    stack.append((nxt, [g.name for g in successor_arrows(bq, amap[nxt])]))
-            else:
-                state[node] = 2
-                trail.pop()
-                stack.pop()
-    return None
+    return bq.fd_witness
 
 
 def is_finite_dimensional(bq: BoundQuiver) -> bool:
     return bq.fd_witness is None
 
 
-def relation_free_paths(bq: BoundQuiver) -> list[Path]:
-    """All paths avoiding every relation pair, including one trivial per vertex.
-
-    Their number is the dimension of the monomial algebra presented by ``bq``.
-    """
-    witness = bq.fd_witness
+def successor_order(bq: BoundQuiver) -> tuple[Arrow, ...]:
+    """Every arrow after all its successors; raises when the algebra is infinite."""
+    witness, order = bq.arrow_dag
     if witness is not None:
         raise InfiniteDimensional(
             f"relation-free cycle {list(witness)} makes the algebra infinite dimensional",
             witness=witness,
         )
+    return order
+
+
+def count_relation_free_paths(bq: BoundQuiver, source_weight, target_weight) -> int:
+    """Sum of ``source_weight(s(p)) * target_weight(t(p))`` over the nontrivial
+    relation-free paths p, without building any of them.
+
+    One pass over the arrow-successor graph, successors first: the paths
+    that apply arrow a first weigh F(a) = target_weight(t(a)) plus the sum
+    of F(g) over the successors g of a.
+    """
+    succ = bq.successors
+    weight: dict[ArrowId, int] = {}
+    total = 0
+    for a in successor_order(bq):
+        f = target_weight(a.target)
+        for g in succ[a.name]:
+            f += weight[g]
+        weight[a.name] = f
+        total += source_weight(a.source) * f
+    return total
+
+
+def relation_free_paths(bq: BoundQuiver) -> list[Path]:
+    """All paths avoiding every relation pair, including one trivial per vertex.
+
+    Their number is the dimension of the monomial algebra presented by ``bq``;
+    ``count_relation_free_paths`` gives it without listing them.
+    """
+    successor_order(bq)  # raises InfiniteDimensional with its witness
     paths = [Path.trivial(v) for v in bq.quiver.vertex_list]
     for v in bq.quiver.vertex_list:
         # walk in application order, first arrow at index 0

@@ -242,6 +242,31 @@ def test_text_and_json_numbers_agree():
         assert line in text
 
 
+def _write_line(path, n):
+    vertices = ", ".join(f"v{i}" for i in range(n))
+    arrows = ", ".join(f"a{i}: v{i} -> v{i + 1}" for i in range(n - 1))
+    path.write_text(f"quiver A {{ vertices: {vertices}; arrows: {arrows}; }}")
+
+
+def _write_full_relation_cycle(path, n, k):
+    vertices = ", ".join(f"v{i}" for i in range(n))
+    special = ", ".join(f"v{i}" for i in range(0, n, k))
+    arrows = ", ".join(f"a{i}: v{i} -> v{(i + 1) % n}" for i in range(n))
+    relations = ", ".join(f"a{(i + 1) % n}*a{i}" for i in range(n))
+    path.write_text(f"quiver C {{ vertices: {vertices}; special: {special}; "
+                    f"arrows: {arrows}; relations: {relations}; }}")
+
+
+def test_dim_of_long_line_and_long_cycle(tmp_path):
+    # thousands of arrows in one chain of successors: no recursion, no listing
+    line = tmp_path / "a3000.q"
+    _write_line(line, 3000)
+    assert invoke("dim", str(line), "--algebra", "g") == (0, "9003000\n", "")
+    cycle = tmp_path / "c5000.q"
+    _write_full_relation_cycle(cycle, 5000, 4)
+    assert invoke("dim", str(cycle), "--algebra", "sg") == (0, "15000\n", "")
+
+
 def test_console_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "skewgentle", "invariants", str(fixture_path("fix_a2.q"))],

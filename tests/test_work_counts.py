@@ -1,4 +1,5 @@
-"""Each triple is decided once and each derived pair is built once per command."""
+"""Each triple is decided once, each derived pair is built once per command,
+and paths are listed only where the output lists them."""
 
 import io
 import sys
@@ -7,7 +8,7 @@ import pytest
 
 from conftest import fixture_path
 
-from skewgentle import construct, validate
+from skewgentle import algebra, construct, quiver, validate
 from skewgentle.cli import run
 
 
@@ -44,3 +45,23 @@ def test_one_decision_per_triple(monkeypatch, argv, triples):
     assert len({id(bq) for bq in checked}) == len(checked), "a pair was checked twice"
     for _, sp in sp_builds:
         assert sum(bq is sp for bq in checked) == 1
+
+
+@pytest.mark.parametrize("argv,listings", [
+    (["dim", "FILE", "--algebra", "gentle"], 0),
+    (["dim", "FILE", "--algebra", "sg"], 0),
+    (["dim", "FILE", "--algebra", "g"], 0),
+    (["invariants", "FILE", "--dims", "--json"], 0),
+    (["reduce", "FILE", "--vertex", "2"], 1),  # the basis printed as t1/t2
+])
+def test_paths_listed_only_for_the_basis(monkeypatch, argv, listings):
+    listed = _count_calls(monkeypatch, quiver.relation_free_paths)
+    bases = _count_calls(monkeypatch, algebra.basis)
+    argv = [str(fixture_path("fix_a2.q")) if a == "FILE" else a for a in argv]
+
+    assert run(argv, out=io.StringIO(), err=io.StringIO()) == 0
+
+    assert len(listed) == listings
+    assert len(bases) == listings
+    for (bq, _), (t, _) in zip(listed, bases):
+        assert bq is t.admissible_pair
