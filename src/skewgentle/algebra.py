@@ -30,6 +30,7 @@ from .quiver import (
     SkewedGentleTriple,
     count_relation_free_paths,
     relation_free_paths,
+    relation_text,
     successor_order,
 )
 
@@ -90,49 +91,11 @@ def _endpoint_signs(vertex, special):
     return ("+", "-") if vertex in special else ("",)
 
 
-def _special_cycle(bq: BoundQuiver, special) -> tuple[str, ...] | None:
-    """A nontrivial relation-free path from a special vertex back to itself.
-
-    Reachability over the arrow-successor graph, successors first: bit i of
-    ``reach[a]`` is set when a path applying arrow a first can end at the
-    i-th special vertex.  The path found first in arrow-name order is
-    returned as arrow names in written order; None when there is none.
-    """
-    order = successor_order(bq)
-    bit = {v: 1 << i for i, v in enumerate(sorted(special))}
-    if not bit:
-        return None
-    succ = bq.successors
-    reach: dict[str, int] = {}
-    for a in order:
-        r = bit.get(a.target, 0)
-        for g in succ[a.name]:
-            r |= reach[g]
-        reach[a.name] = r
-    amap = bq.quiver.arrow_map
-    for name in sorted(amap):
-        home = bit.get(amap[name].source, 0)
-        if reach[name] & home:
-            walk = [name]
-            while bit.get(amap[walk[-1]].target) != home:
-                walk.append(next(g for g in succ[walk[-1]] if reach[g] & home))
-            return tuple(reversed(walk))
-    return None
-
-
 def _sg_admissible_pair(t: SkewedGentleTriple) -> BoundQuiver:
-    """(Q, I1) once the checks the sg basis and its count rest on have passed."""
+    """(Q, I1) once the triple is valid and its signed vertex names are distinct."""
     _require_valid(t)
     sg_vertex_lifts(t)  # name-collision guard for the signed vertex names
-    admissible = t.admissible_pair
-    cycle = _special_cycle(admissible, t.special)
-    if cycle is not None:
-        vertex = admissible.quiver.arrow_map[cycle[-1]].source
-        raise InternalInconsistency(
-            f"admissible cycle {''.join(cycle)} at special vertex {vertex!r};"
-            " the triple should have failed validation"
-        )
-    return admissible
+    return t.admissible_pair
 
 
 def basis(t: SkewedGentleTriple) -> list[BasisPath]:
@@ -174,7 +137,7 @@ def multiply(t: SkewedGentleTriple, p, q):
     if middle in t.special:
         if (later, first) not in t.pair.relations:
             raise InternalInconsistency(
-                f"composition {later}*{first} through special vertex {middle!r}"
+                f"composition {relation_text(later, first)} through special vertex {middle!r}"
                 " has no base relation"
             )
     elif (later, first) in t.pair.relations:
@@ -243,13 +206,8 @@ def _rank(rows) -> int:
 
 def _oracle_presentation(t, which):
     """Vertices, arrows (name, source, target), relations, and length bound."""
-    if which == "gentle":
-        bq = t.pair
-        triples = [(a.name, a.source, a.target) for a in bq.quiver.arrows]
-        return (bq.quiver.vertex_list, triples, set(bq.relations), {},
-                longest_relation_free_length(bq))
-    if which == "g":
-        bq = t.g_pair.pair
+    if which in ("gentle", "g"):
+        bq = t.pair if which == "gentle" else t.g_pair.pair
         triples = [(a.name, a.source, a.target) for a in bq.quiver.arrows]
         return (bq.quiver.vertex_list, triples, set(bq.relations), {},
                 longest_relation_free_length(bq))

@@ -5,18 +5,22 @@ exceeded, 4 usage error.  Diagnostics go to stderr, data to stdout, and
 every command is deterministic: the same file yields byte-identical output.
 The environment variable QSG_ORACLE_CAP, a positive integer, overrides the
 oracle path cap.
+
+This module holds no output format: it parses arguments, loads the input,
+reads the oracle cap and maps errors to exit codes.  Every report and
+presentation is rendered by ``reports``; ``dim`` and ``spset`` print bare
+values, one per line.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
 from .algebra import DEFAULT_ORACLE_CAP, corner_data, dimension, dimension_oracle
-from .dsl import parse, serialize
+from .dsl import parse
 from .errors import (
     LimitExceeded,
     NotGentle,
@@ -26,13 +30,12 @@ from .errors import (
     SkewGentleError,
 )
 from .quiver import SkewedGentleTriple
-from .reports import (
-    build_invariant_report,
-    descriptor_pretty,
-    report_json,
-    to_dot,
-)
+from .reports import build_invariant_report, report_json, report_text, to_dot
 from .validate import admissible_special_sets
+
+
+_TARGETS = {"sp": "sp_pair", "sg": "sg_presentation", "g": "g_pair"}
+_FORMATS = {"text": report_text, "dot": to_dot, "json": report_json}
 
 
 class _UsageError(Exception):
@@ -54,8 +57,8 @@ def _build_parser() -> _Parser:
 
     c = sub.add_parser("construct", help="emit Q^sp, Q^sg, or Q^g")
     c.add_argument("file")
-    c.add_argument("--target", required=True, choices=("sp", "sg", "g"))
-    c.add_argument("--format", default="text", choices=("text", "dot", "json"))
+    c.add_argument("--target", required=True, choices=tuple(_TARGETS))
+    c.add_argument("--format", default="text", choices=tuple(_FORMATS))
 
     i = sub.add_parser("invariants", help="cycles, descriptors, gldim flags")
     i.add_argument("file")
@@ -97,138 +100,31 @@ def _oracle_cap() -> int:
     return int(value)
 
 
-def _flags_line(rep):
-    def yn(b):
-        return "yes" if b else "no"
-
-    return (f"flags: special_biserial={yn(rep.special_biserial)}"
-            f" gentle={yn(rep.gentle)}"
-            f" finite_dimensional={yn(rep.finite_dimensional)}"
-            f" skewed_gentle={yn(rep.skewed_gentle)}")
-
-
-def _print_validation(t, rep, out):
-    print(f"name: {t.name}", file=out)
-    print(_flags_line(rep), file=out)
-    for v in rep.violations:
-        print(f"violation {v.rule}: {', '.join(v.items)}", file=out)
+def _renderer(args):
+    return report_json if args.json else report_text
 
 
 def _cmd_validate(args, out):
     t = _load(args.file)
-    rep = t.validation
-    if args.json:
-        out.write(report_json(rep, name=t.name))
-    else:
-        _print_validation(t, rep, out)
-    return 0 if rep.skewed_gentle else 1
+    out.write(_renderer(args)(t.validation, name=t.name))
+    return 0 if t.validation.skewed_gentle else 1
 
 
 def _cmd_construct(args, out):
     t = _load(args.file)
-    if args.target == "sp":
-        pair = t.sp_pair
-        made = SkewedGentleTriple(pair, frozenset(), name=f"{t.name}_sp")
-        if args.format == "text":
-            out.write(serialize(made) + "\n")
-        elif args.format == "dot":
-            out.write(to_dot(pair, name=made.name))
-        else:
-            out.write(_pair_json(made))
-    elif args.target == "g":
-        labels = t.g_pair
-        made = SkewedGentleTriple(labels.pair, frozenset(), name=f"{t.name}_g")
-        if args.format == "text":
-            out.write(serialize(made) + "\n")
-        elif args.format == "dot":
-            out.write(to_dot(labels, name=made.name))
-        else:
-            out.write(_pair_json(made))
-    else:
-        pres = t.sg_presentation
-        if args.format == "text":
-            _print_sg(t, pres, out)
-        elif args.format == "dot":
-            out.write(to_dot(pres, name=f"{t.name}_sg"))
-        else:
-            out.write(_sg_json(t, pres))
+    made = getattr(t, _TARGETS[args.target])
+    out.write(_FORMATS[args.format](made, name=f"{t.name}_{args.target}"))
     return 0
-
-
-def _pair_json(made):
-    q = made.pair.quiver
-    payload = {
-        "name": made.name,
-        "vertices": list(q.vertex_list),
-        "arrows": [
-            {"name": a.name, "source": a.source, "target": a.target} for a in q.arrows
-        ],
-        "relations": sorted(f"{x}*{y}" for x, y in made.pair.relations),
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def _sg_json(t, pres):
-    payload = {
-        "name": f"{t.name}_sg",
-        "vertices": list(pres.vertex_names),
-        "arrows": [
-            {"name": a.name, "base": a.base, "source": a.source, "target": a.target}
-            for a in sorted(pres.arrows, key=lambda a: a.name)
-        ],
-        "zero_relations": sorted(f"{x}*{y}" for x, y in pres.zero_relations),
-        "comm_relations": [
-            {"plus": f"{c.plus[0]}*{c.plus[1]}", "minus": f"{c.minus[0]}*{c.minus[1]}"}
-            for c in sorted(pres.comm_relations, key=lambda c: c.plus)
-        ],
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def _print_sg(t, pres, out):
-    print(f"sg-presentation {t.name}_sg", file=out)
-    print(f"vertices: {', '.join(pres.vertex_names)}", file=out)
-    arrows = ", ".join(
-        f"{a.name}: {a.source} -> {a.target}"
-        for a in sorted(pres.arrows, key=lambda a: a.name)
-    )
-    print(f"arrows: {arrows}", file=out)
-    print(f"zero: {', '.join(sorted(f'{x}*{y}' for x, y in pres.zero_relations))}", file=out)
-    comm = ", ".join(
-        f"{c.plus[0]}*{c.plus[1]} = {c.minus[0]}*{c.minus[1]}"
-        for c in sorted(pres.comm_relations, key=lambda c: c.plus)
-    )
-    print(f"comm: {comm}", file=out)
 
 
 def _cmd_invariants(args, out):
     cap = _oracle_cap() if args.dims else None
     t = _load(args.file)
-    rep = t.validation
-    if not rep.skewed_gentle:
-        if args.json:
-            out.write(report_json(rep, name=t.name))
-        else:
-            _print_validation(t, rep, out)
+    render = _renderer(args)
+    if not t.validation.skewed_gentle:
+        out.write(render(t.validation, name=t.name))
         return 1
-    report = build_invariant_report(t, with_dims=args.dims, oracle_cap=cap)
-    if args.json:
-        out.write(report_json(report))
-        return 0
-    _print_validation(t, rep, out)
-    for c in report.cycles:
-        print(f"cycle: [{', '.join(c.arrows)}] length={c.length} parity={c.parity}", file=out)
-    for which in ("gentle", "sg", "g"):
-        d = report.descriptors[which]
-        shifts = "{" + ", ".join(str(n) for n in d.shifts) + "}"
-        print(f"descriptor {which}: {shifts} = {descriptor_pretty(d)}", file=out)
-    flags = " ".join(
-        f"{k}={'yes' if v else 'no'}" for k, v in sorted(report.gldim_finite.items())
-    )
-    print(f"gldim_finite: {flags}", file=out)
-    if report.dims is not None:
-        dims = " ".join(f"{k}={v}" for k, v in sorted(report.dims.items()))
-        print(f"dims: {dims}", file=out)
+    out.write(render(build_invariant_report(t, with_dims=args.dims, oracle_cap=cap)))
     return 0
 
 
@@ -249,18 +145,7 @@ def _cmd_dim(args, out):
 
 def _cmd_reduce(args, out):
     t = _load(args.file)
-    data = corner_data(t, args.vertex)
-    if args.json:
-        out.write(report_json(data, name=t.name))
-        return 0
-    print(f"name: {t.name} vertex: {data.special_vertex}", file=out)
-    print(f"dim gamma: {data.dim_gamma}", file=out)
-    print(f"dim gamma': {data.dim_gamma_prime}", file=out)
-    print(f"dim A: {data.dim_a}", file=out)
-    print(f"dim M: {data.dim_m} (M'={data.dim_m_prime})", file=out)
-    print(f"dim N: {data.dim_n} (N'={data.dim_n_prime})", file=out)
-    print(f"dim im phi: {data.dim_im_phi}", file=out)
-    print(f"identity: {'holds' if data.identity_holds else 'FAILS'}", file=out)
+    out.write(_renderer(args)(corner_data(t, args.vertex), name=t.name))
     return 0
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InternalInconsistency, NameCollision, NotSkewedGentle
-from .quiver import Arrow, BoundQuiver, SkewedGentleTriple, build_quiver
+from .quiver import Arrow, BoundQuiver, SkewedGentleTriple, build_quiver, relation_text
 
 _SUFFIX_BUDGET = 1000
 
@@ -167,7 +167,7 @@ def build_sg_presentation(t: SkewedGentleTriple) -> SgPresentation:
             for x in q.outgoing[m]:
                 if (x.name, y.name) not in base.relations:
                     raise InternalInconsistency(
-                        f"composition {x.name}*{y.name} through special vertex {m!r}"
+                        f"composition {relation_text(x.name, y.name)} through special vertex {m!r}"
                         " is not a base relation"
                     )
 

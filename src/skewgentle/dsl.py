@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import IntegrityError, ParseError
-from .quiver import Arrow, BoundQuiver, SkewedGentleTriple, build_quiver
+from .quiver import Arrow, BoundQuiver, SkewedGentleTriple, build_quiver, relation_text
 
 _IDENT_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_+\-]*")
 _STATEMENTS = ("vertices", "special", "arrows", "relations")
@@ -187,12 +187,12 @@ def parse(text: str) -> SkewedGentleTriple:
                 raise IntegrityError(f"relation names unknown arrow {arrow!r}", span)
         if arrow_names[y][1] != arrow_names[x][0]:
             raise IntegrityError(
-                f"relation {x}*{y} is not composable: "
+                f"relation {relation_text(x, y)} is not composable: "
                 f"t({y}) = {arrow_names[y][1]!r} but s({x}) = {arrow_names[x][0]!r}",
                 span,
             )
         if (x, y) in relations:
-            raise IntegrityError(f"relation {x}*{y} declared twice", span)
+            raise IntegrityError(f"relation {relation_text(x, y)} declared twice", span)
         relations.add((x, y))
 
     special = set()
@@ -225,7 +225,7 @@ def serialize(t: SkewedGentleTriple) -> str:
         f"{_require_ident(a.name, 'arrow')}: {a.source} -> {a.target}"
         for a in q.arrows
     )
-    relations = ", ".join(sorted(f"{x}*{y}" for x, y in t.pair.relations))
+    relations = ", ".join(sorted(relation_text(x, y) for x, y in t.pair.relations))
     return (
         f"quiver {t.name} {{ vertices: {vertices}; special: {special}; "
         f"arrows: {arrows}; relations: {relations}; }}"

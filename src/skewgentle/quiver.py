@@ -36,6 +36,11 @@ VertexId = str
 ArrowId = str
 
 
+def relation_text(x: ArrowId, y: ArrowId) -> str:
+    """The written form ``x*y`` of the relation pair (x, y), in every message and output."""
+    return f"{x}*{y}"
+
+
 @dataclass(frozen=True)
 class Arrow:
     name: ArrowId
@@ -189,9 +194,9 @@ class BoundQuiver:
         amap = self.quiver.arrow_map
         for x, y in self.relations:
             if x not in amap or y not in amap:
-                raise UnknownVertex(f"relation {x}*{y} names an unknown arrow")
+                raise UnknownVertex(f"relation {relation_text(x, y)} names an unknown arrow")
             if amap[y].target != amap[x].source:
-                raise NotComposable(f"relation {x}*{y} is not a composable 2-path")
+                raise NotComposable(f"relation {relation_text(x, y)} is not a composable 2-path")
 
     @cached_property
     def relation_list(self) -> tuple[tuple[ArrowId, ArrowId], ...]:

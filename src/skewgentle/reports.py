@@ -1,4 +1,11 @@
-"""DOT and JSON renderings plus the aggregated invariant report.
+"""Every output of the package in its three formats, plus the invariant report.
+
+This is the one module that knows an output format.  There is one
+renderer per format, ``report_text``, ``report_json`` and ``to_dot``, and
+each takes every object the command line prints: a ValidationReport, an
+InvariantReport, CornerData, a bound quiver such as Q^sp, the GPairLabels
+of Q^g, and the SgPresentation of Q^sg.  The text form of a pair is its
+canonical DSL form from ``serialize``.
 
 All output is deterministic: identifiers are sorted before emission and
 JSON is dumped with sorted keys, so equal inputs give byte-identical text.
@@ -10,7 +17,7 @@ import json
 from dataclasses import dataclass
 
 from .algebra import BasisPath, CornerData, dimension, dimension_oracle
-from .construct import GPairLabels, SgPresentation
+from .construct import CommRelation, GPairLabels, SgPresentation
 from .cycles import (
     CycleClass,
     SingularityDescriptor,
@@ -18,8 +25,9 @@ from .cycles import (
     descriptor_sg,
     gldim_flags,
 )
+from .dsl import serialize
 from .errors import InternalInconsistency
-from .quiver import BoundQuiver, Quiver, SkewedGentleTriple
+from .quiver import BoundQuiver, Quiver, SkewedGentleTriple, relation_text
 from .validate import ValidationReport
 
 
@@ -65,16 +73,96 @@ def descriptor_pretty(d: SingularityDescriptor) -> str:
     return " x ".join(f"D^b(k)/[{n}] (S_{n}-stable)" for n in d.shifts)
 
 
+_FLAGS = ("special_biserial", "gentle", "finite_dimensional", "skewed_gentle")
+
+
+def _yes_no(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+def _comm_text(c: CommRelation) -> str:
+    return f"{relation_text(*c.plus)} = {relation_text(*c.minus)}"
+
+
+def _name(r, name):
+    """The name an output carries: the one given, else the object's own, else Q."""
+    return name or getattr(r, "name", None) or "Q"
+
+
+def _pair_view(x):
+    """A pair-like object as (bound quiver, vertices drawn doubled).
+
+    Q^g draws its unsigned vertices doubled and a triple its special ones;
+    in text and JSON a triple renders as its bound quiver.
+    """
+    if isinstance(x, SkewedGentleTriple):
+        return x.pair, x.special
+    if isinstance(x, GPairLabels):
+        return x.pair, frozenset(n for n, sv in x.vertex_label.items() if sv.sign == "")
+    if isinstance(x, BoundQuiver):
+        return x, frozenset()
+    if isinstance(x, Quiver):
+        return BoundQuiver(x), frozenset()
+    raise TypeError(f"cannot render {type(x).__name__}")
+
+
+def _sg_view(p: SgPresentation):
+    """Arrows by name, zero relations and comm relations, in output order."""
+    return (sorted(p.arrows, key=lambda a: a.name),
+            [relation_text(x, y) for x, y in sorted(p.zero_relations)],
+            sorted(p.comm_relations, key=lambda c: c.plus))
+
+
+def _validation_lines(name, report):
+    flags = " ".join(f"{f}={_yes_no(getattr(report, f))}" for f in _FLAGS)
+    return [f"name: {name}", f"flags: {flags}",
+            *(f"violation {v.rule}: {', '.join(v.items)}" for v in report.violations)]
+
+
+def _text_lines(r, name):
+    if isinstance(r, ValidationReport):
+        return _validation_lines(name, r)
+    if isinstance(r, InvariantReport):
+        lines = _validation_lines(r.name, r.validation)
+        lines += [f"cycle: [{', '.join(c.arrows)}] length={c.length} parity={c.parity}"
+                  for c in r.cycles]
+        for which, d in r.descriptors.items():
+            shifts = "{" + ", ".join(str(n) for n in d.shifts) + "}"
+            lines.append(f"descriptor {which}: {shifts} = {descriptor_pretty(d)}")
+        lines.append("gldim_finite: " + " ".join(
+            f"{k}={_yes_no(v)}" for k, v in sorted(r.gldim_finite.items())))
+        if r.dims is not None:
+            lines.append("dims: " + " ".join(f"{k}={v}" for k, v in sorted(r.dims.items())))
+        return lines
+    if isinstance(r, CornerData):
+        return [f"name: {name} vertex: {r.special_vertex}",
+                f"dim gamma: {r.dim_gamma}",
+                f"dim gamma': {r.dim_gamma_prime}",
+                f"dim A: {r.dim_a}",
+                f"dim M: {r.dim_m} (M'={r.dim_m_prime})",
+                f"dim N: {r.dim_n} (N'={r.dim_n_prime})",
+                f"dim im phi: {r.dim_im_phi}",
+                f"identity: {'holds' if r.identity_holds else 'FAILS'}"]
+    if isinstance(r, SgPresentation):
+        arrows, zero, comm = _sg_view(r)
+        return [f"sg-presentation {name}",
+                f"vertices: {', '.join(r.vertex_names)}",
+                "arrows: " + ", ".join(f"{a.name}: {a.source} -> {a.target}" for a in arrows),
+                f"zero: {', '.join(zero)}",
+                f"comm: {', '.join(map(_comm_text, comm))}"]
+    return [serialize(SkewedGentleTriple(_pair_view(r)[0], frozenset(), name=name))]
+
+
+def report_text(r, name: str | None = None) -> str:
+    """The text form, one line per fact; a pair's is its canonical DSL form."""
+    return "\n".join(_text_lines(r, _name(r, name))) + "\n"
+
+
 def _validation_payload(name, report):
     return {
         "name": name,
         "valid": report.skewed_gentle,
-        "flags": {
-            "special_biserial": report.special_biserial,
-            "gentle": report.gentle,
-            "finite_dimensional": report.finite_dimensional,
-            "skewed_gentle": report.skewed_gentle,
-        },
+        "flags": {f: getattr(report, f) for f in _FLAGS},
         "violations": [
             {"rule": v.rule, "items": list(v.items)} for v in report.violations
         ],
@@ -87,7 +175,7 @@ def _basis_path_payload(p: BasisPath):
 
 def _payload(r, name):
     if isinstance(r, ValidationReport):
-        return _validation_payload(name or "Q", r)
+        return _validation_payload(name, r)
     if isinstance(r, InvariantReport):
         payload = _validation_payload(r.name, r.validation)
         payload["cycles"] = [
@@ -101,7 +189,7 @@ def _payload(r, name):
         return payload
     if isinstance(r, CornerData):
         return {
-            "name": name or "Q",
+            "name": name,
             "vertex": r.special_vertex,
             "dims": {
                 "gamma": r.dim_gamma,
@@ -117,12 +205,30 @@ def _payload(r, name):
             "t1_basis": [_basis_path_payload(p) for p in r.t1_basis],
             "t2_basis": [_basis_path_payload(p) for p in r.t2_basis],
         }
-    raise TypeError(f"cannot render {type(r).__name__} as a report")
+    if isinstance(r, SgPresentation):
+        arrows, zero, comm = _sg_view(r)
+        return {
+            "name": name,
+            "vertices": list(r.vertex_names),
+            "arrows": [{"name": a.name, "base": a.base, "source": a.source, "target": a.target}
+                       for a in arrows],
+            "zero_relations": zero,
+            "comm_relations": [{"plus": relation_text(*c.plus), "minus": relation_text(*c.minus)}
+                               for c in comm],
+        }
+    pair = _pair_view(r)[0]
+    q = pair.quiver
+    return {
+        "name": name,
+        "vertices": list(q.vertex_list),
+        "arrows": [{"name": a.name, "source": a.source, "target": a.target} for a in q.arrows],
+        "relations": [relation_text(x, y) for x, y in pair.relation_list],
+    }
 
 
 def report_json(r, name: str | None = None) -> str:
     """Deterministic JSON: sorted keys, multisets as ascending arrays."""
-    return json.dumps(_payload(r, name), sort_keys=True, indent=2) + "\n"
+    return json.dumps(_payload(r, _name(r, name)), sort_keys=True, indent=2) + "\n"
 
 
 def _dot_quote(s):
@@ -131,46 +237,24 @@ def _dot_quote(s):
 
 def to_dot(x, name: str | None = None) -> str:
     """One DOT digraph; special/split vertices drawn as double circles."""
-    special = frozenset()
-    comments = []
-    if isinstance(x, SkewedGentleTriple):
-        name = name or x.name
-        special = x.special
-        bq = x.pair
-        nodes = bq.quiver.vertex_list
-        edges = [(a.name, a.source, a.target) for a in bq.quiver.arrows]
-        comments = [f"zero: {a}*{b}" for a, b in bq.relation_list]
-    elif isinstance(x, GPairLabels):
-        special = frozenset(n for n, sv in x.vertex_label.items() if sv.sign == "")
-        nodes = x.pair.quiver.vertex_list
-        edges = [(a.name, a.source, a.target) for a in x.pair.quiver.arrows]
-        comments = [f"zero: {a}*{b}" for a, b in x.pair.relation_list]
-    elif isinstance(x, BoundQuiver):
-        nodes = x.quiver.vertex_list
-        edges = [(a.name, a.source, a.target) for a in x.quiver.arrows]
-        comments = [f"zero: {a}*{b}" for a, b in x.relation_list]
-    elif isinstance(x, Quiver):
-        nodes = x.vertex_list
-        edges = [(a.name, a.source, a.target) for a in x.arrows]
-    elif isinstance(x, SgPresentation):
-        special = frozenset(v.name for v in x.vertices if v.sign != "")
+    name = _name(x, name)
+    if isinstance(x, SgPresentation):
+        arrows, zero, comm = _sg_view(x)
         nodes = x.vertex_names
-        edges = sorted((a.name, a.source, a.target) for a in x.arrows)
-        comments = [f"zero: {a}*{b}" for a, b in sorted(x.zero_relations)]
-        comments += [
-            f"comm: {c.plus[0]}*{c.plus[1]} = {c.minus[0]}*{c.minus[1]}"
-            for c in sorted(x.comm_relations, key=lambda c: c.plus)
-        ]
+        doubled = frozenset(v.name for v in x.vertices if v.sign != "")
+        comments = [f"zero: {z}" for z in zero] + [f"comm: {_comm_text(c)}" for c in comm]
     else:
-        raise TypeError(f"cannot render {type(x).__name__} as DOT")
+        pair, doubled = _pair_view(x)
+        nodes, arrows = pair.quiver.vertex_list, pair.quiver.arrows
+        comments = [f"zero: {relation_text(a, b)}" for a, b in pair.relation_list]
 
-    lines = [f"digraph {_dot_quote(name or 'Q')} {{"]
-    for comment in comments:
-        lines.append(f"  // {comment}")
+    lines = [f"digraph {_dot_quote(name)} {{"]
+    lines += [f"  // {comment}" for comment in comments]
     for v in nodes:
-        attr = " [shape=doublecircle]" if v in special else ""
+        attr = " [shape=doublecircle]" if v in doubled else ""
         lines.append(f"  {_dot_quote(v)}{attr};")
-    for label, src, tgt in edges:
-        lines.append(f"  {_dot_quote(src)} -> {_dot_quote(tgt)} [label={_dot_quote(label)}];")
+    for a in arrows:
+        src, tgt, label = _dot_quote(a.source), _dot_quote(a.target), _dot_quote(a.name)
+        lines.append(f"  {src} -> {tgt} [label={label}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -17,8 +17,10 @@ from skewgentle import (
     NameCollision,
     SkewedGentleTriple,
     basis,
+    build_invariant_report,
     build_quiver,
     dimension,
+    dimension_oracle,
     finite_dimensional_witness,
     random_triple,
     relation_free_paths,
@@ -121,8 +123,10 @@ def test_sg_count_keeps_the_name_collision_guard():
 def test_special_cycle_in_admissible_pair_is_caught(fix_a2):
     # An admissible pair that wrongly keeps b*a, whose middle vertex 2 is
     # special, and drops a*b: the path "b, then a" runs from 2 back to 2.
+    # The count reads that pair; the oracle never does, so the report's
+    # cross-check catches the wrong count.
     fix_a2.__dict__["admissible_pair"] = BoundQuiver(fix_a2.pair.quiver, frozenset({("b", "a")}))
-    for op in (basis, lambda t: dimension(t, "sg")):
-        with pytest.raises(InternalInconsistency,
-                           match="admissible cycle ab at special vertex '2'"):
-            op(fix_a2)
+    assert dimension(fix_a2, "sg") == 11
+    assert dimension_oracle(fix_a2, "sg") == 8
+    with pytest.raises(InternalInconsistency, match="sg dimension 11 disagrees with oracle 8"):
+        build_invariant_report(fix_a2, with_dims=True)

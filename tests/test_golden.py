@@ -6,7 +6,9 @@ two full relation cycles of opposite parity.  Each
 ``tests/golden/<input>.json`` maps a command line (the fixture path
 written as FILE) to the exit code and the exact stdout it produced.  The
 outputs were recorded before the derived objects moved onto the triple, so
-the test pins the behaviour across that and later refactors.  To record
+the test pins the behaviour across that and later refactors; the text
+form of ``invariants FILE --dims`` was recorded later, with the source as it
+was before every renderer moved into ``reports``.  To record
 them again after a deliberate output change, run
 
     PYTHONPATH=src python tests/test_golden.py --record
@@ -37,7 +39,7 @@ def commands(fixture):
         for fmt in ("text", "dot", "json"):
             cmds.append(["construct", "FILE", "--target", target, "--format", fmt])
     cmds += [["invariants", "FILE"], ["invariants", "FILE", "--json"],
-             ["invariants", "FILE", "--dims", "--json"]]
+             ["invariants", "FILE", "--dims"], ["invariants", "FILE", "--dims", "--json"]]
     for algebra in ("gentle", "sg", "g"):
         cmds.append(["dim", "FILE", "--algebra", algebra])
         cmds.append(["dim", "FILE", "--algebra", algebra, "--oracle"])
