@@ -28,7 +28,6 @@ from .cycles import (
     SingularityDescriptor,
     descriptor_g,
     descriptor_gentle,
-    descriptor_sg,
     full_cycles,
     gldim_flags,
     lift_cycles,

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .construct import _require_valid, sg_vertex_lifts
+from .construct import _require_distinct_lifts, _require_valid
 from .errors import InternalInconsistency, LimitExceeded, NotSpecial
 from .quiver import (
     BoundQuiver,
@@ -83,10 +83,6 @@ def admissible_base_pair(t: SkewedGentleTriple) -> BoundQuiver:
     return BoundQuiver(t.pair.quiver, kept)
 
 
-def _signed(vertex, sign):
-    return vertex + sign
-
-
 def _endpoint_signs(vertex, special):
     return ("+", "-") if vertex in special else ("",)
 
@@ -94,7 +90,7 @@ def _endpoint_signs(vertex, special):
 def _sg_admissible_pair(t: SkewedGentleTriple) -> BoundQuiver:
     """(Q, I1) once the triple is valid and its signed vertex names are distinct."""
     _require_valid(t)
-    sg_vertex_lifts(t)  # name-collision guard for the signed vertex names
+    _require_distinct_lifts(t.pair.quiver.vertices, t.special, "Q^sg vertex")
     return t.admissible_pair
 
 
@@ -104,15 +100,14 @@ def basis(t: SkewedGentleTriple) -> list[BasisPath]:
     out = []
     for v in t.pair.quiver.vertex_list:
         for sign in _endpoint_signs(v, t.special):
-            name = _signed(v, sign)
-            out.append(BasisPath((), name, name))
+            out.append(BasisPath((), v + sign, v + sign))
     for p in relation_free_paths(admissible):
         if p.is_trivial:
             continue
         names = tuple(a.name for a in p.arrows)
         for ssign in _endpoint_signs(p.source, t.special):
             for tsign in _endpoint_signs(p.target, t.special):
-                out.append(BasisPath(names, _signed(p.source, ssign), _signed(p.target, tsign)))
+                out.append(BasisPath(names, p.source + ssign, p.target + tsign))
     out.sort(key=lambda b: (b.length, b.arrows, b.source, b.target))
     return out
 
@@ -303,7 +298,7 @@ def corner_data(t: SkewedGentleTriple, a: str) -> CornerData:
     if a not in t.special:
         raise NotSpecial(f"vertex {a!r} is not special in {t.name!r}")
     full = basis(t)
-    minus = _signed(a, "-")
+    minus = a + "-"
     t1, t2, middle = [], [], []
     corner_units = 0
     for p in full:

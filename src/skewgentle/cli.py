@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 from .algebra import DEFAULT_ORACLE_CAP, corner_data, dimension, dimension_oracle
@@ -171,7 +172,8 @@ def run(argv, out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        with redirect_stdout(out):  # argparse prints --help to sys.stdout
+            args = parser.parse_args(argv)
     except _UsageError as e:
         print(f"usage error: {e}", file=err)
         return 4

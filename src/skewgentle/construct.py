@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InternalInconsistency, NameCollision, NotSkewedGentle
-from .quiver import Arrow, BoundQuiver, SkewedGentleTriple, build_quiver, relation_text
+from .quiver import Arrow, BoundQuiver, SkewedGentleTriple, build_quiver
 
 _SUFFIX_BUDGET = 1000
 
@@ -122,33 +122,30 @@ def _require_valid(t):
         raise NotSkewedGentle(f"triple {t.name!r} is not skewed-gentle (violations: {rules})")
 
 
-def sg_vertex_lifts(t: SkewedGentleTriple) -> dict[str, tuple[SignedVertex, ...]]:
-    """Signed lifts of each base vertex: split when special, kept otherwise."""
-    lifts = {}
-    for v in t.pair.quiver.vertex_list:
-        if v in t.special:
-            lifts[v] = (SignedVertex(v, "+"), SignedVertex(v, "-"))
-        else:
-            lifts[v] = (SignedVertex(v, ""),)
-    _check_distinct_names(lifts, "Q^sg vertex")
-    return lifts
+def vertex_lifts(t: SkewedGentleTriple, split, what: str) -> dict[str, tuple[SignedVertex, ...]]:
+    """Signed lifts of each base vertex: v+ and v- for v in ``split``, v itself otherwise."""
+    q = t.pair.quiver
+    _require_distinct_lifts(q.vertices, split, what)
+    return {
+        v: (SignedVertex(v, "+"), SignedVertex(v, "-")) if v in split else (SignedVertex(v, ""),)
+        for v in q.vertex_list
+    }
 
 
-def _check_distinct_names(lifts, what):
-    seen = {}
-    for base in sorted(lifts):
-        for sv in lifts[base]:
-            if sv.name in seen:
-                raise NameCollision(f"{what} name {sv.name!r} produced twice "
-                                    f"(from {seen[sv.name]!r} and {base!r})")
-            seen[sv.name] = base
+def _require_distinct_lifts(vertices, split, what):
+    """Raise NameCollision for the least unsplit vertex named v+ or v- with v split:
+    a split name ends in its sign, so no other two lifts can share a name."""
+    clashes = [v + s for v in split for s in "+-" if v + s in vertices and v + s not in split]
+    if clashes:
+        name = min(clashes)
+        raise NameCollision(f"{what} name {name!r} produced twice (from {name[:-1]!r} and {name!r})")
 
 
 def build_sg_presentation(t: SkewedGentleTriple) -> SgPresentation:
     _require_valid(t)
     base = t.pair
     q = base.quiver
-    lifts = sg_vertex_lifts(t)
+    lifts = vertex_lifts(t, t.special, "Q^sg vertex")
 
     vertices = tuple(sv for v in q.vertex_list for sv in lifts[v])
     arrows = tuple(
@@ -160,17 +157,8 @@ def build_sg_presentation(t: SkewedGentleTriple) -> SgPresentation:
     if len({a.name for a in arrows}) != len(arrows):
         raise NameCollision("derived Q^sg arrow names are not distinct")
 
-    # Gentleness of Q^sp forces every through-composition at a special vertex
-    # to sit on a base relation; the comm-relation emission below relies on it.
-    for m in t.special_list:
-        for y in q.incoming[m]:
-            for x in q.outgoing[m]:
-                if (x.name, y.name) not in base.relations:
-                    raise InternalInconsistency(
-                        f"composition {relation_text(x.name, y.name)} through special vertex {m!r}"
-                        " is not a base relation"
-                    )
-
+    # Every composition through a special vertex is a base relation, or
+    # Q^sp would fail G1 or SB2 there, so these comm relations are all of them.
     zero = set()
     comm = set()
     amap = q.arrow_map
@@ -194,18 +182,6 @@ def build_sg_presentation(t: SkewedGentleTriple) -> SgPresentation:
     return SgPresentation(vertices, arrows, frozenset(zero), frozenset(comm))
 
 
-def g_vertex_lifts(t: SkewedGentleTriple) -> dict[str, tuple[SignedVertex, ...]]:
-    """Signed lifts for Q^g: special vertices stay single, ordinary split."""
-    lifts = {}
-    for v in t.pair.quiver.vertex_list:
-        if v in t.special:
-            lifts[v] = (SignedVertex(v, ""),)
-        else:
-            lifts[v] = (SignedVertex(v, "+"), SignedVertex(v, "-"))
-    _check_distinct_names(lifts, "Q^g vertex")
-    return lifts
-
-
 def _g_endpoint(v, sign, special):
     return v if v in special else v + sign
 
@@ -213,7 +189,7 @@ def _g_endpoint(v, sign, special):
 def build_g_pair(t: SkewedGentleTriple) -> GPairLabels:
     _require_valid(t)
     q = t.pair.quiver
-    lifts = g_vertex_lifts(t)
+    lifts = vertex_lifts(t, q.vertices - t.special, "Q^g vertex")
     vertex_label = {sv.name: sv for v in q.vertex_list for sv in lifts[v]}
 
     arrows = []

@@ -334,12 +334,6 @@ class SkewedGentleTriple:
         return tuple(sorted(full_cycles(self.pair, self.special), key=lambda c: c.arrows))
 
 
-def successor_arrows(bq: BoundQuiver, a: Arrow) -> list[Arrow]:
-    """Arrows g with s(g) = t(a) and (g, a) not a relation, in name order."""
-    amap = bq.quiver.arrow_map
-    return [amap[g] for g in bq.successors[a.name]]
-
-
 def finite_dimensional_witness(bq: BoundQuiver) -> tuple[ArrowId, ...] | None:
     """Return a relation-free arrow cycle if one exists, else None.
 
@@ -392,6 +386,7 @@ def relation_free_paths(bq: BoundQuiver) -> list[Path]:
     ``count_relation_free_paths`` gives it without listing them.
     """
     successor_order(bq)  # raises InfiniteDimensional with its witness
+    amap = bq.quiver.arrow_map
     paths = [Path.trivial(v) for v in bq.quiver.vertex_list]
     for v in bq.quiver.vertex_list:
         # walk in application order, first arrow at index 0
@@ -399,7 +394,7 @@ def relation_free_paths(bq: BoundQuiver) -> list[Path]:
         while stack:
             walk = stack.pop()
             paths.append(Path(tuple(reversed(walk))))
-            for g in reversed(successor_arrows(bq, walk[-1])):
-                stack.append(walk + [g])
+            for g in reversed(bq.successors[walk[-1].name]):
+                stack.append(walk + [amap[g]])
     paths.sort(key=lambda p: (p.length, tuple(a.name for a in p.arrows), p.source))
     return paths

@@ -22,7 +22,6 @@ from .cycles import (
     CycleClass,
     SingularityDescriptor,
     descriptor_g,
-    descriptor_sg,
     gldim_flags,
 )
 from .dsl import serialize
@@ -48,11 +47,9 @@ def build_invariant_report(t: SkewedGentleTriple, with_dims: bool = False,
     """Assemble the full report; with_dims adds the sg oracle cross-check."""
     validation = t.validation
     cycles = t.cycles
-    descriptors = {
-        "gentle": SingularityDescriptor.of(c.length for c in cycles),
-        "sg": descriptor_sg(t),
-        "g": descriptor_g(t),
-    }
+    base = SingularityDescriptor.of(c.length for c in cycles)
+    # sg is singularity equivalent to the base pair (Chen-Lu): one descriptor
+    descriptors = {"gentle": base, "sg": base, "g": descriptor_g(t)}
     dims = None
     if with_dims:
         dims = {which: dimension(t, which) for which in ("gentle", "sg", "g")}

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import NotGentle
-from .quiver import BoundQuiver, SkewedGentleTriple, successor_arrows, valency
+from .quiver import BoundQuiver, SkewedGentleTriple, valency
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,9 @@ def is_special_biserial(bq: BoundQuiver) -> tuple[bool, list[Violation]]:
         if len(q.outgoing[v]) > 2 or len(q.incoming[v]) > 2:
             violations.append(Violation("SB1", (v,)))
     for a in sorted(q.arrows, key=lambda a: a.name):
-        nonrel_succ = successor_arrows(bq, a)
+        nonrel_succ = bq.successors[a.name]
         if len(nonrel_succ) > 1:
-            violations.append(Violation("SB2", (a.name, *(g.name for g in nonrel_succ))))
+            violations.append(Violation("SB2", (a.name, *nonrel_succ)))
         killed = bq.relations_before[a.name]
         nonrel_pred = [b.name for b in q.incoming[a.source] if b.name not in killed]
         if len(nonrel_pred) > 1:

@@ -227,6 +227,15 @@ def test_usage_error_exit_four():
     assert code == 4
 
 
+def test_help_goes_to_the_given_stream(capsys):
+    for argv, head in ((["--help"], "usage: skewgentle "),
+                       (["validate", "--help"], "usage: skewgentle validate ")):
+        code, out, err = invoke(*argv)
+        assert code == 0 and err == ""
+        assert out.startswith(head)
+        assert capsys.readouterr().out == ""
+
+
 def test_text_and_json_numbers_agree():
     code, text, _ = invoke("invariants", str(fixture_path("fix_b3.q")), "--dims")
     code2, raw, _ = invoke("invariants", str(fixture_path("fix_b3.q")), "--json", "--dims")

@@ -1,20 +1,26 @@
+import random
+
 import pytest
 
 from skewgentle import (
     Arrow,
     BoundQuiver,
+    NameCollision,
     NotSkewedGentle,
     SkewedGentleTriple,
+    basis,
     build_g_pair,
     build_quiver,
     build_sg_presentation,
     build_sp_pair,
     canonical_involution,
+    dimension,
     is_finite_dimensional,
     is_gentle,
     random_triple,
     relation_free_paths,
 )
+from skewgentle.construct import vertex_lifts
 
 
 def test_sp_pair_fix_a2(fix_a, fix_a2):
@@ -166,12 +172,54 @@ def test_constructions_reject_invalid(fix_a):
 
 
 def test_signed_vertex_name_collision():
-    from skewgentle import NameCollision
-
     quiver = build_quiver(["2", "2+"], [])
     t = SkewedGentleTriple(BoundQuiver(quiver), frozenset({"2"}))
     with pytest.raises(NameCollision):
         build_sg_presentation(t)
+
+    # Every construction reports the least clashing name, the same way.
+    quiver = build_quiver(["1", "1+", "1-", "2", "2-"], [])
+    sg = SkewedGentleTriple(BoundQuiver(quiver), frozenset({"1", "2"}))
+    g = SkewedGentleTriple(BoundQuiver(quiver), frozenset({"1+", "2-"}))
+    cases = [(build_sg_presentation, sg, "Q^sg"), (basis, sg, "Q^sg"),
+             (lambda t: dimension(t, "sg"), sg, "Q^sg"), (build_g_pair, g, "Q^g")]
+    for op, t, what in cases:
+        with pytest.raises(NameCollision) as caught:
+            op(t)
+        assert str(caught.value) == f"{what} vertex name '1+' produced twice (from '1' and '1+')"
+
+
+def _first_repeated_lift(vertices, split, what):
+    """The collision rule by its definition: lift every vertex in sorted
+    order and report the first name produced twice, or None."""
+    seen = {}
+    for base in sorted(vertices):
+        for name in ((base + "+", base + "-") if base in split else (base,)):
+            if name in seen:
+                return f"{what} name {name!r} produced twice (from {seen[name]!r} and {base!r})"
+            seen[name] = base
+    return None
+
+
+def test_vertex_lifts_report_the_first_repeated_name():
+    pool = ["1", "1+", "1-", "1++", "1+-", "1-+", "x", "x-", "x--", "x-+", "y+"]
+    rng = random.Random(0)
+    clashes = 0
+    for _ in range(2000):
+        vertices = rng.sample(pool, rng.randint(1, len(pool)))
+        split = frozenset(v for v in vertices if rng.random() < 0.5)
+        t = SkewedGentleTriple(BoundQuiver(build_quiver(vertices, [])), split)
+        expected = _first_repeated_lift(vertices, split, "Q^sg vertex")
+        if expected is None:
+            lifts = vertex_lifts(t, split, "Q^sg vertex")
+            assert sorted(sv.name for v in lifts for sv in lifts[v]) == sorted(
+                n for v in vertices for n in ((v + "+", v + "-") if v in split else (v,)))
+        else:
+            clashes += 1
+            with pytest.raises(NameCollision) as caught:
+                vertex_lifts(t, split, "Q^sg vertex")
+            assert str(caught.value) == expected
+    assert clashes > 500
 
 
 def test_comm_relations_flip_only_the_middle():

@@ -2,13 +2,14 @@ import pytest
 
 from skewgentle import (
     BoundQuiver,
+    InternalInconsistency,
     NotGentle,
     NotSkewedGentle,
+    SingularityDescriptor,
     SkewedGentleTriple,
     build_g_pair,
     descriptor_g,
     descriptor_gentle,
-    descriptor_sg,
     full_cycles,
     gldim_flags,
     lift_cycles,
@@ -97,33 +98,50 @@ def test_lifted_pairs_are_g_relations(fix_a, fix_a2, fix_b3):
 
 def test_descriptors_fix_a2(fix_a, fix_a2):
     assert descriptor_gentle(fix_a.pair).shifts == (2,)
-    assert descriptor_sg(fix_a2).shifts == (2,)
+    assert descriptor_gentle(fix_a2.pair).shifts == (2,)
     assert descriptor_g(fix_a2).shifts == (4,)
     assert descriptor_g(fix_a).shifts == (2, 2)
 
 
 def test_descriptors_fix_b3(fix_b, fix_b3):
     assert descriptor_gentle(fix_b.pair).shifts == (3,)
-    assert descriptor_sg(fix_b3).shifts == (3,)
+    assert descriptor_gentle(fix_b3.pair).shifts == (3,)
     assert descriptor_g(fix_b3).shifts == (6,)
 
 
 def test_descriptors_fix_c(fix_c, fix_c1):
     assert descriptor_gentle(fix_c.pair).shifts == ()
-    assert descriptor_sg(fix_c1).shifts == ()
+    assert descriptor_gentle(fix_c1.pair).shifts == ()
     assert descriptor_g(fix_c1).shifts == ()
 
 
 def test_descriptor_rejects_invalid(fix_a):
     bad = SkewedGentleTriple(fix_a.pair, frozenset({"1", "2"}))
     with pytest.raises(NotSkewedGentle):
-        descriptor_sg(bad)
+        descriptor_g(bad)
 
 
 def test_gldim_flags_examples(fix_a2, fix_b3, fix_c1):
     assert gldim_flags(fix_a2) == {"gentle": False, "sg": False, "g": False}
     assert gldim_flags(fix_b3) == {"gentle": False, "sg": False, "g": False}
     assert gldim_flags(fix_c1) == {"gentle": True, "sg": True, "g": True}
+
+
+def test_gldim_flags_compare_the_g_descriptor_with_the_constructed_pair(fix_a2, monkeypatch):
+    """A parity formula that forgets to double odd cycles keeps every flag
+    False on fix_a2; only the multiset comparison with (Q^g, I^g) sees it."""
+    import skewgentle.cycles as cycles
+
+    def undoubled(t):  # an odd cycle gives n instead of 2n
+        shifts = []
+        for c in t.cycles:
+            shifts += [c.length, c.length] if c.parity == "even" else [c.length]
+        return SingularityDescriptor.of(shifts)
+
+    monkeypatch.setattr(cycles, "descriptor_g", undoubled)
+    with pytest.raises(InternalInconsistency,
+                       match=r"from cycle parities \[2\] disagrees with \(Q\^g, I\^g\): \[4\]"):
+        gldim_flags(fix_a2)
 
 
 def test_arrows_lie_on_at_most_one_cycle():

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewgentle import (
     Arrow,
@@ -139,6 +141,37 @@ def test_round_trip_generated():
         text = serialize(t)
         assert parse(text) == t
         assert serialize(parse(text)) == text
+
+
+# Identifiers as the grammar allows them, with the derived-name shapes
+# (trailing signs, "-" before "->") drawn often.
+_IDENTS = st.one_of(
+    st.sampled_from(["1", "1-", "1+", "a", "a--", "x+", "x-", "_", "sp_1", "2-+"]),
+    st.from_regex(r"[A-Za-z0-9_][A-Za-z0-9_+-]{0,4}", fullmatch=True),
+)
+
+
+@st.composite
+def _triples(draw):
+    """Any triple that passes the integrity checks, skewed-gentle or not."""
+    vertices = draw(st.lists(_IDENTS, min_size=1, max_size=6, unique=True))
+    vertex = st.sampled_from(vertices)
+    arrows = [Arrow(*a) for a in draw(st.lists(st.tuples(_IDENTS, vertex, vertex), max_size=7,
+                                               unique_by=lambda a: a[0]))]
+    composable = [(x.name, y.name) for x in arrows for y in arrows if y.target == x.source]
+    relations = draw(st.lists(st.sampled_from(composable), max_size=5, unique=True)
+                     if composable else st.just([]))
+    special = draw(st.lists(vertex, max_size=3, unique=True))
+    pair = BoundQuiver(build_quiver(vertices, arrows), frozenset(relations))
+    return SkewedGentleTriple(pair, frozenset(special), name=draw(_IDENTS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_triples())
+def test_round_trip_any_identifiers(t):
+    text = serialize(t)
+    assert parse(text) == t
+    assert serialize(parse(text)) == text
 
 
 def test_serialize_parse_idempotent_on_loose_text():

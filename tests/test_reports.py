@@ -8,8 +8,8 @@ from skewgentle import (
     build_quiver,
     build_sg_presentation,
     corner_data,
+    descriptor_gentle,
     descriptor_pretty,
-    descriptor_sg,
     report_json,
     to_dot,
     validate_skewed_gentle,
@@ -103,8 +103,8 @@ def test_report_json_byte_identical(fix_b3):
 
 
 def test_descriptor_pretty(fix_a2, fix_c1):
-    assert descriptor_pretty(descriptor_sg(fix_a2)) == "D^b(k)/[2] (S_2-stable)"
-    assert descriptor_pretty(descriptor_sg(fix_c1)) == "trivial (no factors)"
+    assert descriptor_pretty(descriptor_gentle(fix_a2.pair)) == "D^b(k)/[2] (S_2-stable)"
+    assert descriptor_pretty(descriptor_gentle(fix_c1.pair)) == "trivial (no factors)"
 
 
 def test_to_dot_bound_quiver(fix_b):

@@ -1,0 +1,25 @@
+"""The runtime stays stdlib-only: every import under src/skewgentle/ is either
+a standard-library module or the package itself."""
+
+import ast
+import sys
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "skewgentle"
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield "skewgentle" if node.level else node.module
+
+
+def test_every_import_is_stdlib_or_the_package():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert len(modules) > 5
+    for path in modules:
+        for name in _imported_modules(ast.parse(path.read_text(encoding="utf-8"))):
+            top = name.split(".")[0]
+            assert top in sys.stdlib_module_names or top == "skewgentle", (path.name, name)
