@@ -299,23 +299,18 @@ def corner_data(t: SkewedGentleTriple, a: str) -> CornerData:
         raise NotSpecial(f"vertex {a!r} is not special in {t.name!r}")
     full = basis(t)
     minus = a + "-"
+    # The trivial path is the only one from a- to a-: a longer one would be
+    # relation-free through special a, so its square would be too, and
+    # `basis` would have raised InfiniteDimensional.
     t1, t2, middle = [], [], []
-    corner_units = 0
     for p in full:
-        at_source = p.source == minus
-        at_target = p.target == minus
-        if p.is_trivial and at_source:
-            corner_units += 1
-        elif at_source and at_target:
-            raise InternalInconsistency(f"nontrivial basis cycle {p!r} at {minus}")
-        elif at_source:
-            t1.append(p)
-        elif at_target:
+        if p.source == minus:
+            if not p.is_trivial:
+                t1.append(p)
+        elif p.target == minus:
             t2.append(p)
         else:
             middle.append(p)
-    if corner_units != 1:
-        raise InternalInconsistency(f"corner at {minus} is not one dimensional")
 
     reduced = SkewedGentleTriple(t.pair, t.special - {a}, name=t.name)
     dim_gamma_prime = dimension(reduced, "sg")

@@ -9,10 +9,8 @@ Grammar::
             | Ident ":" Ident "->" Ident      in arrows
             | Ident "*" Ident                 in relations
 
-``#`` starts a line comment, whitespace is insignificant, and identifiers
-match ``[A-Za-z0-9_][A-Za-z0-9_+-]*``.  Since identifiers may end in "-",
-the lexer gives "->" precedence: a trailing "-" directly before ">" closes
-the identifier and starts the arrow token.
+``#`` starts a line comment and whitespace is insignificant; ``_TOKEN_RE``
+below is the whole token grammar, identifiers included.
 
 A relation item ``x*y`` declares the 2-path "y, then x" to be zero.  The
 canonical form emits the four statements in fixed order with identifiers
@@ -28,7 +26,17 @@ from dataclasses import dataclass
 from .errors import IntegrityError, ParseError
 from .quiver import Arrow, BoundQuiver, SkewedGentleTriple, build_quiver, relation_text
 
-_IDENT_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_+\-]*")
+_IDENT = r"[A-Za-z0-9_](?:[A-Za-z0-9_+]|-(?!>))*"
+_IDENT_RE = re.compile(_IDENT)
+# Blanks and comments, then one token.  A comment that ends the text is part
+# of the end-of-input token, which is therefore reported where it starts.
+# Every position matches (BAD takes any other character), so the matches
+# tile the text.
+_TOKEN_RE = re.compile(
+    r"(?:[ \t\r\n]+|#[^\n]*\n)*"
+    rf"(?:(?P<IDENT>{_IDENT})|(?P<SYM>->|[{{}}:;,*])|(?P<EOF>)(?:#[^\n]*)?\Z|(?P<BAD>.))",
+    re.DOTALL,
+)
 _STATEMENTS = ("vertices", "special", "arrows", "relations")
 
 
@@ -39,168 +47,148 @@ class SourceSpan:
     length: int
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # IDENT, LBRACE, RBRACE, COLON, SEMI, COMMA, STAR, ARROW, EOF
-    value: str
-    span: SourceSpan
+def _span(text: str, token) -> SourceSpan:
+    """Where a (kind, value, offset) token is: 1-based line and column, length."""
+    _, value, offset = token
+    line_start = text.rfind("\n", 0, offset) + 1
+    return SourceSpan(text.count("\n", 0, offset) + 1, offset - line_start + 1, max(len(value), 1))
 
 
-_PUNCT = {"{": "LBRACE", "}": "RBRACE", ":": "COLON", ";": "SEMI", ",": "COMMA", "*": "STAR"}
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, value, offset) tokens, ending with ("EOF", "", offset).
 
-
-def _tokenize(text: str) -> list[_Token]:
+    The kind of an identifier is "IDENT"; that of "->" and of punctuation is
+    the symbol itself.
+    """
     tokens = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i, line, col = i + 1, line + 1, 1
-            continue
-        if ch in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        span = SourceSpan(line, col, 1)
-        if ch in _PUNCT:
-            tokens.append(_Token(_PUNCT[ch], ch, span))
-            i, col = i + 1, col + 1
-            continue
-        if ch == "-" and i + 1 < n and text[i + 1] == ">":
-            tokens.append(_Token("ARROW", "->", SourceSpan(line, col, 2)))
-            i, col = i + 2, col + 2
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            value = m.group()
-            if value.endswith("-") and m.end() < n and text[m.end()] == ">":
-                value = value[:-1]
-            tokens.append(_Token("IDENT", value, SourceSpan(line, col, len(value))))
-            i, col = i + len(value), col + len(value)
-            continue
-        raise ParseError(f"unexpected character {ch!r}", span)
-    tokens.append(_Token("EOF", "", SourceSpan(line, col, 1)))
-    return tokens
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        token = (m[kind] if kind == "SYM" else kind, m[kind], m.start(kind))
+        if kind == "BAD":
+            raise ParseError(f"unexpected character {m[kind]!r}", _span(text, token))
+        tokens.append(token)
+        if kind == "EOF":
+            return tokens
 
 
 class _Parser:
     def __init__(self, text):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        return self.tokens[self.pos][0]
 
-    def take(self) -> _Token:
+    def take(self):
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind, what) -> _Token:
+    def error(self, message, tok) -> ParseError:
+        return ParseError(message, _span(self.text, tok))
+
+    def expect(self, kind, what):
         tok = self.take()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}, found {tok.value or 'end of input'!r}", tok.span)
+        if tok[0] != kind:
+            raise self.error(f"expected {what}, found {tok[1] or 'end of input'!r}", tok)
         return tok
 
     def file(self):
         head = self.expect("IDENT", "'quiver'")
-        if head.value != "quiver":
-            raise ParseError(f"expected 'quiver', found {head.value!r}", head.span)
-        name = self.expect("IDENT", "a quiver name").value
-        self.expect("LBRACE", "'{'")
+        if head[1] != "quiver":
+            raise self.error(f"expected 'quiver', found {head[1]!r}", head)
+        name = self.expect("IDENT", "a quiver name")[1]
+        self.expect("{", "'{'")
         seen: dict[str, list] = {}
-        while self.peek().kind != "RBRACE":
+        while self.peek() != "}":
             kw = self.expect("IDENT", "a statement keyword")
-            if kw.value not in _STATEMENTS:
-                raise ParseError(
-                    f"expected one of {', '.join(_STATEMENTS)}, found {kw.value!r}", kw.span
-                )
-            if kw.value in seen:
-                raise ParseError(f"duplicate {kw.value!r} statement", kw.span)
-            self.expect("COLON", "':'")
-            seen[kw.value] = self.items(kw.value)
-            self.expect("SEMI", "';'")
-        self.expect("RBRACE", "'}'")
-        self.expect("EOF", "end of input")
+            if kw[1] not in _STATEMENTS:
+                raise self.error(f"expected one of {', '.join(_STATEMENTS)}, found {kw[1]!r}", kw)
+            if kw[1] in seen:
+                raise self.error(f"duplicate {kw[1]!r} statement", kw)
+            self.expect(":", "':'")
+            seen[kw[1]] = self.items(kw[1])
+            self.expect(";", "';'")
+        self.expect("}", "'}'")
+        end = self.expect("EOF", "end of input")
         if "vertices" not in seen:
-            raise ParseError("missing required 'vertices' statement",
-                             self.tokens[-1].span)
+            raise self.error("missing required 'vertices' statement", end)
         return name, seen
 
     def items(self, kind):
+        """The statement's items, each as (value, its first token)."""
         items = []
-        if self.peek().kind == "SEMI":
+        if self.peek() == ";":
             if kind == "vertices":
-                raise ParseError("vertices statement must not be empty", self.peek().span)
+                raise self.error("vertices statement must not be empty", self.tokens[self.pos])
             return items
         while True:
             items.append(self.item(kind))
-            if self.peek().kind != "COMMA":
+            if self.peek() != ",":
                 return items
             self.take()
 
     def item(self, kind):
         first = self.expect("IDENT", "an identifier")
         if kind in ("vertices", "special"):
-            return first.value, first.span
+            return first[1], first
         if kind == "arrows":
-            self.expect("COLON", "':'")
-            src = self.expect("IDENT", "a source vertex")
-            self.expect("ARROW", "'->'")
-            tgt = self.expect("IDENT", "a target vertex")
-            return (first.value, src.value, tgt.value), first.span
-        self.expect("STAR", "'*'")
-        second = self.expect("IDENT", "an arrow name")
-        return (first.value, second.value), first.span
+            self.expect(":", "':'")
+            src = self.expect("IDENT", "a source vertex")[1]
+            self.expect("->", "'->'")
+            tgt = self.expect("IDENT", "a target vertex")[1]
+            return (first[1], src, tgt), first
+        self.expect("*", "'*'")
+        return (first[1], self.expect("IDENT", "an arrow name")[1]), first
 
 
 def parse(text: str) -> SkewedGentleTriple:
     """Parse a triple exactly as written; only referential integrity is checked."""
     name, stmts = _Parser(text).file()
 
+    def error(message, tok):
+        return IntegrityError(message, _span(text, tok))
+
     vertices = set()
-    for v, span in stmts["vertices"]:
+    for v, tok in stmts["vertices"]:
         if v in vertices:
-            raise IntegrityError(f"vertex {v!r} declared twice", span)
+            raise error(f"vertex {v!r} declared twice", tok)
         vertices.add(v)
 
     arrows = []
     arrow_names = {}
-    for (a, src, tgt), span in stmts.get("arrows", []):
+    for (a, src, tgt), tok in stmts.get("arrows", []):
         if a in arrow_names:
-            raise IntegrityError(f"arrow {a!r} declared twice", span)
+            raise error(f"arrow {a!r} declared twice", tok)
         if src not in vertices:
-            raise IntegrityError(f"arrow {a!r} starts at unknown vertex {src!r}", span)
+            raise error(f"arrow {a!r} starts at unknown vertex {src!r}", tok)
         if tgt not in vertices:
-            raise IntegrityError(f"arrow {a!r} ends at unknown vertex {tgt!r}", span)
+            raise error(f"arrow {a!r} ends at unknown vertex {tgt!r}", tok)
         arrow_names[a] = (src, tgt)
         arrows.append(Arrow(a, src, tgt))
 
     relations = set()
-    for (x, y), span in stmts.get("relations", []):
+    for (x, y), tok in stmts.get("relations", []):
         for arrow in (x, y):
             if arrow not in arrow_names:
-                raise IntegrityError(f"relation names unknown arrow {arrow!r}", span)
+                raise error(f"relation names unknown arrow {arrow!r}", tok)
         if arrow_names[y][1] != arrow_names[x][0]:
-            raise IntegrityError(
+            raise error(
                 f"relation {relation_text(x, y)} is not composable: "
                 f"t({y}) = {arrow_names[y][1]!r} but s({x}) = {arrow_names[x][0]!r}",
-                span,
+                tok,
             )
         if (x, y) in relations:
-            raise IntegrityError(f"relation {relation_text(x, y)} declared twice", span)
+            raise error(f"relation {relation_text(x, y)} declared twice", tok)
         relations.add((x, y))
 
     special = set()
-    for v, span in stmts.get("special", []):
+    for v, tok in stmts.get("special", []):
         if v not in vertices:
-            raise IntegrityError(f"special names unknown vertex {v!r}", span)
+            raise error(f"special names unknown vertex {v!r}", tok)
         if v in special:
-            raise IntegrityError(f"special vertex {v!r} declared twice", span)
+            raise error(f"special vertex {v!r} declared twice", tok)
         special.add(v)
 
     pair = BoundQuiver(build_quiver(vertices, arrows), frozenset(relations))

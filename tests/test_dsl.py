@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,11 +10,13 @@ from skewgentle import (
     IntegrityError,
     ParseError,
     SkewedGentleTriple,
+    SourceSpan,
     build_quiver,
     parse,
     random_triple,
     serialize,
 )
+from skewgentle.dsl import _span, _tokenize
 
 FIX_A2_TEXT = (
     "quiver A { vertices: 1, 2; special: 2; "
@@ -178,3 +182,90 @@ def test_serialize_parse_idempotent_on_loose_text():
     loose = "quiver  A {\n vertices: 2 , 1; arrows: b: 2->1, a: 1 -> 2;\n}"
     once = serialize(parse(loose))
     assert serialize(parse(once)) == once
+
+
+# The character-by-character lexer the one-pattern scanner replaced, kept as
+# its reference.  Tokens are (kind, value, line, column, length).
+_REF_IDENT_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_+\-]*")
+_REF_KINDS = {"{": "LBRACE", "}": "RBRACE", ":": "COLON", ";": "SEMI", ",": "COMMA",
+              "*": "STAR", "->": "ARROW"}
+
+
+def _reference_tokenize(text):
+    tokens = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i, line, col = i + 1, line + 1, 1
+            continue
+        if ch in " \t\r":
+            i, col = i + 1, col + 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch in _REF_KINDS:
+            tokens.append((_REF_KINDS[ch], ch, line, col, 1))
+            i, col = i + 1, col + 1
+            continue
+        if ch == "-" and i + 1 < n and text[i + 1] == ">":
+            tokens.append(("ARROW", "->", line, col, 2))
+            i, col = i + 2, col + 2
+            continue
+        m = _REF_IDENT_RE.match(text, i)
+        if m:
+            value = m.group()
+            if value.endswith("-") and m.end() < n and text[m.end()] == ">":
+                value = value[:-1]
+            tokens.append(("IDENT", value, line, col, len(value)))
+            i, col = i + len(value), col + len(value)
+            continue
+        raise ParseError(f"unexpected character {ch!r}", SourceSpan(line, col, 1))
+    tokens.append(("EOF", "", line, col, 1))
+    return tokens
+
+
+def _scanned(text):
+    tokens = []
+    for tok in _tokenize(text):
+        span = _span(text, tok)
+        tokens.append((_REF_KINDS.get(tok[0], tok[0]), tok[1], span.line, span.column,
+                       span.length))
+    return tokens
+
+
+def _outcome(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as e:
+        return str(e)
+
+
+# The grammar's alphabet and words, the blanks, and the noise around them:
+# comments with and without a final newline, "->" beside "-", other characters.
+_FRAGMENTS = st.sampled_from([
+    "quiver", "vertices", "arrows", "x", "1", "_", "a+", "b-", "+", "-", ">", "->", "--",
+    "-->", "{", "}", ":", ";", ",", "*", " ", "\t", "\n", "\r", "\r\n", "#", "# c\n", "# c",
+    "\u00e9", "\f",
+])
+_NOISY_TEXT = st.one_of(
+    st.lists(_FRAGMENTS, max_size=30).map("".join),
+    st.text(alphabet="ab1_+->#{}:;,* \t\r\n\f\u00e9", max_size=40),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_NOISY_TEXT)
+def test_scanner_matches_reference_lexer(text):
+    assert _outcome(_scanned, text) == _outcome(_reference_tokenize, text)
+
+
+@pytest.mark.parametrize("text", [
+    "", "#", "# c", "a # c", "a\n# c", "a\r\n# c\r", "x-->y", "x--->y", "-->", "a->->b",
+    "1+-", "\u00e9", "a\fb", "\t\t}", "a\n\n  b",
+])
+def test_scanner_matches_reference_lexer_on_edge_cases(text):
+    assert _outcome(_scanned, text) == _outcome(_reference_tokenize, text)

@@ -8,8 +8,13 @@ written as FILE) to the exit code and the exact stdout it produced.  The
 outputs were recorded before the derived objects moved onto the triple, so
 the test pins the behaviour across that and later refactors; the text
 form of ``invariants FILE --dims`` was recorded later, with the source as it
-was before every renderer moved into ``reports``.  To record
-them again after a deliberate output change, run
+was before every renderer moved into ``reports``.
+
+``tests/golden/parse_errors.json`` does the same for the diagnostics of
+malformed text: for each input in ``PARSE_ERRORS`` it holds the exit code
+and the exact stderr of ``validate FILE``.  It was recorded with the
+character-by-character lexer, before the token grammar became one regular
+expression.  To record the tables again after a deliberate output change, run
 
     PYTHONPATH=src python tests/test_golden.py --record
 """
@@ -18,6 +23,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -75,14 +81,83 @@ def test_golden_files_cover_every_case():
     assert recorded == set(CASES)
 
 
+# Malformed inputs, each taking one diagnostic path of the parser.
+PARSE_ERRORS = {
+    "empty_input": "",
+    "wrong_head": "quiv C { vertices: 1; }",
+    "arrow_as_name": "quiver -> { vertices: 1; }",
+    "unexpected_minus": "quiver C { vertices: 1, -2; }",
+    "unexpected_gt": "quiver C { vertices: 1, 2; arrows: a: 1 > 2; }",
+    "unexpected_non_ascii": "quiver C {\n  vertices: 1, \u00e9;\n}\n",
+    "unexpected_form_feed": "quiver C {\f vertices: 1; }",
+    "unexpected_after_close": "quiver C { vertices: 1; } %",
+    "comment_at_end_no_newline": "quiver C { } # note",
+    "comment_at_end_second_line": "quiver C { vertices: 1;\r\n# trailing",
+    "comment_at_end_with_newline": "quiver C { } # note\n",
+    "crlf_before_error": "quiver C {\r\n  vertices: 1;\r\n  junk: 2;\r\n}\r\n",
+    "tabs_before_error": "quiver C {\n\tvertices:\t1;\n\t\tarrows: a:\t1 -> ;\n}\n",
+    "minus_arrow_in_vertices": "quiver C { vertices: a-->b; }",
+    "minus_minus_as_source": "quiver C { vertices: b; arrows: x: -->b; }",
+    "missing_arrow_token": "quiver C { vertices: 1, 2; arrows: a: 1 2; }",
+    "missing_star": "quiver C { vertices: 1; arrows: a: 1 -> 1; relations: a a; }",
+    "missing_semicolon": "quiver C { vertices: 1 }",
+    "trailing_text": "quiver C { vertices: 1; } extra",
+    "unknown_statement": "quiver C { junk: 1; }",
+    "empty_vertices": "quiver C { vertices: ; }",
+    "missing_vertices": "quiver C { arrows: ; }",
+    "duplicate_statement": "quiver C { vertices: 1; vertices: 2; }",
+    "vertex_twice": "quiver C { vertices: 1, 2, 1; }",
+    "arrow_twice": "quiver C { vertices: 1; arrows: a: 1 -> 1, a: 1 -> 1; }",
+    "arrow_unknown_source": "quiver C { vertices: 1; arrows: a: 9 -> 1; }",
+    "arrow_unknown_target": "quiver C { vertices: 1; arrows: a: 1 -> 9; }",
+    "relation_unknown_arrow": "quiver C { vertices: 1; arrows: a: 1 -> 1; relations: a*z; }",
+    "relation_not_composable": (
+        "quiver C { vertices: 1, 2;\n arrows: a: 1 -> 2;\n relations: a*a; }"),
+    "relation_twice": (
+        "quiver C { vertices: 1; arrows: a: 1 -> 1; relations: a*a, a*a; }"),
+    "special_unknown_vertex": "quiver C { vertices: 1; special: 9; }",
+    "special_twice": "quiver C { vertices: 1; special: 1, 1; }",
+}
+
+
+def _diagnose(text, tmp_dir):
+    path = Path(tmp_dir) / "input.q"
+    path.write_bytes(text.encode("utf-8"))
+    out, err = io.StringIO(), io.StringIO()
+    code = run(["validate", str(path)], out=out, err=err)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(PARSE_ERRORS))
+def test_parse_error_diagnostic(name, tmp_path):
+    expected = json.loads((GOLDEN / "parse_errors.json").read_text(encoding="utf-8"))[name]
+    code, stdout, stderr = _diagnose(PARSE_ERRORS[name], tmp_path)
+    assert (code, stdout, stderr) == (expected["exit"], "", expected["stderr"])
+
+
+def test_parse_error_table_covers_every_case():
+    recorded = json.loads((GOLDEN / "parse_errors.json").read_text(encoding="utf-8"))
+    assert set(recorded) == set(PARSE_ERRORS)
+
+
+def _write_table(name, table):
+    text = json.dumps(table, indent=1, sort_keys=True) + "\n"
+    (GOLDEN / f"{name}.json").write_text(text, encoding="utf-8")
+
+
 def _record():
+    with tempfile.TemporaryDirectory() as tmp_dir:
+        table = {}
+        for name, text in PARSE_ERRORS.items():
+            code, _, stderr = _diagnose(text, tmp_dir)
+            table[name] = {"exit": code, "stderr": stderr}
+        _write_table("parse_errors", table)
     for fixture in FIXTURE_NAMES:
         table = {}
         for cmd in commands(fixture):
             code, stdout = _run(fixture, cmd)
             table[" ".join(cmd)] = {"exit": code, "stdout": stdout}
-        text = json.dumps(table, indent=1, sort_keys=True) + "\n"
-        (GOLDEN / f"{fixture}.json").write_text(text, encoding="utf-8")
+        _write_table(fixture, table)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Each triple is decided once, each derived pair is built once per command,
-and paths are listed only where the output lists them."""
+paths are listed only where the output lists them, and source positions are
+computed only for a diagnostic."""
 
 import io
 import sys
@@ -8,7 +9,7 @@ import pytest
 
 from conftest import fixture_path
 
-from skewgentle import algebra, construct, quiver, validate
+from skewgentle import ParseError, algebra, construct, dsl, quiver, validate
 from skewgentle.cli import run
 
 
@@ -65,3 +66,19 @@ def test_paths_listed_only_for_the_basis(monkeypatch, argv, listings):
     assert len(bases) == listings
     for (bq, _), (t, _) in zip(listed, bases):
         assert bq is t.admissible_pair
+
+
+def test_parse_builds_a_source_span_only_for_a_diagnostic(monkeypatch):
+    made, source_span = [], dsl.SourceSpan
+
+    def counted(*args):
+        made.append(args)
+        return source_span(*args)
+
+    monkeypatch.setattr(dsl, "SourceSpan", counted)
+    dsl.parse(fixture_path("fix_a2.q").read_text(encoding="utf-8"))
+    assert made == []
+
+    with pytest.raises(ParseError):
+        dsl.parse("quiver C {\n}")
+    assert made == [(2, 2, 1)]
