@@ -12,14 +12,15 @@ junction to minus with coefficient +1.
 arrow-successor graph of the pair (see ``count_relation_free_paths``), in
 time linear in arrows plus relations; for sg a special endpoint weighs 2,
 one per sign.  ``basis`` lists the normal forms one by one, and so does the
-independent check, dimension_oracle: enumerate every lifted path up to the
-length bound given by (Q^sp, I^sp), impose all embedded zero and
-commutativity relations, and compute the rank of the relation span by
-exact rational elimination.
+independent check, dimension_oracle: go through every lifted path up to the
+length bound given by (Q^sp, I^sp), count those through an embedded zero
+relation, list the others, and compute the rank of the commutativity
+relations among them by exact rational elimination.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -220,13 +221,38 @@ def _oracle_presentation(t, which):
     raise ValueError(f"unknown algebra {which!r}")
 
 
+def _degree_dimension(paths, comm) -> int:
+    """Dimension of the span of ``paths``, all of one degree and through no
+    zero relation, modulo the commutativity relations.
+
+    Each commutativity flip of a path gives one sparse row; the flipped
+    path's entry vanishes when it is not in ``paths``, i.e. when it runs
+    through a zero relation and so is zero itself.
+    """
+    index = {p: i for i, p in enumerate(paths)}
+    rows = []
+    for p, col in index.items():
+        for i in range(len(p) - 1):
+            partner = comm.get(p[i:i + 2])
+            if partner is not None:
+                row = {col: Fraction(1)}
+                flipped = index.get(p[:i] + partner + p[i + 2:])
+                if flipped is not None:
+                    row[flipped] = Fraction(-1)
+                rows.append(row)
+    return len(index) - _rank(rows)
+
+
 def dimension_oracle(t: SkewedGentleTriple, which: str, cap: int = DEFAULT_ORACLE_CAP) -> int:
     """Brute-force dimension: span of all bounded paths modulo all relations.
 
-    Enumerates every path of the presentation up to the length bound, one
-    sparse relation row per embedded zero relation or commutativity flip,
-    and returns (number of paths) - (rank of the relation rows), degree by
-    degree; the relations are homogeneous so degrees do not mix.
+    Goes through every path of the presentation up to the length bound and
+    returns (number of paths) - (rank of the relation span), degree by
+    degree; the relations are homogeneous so degrees do not mix.  A path
+    through an embedded zero relation spans a relation by itself, and so
+    does every longer path through it: those paths are counted by their
+    last arrow, for the cap, and only the others are listed and ranked
+    (``_degree_dimension``).
     """
     _require_valid(t)
     vertices, triples, zero_pairs, comm, bound = _oracle_presentation(t, which)
@@ -244,27 +270,26 @@ def dimension_oracle(t: SkewedGentleTriple, which: str, cap: int = DEFAULT_ORACL
         raise LimitExceeded(f"oracle path count exceeded cap {cap}")
     dim = len(vertices)  # trivial paths, always independent
     current: list[tuple[str, ...]] = [(name,) for name in sorted(by_name)]
+    zero: Counter[str] = Counter()  # last arrow -> paths through a zero relation
     degree = 1
-    while degree <= bound and current:
-        total += len(current)
+    while degree <= bound and (current or zero):
+        total += len(current) + sum(zero.values())
         if total > cap:
             raise LimitExceeded(f"oracle path count exceeded cap {cap}")
-        index = {p: i for i, p in enumerate(current)}
-        rows = []
-        for p in current:
-            factors = [(p[i], p[i + 1]) for i in range(len(p) - 1)]
-            if any((later, first) in zero_pairs for first, later in factors):
-                rows.append({index[p]: Fraction(1)})
-                continue
-            for i, factor in enumerate(factors):
-                partner = comm.get(factor)
-                if partner is not None:
-                    flipped = p[:i] + partner + p[i + 2:]
-                    rows.append({index[p]: Fraction(1), index[flipped]: Fraction(-1)})
-        dim += len(current) - _rank(rows)
+        dim += _degree_dimension(current, comm)
         if degree == bound:
             break
-        current = [p + (nxt,) for p in current for nxt in succ[p[-1]]]
+        grown, grown_zero = [], Counter()
+        for last, count in zero.items():
+            for nxt in succ[last]:
+                grown_zero[nxt] += count
+        for p in current:
+            for nxt in succ[p[-1]]:
+                if (nxt, p[-1]) in zero_pairs:
+                    grown_zero[nxt] += 1
+                else:
+                    grown.append(p + (nxt,))
+        current, zero = grown, grown_zero
         degree += 1
     return dim
 

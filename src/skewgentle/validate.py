@@ -13,10 +13,9 @@ Rule identifiers are stable and part of the JSON contract:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import NotGentle
-from .quiver import BoundQuiver, SkewedGentleTriple, valency
+from .quiver import BoundQuiver, SkewedGentleTriple
 
 
 @dataclass(frozen=True)
@@ -91,17 +90,73 @@ def validate_skewed_gentle(t: SkewedGentleTriple) -> ValidationReport:
 def admissible_special_sets(bq: BoundQuiver) -> list[tuple[str, ...]]:
     """All vertex subsets S making (Q, S, I) skewed-gentle, by size then lex.
 
-    Each subset is checked through the definition; the only shortcut is that
-    vertices of valency >= 3 are skipped, since adding a loop there always
-    breaks the at-most-two-arrows condition.
+    Lex is in ``vertex_list`` order.  Only admissible sets are visited:
+
+    *Local rule.*  Q^sp adds a loop e at each v in S, with e*e zero.  That
+    changes the gentle conditions only at v: SB1 counts the arrows at v, and
+    SB2 and G1 pair the arrows ending at v with those starting there.  The
+    loop's only relation is e*e, so e's free partners are the arrows of Q at
+    v, and each arrow at v gains e as a free partner.  With (Q, I) gentle,
+    Q^sp is therefore gentle at v exactly when v has valency <= 1 (e then
+    pairs freely with the one arrow at v, if any), or one incoming arrow a
+    and one outgoing arrow b with b*a zero (a's free successor becomes e,
+    b's free predecessor e).  Every other vertex fails: two arrows on one
+    side break SB1 once e is added, and if b*a is free, a has two free
+    successors, b and e (SB2).
+
+    *Global rule.*  The arrow-successor graph of Q^sp (x -> y when y*x is
+    free) keeps exactly the edges of Q's, since I^sp adds only e*e, and
+    gains the edges into and out of each e.  At valency <= 1, e has edges
+    on one side only, so it lies on no cycle.  At valency 2 its edges are
+    a -> e -> b, so every cycle through e runs along the walk a -> e -> b.
+    Hence Q^sp is finite dimensional exactly when ``bq.successors`` plus an
+    edge a -> b for each valency-2 vertex of S stays acyclic.  A loop a = b
+    with a*a zero passes the local rule, and its edge a -> a is a cycle.
+
+    Sets grow level by level: each admissible set of size k - 1, in lex
+    order, is extended by each later candidate, whose edge a -> b may join
+    only when b does not reach a.  So no superset of a failing set is
+    visited, and level k comes out in lex order.
     """
     if bq.gentle_violations or bq.fd_witness is not None:
         raise NotGentle("admissible_special_sets needs a gentle finite-dimensional pair")
-    candidates = [v for v in bq.quiver.vertex_list if valency(bq.quiver, v) <= 2]
-    admissible = []
-    for size in range(len(candidates) + 1):
-        for subset in combinations(candidates, size):
-            report = validate_skewed_gentle(SkewedGentleTriple(bq, frozenset(subset)))
-            if report.skewed_gentle:
-                admissible.append(subset)
+    q = bq.quiver
+    candidates = []  # (vertex, its edge a -> b or None)
+    for v in q.vertex_list:
+        ins, outs = q.incoming[v], q.outgoing[v]
+        if len(ins) + len(outs) <= 1:
+            candidates.append((v, None))
+        elif len(ins) == len(outs) == 1 and (outs[0].name, ins[0].name) in bq.relations:
+            candidates.append((v, (ins[0].name, outs[0].name)))
+    succ = bq.successors
+    admissible = [()]
+    level = [((), 0, {})]  # (admissible set, next candidate, its edges a -> b)
+    while level:
+        grown = []
+        for chosen, start, added in level:
+            for i in range(start, len(candidates)):
+                v, edge = candidates[i]
+                if edge is None:
+                    grown.append(((*chosen, v), i + 1, added))
+                elif not _reaches(succ, added, edge[1], edge[0]):
+                    grown.append(((*chosen, v), i + 1, {**added, edge[0]: edge[1]}))
+        admissible += [chosen for chosen, _, _ in grown]
+        level = grown
     return admissible
+
+
+def _reaches(succ, added, start, goal) -> bool:
+    """Whether ``goal`` is reachable from ``start`` along ``succ`` plus the
+    edges a -> b in ``added``.  Such an a has no successor in ``succ``: b is
+    the only arrow out of its target, and b*a is zero."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        if x == goal:
+            return True
+        for y in (added[x],) if x in added else succ[x]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return False

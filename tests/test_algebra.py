@@ -276,3 +276,63 @@ def test_reduction_chain_reversed_on_random():
             assert data.identity_holds
             current = SkewedGentleTriple(current.pair, current.special - {a})
         assert dimension(current, "sg") == dimension(t, "gentle")
+
+
+# dimension_oracle as it was before zero paths were counted instead of
+# listed: every path is listed and each one through a zero relation gets a
+# unit row.  It is the reference for the oracle, cap included.
+
+def _reference_dimension_oracle(t, which, cap):
+    from fractions import Fraction
+
+    from skewgentle.algebra import _oracle_presentation, _rank
+
+    vertices, triples, zero_pairs, comm, bound = _oracle_presentation(t, which)
+    starting = {v: [] for v in vertices}
+    for name, src, _ in sorted(triples):
+        starting[src].append(name)
+    succ = {name: starting[tgt] for name, _, tgt in triples}
+    total = dim = len(vertices)
+    if total > cap:
+        raise LimitExceeded("cap")
+    current = [(name,) for name in sorted(succ)]
+    degree = 1
+    while degree <= bound and current:
+        total += len(current)
+        if total > cap:
+            raise LimitExceeded("cap")
+        index = {p: i for i, p in enumerate(current)}
+        rows = []
+        for p in current:
+            factors = [(p[i], p[i + 1]) for i in range(len(p) - 1)]
+            if any((later, first) in zero_pairs for first, later in factors):
+                rows.append({index[p]: Fraction(1)})
+                continue
+            for i, factor in enumerate(factors):
+                partner = comm.get(factor)
+                if partner is not None:
+                    flipped = p[:i] + partner + p[i + 2:]
+                    rows.append({index[p]: Fraction(1), index[flipped]: Fraction(-1)})
+        dim += len(current) - _rank(rows)
+        if degree == bound:
+            break
+        current = [p + (nxt,) for p in current for nxt in succ[p[-1]]]
+        degree += 1
+    return dim
+
+
+def _oracle_or_capped(oracle, t, which, cap):
+    try:
+        return oracle(t, which, cap=cap)
+    except LimitExceeded:
+        return "capped"
+
+
+def test_oracle_matches_reference_on_random_triples():
+    for seed, size in [*((s, (7, 9)) for s in range(60)), *((s, (12, 16)) for s in range(20))]:
+        t = random_triple(seed, *size)
+        for which in ("gentle", "sg", "g"):
+            for cap in (10, 300, 20000):
+                assert (_oracle_or_capped(dimension_oracle, t, which, cap)
+                        == _oracle_or_capped(_reference_dimension_oracle, t, which, cap)), \
+                    (seed, size, which, cap)

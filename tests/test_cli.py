@@ -174,6 +174,19 @@ def test_spset_fix_b():
     assert out == "{}\n{1}\n{2}\n{3}\n{1, 2}\n{1, 3}\n{2, 3}\n"
 
 
+def test_spset_many_disjoint_two_cycles(tmp_path):
+    # 48 vertices of valency 2, no set but {} admissible: b_i*a_i is zero, so
+    # v_i takes a loop only locally, and b_i -> a_i -> loop -> b_i is a cycle
+    k = 24
+    vertices = ", ".join(f"w{i}, v{i}" for i in range(k))
+    arrows = ", ".join(f"a{i}: w{i} -> v{i}, b{i}: v{i} -> w{i}" for i in range(k))
+    relations = ", ".join(f"b{i}*a{i}" for i in range(k))
+    path = tmp_path / "two_cycles.q"
+    path.write_text(f"quiver T {{ vertices: {vertices}; arrows: {arrows}; "
+                    f"relations: {relations}; }}")
+    assert invoke("spset", str(path)) == (0, "{}\n", "")
+
+
 def test_parse_error_exit_two(tmp_path):
     broken = tmp_path / "broken.q"
     broken.write_text("quiver A { vertices 1; }")

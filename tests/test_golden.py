@@ -14,7 +14,13 @@ was before every renderer moved into ``reports``.
 malformed text: for each input in ``PARSE_ERRORS`` it holds the exit code
 and the exact stderr of ``validate FILE``.  It was recorded with the
 character-by-character lexer, before the token grammar became one regular
-expression.  To record the tables again after a deliberate output change, run
+expression.
+
+``tests/golden/spset_generated.json`` holds the exit code and the exact
+stdout of ``spset FILE`` for the serialized ``random_triple(s, 9, 12)``,
+s = 0..59.  It was recorded with the subset-by-subset enumeration, before
+the admissible sets were found by the local rule and a reachability check.
+To record the tables again after a deliberate output change, run
 
     PYTHONPATH=src python tests/test_golden.py --record
 """
@@ -30,7 +36,7 @@ import pytest
 
 from conftest import FIXTURES
 
-from skewgentle import parse
+from skewgentle import parse, random_triple, serialize
 from skewgentle.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -140,6 +146,25 @@ def test_parse_error_table_covers_every_case():
     assert set(recorded) == set(PARSE_ERRORS)
 
 
+GENERATED_SEEDS = range(60)
+
+
+def _spset_generated(seed, tmp_dir):
+    path = Path(tmp_dir) / f"random_{seed}.q"
+    path.write_text(serialize(random_triple(seed, 9, 12)), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    code = run(["spset", str(path)], out=out, err=err)
+    return code, out.getvalue()
+
+
+def test_spset_on_generated_triples(tmp_path):
+    expected = json.loads((GOLDEN / "spset_generated.json").read_text(encoding="utf-8"))
+    assert set(expected) == {str(s) for s in GENERATED_SEEDS}
+    for seed in GENERATED_SEEDS:
+        code, stdout = _spset_generated(seed, tmp_path)
+        assert {"exit": code, "stdout": stdout} == expected[str(seed)], f"seed {seed}"
+
+
 def _write_table(name, table):
     text = json.dumps(table, indent=1, sort_keys=True) + "\n"
     (GOLDEN / f"{name}.json").write_text(text, encoding="utf-8")
@@ -152,6 +177,9 @@ def _record():
             code, _, stderr = _diagnose(text, tmp_dir)
             table[name] = {"exit": code, "stderr": stderr}
         _write_table("parse_errors", table)
+        _write_table("spset_generated", {
+            str(seed): dict(zip(("exit", "stdout"), _spset_generated(seed, tmp_dir)))
+            for seed in GENERATED_SEEDS})
     for fixture in FIXTURE_NAMES:
         table = {}
         for cmd in commands(fixture):

@@ -227,3 +227,75 @@ def test_indexed_checks_match_reference_on_violators(fix_d):
         ok, _ = _reference_gentle(bq)
         assert not ok
         _assert_matches_reference(bq)
+
+
+# admissible_special_sets as it was before the local rule: every subset of
+# the vertices of valency <= 2 is decided through the definition, on a newly
+# built Q^sp.  It is the reference for the enumeration.
+
+def _reference_admissible_sets(bq):
+    from itertools import combinations
+
+    candidates = [v for v in bq.quiver.vertex_list if valency(bq.quiver, v) <= 2]
+    admissible = []
+    for size in range(len(candidates) + 1):
+        for subset in combinations(candidates, size):
+            report = validate_skewed_gentle(SkewedGentleTriple(bq, frozenset(subset)))
+            if report.skewed_gentle:
+                admissible.append(subset)
+    return admissible
+
+
+def test_admissible_sets_match_reference_on_random_triples():
+    for seed, size in [*((s, (3, 4)) for s in range(2000)), *((s, (7, 9)) for s in range(300))]:
+        bq = random_triple(seed, *size).pair
+        assert admissible_special_sets(bq) == _reference_admissible_sets(bq), (seed, size)
+
+
+def _pair(vertices, arrows, relations=()):
+    return BoundQuiver(build_quiver(vertices, [Arrow(*a) for a in arrows]), frozenset(relations))
+
+
+def _full_relation_cycle(n):
+    arrows = [(f"a{i}", str(i), str((i + 1) % n)) for i in range(n)]
+    return _pair([str(i) for i in range(n)], arrows,
+                 [(f"a{(i + 1) % n}", f"a{i}") for i in range(n)])
+
+
+@pytest.mark.parametrize("bq,expected", [
+    # an isolated vertex takes a loop
+    (_pair(["1"], []), [(), ("1",)]),
+    # a loop a with a*a zero: the new loop and a make a relation-free cycle
+    (_pair(["1", "2"], [("a", "1", "1")], [("a", "a")]), [(), ("2",)]),
+    # two incoming arrows and no outgoing ones: a loop at 3 breaks SB1
+    (_pair(["1", "2", "3"], [("a", "1", "3"), ("b", "2", "3")]), [(), ("1",), ("2",), ("1", "2")]),
+    # a 2-cycle with one relation: b*a zero, a*b free, so b -> a -> loop -> b
+    (_pair(["1", "2"], [("a", "1", "2"), ("b", "2", "1")], [("b", "a")]), [()]),
+], ids=["isolated", "loop", "two_in", "two_cycle"])
+def test_admissible_sets_on_hand_made_pairs(bq, expected):
+    assert admissible_special_sets(bq) == expected
+    assert _reference_admissible_sets(bq) == expected
+
+
+def test_admissible_sets_need_no_free_loop_name():
+    # every name Q^sp could give a loop at vertex 1 is taken by an arrow of a
+    # line; admissibility does not depend on names, so 1 is still a candidate
+    names = ["sp_1", *(f"sp_1_{k}" for k in range(2, 1000))]
+    line = [f"v{i}" for i in range(len(names) + 1)]
+    bq = _pair(["1", *line], [(name, line[i], line[i + 1]) for i, name in enumerate(names)])
+    assert admissible_special_sets(bq) == [
+        (), ("1",), ("v0",), ("v999",), ("1", "v0"), ("1", "v999"), ("v0", "v999"),
+        ("1", "v0", "v999"),
+    ]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_admissible_sets_full_relation_cycle(n):
+    from itertools import combinations
+
+    # the loops close a relation-free cycle only when every vertex is special
+    bq = _full_relation_cycle(n)
+    vertices = bq.quiver.vertex_list
+    expected = [s for k in range(n) for s in combinations(vertices, k)]
+    assert admissible_special_sets(bq) == expected
+    assert _reference_admissible_sets(bq) == expected

@@ -1,6 +1,7 @@
 """Each triple is decided once, each derived pair is built once per command,
-paths are listed only where the output lists them, and source positions are
-computed only for a diagnostic."""
+``spset`` decides no subset through the definition, the oracle ranks rows
+only for commutativity flips, paths are listed only where the output lists
+them, and source positions are computed only for a diagnostic."""
 
 import io
 import sys
@@ -66,6 +67,29 @@ def test_paths_listed_only_for_the_basis(monkeypatch, argv, listings):
     assert len(bases) == listings
     for (bq, _), (t, _) in zip(listed, bases):
         assert bq is t.admissible_pair
+
+
+def test_spset_decides_no_subset_through_the_definition(monkeypatch):
+    decisions = _count_calls(monkeypatch, validate.validate_skewed_gentle)
+    sp_builds = _count_calls(monkeypatch, construct.build_sp_pair)
+
+    assert run(["spset", str(fixture_path("fix_b.q"))], out=io.StringIO(), err=io.StringIO()) == 0
+
+    assert decisions == []
+    assert sp_builds == []
+
+
+@pytest.mark.parametrize("which,rows", [("g", 0), ("sg", 2)])
+def test_oracle_rows_only_for_commutativity_flips(monkeypatch, which, rows):
+    # a path through a zero relation is dropped, not given a row of its own;
+    # fix_a2's Q^g has no commutativity relations; its Q^sg has one, which
+    # flips a path each way
+    ranked = _count_calls(monkeypatch, algebra._rank)
+    argv = ["dim", str(fixture_path("fix_a2.q")), "--algebra", which, "--oracle"]
+
+    assert run(argv, out=io.StringIO(), err=io.StringIO()) == 0
+
+    assert sum(len(r) for r, _ in ranked) == rows
 
 
 def test_parse_builds_a_source_span_only_for_a_diagnostic(monkeypatch):
