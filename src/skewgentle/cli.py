@@ -10,6 +10,9 @@ This module holds no output format: it parses arguments, loads the input,
 reads the oracle cap and maps errors to exit codes.  Every report and
 presentation is rendered by ``reports``; ``dim`` and ``spset`` print bare
 values, one per line.
+
+The argument parser is built once, at import, and names each command's
+handler; ``run`` loads the input once and hands the triple to it.
 """
 
 from __future__ import annotations
@@ -49,35 +52,39 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    p = _Parser(prog="skewgentle", description=__doc__)
+    # --help shows the docstring up to its last paragraph, which is about the
+    # code; -OO strips the docstring
+    doc = __doc__ and __doc__.rsplit("\n\n", 1)[0]
+    p = _Parser(prog="skewgentle", description=doc)
     sub = p.add_subparsers(dest="command", required=True)
 
-    v = sub.add_parser("validate", help="check the skewed-gentle conditions")
-    v.add_argument("file")
-    v.add_argument("--json", action="store_true")
+    def command(name, handler, help):
+        # defaults set before the options are added become the options' defaults
+        c = sub.add_parser(name, help=help)
+        c.set_defaults(handler=handler, format="text", oracle=False)
+        c.add_argument("file")
+        return c
 
-    c = sub.add_parser("construct", help="emit Q^sp, Q^sg, or Q^g")
-    c.add_argument("file")
+    v = command("validate", _cmd_validate, "check the skewed-gentle conditions")
+    v.add_argument("--json", action="store_const", const="json", dest="format")
+
+    c = command("construct", _cmd_construct, "emit Q^sp, Q^sg, or Q^g")
     c.add_argument("--target", required=True, choices=tuple(_TARGETS))
-    c.add_argument("--format", default="text", choices=tuple(_FORMATS))
+    c.add_argument("--format", choices=tuple(_FORMATS))
 
-    i = sub.add_parser("invariants", help="cycles, descriptors, gldim flags")
-    i.add_argument("file")
-    i.add_argument("--json", action="store_true")
-    i.add_argument("--dims", action="store_true")
+    i = command("invariants", _cmd_invariants, "cycles, descriptors, gldim flags")
+    i.add_argument("--json", action="store_const", const="json", dest="format")
+    i.add_argument("--dims", action="store_true", dest="oracle")
 
-    d = sub.add_parser("dim", help="algebra dimension")
-    d.add_argument("file")
+    d = command("dim", _cmd_dim, "algebra dimension")
     d.add_argument("--algebra", required=True, choices=("gentle", "sg", "g"))
     d.add_argument("--oracle", action="store_true")
 
-    r = sub.add_parser("reduce", help="corner data for one special vertex")
-    r.add_argument("file")
+    r = command("reduce", _cmd_reduce, "corner data for one special vertex")
     r.add_argument("--vertex", required=True)
-    r.add_argument("--json", action="store_true")
+    r.add_argument("--json", action="store_const", const="json", dest="format")
 
-    s = sub.add_parser("spset", help="admissible special subsets of the pair")
-    s.add_argument("file")
+    command("spset", _cmd_spset, "admissible special subsets of the pair")
     return p
 
 
@@ -101,41 +108,31 @@ def _oracle_cap() -> int:
     return int(value)
 
 
-def _renderer(args):
-    return report_json if args.json else report_text
-
-
-def _cmd_validate(args, out):
-    t = _load(args.file)
-    out.write(_renderer(args)(t.validation, name=t.name))
+def _cmd_validate(args, t, out):
+    out.write(_FORMATS[args.format](t.validation, name=t.name))
     return 0 if t.validation.skewed_gentle else 1
 
 
-def _cmd_construct(args, out):
-    t = _load(args.file)
+def _cmd_construct(args, t, out):
     made = getattr(t, _TARGETS[args.target])
     out.write(_FORMATS[args.format](made, name=f"{t.name}_{args.target}"))
     return 0
 
 
-def _cmd_invariants(args, out):
-    cap = _oracle_cap() if args.dims else None
-    t = _load(args.file)
-    render = _renderer(args)
+def _cmd_invariants(args, t, out):
+    render = _FORMATS[args.format]
     if not t.validation.skewed_gentle:
         out.write(render(t.validation, name=t.name))
         return 1
-    out.write(render(build_invariant_report(t, with_dims=args.dims, oracle_cap=cap)))
+    out.write(render(build_invariant_report(t, with_dims=args.oracle, oracle_cap=args.cap)))
     return 0
 
 
-def _cmd_dim(args, out):
-    cap = _oracle_cap() if args.oracle else None
-    t = _load(args.file)
+def _cmd_dim(args, t, out):
     value = dimension(t, args.algebra)
     print(value, file=out)
     if args.oracle:
-        oracle = dimension_oracle(t, args.algebra, cap=cap)
+        oracle = dimension_oracle(t, args.algebra, cap=args.cap)
         print(f"oracle: {oracle}", file=out)
         if oracle != value:
             raise SkewGentleError(
@@ -144,43 +141,33 @@ def _cmd_dim(args, out):
     return 0
 
 
-def _cmd_reduce(args, out):
-    t = _load(args.file)
-    out.write(_renderer(args)(corner_data(t, args.vertex), name=t.name))
+def _cmd_reduce(args, t, out):
+    out.write(_FORMATS[args.format](corner_data(t, args.vertex), name=t.name))
     return 0
 
 
-def _cmd_spset(args, out):
-    t = _load(args.file)
+def _cmd_spset(args, t, out):
     for subset in admissible_special_sets(t.pair):
         print("{" + ", ".join(subset) + "}", file=out)
     return 0
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "construct": _cmd_construct,
-    "invariants": _cmd_invariants,
-    "dim": _cmd_dim,
-    "reduce": _cmd_reduce,
-    "spset": _cmd_spset,
-}
+# Built once: parse_args fills a new namespace and leaves the parser as it was,
+# and building the seven parsers costs more than a small command itself.
+_PARSER = _build_parser()
 
 
 def run(argv, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
     try:
         with redirect_stdout(out):  # argparse prints --help to sys.stdout
-            args = parser.parse_args(argv)
-    except _UsageError as e:
-        print(f"usage error: {e}", file=err)
-        return 4
-    except SystemExit as e:  # --help prints and exits
-        return 0 if e.code in (0, None) else 4
-    try:
-        return _COMMANDS[args.command](args, out)
+            args = _PARSER.parse_args(argv)
+        # the cap is read before the input, so a bad cap wins over a bad file
+        args.cap = _oracle_cap() if args.oracle else DEFAULT_ORACLE_CAP
+        return args.handler(args, _load(args.file), out)
+    except SystemExit:  # only --help exits; a usage error raises _UsageError
+        return 0
     except _UsageError as e:
         print(f"usage error: {e}", file=err)
         return 4

@@ -192,7 +192,7 @@ class BoundQuiver:
 
     def __post_init__(self):
         amap = self.quiver.arrow_map
-        for x, y in self.relations:
+        for x, y in self.relation_list:  # name order, whatever the hash seed
             if x not in amap or y not in amap:
                 raise UnknownVertex(f"relation {relation_text(x, y)} names an unknown arrow")
             if amap[y].target != amap[x].source:

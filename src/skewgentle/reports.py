@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .algebra import BasisPath, CornerData, dimension, dimension_oracle
+from .algebra import DEFAULT_ORACLE_CAP, BasisPath, CornerData, dimension, dimension_oracle
 from .construct import CommRelation, GPairLabels, SgPresentation
 from .cycles import (
     CycleClass,
@@ -43,7 +43,7 @@ class InvariantReport:
 
 
 def build_invariant_report(t: SkewedGentleTriple, with_dims: bool = False,
-                           oracle_cap: int | None = None) -> InvariantReport:
+                           oracle_cap: int = DEFAULT_ORACLE_CAP) -> InvariantReport:
     """Assemble the full report; with_dims adds the sg oracle cross-check."""
     validation = t.validation
     cycles = t.cycles
@@ -53,8 +53,7 @@ def build_invariant_report(t: SkewedGentleTriple, with_dims: bool = False,
     dims = None
     if with_dims:
         dims = {which: dimension(t, which) for which in ("gentle", "sg", "g")}
-        kwargs = {} if oracle_cap is None else {"cap": oracle_cap}
-        oracle = dimension_oracle(t, "sg", **kwargs)
+        oracle = dimension_oracle(t, "sg", cap=oracle_cap)
         if oracle != dims["sg"]:
             raise InternalInconsistency(
                 f"sg dimension {dims['sg']} disagrees with oracle {oracle}"

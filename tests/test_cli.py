@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from conftest import fixture_path
 
 from skewgentle.cli import run
@@ -233,11 +235,58 @@ def test_oracle_cap_must_be_positive_integer(monkeypatch):
     assert code == 0 and err == ""
 
 
+def test_bad_oracle_cap_is_reported_before_the_input_is_read(monkeypatch):
+    monkeypatch.setenv("QSG_ORACLE_CAP", "abc")
+    for argv in (("dim", "/no/such/file.q", "--algebra", "sg", "--oracle"),
+                 ("invariants", "/no/such/file.q", "--dims")):
+        assert invoke(*argv) == (
+            4, "", "usage error: QSG_ORACLE_CAP must be a positive integer, got 'abc'\n")
+    code, _, err = invoke("validate", "/no/such/file.q")
+    assert code == 2 and err.startswith("cannot read input: ")
+
+
 def test_usage_error_exit_four():
     code, _, err = invoke("frobnicate")
     assert code == 4
     code, _, err = invoke("dim", str(fixture_path("fix_a2.q")))
     assert code == 4
+
+
+_COMMAND_NAMES = ("validate", "construct", "invariants", "dim", "reduce", "spset")
+
+
+@pytest.mark.parametrize("argv,head", [
+    (["--help"], "usage: skewgentle "),
+    *(([name, "--help"], f"usage: skewgentle {name} ") for name in _COMMAND_NAMES),
+])
+def test_help_exits_zero_on_out_only(argv, head):
+    code, out, err = invoke(*argv)
+    assert (code, err) == (0, "")
+    assert out.startswith(head)
+
+
+_FIX = str(fixture_path("fix_a2.q"))
+
+
+# Each line and the word its one diagnostic must name; argparse's own
+# wording around that word differs between Python versions and is not pinned.
+@pytest.mark.parametrize("argv,named", [
+    ([], "command"),
+    (["frobnicate"], "frobnicate"),
+    (["validate"], "file"),
+    (["construct", _FIX], "--target"),
+    (["dim", _FIX], "--algebra"),
+    (["reduce", _FIX], "--vertex"),
+    (["construct", _FIX, "--target", "zz"], "--target"),
+    (["construct", _FIX, "--target", "sg", "--format", "xml"], "--format"),
+    (["dim", _FIX, "--algebra", "hh"], "--algebra"),
+    (["validate", _FIX, "--bogus"], "--bogus"),
+])
+def test_malformed_command_line_exits_four(argv, named):
+    code, out, err = invoke(*argv)
+    assert (code, out) == (4, "")
+    assert err.startswith("usage error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert named in err
 
 
 def test_help_goes_to_the_given_stream(capsys):
@@ -287,6 +336,16 @@ def test_dim_of_long_line_and_long_cycle(tmp_path):
     cycle = tmp_path / "c5000.q"
     _write_full_relation_cycle(cycle, 5000, 4)
     assert invoke("dim", str(cycle), "--algebra", "sg") == (0, "15000\n", "")
+
+
+def test_runs_without_docstrings():
+    result = subprocess.run(
+        [sys.executable, "-OO", "-m", "skewgentle", "validate", _FIX],
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert "skewed_gentle=yes" in result.stdout
 
 
 def test_console_entry_point():

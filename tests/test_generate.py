@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 import skewgentle.generate as generate
@@ -42,3 +44,34 @@ def test_generation_exhausted(monkeypatch):
     monkeypatch.setattr(generate, "validate_skewed_gentle", lambda t: Rejecting())
     with pytest.raises(GenerationExhausted):
         generate.random_triple(0, 3, 3)
+
+
+def _reference_relation_options(outs, ins):
+    """Every subset of the composable pairs at a vertex, kept when both the
+    chosen pairs and the leftover pairs touch every arrow at most once."""
+    pairs = [(x, y) for x in outs for y in ins]
+    options = []
+    for size in range(len(pairs) + 1):
+        for chosen in combinations(pairs, size):
+            chosen_set = set(chosen)
+            ok = True
+            for x in outs:
+                if sum(1 for p in chosen_set if p[0] == x) > 1:
+                    ok = False
+                if sum(1 for y in ins if (x, y) not in chosen_set) > 1:
+                    ok = False
+            for y in ins:
+                if sum(1 for p in chosen_set if p[1] == y) > 1:
+                    ok = False
+                if sum(1 for x in outs if (x, y) not in chosen_set) > 1:
+                    ok = False
+            if ok:
+                options.append(chosen)
+    return options
+
+
+# "l" on both sides is a loop at the vertex
+@pytest.mark.parametrize("outs", [["x"], ["x", "z"], ["l"], ["l", "x"], ["x", "l"]])
+@pytest.mark.parametrize("ins", [["y"], ["y", "w"], ["l"], ["l", "y"], ["y", "l"]])
+def test_relation_options_match_the_subset_search(outs, ins):
+    assert generate._relation_options(outs, ins) == _reference_relation_options(outs, ins)

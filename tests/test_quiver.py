@@ -1,4 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path as FsPath
+
 import pytest
+
+import skewgentle
 
 from skewgentle import (
     Arrow,
@@ -131,3 +138,27 @@ def test_path_length_bound(fix_a, fix_b):
     for t in (fix_a, fix_b):
         top = max(p.length for p in relation_free_paths(t.pair))
         assert top < len(t.pair.quiver.arrows) + 1
+
+
+_BAD_RELATIONS = """
+from skewgentle import Arrow, BoundQuiver, build_quiver
+q = build_quiver("1234", [Arrow("a", "1", "2"), Arrow("b", "2", "3"),
+                          Arrow("c", "3", "4"), Arrow("d", "4", "1")])
+try:
+    BoundQuiver(q, frozenset({("c", "d"), ("z", "a"), ("b", "c"), ("a", "q"), ("a", "b")}))
+except Exception as e:
+    print(type(e).__name__, e)
+"""
+
+
+def test_first_bad_relation_in_name_order_whatever_the_hash_seed():
+    # three non-composable relations and two with an unknown arrow: a set's
+    # iteration order follows the string hash, the report must not
+    src = str(FsPath(skewgentle.__file__).parents[1])
+    messages = set()
+    for seed in range(8):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", _BAD_RELATIONS], env=env,
+                              capture_output=True, text=True, check=True)
+        messages.add(done.stdout)
+    assert messages == {"NotComposable relation a*b is not a composable 2-path\n"}

@@ -1,8 +1,10 @@
 """Each triple is decided once, each derived pair is built once per command,
 ``spset`` decides no subset through the definition, the oracle ranks rows
 only for commutativity flips, paths are listed only where the output lists
-them, and source positions are computed only for a diagnostic."""
+them, source positions are computed only for a diagnostic, and a command
+builds no argument parser."""
 
+import argparse
 import io
 import sys
 
@@ -106,3 +108,20 @@ def test_parse_builds_a_source_span_only_for_a_diagnostic(monkeypatch):
     with pytest.raises(ParseError):
         dsl.parse("quiver C {\n}")
     assert made == [(2, 2, 1)]
+
+
+def test_a_command_builds_no_parser_and_parses_its_input_once(monkeypatch):
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    parsed = _count_calls(monkeypatch, dsl.parse)
+
+    assert run(["validate", str(fixture_path("fix_a2.q"))], out=io.StringIO(),
+               err=io.StringIO()) == 0
+
+    assert built == []
+    assert len(parsed) == 1
