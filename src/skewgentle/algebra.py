@@ -15,7 +15,10 @@ one per sign.  ``basis`` lists the normal forms one by one, and so does the
 independent check, dimension_oracle: go through every lifted path up to the
 length bound given by (Q^sp, I^sp), count those through an embedded zero
 relation, list the others, and compute the rank of the commutativity
-relations among them by exact rational elimination.
+relations among them by exact rational elimination.  Each listed path
+carries the positions of its commutativity junctions, found once as it
+grows, so the oracle's work per degree is the paths it lists plus their
+junctions; a degree without a junction is not ranked at all.
 """
 
 from __future__ import annotations
@@ -221,26 +224,28 @@ def _oracle_presentation(t, which):
     raise ValueError(f"unknown algebra {which!r}")
 
 
-def _degree_dimension(paths, comm) -> int:
+def _degree_dimension(paths, flips, comm) -> int:
     """Dimension of the span of ``paths``, all of one degree and through no
     zero relation, modulo the commutativity relations.
 
-    Each commutativity flip of a path gives one sparse row; the flipped
+    ``flips[j]`` holds the positions i at which ``paths[j][i:i + 2]`` is a
+    commutativity junction.  Each such flip gives one sparse row; the flipped
     path's entry vanishes when it is not in ``paths``, i.e. when it runs
-    through a zero relation and so is zero itself.
+    through a zero relation and so is zero itself.  Without a flip the
+    paths are independent.
     """
+    if not any(flips):
+        return len(paths)
     index = {p: i for i, p in enumerate(paths)}
     rows = []
-    for p, col in index.items():
-        for i in range(len(p) - 1):
-            partner = comm.get(p[i:i + 2])
-            if partner is not None:
-                row = {col: Fraction(1)}
-                flipped = index.get(p[:i] + partner + p[i + 2:])
-                if flipped is not None:
-                    row[flipped] = Fraction(-1)
-                rows.append(row)
-    return len(index) - _rank(rows)
+    for col, (p, at) in enumerate(zip(paths, flips)):
+        for i in at:
+            row = {col: Fraction(1)}
+            flipped = index.get(p[:i] + comm[p[i:i + 2]] + p[i + 2:])
+            if flipped is not None:
+                row[flipped] = Fraction(-1)
+            rows.append(row)
+    return len(paths) - _rank(rows)
 
 
 def dimension_oracle(t: SkewedGentleTriple, which: str, cap: int = DEFAULT_ORACLE_CAP) -> int:
@@ -252,7 +257,10 @@ def dimension_oracle(t: SkewedGentleTriple, which: str, cap: int = DEFAULT_ORACL
     through an embedded zero relation spans a relation by itself, and so
     does every longer path through it: those paths are counted by their
     last arrow, for the cap, and only the others are listed and ranked
-    (``_degree_dimension``).
+    (``_degree_dimension``).  Each listed path keeps the positions of its
+    commutativity junctions; a path grown by one arrow can gain only the new
+    junction, so the work per degree is the listed paths plus their
+    junctions.
     """
     _require_valid(t)
     vertices, triples, zero_pairs, comm, bound = _oracle_presentation(t, which)
@@ -270,26 +278,30 @@ def dimension_oracle(t: SkewedGentleTriple, which: str, cap: int = DEFAULT_ORACL
         raise LimitExceeded(f"oracle path count exceeded cap {cap}")
     dim = len(vertices)  # trivial paths, always independent
     current: list[tuple[str, ...]] = [(name,) for name in sorted(by_name)]
+    flips: list[tuple[int, ...]] = [()] * len(current)  # junction positions
     zero: Counter[str] = Counter()  # last arrow -> paths through a zero relation
     degree = 1
     while degree <= bound and (current or zero):
         total += len(current) + sum(zero.values())
         if total > cap:
             raise LimitExceeded(f"oracle path count exceeded cap {cap}")
-        dim += _degree_dimension(current, comm)
+        dim += _degree_dimension(current, flips, comm)
         if degree == bound:
             break
-        grown, grown_zero = [], Counter()
+        grown, grown_flips, grown_zero = [], [], Counter()
         for last, count in zero.items():
             for nxt in succ[last]:
                 grown_zero[nxt] += count
-        for p in current:
-            for nxt in succ[p[-1]]:
-                if (nxt, p[-1]) in zero_pairs:
+        for p, at in zip(current, flips):
+            last = p[-1]
+            for nxt in succ[last]:
+                if (nxt, last) in zero_pairs:
                     grown_zero[nxt] += 1
                 else:
                     grown.append(p + (nxt,))
-        current, zero = grown, grown_zero
+                    # only the new junction, at position degree - 1, can add a flip
+                    grown_flips.append(at + (degree - 1,) if (last, nxt) in comm else at)
+        current, flips, zero = grown, grown_flips, grown_zero
         degree += 1
     return dim
 

@@ -51,12 +51,24 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+_DESCRIPTION = (
+    "Validate a skewed-gentle triple (Q, Sp, I) given as a quiver file, build "
+    "Q^sp, Q^sg and Q^g, and compute cycles, singularity-category descriptors, "
+    "gldim flags, dimensions and corner data. Diagnostics go to stderr, data to "
+    "stdout, and the same file always gives byte-identical output."
+)
+_EPILOG = (
+    "Exit codes: 0 success, 1 validation failed, 2 parse error, 3 limit exceeded, "
+    "4 usage error. The environment variable QSG_ORACLE_CAP, a positive integer, "
+    f"overrides the oracle path cap (default {DEFAULT_ORACLE_CAP})."
+)
+
+
 def _build_parser() -> _Parser:
-    # --help shows the docstring up to its last paragraph, which is about the
-    # code; -OO strips the docstring
-    doc = __doc__ and __doc__.rsplit("\n\n", 1)[0]
-    p = _Parser(prog="skewgentle", description=doc)
-    sub = p.add_subparsers(dest="command", required=True)
+    p = _Parser(prog="skewgentle", description=_DESCRIPTION, epilog=_EPILOG)
+    # not required: with a required command, argparse reports the missing
+    # command before an unknown option such as `skewgentle --bogus`
+    sub = p.add_subparsers(dest="command")
 
     def command(name, handler, help):
         # defaults set before the options are added become the options' defaults
@@ -163,6 +175,8 @@ def run(argv, out=None, err=None) -> int:
     try:
         with redirect_stdout(out):  # argparse prints --help to sys.stdout
             args = _PARSER.parse_args(argv)
+        if args.command is None:
+            raise _UsageError("the following arguments are required: command")
         # the cap is read before the input, so a bad cap wins over a bad file
         args.cap = _oracle_cap() if args.oracle else DEFAULT_ORACLE_CAP
         return args.handler(args, _load(args.file), out)

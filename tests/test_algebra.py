@@ -2,6 +2,7 @@ import pytest
 
 from skewgentle import (
     ZERO,
+    Arrow,
     BasisPath,
     BoundQuiver,
     LimitExceeded,
@@ -336,3 +337,28 @@ def test_oracle_matches_reference_on_random_triples():
                 assert (_oracle_or_capped(dimension_oracle, t, which, cap)
                         == _oracle_or_capped(_reference_dimension_oracle, t, which, cap)), \
                     (seed, size, which, cap)
+
+
+def _full_relation_cycle(n, k, offset):
+    """Every composition a relation, and every k-th vertex from ``offset`` special."""
+    vs = [f"v{i}" for i in range(n)]
+    arrows = [Arrow(f"a{i}", vs[i], vs[(i + 1) % n]) for i in range(n)]
+    relations = frozenset((arrows[(i + 1) % n].name, arrows[i].name) for i in range(n))
+    special = frozenset(vs[offset::k])
+    return SkewedGentleTriple(BoundQuiver(build_quiver(vs, arrows), relations), special)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_oracle_matches_reference_on_many_commutativity_relations(n):
+    # each special vertex of a full-relation cycle gives a commutativity
+    # relation; with every vertex special the pair is not admissible
+    for k in range(2, n + 1):
+        for offset in range(k):
+            t = _full_relation_cycle(n, k, offset)
+            for which in ("gentle", "sg", "g"):
+                for cap in (10, 300, 20000):
+                    got = _oracle_or_capped(dimension_oracle, t, which, cap)
+                    assert got == _oracle_or_capped(_reference_dimension_oracle, t, which, cap), \
+                        (n, k, offset, which, cap)
+                    if got != "capped":
+                        assert got == dimension(t, which), (n, k, offset, which, cap)

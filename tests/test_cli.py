@@ -263,6 +263,8 @@ def test_help_exits_zero_on_out_only(argv, head):
     code, out, err = invoke(*argv)
     assert (code, err) == (0, "")
     assert out.startswith(head)
+    # written for users: no reST markup, no developer notes about modules
+    assert "``" not in out and "module" not in out
 
 
 _FIX = str(fixture_path("fix_a2.q"))
@@ -281,6 +283,8 @@ _FIX = str(fixture_path("fix_a2.q"))
     (["construct", _FIX, "--target", "sg", "--format", "xml"], "--format"),
     (["dim", _FIX, "--algebra", "hh"], "--algebra"),
     (["validate", _FIX, "--bogus"], "--bogus"),
+    (["--bogus"], "--bogus"),
+    (["--bogus", "validate", _FIX], "--bogus"),
 ])
 def test_malformed_command_line_exits_four(argv, named):
     code, out, err = invoke(*argv)

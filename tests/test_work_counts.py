@@ -1,8 +1,8 @@
 """Each triple is decided once, each derived pair is built once per command,
 ``spset`` decides no subset through the definition, the oracle ranks rows
-only for commutativity flips, paths are listed only where the output lists
-them, source positions are computed only for a diagnostic, and a command
-builds no argument parser."""
+only for commutativity flips and ranks nothing without them, paths are
+listed only where the output lists them, source positions are computed only
+for a diagnostic, and a command builds no argument parser."""
 
 import argparse
 import io
@@ -92,6 +92,24 @@ def test_oracle_rows_only_for_commutativity_flips(monkeypatch, which, rows):
     assert run(argv, out=io.StringIO(), err=io.StringIO()) == 0
 
     assert sum(len(r) for r, _ in ranked) == rows
+
+
+@pytest.mark.parametrize("argv", [
+    ["dim", "FILE", "--algebra", "sg", "--oracle"],
+    ["invariants", "FILE", "--dims"],
+])
+def test_oracle_ranks_nothing_without_commutativity_relations(monkeypatch, tmp_path, argv):
+    # a free line has no special vertex, so no degree has a flip to rank
+    line = tmp_path / "a40.q"
+    vertices = ", ".join(f"v{i}" for i in range(40))
+    arrows = ", ".join(f"a{i}: v{i} -> v{i + 1}" for i in range(39))
+    line.write_text(f"quiver A {{ vertices: {vertices}; arrows: {arrows}; }}")
+    ranked = _count_calls(monkeypatch, algebra._rank)
+    argv = [str(line) if a == "FILE" else a for a in argv]
+
+    assert run(argv, out=io.StringIO(), err=io.StringIO()) == 0
+
+    assert ranked == []
 
 
 def test_parse_builds_a_source_span_only_for_a_diagnostic(monkeypatch):
