@@ -115,9 +115,12 @@ def _oracle_cap() -> int:
     value = os.environ.get("QSG_ORACLE_CAP")
     if not value:
         return DEFAULT_ORACLE_CAP
-    if not (value.isascii() and value.isdigit()) or int(value) == 0:
+    digits = value.lstrip("0")
+    if not (value.isascii() and value.isdigit() and digits):
         raise _UsageError(f"QSG_ORACLE_CAP must be a positive integer, got {value!r}")
-    return int(value)
+    # int() refuses thousands of digits on some interpreters, and a cap of 19
+    # digits is already beyond any path count a run can reach
+    return int(digits) if len(digits) < 19 else sys.maxsize
 
 
 def _cmd_validate(args, t, out):

@@ -12,6 +12,11 @@ Grammar::
 ``#`` starts a line comment and whitespace is insignificant; ``_TOKEN_RE``
 below is the whole token grammar, identifiers included.
 
+A well-formed file is read one statement at a time: one pattern checks the
+shape of a statement's item list and one more extracts its items.  The token
+parser gives the diagnostics: it runs only when that reader rejects the text,
+to say where and why, or when an integrity check fails, to place the item.
+
 A relation item ``x*y`` declares the 2-path "y, then x" to be zero.  The
 canonical form emits the four statements in fixed order with identifiers
 sorted, so serialize(parse(text)) is idempotent and parse(serialize(t))
@@ -26,18 +31,46 @@ from dataclasses import dataclass
 from .errors import IntegrityError, ParseError
 from .quiver import Arrow, BoundQuiver, SkewedGentleTriple, build_quiver, relation_text
 
-_IDENT = r"[A-Za-z0-9_](?:[A-Za-z0-9_+]|-(?!>))*"
+_IDENT = r"[A-Za-z0-9_][A-Za-z0-9_+]*(?:-(?!>)[A-Za-z0-9_+]*)*"
 _IDENT_RE = re.compile(_IDENT)
+# Blanks and comments, written so that a text matches them in one way only:
+# a failing match then backtracks in linear time.
+_SKIP = r"[ \t\r\n]*(?:#[^\n]*\n[ \t\r\n]*)*"
 # Blanks and comments, then one token.  A comment that ends the text is part
 # of the end-of-input token, which is therefore reported where it starts.
 # Every position matches (BAD takes any other character), so the matches
 # tile the text.
 _TOKEN_RE = re.compile(
-    r"(?:[ \t\r\n]+|#[^\n]*\n)*"
-    rf"(?:(?P<IDENT>{_IDENT})|(?P<SYM>->|[{{}}:;,*])|(?P<EOF>)(?:#[^\n]*)?\Z|(?P<BAD>.))",
+    rf"{_SKIP}(?:(?P<IDENT>{_IDENT})|(?P<SYM>->|[{{}}:;,*])|(?P<EOF>)(?:#[^\n]*)?\Z|(?P<BAD>.))",
     re.DOTALL,
 )
 _STATEMENTS = ("vertices", "special", "arrows", "relations")
+
+# The reader of well-formed text.  Identifiers hold none of the symbols, and
+# only "quiver" is followed by another identifier, after a blank or a
+# comment, so each pattern splits a text into tokens as _TOKEN_RE does.
+_HEAD_RE = re.compile(rf"{_SKIP}quiver(?=[ \t\r\n#]){_SKIP}({_IDENT}){_SKIP}\{{")
+_KEYWORD_RE = re.compile(rf"{_SKIP}({_IDENT}){_SKIP}:")
+_END_RE = re.compile(rf"{_SKIP}\}}{_SKIP}(?:#[^\n]*)?\Z")
+_ITEM = {  # "@" stands for an identifier
+    "vertices": "@",
+    "special": "@",
+    "arrows": f"@{_SKIP}:{_SKIP}@{_SKIP}->{_SKIP}@",
+    "relations": rf"@{_SKIP}\*{_SKIP}@",
+}
+# A statement's item list up to its ";": the group "items" is absent when
+# the list is empty.
+_LIST_RE = {
+    kind: re.compile(rf"{_SKIP}(?P<items>{item}{_SKIP}(?:,{_SKIP}{item}{_SKIP})*)?;"
+                     .replace("@", _IDENT))
+    for kind, item in _ITEM.items()
+}
+# One item with the blanks and comments before it and its "," or ";": over a
+# nonempty list the matches tile it, so no item is read out of a comment.
+_ITEM_RE = {
+    kind: re.compile(rf"{_SKIP}{item}{_SKIP}[,;]".replace("@", f"({_IDENT})"))
+    for kind, item in _ITEM.items()
+}
 
 
 @dataclass(frozen=True)
@@ -72,10 +105,17 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
+    """The token parser: the diagnostic path for what ``_read`` rejects.
+
+    ``file()`` gives what ``_read`` gives; ``firsts`` then holds, for each
+    statement, the first token of each of its items.
+    """
+
     def __init__(self, text):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.firsts: dict[str, list] = {}
 
     def peek(self) -> str:
         return self.tokens[self.pos][0]
@@ -117,78 +157,101 @@ class _Parser:
         return name, seen
 
     def items(self, kind):
-        """The statement's items, each as (value, its first token)."""
-        items = []
+        items, firsts = [], self.firsts.setdefault(kind, [])
         if self.peek() == ";":
             if kind == "vertices":
                 raise self.error("vertices statement must not be empty", self.tokens[self.pos])
             return items
         while True:
+            firsts.append(self.tokens[self.pos])
             items.append(self.item(kind))
             if self.peek() != ",":
                 return items
             self.take()
 
     def item(self, kind):
-        first = self.expect("IDENT", "an identifier")
+        first = self.expect("IDENT", "an identifier")[1]
         if kind in ("vertices", "special"):
-            return first[1], first
+            return first
         if kind == "arrows":
             self.expect(":", "':'")
             src = self.expect("IDENT", "a source vertex")[1]
             self.expect("->", "'->'")
-            tgt = self.expect("IDENT", "a target vertex")[1]
-            return (first[1], src, tgt), first
+            return first, src, self.expect("IDENT", "a target vertex")[1]
         self.expect("*", "'*'")
-        return (first[1], self.expect("IDENT", "an arrow name")[1]), first
+        return first, self.expect("IDENT", "an arrow name")[1]
+
+
+def _read(text: str):
+    """What ``_Parser(text).file()`` gives, read one statement at a time, or
+    None when the text is not well formed."""
+    m = _HEAD_RE.match(text)
+    if m is None:
+        return None
+    name, pos, seen = m[1], m.end(), {}
+    while (m := _KEYWORD_RE.match(text, pos)) is not None:
+        kind = m[1]
+        if kind not in _STATEMENTS or kind in seen:
+            return None
+        body = _LIST_RE[kind].match(text, m.end())
+        if body is None:
+            return None
+        seen[kind] = _ITEM_RE[kind].findall(text, m.end(), body.end()) if body["items"] else []
+        pos = body.end()
+    if not seen.get("vertices") or _END_RE.match(text, pos) is None:
+        return None
+    return name, seen
 
 
 def parse(text: str) -> SkewedGentleTriple:
     """Parse a triple exactly as written; only referential integrity is checked."""
-    name, stmts = _Parser(text).file()
+    name, stmts = _read(text) or _Parser(text).file()
 
-    def error(message, tok):
-        return IntegrityError(message, _span(text, tok))
+    def error(message, kind, index):
+        # the token parser places the item, only for this diagnostic
+        parser = _Parser(text)
+        parser.file()
+        return IntegrityError(message, _span(text, parser.firsts[kind][index]))
 
     vertices = set()
-    for v, tok in stmts["vertices"]:
+    for i, v in enumerate(stmts["vertices"]):
         if v in vertices:
-            raise error(f"vertex {v!r} declared twice", tok)
+            raise error(f"vertex {v!r} declared twice", "vertices", i)
         vertices.add(v)
 
     arrows = []
     arrow_names = {}
-    for (a, src, tgt), tok in stmts.get("arrows", []):
+    for i, (a, src, tgt) in enumerate(stmts.get("arrows", ())):
         if a in arrow_names:
-            raise error(f"arrow {a!r} declared twice", tok)
+            raise error(f"arrow {a!r} declared twice", "arrows", i)
         if src not in vertices:
-            raise error(f"arrow {a!r} starts at unknown vertex {src!r}", tok)
+            raise error(f"arrow {a!r} starts at unknown vertex {src!r}", "arrows", i)
         if tgt not in vertices:
-            raise error(f"arrow {a!r} ends at unknown vertex {tgt!r}", tok)
+            raise error(f"arrow {a!r} ends at unknown vertex {tgt!r}", "arrows", i)
         arrow_names[a] = (src, tgt)
         arrows.append(Arrow(a, src, tgt))
 
     relations = set()
-    for (x, y), tok in stmts.get("relations", []):
+    for i, (x, y) in enumerate(stmts.get("relations", ())):
         for arrow in (x, y):
             if arrow not in arrow_names:
-                raise error(f"relation names unknown arrow {arrow!r}", tok)
+                raise error(f"relation names unknown arrow {arrow!r}", "relations", i)
         if arrow_names[y][1] != arrow_names[x][0]:
             raise error(
                 f"relation {relation_text(x, y)} is not composable: "
                 f"t({y}) = {arrow_names[y][1]!r} but s({x}) = {arrow_names[x][0]!r}",
-                tok,
+                "relations", i,
             )
         if (x, y) in relations:
-            raise error(f"relation {relation_text(x, y)} declared twice", tok)
+            raise error(f"relation {relation_text(x, y)} declared twice", "relations", i)
         relations.add((x, y))
 
     special = set()
-    for v, tok in stmts.get("special", []):
+    for i, v in enumerate(stmts.get("special", ())):
         if v not in vertices:
-            raise error(f"special names unknown vertex {v!r}", tok)
+            raise error(f"special names unknown vertex {v!r}", "special", i)
         if v in special:
-            raise error(f"special vertex {v!r} declared twice", tok)
+            raise error(f"special vertex {v!r} declared twice", "special", i)
         special.add(v)
 
     pair = BoundQuiver(build_quiver(vertices, arrows), frozenset(relations))

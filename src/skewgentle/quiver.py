@@ -225,37 +225,24 @@ class BoundQuiver:
 
     @cached_property
     def arrow_dag(self) -> tuple[tuple[ArrowId, ...] | None, tuple[Arrow, ...]]:
-        """One iterative depth-first walk of the arrow-successor graph.
-
-        Gives ``(cycle, ())`` when the graph has a relation-free cycle, else
-        ``(None, order)`` with every arrow placed after all its successors,
-        as arrows are recorded when they finish.  Starts and successors are
-        taken in name order, so the cycle found is always the same one.
-        """
-        succ = self.successors
+        """``_walk`` of the arrow-successor graph, successors in name order:
+        ``(cycle, ())`` when it has a relation-free cycle, else
+        ``(None, order)`` with every arrow placed after all its successors."""
+        cycle, order = _walk(self.successors)
+        if cycle is not None:
+            return cycle, ()
         amap = self.quiver.arrow_map
-        state = dict.fromkeys(succ, 0)  # 0 unvisited, 1 on the trail, 2 done
-        order: list[Arrow] = []
-        for start in sorted(succ):
-            if state[start]:
-                continue
-            state[start] = 1
-            trail = [start]
-            pending = [iter(succ[start])]
-            while pending:
-                nxt = next(pending[-1], None)
-                if nxt is None:
-                    done = trail.pop()
-                    state[done] = 2
-                    order.append(amap[done])
-                    pending.pop()
-                elif state[nxt] == 1:
-                    return tuple(trail[trail.index(nxt):]), ()
-                elif state[nxt] == 0:
-                    state[nxt] = 1
-                    trail.append(nxt)
-                    pending.append(iter(succ[nxt]))
-        return None, tuple(order)
+        return None, tuple(amap[a] for a in order)
+
+    def acyclic_with(self, edges) -> bool:
+        """Whether the arrow-successor graph stays acyclic once each edge
+        a -> b in ``edges`` is added to it."""
+        if not edges:
+            return self.fd_witness is None
+        graph = dict(self.successors)
+        for a, b in edges:
+            graph[a] = (*graph[a], b)
+        return _walk(graph)[0] is None
 
     @cached_property
     def fd_witness(self) -> tuple[ArrowId, ...] | None:
@@ -268,6 +255,39 @@ class BoundQuiver:
         from .validate import is_gentle  # deferred: validate imports this module
 
         return tuple(is_gentle(self)[1])
+
+
+def _walk(graph) -> tuple[tuple[ArrowId, ...] | None, list[ArrowId]]:
+    """One iterative depth-first walk of a graph given as successor tuples.
+
+    Gives ``(cycle, [])`` when the graph has a cycle, else ``(None, order)``
+    with every node placed after all its successors, as nodes are recorded
+    when they finish.  Starts are taken in name order and successors in the
+    order given, so the cycle found is always the same one.  Each node's
+    successors are read once.
+    """
+    state = dict.fromkeys(graph, 0)  # 0 unvisited, 1 on the trail, 2 done
+    order: list[ArrowId] = []
+    for start in sorted(graph):
+        if state[start]:
+            continue
+        state[start] = 1
+        trail = [start]
+        pending = [iter(graph[start])]
+        while pending:
+            nxt = next(pending[-1], None)
+            if nxt is None:
+                done = trail.pop()
+                state[done] = 2
+                order.append(done)
+                pending.pop()
+            elif state[nxt] == 1:
+                return tuple(trail[trail.index(nxt):]), []
+            elif state[nxt] == 0:
+                state[nxt] = 1
+                trail.append(nxt)
+                pending.append(iter(graph[nxt]))
+    return None, order
 
 
 @dataclass(frozen=True)

@@ -63,7 +63,14 @@ def is_gentle(bq: BoundQuiver) -> tuple[bool, list[Violation]]:
 
 
 def validate_skewed_gentle(t: SkewedGentleTriple) -> ValidationReport:
-    """Decide the triple by the definition: (Q^sp, I^sp) gentle and finite.
+    """Decide the triple: is (Q^sp, I^sp) gentle and finite dimensional?
+
+    It is exactly when (Q, I) is gentle and finite dimensional, every special
+    vertex passes the local rule, and ``successors`` plus the edge a -> b of
+    each valency-2 special vertex stays acyclic (the proof is under
+    ``admissible_special_sets``): one rule check per special vertex and one
+    walk.  Q^sp is built only when the answer is no, for the witnesses of
+    the failure.
 
     The special_biserial / gentle / finite_dimensional flags describe the
     base pair (Q, I); skewed_gentle and the violations describe (Q^sp, I^sp),
@@ -71,20 +78,39 @@ def validate_skewed_gentle(t: SkewedGentleTriple) -> ValidationReport:
     the report with the triple; every other check reads it from there.
     """
     base = t.pair
+    gentle, finite = not base.gentle_violations, base.fd_witness is None
+    flags = {
+        # is_gentle reports the SB violations too: only G1 ones leave the pair special biserial
+        "special_biserial": all(v.rule == "G1" for v in base.gentle_violations),
+        "gentle": gentle,
+        "finite_dimensional": finite,
+    }
+    if gentle and finite:
+        passing = _local_rule(base, t.special_list)
+        if len(passing) == len(t.special) and base.acyclic_with([e for _, e in passing if e]):
+            return ValidationReport(**flags, skewed_gentle=True, violations=())
     sp = t.sp_pair
     violations = list(sp.gentle_violations)
     witness = sp.fd_witness
     if witness is not None:
         violations.append(Violation("FD", witness))
     violations.sort(key=lambda v: (v.rule, v.items))
-    # is_gentle reports the SB violations too: only G1 ones leave the pair special biserial
-    return ValidationReport(
-        special_biserial=all(v.rule == "G1" for v in base.gentle_violations),
-        gentle=not base.gentle_violations,
-        finite_dimensional=base.fd_witness is None,
-        skewed_gentle=not sp.gentle_violations and witness is None,
-        violations=tuple(violations),
-    )
+    return ValidationReport(**flags, skewed_gentle=not violations, violations=tuple(violations))
+
+
+def _local_rule(bq: BoundQuiver, vertices) -> list[tuple[str, tuple[str, str] | None]]:
+    """The vertices of ``vertices`` that pass the local rule, each with the
+    edge a -> b its loop in Q^sp adds to the arrow-successor graph, or None
+    at valency <= 1 (see ``admissible_special_sets``)."""
+    q = bq.quiver
+    passing = []
+    for v in vertices:
+        ins, outs = q.incoming[v], q.outgoing[v]
+        if len(ins) + len(outs) <= 1:
+            passing.append((v, None))
+        elif len(ins) == len(outs) == 1 and (outs[0].name, ins[0].name) in bq.relations:
+            passing.append((v, (ins[0].name, outs[0].name)))
+    return passing
 
 
 def admissible_special_sets(bq: BoundQuiver) -> list[tuple[str, ...]]:
@@ -120,14 +146,7 @@ def admissible_special_sets(bq: BoundQuiver) -> list[tuple[str, ...]]:
     """
     if bq.gentle_violations or bq.fd_witness is not None:
         raise NotGentle("admissible_special_sets needs a gentle finite-dimensional pair")
-    q = bq.quiver
-    candidates = []  # (vertex, its edge a -> b or None)
-    for v in q.vertex_list:
-        ins, outs = q.incoming[v], q.outgoing[v]
-        if len(ins) + len(outs) <= 1:
-            candidates.append((v, None))
-        elif len(ins) == len(outs) == 1 and (outs[0].name, ins[0].name) in bq.relations:
-            candidates.append((v, (ins[0].name, outs[0].name)))
+    candidates = _local_rule(bq, bq.quiver.vertex_list)
     succ = bq.successors
     admissible = [()]
     level = [((), 0, {})]  # (admissible set, next candidate, its edges a -> b)

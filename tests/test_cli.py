@@ -235,6 +235,15 @@ def test_oracle_cap_must_be_positive_integer(monkeypatch):
     assert code == 0 and err == ""
 
 
+def test_oracle_cap_of_any_length_is_read(monkeypatch):
+    # a 5000-digit cap is more than int() reads on 3.11+; it caps nothing
+    argv = ("dim", str(fixture_path("fix_a2.q")), "--algebra", "sg", "--oracle")
+    monkeypatch.setenv("QSG_ORACLE_CAP", "9" * 5000)
+    assert invoke(*argv) == (0, "8\noracle: 8\n", "")
+    monkeypatch.setenv("QSG_ORACLE_CAP", "0" * 5000 + "2")
+    assert invoke(*argv)[::2] == (3, "limit exceeded: oracle path count exceeded cap 2\n")
+
+
 def test_bad_oracle_cap_is_reported_before_the_input_is_read(monkeypatch):
     monkeypatch.setenv("QSG_ORACLE_CAP", "abc")
     for argv in (("dim", "/no/such/file.q", "--algebra", "sg", "--oracle"),

@@ -1,4 +1,5 @@
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,8 @@ from skewgentle import (
     random_triple,
     serialize,
 )
-from skewgentle.dsl import _span, _tokenize
+from skewgentle import dsl
+from skewgentle.dsl import _Parser, _read, _span, _tokenize
 
 FIX_A2_TEXT = (
     "quiver A { vertices: 1, 2; special: 2; "
@@ -269,3 +271,83 @@ def test_scanner_matches_reference_lexer(text):
 ])
 def test_scanner_matches_reference_lexer_on_edge_cases(text):
     assert _outcome(_scanned, text) == _outcome(_reference_tokenize, text)
+
+
+def _token_parse(text):
+    """parse with the per-statement reader off: the token parser, then the
+    integrity checks.  The reference for parse and its diagnostics."""
+    with mock.patch.object(dsl, "_read", lambda text: None):
+        return parse(text)
+
+
+def _assert_parse_matches_reference(text):
+    assert _outcome(parse, text) == _outcome(_token_parse, text)
+    # the reader accepts exactly the well-formed texts, and reads them as the token parser does
+    try:
+        expected = _Parser(text).file()
+    except ParseError:
+        expected = None
+    assert _read(text) == expected
+
+
+# Blanks and comments to put between tokens.  The comments hold identifiers
+# and every symbol, so an item read out of a comment shows.
+_GAPS = st.sampled_from([
+    "", " ", "\n", "\t", "\r\n", "  \n ", "#\n", "# c\n", "# x, y; z\n", "# a: 1 -> 2, b*c;\n",
+    "#};{\n", "\n# quiver Q { vertices: 1; }\n\t",
+])
+_END_COMMENTS = st.sampled_from(["", "\n", "# end", "#", "# a*b; }", "\n# x -> y,"])
+
+
+@st.composite
+def _noisy_serialized(draw):
+    """A serialized triple with blanks and comments between its tokens."""
+    out = []
+    for kind, value, _ in _tokenize(serialize(draw(_triples())))[:-1]:
+        gap = draw(_GAPS)
+        if kind == "IDENT" and out and out[-1][-1:] not in "{}:;,*> \t\r\n":
+            gap = gap or " "  # keep two identifiers apart
+        out += [gap, value]
+    return "".join(out) + draw(_GAPS) + draw(_END_COMMENTS)
+
+
+@st.composite
+def _mutated(draw):
+    """One character of a noisy serialized triple deleted, replaced or inserted."""
+    text = draw(_noisy_serialized())
+    i = draw(st.integers(0, len(text)))
+    ch = draw(st.sampled_from("ab1_+-># {}:;,*\n\r\té"))
+    how = draw(st.sampled_from(["delete", "replace", "insert"]))
+    if how == "insert":
+        return text[:i] + ch + text[i:]
+    return text[:i] + (ch if how == "replace" else "") + text[i + 1:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_noisy_serialized(), _mutated()))
+def test_parse_matches_token_parser(text):
+    _assert_parse_matches_reference(text)
+
+
+@pytest.mark.parametrize("text", [
+    "quiver Q { vertices: 1; special: # c\n ; }",
+    "quiver Q { vertices: 1; special: # c\n 1 ; }",
+    "quiver Q { vertices: 1; arrows: # a: 1 -> 1\n ; relations: #a*a\n; }",
+    "quiver Q { vertices: 1, # 2,\n 3; } # }",
+    "quiver Q { vertices: 1; } # vertices: 2;",
+    "quiver Q { vertices: 1; }\n#",
+    "quiver Q { vertices: ; }",
+    "quiver Q { vertices: 1, 1; special: 9; }",
+    "quiver Q {\n vertices: 1;\n arrows: a: 1 -> 1, a: 1 -> 1; }",
+    "quiver Q { vertices: x-; arrows: a: x--> x-; relations: a*a; special: x-; }",
+    "quiverQ { vertices: 1; }",
+    "quiver Q { vertices: 1; special: 1,; }",
+    "quiver Q { vertices: 1; special: ,1; }",
+    "quiver Q { vertices: 1 }",
+    "quiver Q { vertices: 1; } }",
+    "quiver Q { vertices: 1; junk: 2; }",
+    "quiver Q { vertices: 1; vertices: 2; }",
+    "quiver Q { special: ; }",
+])
+def test_parse_matches_token_parser_on_edge_cases(text):
+    _assert_parse_matches_reference(text)

@@ -1,4 +1,7 @@
 import pytest
+from hypothesis import given, settings
+
+from test_dsl import _triples
 
 from skewgentle import (
     Arrow,
@@ -11,11 +14,12 @@ from skewgentle import (
     is_finite_dimensional,
     is_gentle,
     is_special_biserial,
+    parse,
     random_triple,
     valency,
     validate_skewed_gentle,
 )
-from skewgentle.validate import Violation
+from skewgentle.validate import ValidationReport, Violation
 
 
 def test_special_biserial_fix_a(fix_a):
@@ -299,3 +303,95 @@ def test_admissible_sets_full_relation_cycle(n):
     expected = [s for k in range(n) for s in combinations(vertices, k)]
     assert admissible_special_sets(bq) == expected
     assert _reference_admissible_sets(bq) == expected
+
+
+# validate_skewed_gentle as it was before the local rule: (Q^sp, I^sp) is
+# built for every triple and decided by the definition.  The reference for
+# the verdict, the flags and the violation list.
+
+def _reference_validate(t):
+    base = t.pair
+    sp = build_sp_pair(t)
+    violations = list(sp.gentle_violations)
+    witness = sp.fd_witness
+    if witness is not None:
+        violations.append(Violation("FD", witness))
+    violations.sort(key=lambda v: (v.rule, v.items))
+    return ValidationReport(
+        special_biserial=all(v.rule == "G1" for v in base.gentle_violations),
+        gentle=not base.gentle_violations,
+        finite_dimensional=base.fd_witness is None,
+        skewed_gentle=not sp.gentle_violations and witness is None,
+        violations=tuple(violations),
+    )
+
+
+def _assert_verdicts_match_on_every_subset(bq):
+    from itertools import combinations
+
+    vertices = bq.quiver.vertex_list
+    valid = 0
+    for size in range(len(vertices) + 1):
+        for subset in combinations(vertices, size):
+            t = SkewedGentleTriple(bq, frozenset(subset))
+            report = validate_skewed_gentle(t)
+            assert report == _reference_validate(t), subset
+            valid += report.skewed_gentle
+    return valid
+
+
+def test_verdict_matches_definition_on_random_triples():
+    valid = 0
+    for seed, size in [*((s, (6, 8)) for s in range(40)), *((s, (7, 10)) for s in range(40))]:
+        valid += _assert_verdicts_match_on_every_subset(random_triple(seed, *size).pair)
+    assert valid > 1000  # the accepting side is exercised, not only the fallback
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8])
+def test_verdict_matches_definition_on_full_relation_cycles(n):
+    bq = _full_relation_cycle(n)
+    vertices = bq.quiver.vertex_list
+    for special in (vertices, vertices[::2], vertices[1::2]):
+        t = SkewedGentleTriple(bq, frozenset(special))
+        assert validate_skewed_gentle(t) == _reference_validate(t)
+    if n <= 4:
+        _assert_verdicts_match_on_every_subset(bq)
+
+
+@pytest.mark.parametrize("bq", [
+    # a loop a with a*a zero, alone and inside a line
+    _pair(["1"], [("a", "1", "1")], [("a", "a")]),
+    _pair(["0", "1", "2"], [("b", "0", "1"), ("a", "1", "1"), ("c", "1", "2")],
+          [("a", "a"), ("a", "b"), ("c", "a")]),
+    # a free loop: infinite dimensional
+    _pair(["1"], [("a", "1", "1")]),
+], ids=["loop", "loop_in_line", "free_loop"])
+def test_verdict_matches_definition_on_loops(bq):
+    _assert_verdicts_match_on_every_subset(bq)
+
+
+def test_verdict_matches_definition_on_invalid_bases(fix_d, fix_a):
+    from pathlib import Path
+
+    bases = [fix_d.pair, _g1_violator(fix_d), _sb2_violator(fix_d), _star(),
+             BoundQuiver(fix_a.pair.quiver, frozenset())]
+    for path in sorted((Path(__file__).parent / "golden").glob("bad_*.q")):
+        bases.append(parse(path.read_text(encoding="utf-8")).pair)
+    for bq in bases:
+        _assert_verdicts_match_on_every_subset(bq)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_triples())
+def test_verdict_matches_definition_on_any_triple(t):
+    _assert_verdicts_match_on_every_subset(t.pair)
+
+
+def test_verdict_needs_no_free_loop_name():
+    # no name is left for a loop at 1, which Q^sp would need; validity does
+    # not depend on names, as spset already lists {1}
+    names = ["sp_1", *(f"sp_1_{k}" for k in range(2, 1000))]
+    line = [f"v{i}" for i in range(len(names) + 1)]
+    bq = _pair(["1", *line], [(name, line[i], line[i + 1]) for i, name in enumerate(names)])
+    report = validate_skewed_gentle(SkewedGentleTriple(bq, frozenset({"1", "v0"})))
+    assert report.skewed_gentle and report.violations == ()

@@ -1,12 +1,15 @@
-"""Each triple is decided once, each derived pair is built once per command,
-``spset`` decides no subset through the definition, the oracle ranks rows
-only for commutativity flips and ranks nothing without them, paths are
-listed only where the output lists them, source positions are computed only
-for a diagnostic, and a command builds no argument parser."""
+"""Each triple is decided once, by the local rule and one walk, and Q^sp is
+built only for a failure's witnesses or where it is read; each derived pair
+is built once per command, ``spset`` decides no subset through the
+definition, the oracle ranks rows only for commutativity flips and ranks
+nothing without them, paths are listed only where the output lists them,
+valid text is parsed without tokens, source positions are computed only for
+a diagnostic, and a command builds no argument parser."""
 
 import argparse
 import io
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -44,11 +47,63 @@ def test_one_decision_per_triple(monkeypatch, argv, triples):
     assert run(argv, out=io.StringIO(), err=io.StringIO()) == 0
 
     assert len(decisions) == triples
-    assert len(sp_builds) == triples
+    # only the oracle of --dims reads Q^sp, for its length bound
+    assert len(sp_builds) == (1 if "--dims" in argv else 0)
     checked = [bq for bq, _ in gentle_checks]
     assert len({id(bq) for bq in checked}) == len(checked), "a pair was checked twice"
     for _, sp in sp_builds:
-        assert sum(bq is sp for bq in checked) == 1
+        assert not any(bq is sp for bq in checked), "a valid triple's Q^sp was checked"
+
+
+@pytest.mark.parametrize("name,valid", [("fixtures/fix_a2.q", True), ("golden/bad_g1.q", False)])
+def test_validate_builds_q_sp_only_for_a_failure(monkeypatch, name, valid):
+    decisions = _count_calls(monkeypatch, validate.validate_skewed_gentle)
+    sp_builds = _count_calls(monkeypatch, construct.build_sp_pair)
+    gentle_checks = _count_calls(monkeypatch, validate.is_gentle)
+
+    path = Path(__file__).parent / name
+    assert run(["validate", str(path)], out=io.StringIO(), err=io.StringIO()) == (0 if valid else 1)
+
+    [(t, _)] = decisions
+    assert [bq for bq, _ in gentle_checks][:1] == [t.pair]
+    if valid:
+        assert sp_builds == [] and len(gentle_checks) == 1
+    else:
+        [(_, sp)] = sp_builds
+        assert [bq for bq, _ in gentle_checks] == [t.pair, sp]
+
+
+def test_verdict_is_one_walk_and_no_reachability_check(monkeypatch):
+    # a full-relation line whose interior vertices are all special, named so
+    # that name order runs against the line: adding the loops' edges in that
+    # order makes each per-extension reachability check walk the whole line
+    n = 2000
+    names = [f"{n - 1 - i:04d}" for i in range(n)]
+    arrows = [quiver.Arrow(f"a{names[i]}", names[i], names[i + 1]) for i in range(n - 1)]
+    relations = {(arrows[i + 1].name, arrows[i].name) for i in range(n - 2)}
+    bq = quiver.BoundQuiver(quiver.build_quiver(names, arrows), frozenset(relations))
+    t = quiver.SkewedGentleTriple(bq, frozenset(names[1:-1]))
+    reached = _count_calls(monkeypatch, validate._reaches)
+    walks, walk = [], quiver._walk
+
+    class Looked(dict):
+        def __getitem__(self, key):
+            walks[-1].append(key)
+            return dict.__getitem__(self, key)
+
+    def counted(graph):
+        walks.append([])
+        return walk(Looked(graph))
+
+    monkeypatch.setattr(quiver, "_walk", counted)
+
+    assert validate.validate_skewed_gentle(t).skewed_gentle
+
+    assert reached == []
+    # the base pair's walk, then the one with an edge per special vertex
+    assert len(walks) == 2
+    for looked in walks:
+        assert sorted(looked) == sorted(a.name for a in arrows)
 
 
 @pytest.mark.parametrize("argv,listings", [
@@ -126,6 +181,25 @@ def test_parse_builds_a_source_span_only_for_a_diagnostic(monkeypatch):
     with pytest.raises(ParseError):
         dsl.parse("quiver C {\n}")
     assert made == [(2, 2, 1)]
+
+
+def test_parse_tokenizes_only_for_a_diagnostic(monkeypatch):
+    n = 240
+    vertices = ", ".join(f"v{i}" for i in range(n))
+    arrows = ", ".join(f"a{i}: v{i} -> v{(i + 1) % n}" for i in range(n))
+    relations = ", ".join(f"a{(i + 1) % n}*a{i}" for i in range(n))
+    text = (f"quiver C {{ vertices: {vertices}; special: v0;\n"
+            f"  arrows: {arrows}; # a full-relation cycle\n relations: {relations}; }}")
+    tokenized = _count_calls(monkeypatch, dsl._tokenize)
+
+    assert len(dsl.parse(text).pair.relations) == n
+    assert tokenized == []
+
+    for bad in (text.replace("v0;", "v0"), text.replace("special: v0", "special: x")):
+        with pytest.raises(ParseError):
+            dsl.parse(bad)
+    assert [arg for arg, _ in tokenized] == [text.replace("v0;", "v0"),
+                                             text.replace("special: v0", "special: x")]
 
 
 def test_a_command_builds_no_parser_and_parses_its_input_once(monkeypatch):
