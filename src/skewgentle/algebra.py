@@ -13,12 +13,13 @@ arrow-successor graph of the pair (see ``count_relation_free_paths``), in
 time linear in arrows plus relations; for sg a special endpoint weighs 2,
 one per sign.  ``basis`` lists the normal forms one by one, and so does the
 independent check, dimension_oracle: go through every lifted path up to the
-length bound given by (Q^sp, I^sp), count those through an embedded zero
-relation, list the others, and compute the rank of the commutativity
-relations among them by exact rational elimination.  Each listed path
-carries the positions of its commutativity junctions, found once as it
-grows, so the oracle's work per degree is the paths it lists plus their
-junctions; a degree without a junction is not ranked at all.
+length bound given by (Q^sp, I^sp), read off Q's successor graph without
+building Q^sp, count those through an embedded zero relation, list the
+others, and compute the rank of the commutativity relations among them by
+exact rational elimination.  Each listed path carries the positions of its
+commutativity junctions, found once as it grows, so the oracle's work per
+degree is the paths it lists plus their junctions; a degree without a
+junction is not ranked at all.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from .errors import InternalInconsistency, LimitExceeded, NotSpecial
 from .quiver import (
     BoundQuiver,
     SkewedGentleTriple,
+    _walk,
     count_relation_free_paths,
-    relation_free_paths,
     relation_text,
     successor_order,
 )
@@ -51,7 +52,7 @@ class _Zero:
 ZERO = _Zero()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BasisPath:
     """Normal form of a nonzero element: base arrows plus signed endpoints.
 
@@ -99,20 +100,30 @@ def _sg_admissible_pair(t: SkewedGentleTriple) -> BoundQuiver:
 
 
 def basis(t: SkewedGentleTriple) -> list[BasisPath]:
-    """All normal forms: trivial paths plus signed lifts of admissible paths."""
+    """All normal forms: trivial paths plus signed lifts of admissible paths.
+
+    The admissible paths are read as name tuples straight off the
+    arrow-successor graph of (Q, I1): each path from its first arrow, grown
+    by one successor at a time.
+    """
     admissible = _sg_admissible_pair(t)
-    out = []
-    for v in t.pair.quiver.vertex_list:
-        for sign in _endpoint_signs(v, t.special):
-            out.append(BasisPath((), v + sign, v + sign))
-    for p in relation_free_paths(admissible):
-        if p.is_trivial:
-            continue
-        names = tuple(a.name for a in p.arrows)
-        for ssign in _endpoint_signs(p.source, t.special):
-            for tsign in _endpoint_signs(p.target, t.special):
-                out.append(BasisPath(names, p.source + ssign, p.target + tsign))
-    out.sort(key=lambda b: (b.length, b.arrows, b.source, b.target))
+    successor_order(admissible)  # raises InfiniteDimensional with its witness
+    succ = admissible.successors
+    signed = {v: tuple(v + sign for sign in _endpoint_signs(v, t.special))
+              for v in admissible.quiver.vertex_list}
+    out = [BasisPath((), v, v) for lifts in signed.values() for v in lifts]
+    amap = admissible.quiver.arrow_map
+    for first in admissible.quiver.arrows:
+        sources = signed[first.source]
+        stack = [((first.name,), first.target)]  # written order: last entry applied first
+        while stack:
+            names, end = stack.pop()
+            for source in sources:
+                for target in signed[end]:
+                    out.append(BasisPath(names, source, target))
+            for g in succ[names[0]]:
+                stack.append(((g, *names), amap[g].target))
+    out.sort(key=lambda b: (len(b.arrows), b.arrows, b.source, b.target))
     return out
 
 
@@ -151,6 +162,32 @@ def longest_relation_free_length(bq: BoundQuiver) -> int:
     depth: dict[str, int] = {}
     for a in successor_order(bq):
         depth[a.name] = 1 + max((depth[g] for g in succ[a.name]), default=0)
+    return max(depth.values(), default=0)
+
+
+def _sp_length_bound(t: SkewedGentleTriple) -> int:
+    """``longest_relation_free_length(t.sp_pair)`` of a valid triple, without Q^sp.
+
+    Q^sp's arrow-successor graph is ``t.pair.successors`` plus one node e_v
+    per special vertex v, for its loop, with edges a -> e_v for t(a) = v and
+    e_v -> b for s(b) = v (see ``admissible_special_sets``).  Nodes are
+    numbered, arrows in name order and then the special vertices, so no
+    loop needs a name.
+    """
+    q = t.pair.quiver
+    succ = t.pair.successors
+    index = {a.name: i for i, a in enumerate(q.arrows)}
+    graph = {i: [index[g] for g in succ[a.name]] for i, a in enumerate(q.arrows)}
+    for e, v in enumerate(t.special_list, start=len(index)):
+        graph[e] = [index[b.name] for b in q.outgoing[v]]
+        for a in q.incoming[v]:
+            graph[index[a.name]].append(e)
+    cycle, order = _walk(graph)
+    if cycle is not None:
+        raise InternalInconsistency(f"Q^sp of valid triple {t.name!r} has a relation-free cycle")
+    depth: dict[int, int] = {}
+    for x in order:
+        depth[x] = 1 + max((depth[y] for y in graph[x]), default=0)
     return max(depth.values(), default=0)
 
 
@@ -219,8 +256,7 @@ def _oracle_presentation(t, which):
             comm[(rel.plus[1], rel.plus[0])] = (rel.minus[1], rel.minus[0])
             comm[(rel.minus[1], rel.minus[0])] = (rel.plus[1], rel.plus[0])
         return (pres.vertex_names, triples,
-                set(pres.zero_relations), comm,
-                longest_relation_free_length(t.sp_pair))
+                set(pres.zero_relations), comm, _sp_length_bound(t))
     raise ValueError(f"unknown algebra {which!r}")
 
 

@@ -111,13 +111,19 @@ def _load(path: str) -> SkewedGentleTriple:
     return parse(text)
 
 
+_ECHOED = 40  # characters of a bad QSG_ORACLE_CAP the usage error repeats
+
+
 def _oracle_cap() -> int:
     value = os.environ.get("QSG_ORACLE_CAP")
     if not value:
         return DEFAULT_ORACLE_CAP
     digits = value.lstrip("0")
     if not (value.isascii() and value.isdigit() and digits):
-        raise _UsageError(f"QSG_ORACLE_CAP must be a positive integer, got {value!r}")
+        shown = repr(value[:_ECHOED])
+        if len(value) > _ECHOED:
+            shown += f"... ({len(value)} characters)"
+        raise _UsageError(f"QSG_ORACLE_CAP must be a positive integer, got {shown}")
     # int() refuses thousands of digits on some interpreters, and a cap of 19
     # digits is already beyond any path count a run can reach
     return int(digits) if len(digits) < 19 else sys.maxsize
@@ -162,8 +168,7 @@ def _cmd_reduce(args, t, out):
 
 
 def _cmd_spset(args, t, out):
-    for subset in admissible_special_sets(t.pair):
-        print("{" + ", ".join(subset) + "}", file=out)
+    out.writelines("{" + ", ".join(subset) + "}\n" for subset in admissible_special_sets(t.pair))
     return 0
 
 

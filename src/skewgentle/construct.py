@@ -21,12 +21,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InternalInconsistency, NameCollision, NotSkewedGentle
-from .quiver import Arrow, BoundQuiver, SkewedGentleTriple, build_quiver
+from .quiver import Arrow, BoundQuiver, SkewedGentleTriple, _by_name, build_quiver
 
 _SUFFIX_BUDGET = 1000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignedVertex:
     base: str
     sign: str  # "", "+", or "-"
@@ -36,7 +36,12 @@ class SignedVertex:
         return self.base + self.sign
 
 
-@dataclass(frozen=True)
+def _sg_arrow_name(base: str, source: str, target: str) -> str:
+    """The name of the lift of base arrow ``base`` from signed vertex ``source`` to ``target``."""
+    return f"{base}@{source}@{target}"
+
+
+@dataclass(frozen=True, slots=True)
 class SgArrow:
     """One lift (a, alpha, b) of a base arrow to signed endpoints."""
 
@@ -46,10 +51,10 @@ class SgArrow:
 
     @property
     def name(self) -> str:
-        return f"{self.base}@{self.source}@{self.target}"
+        return _sg_arrow_name(self.base, self.source, self.target)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommRelation:
     """Equality of the through-plus and through-minus 2-paths.
 
@@ -122,14 +127,17 @@ def _require_valid(t):
         raise NotSkewedGentle(f"triple {t.name!r} is not skewed-gentle (violations: {rules})")
 
 
-def vertex_lifts(t: SkewedGentleTriple, split, what: str) -> dict[str, tuple[SignedVertex, ...]]:
-    """Signed lifts of each base vertex: v+ and v- for v in ``split``, v itself otherwise."""
+def vertex_lifts(t: SkewedGentleTriple, split, what: str) -> dict[str, tuple[str, ...]]:
+    """The lift table: the signed names of each base vertex, v+ and v- for v
+    in ``split``, v itself otherwise, in ``vertex_list`` order."""
     q = t.pair.quiver
     _require_distinct_lifts(q.vertices, split, what)
-    return {
-        v: (SignedVertex(v, "+"), SignedVertex(v, "-")) if v in split else (SignedVertex(v, ""),)
-        for v in q.vertex_list
-    }
+    return {v: (v + "+", v + "-") if v in split else (v,) for v in q.vertex_list}
+
+
+def _signed_vertices(lifts):
+    """A SignedVertex per lifted name of a lift table, in its order."""
+    return [(name, SignedVertex(v, name[len(v):])) for v, names in lifts.items() for name in names]
 
 
 def _require_distinct_lifts(vertices, split, what):
@@ -145,16 +153,17 @@ def build_sg_presentation(t: SkewedGentleTriple) -> SgPresentation:
     _require_valid(t)
     base = t.pair
     q = base.quiver
-    lifts = vertex_lifts(t, t.special, "Q^sg vertex")
+    special = t.special
+    signed = vertex_lifts(t, special, "Q^sg vertex")
 
-    vertices = tuple(sv for v in q.vertex_list for sv in lifts[v])
-    arrows = tuple(
-        SgArrow(a.name, src.name, tgt.name)
-        for a in sorted(q.arrows, key=lambda a: a.name)
-        for src in lifts[a.source]
-        for tgt in lifts[a.target]
-    )
-    if len({a.name for a in arrows}) != len(arrows):
+    vertices = tuple(sv for _, sv in _signed_vertices(signed))
+    arrows, names = [], set()
+    for a in sorted(q.arrows, key=_by_name):
+        for src in signed[a.source]:
+            for tgt in signed[a.target]:
+                arrows.append(SgArrow(a.name, src, tgt))
+                names.add(_sg_arrow_name(a.name, src, tgt))
+    if len(names) != len(arrows):
         raise NameCollision("derived Q^sg arrow names are not distinct")
 
     # Every composition through a special vertex is a base relation, or
@@ -163,54 +172,52 @@ def build_sg_presentation(t: SkewedGentleTriple) -> SgPresentation:
     comm = set()
     amap = q.arrow_map
     for x, y in base.relation_list:
-        ax, ay = amap[x], amap[y]
-        middle = ay.target
-        for outer_src in lifts[ay.source]:
-            for outer_tgt in lifts[ax.target]:
-                if middle in t.special:
-                    plus, minus = lifts[middle]
+        sources, middle, targets = signed[amap[y].source], amap[y].target, signed[amap[x].target]
+        if middle in special:
+            plus, minus = signed[middle]
+            for src in sources:
+                for tgt in targets:
                     comm.add(CommRelation(
-                        plus=(SgArrow(x, plus.name, outer_tgt.name).name,
-                              SgArrow(y, outer_src.name, plus.name).name),
-                        minus=(SgArrow(x, minus.name, outer_tgt.name).name,
-                               SgArrow(y, outer_src.name, minus.name).name),
+                        plus=(_sg_arrow_name(x, plus, tgt), _sg_arrow_name(y, src, plus)),
+                        minus=(_sg_arrow_name(x, minus, tgt), _sg_arrow_name(y, src, minus)),
                     ))
-                else:
-                    mid = lifts[middle][0]
-                    zero.add((SgArrow(x, mid.name, outer_tgt.name).name,
-                              SgArrow(y, outer_src.name, mid.name).name))
-    return SgPresentation(vertices, arrows, frozenset(zero), frozenset(comm))
-
-
-def _g_endpoint(v, sign, special):
-    return v if v in special else v + sign
+        else:
+            for src in sources:
+                for tgt in targets:
+                    zero.add((_sg_arrow_name(x, middle, tgt), _sg_arrow_name(y, src, middle)))
+    return SgPresentation(vertices, tuple(arrows), frozenset(zero), frozenset(comm))
 
 
 def build_g_pair(t: SkewedGentleTriple) -> GPairLabels:
     _require_valid(t)
     q = t.pair.quiver
-    lifts = vertex_lifts(t, q.vertices - t.special, "Q^g vertex")
-    vertex_label = {sv.name: sv for v in q.vertex_list for sv in lifts[v]}
+    special = t.special
+    signed = vertex_lifts(t, q.vertices - special, "Q^g vertex")
+    vertex_label = dict(_signed_vertices(signed))
+    # a+ ends at a vertex's first lift and a- at its last: v itself when special
+    ends = {v: (names[0], names[-1]) for v, names in signed.items()}
 
     arrows = []
     arrow_label = {}
-    for a in sorted(q.arrows, key=lambda a: a.name):
-        for sign in ("+", "-"):
-            name = a.name + sign
-            arrows.append(Arrow(name,
-                                _g_endpoint(a.source, sign, t.special),
-                                _g_endpoint(a.target, sign, t.special)))
-            arrow_label[name] = (a.name, sign)
+    doubled = {}  # base arrow -> (a+, a-)
+    for a in sorted(q.arrows, key=_by_name):
+        (src_plus, src_minus), (tgt_plus, tgt_minus) = ends[a.source], ends[a.target]
+        plus, minus = doubled[a.name] = a.name + "+", a.name + "-"
+        arrows.append(Arrow(plus, src_plus, tgt_plus))
+        arrows.append(Arrow(minus, src_minus, tgt_minus))
+        arrow_label[plus] = (a.name, "+")
+        arrow_label[minus] = (a.name, "-")
 
     relations = set()
-    for x, y in t.pair.relation_list:
-        middle = q.arrow_map[y].target
-        if middle in t.special:
-            relations.add((x + "+", y + "-"))
-            relations.add((x + "-", y + "+"))
+    amap = q.arrow_map
+    for x, y in t.pair.relations:
+        (x_plus, x_minus), (y_plus, y_minus) = doubled[x], doubled[y]
+        if amap[y].target in special:
+            relations.add((x_plus, y_minus))
+            relations.add((x_minus, y_plus))
         else:
-            relations.add((x + "+", y + "+"))
-            relations.add((x + "-", y + "-"))
+            relations.add((x_plus, y_plus))
+            relations.add((x_minus, y_minus))
 
     pair = BoundQuiver(build_quiver(sorted(vertex_label), arrows), frozenset(relations))
     if pair.gentle_violations or pair.fd_witness is not None:

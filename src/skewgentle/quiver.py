@@ -41,7 +41,12 @@ def relation_text(x: ArrowId, y: ArrowId) -> str:
     return f"{x}*{y}"
 
 
-@dataclass(frozen=True)
+def _by_name(a) -> str:
+    """Sort key of arrows (and their lifts): the name."""
+    return a.name
+
+
+@dataclass(frozen=True, slots=True)
 class Arrow:
     name: ArrowId
     source: VertexId
@@ -67,14 +72,14 @@ class Quiver:
     @cached_property
     def outgoing(self) -> dict[VertexId, tuple[Arrow, ...]]:
         out: dict[VertexId, list[Arrow]] = {v: [] for v in self.vertex_list}
-        for a in sorted(self.arrows, key=lambda a: a.name):
+        for a in sorted(self.arrows, key=_by_name):
             out[a.source].append(a)
         return {v: tuple(items) for v, items in out.items()}
 
     @cached_property
     def incoming(self) -> dict[VertexId, tuple[Arrow, ...]]:
         inc: dict[VertexId, list[Arrow]] = {v: [] for v in self.vertex_list}
-        for a in sorted(self.arrows, key=lambda a: a.name):
+        for a in sorted(self.arrows, key=_by_name):
             inc[a.target].append(a)
         return {v: tuple(items) for v, items in inc.items()}
 
@@ -97,10 +102,10 @@ def build_quiver(vertices, arrows) -> Quiver:
             raise DanglingEndpoint(f"arrow {a.name!r} starts at unknown vertex {a.source!r}")
         if a.target not in seen_v:
             raise DanglingEndpoint(f"arrow {a.name!r} ends at unknown vertex {a.target!r}")
-    return Quiver(frozenset(seen_v), tuple(sorted(arrows, key=lambda a: a.name)))
+    return Quiver(frozenset(seen_v), tuple(sorted(arrows, key=_by_name)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Path:
     """Either a trivial path at ``vertex`` or a nonempty arrow sequence.
 
@@ -219,7 +224,7 @@ class BoundQuiver:
         out = self.quiver.outgoing
         after = self.relations_after
         return {
-            a.name: tuple(g.name for g in out[a.target] if g.name not in after[a.name])
+            a.name: tuple([g.name for g in out[a.target] if g.name not in after[a.name]])
             for a in self.quiver.arrows
         }
 

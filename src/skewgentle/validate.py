@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotGentle
-from .quiver import BoundQuiver, SkewedGentleTriple
+from .quiver import BoundQuiver, SkewedGentleTriple, _by_name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     rule: str
     items: tuple[str, ...]
@@ -34,29 +34,32 @@ class ValidationReport:
 
 
 def is_special_biserial(bq: BoundQuiver) -> tuple[bool, list[Violation]]:
-    violations = []
     q = bq.quiver
-    for v in q.vertex_list:
-        if len(q.outgoing[v]) > 2 or len(q.incoming[v]) > 2:
-            violations.append(Violation("SB1", (v,)))
-    for a in sorted(q.arrows, key=lambda a: a.name):
-        nonrel_succ = bq.successors[a.name]
+    out, inc = q.outgoing, q.incoming
+    violations = [Violation("SB1", (v,)) for v in q.vertex_list
+                  if len(out[v]) > 2 or len(inc[v]) > 2]
+    succ, before = bq.successors, bq.relations_before
+    for a in sorted(q.arrows, key=_by_name):
+        nonrel_succ = succ[a.name]
         if len(nonrel_succ) > 1:
             violations.append(Violation("SB2", (a.name, *nonrel_succ)))
-        killed = bq.relations_before[a.name]
-        nonrel_pred = [b.name for b in q.incoming[a.source] if b.name not in killed]
-        if len(nonrel_pred) > 1:
-            violations.append(Violation("SB2", (a.name, *nonrel_pred)))
+        ins = inc[a.source]
+        if len(ins) > 1:  # a single arrow in is a single partner at most
+            killed = before[a.name]
+            nonrel_pred = [b.name for b in ins if b.name not in killed]
+            if len(nonrel_pred) > 1:
+                violations.append(Violation("SB2", (a.name, *nonrel_pred)))
     return not violations, violations
 
 
 def is_gentle(bq: BoundQuiver) -> tuple[bool, list[Violation]]:
     ok, violations = is_special_biserial(bq)
+    before, after = bq.relations_before, bq.relations_after
     for name in sorted(bq.quiver.arrow_map):
-        rel_pred = bq.relations_before[name]
+        rel_pred = before[name]
         if len(rel_pred) > 1:
             violations.append(Violation("G1", (name, *rel_pred)))
-        rel_succ = bq.relations_after[name]
+        rel_succ = after[name]
         if len(rel_succ) > 1:
             violations.append(Violation("G1", (name, *rel_succ)))
     return not violations, violations
@@ -69,8 +72,9 @@ def validate_skewed_gentle(t: SkewedGentleTriple) -> ValidationReport:
     vertex passes the local rule, and ``successors`` plus the edge a -> b of
     each valency-2 special vertex stays acyclic (the proof is under
     ``admissible_special_sets``): one rule check per special vertex and one
-    walk.  Q^sp is built only when the answer is no, for the witnesses of
-    the failure.
+    walk, since a graph acyclic with those edges is acyclic without them.
+    The base pair's own walk (``fd_witness``) and Q^sp are made only when the
+    answer is no, for the flags and the witnesses of the failure.
 
     The special_biserial / gentle / finite_dimensional flags describe the
     base pair (Q, I); skewed_gentle and the violations describe (Q^sp, I^sp),
@@ -78,17 +82,19 @@ def validate_skewed_gentle(t: SkewedGentleTriple) -> ValidationReport:
     the report with the triple; every other check reads it from there.
     """
     base = t.pair
-    gentle, finite = not base.gentle_violations, base.fd_witness is None
+    gentle = not base.gentle_violations
+    if gentle:
+        passing = _local_rule(base, t.special_list)
+        # acyclic with the loops' edges, so acyclic without them: (Q, I) is finite too
+        if len(passing) == len(t.special) and base.acyclic_with([e for _, e in passing if e]):
+            return ValidationReport(special_biserial=True, gentle=True, finite_dimensional=True,
+                                    skewed_gentle=True, violations=())
     flags = {
         # is_gentle reports the SB violations too: only G1 ones leave the pair special biserial
         "special_biserial": all(v.rule == "G1" for v in base.gentle_violations),
         "gentle": gentle,
-        "finite_dimensional": finite,
+        "finite_dimensional": base.fd_witness is None,
     }
-    if gentle and finite:
-        passing = _local_rule(base, t.special_list)
-        if len(passing) == len(t.special) and base.acyclic_with([e for _, e in passing if e]):
-            return ValidationReport(**flags, skewed_gentle=True, violations=())
     sp = t.sp_pair
     violations = list(sp.gentle_violations)
     witness = sp.fd_witness

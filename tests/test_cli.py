@@ -244,6 +244,27 @@ def test_oracle_cap_of_any_length_is_read(monkeypatch):
     assert invoke(*argv)[::2] == (3, "limit exceeded: oracle path count exceeded cap 2\n")
 
 
+def test_long_bad_oracle_cap_is_echoed_cut(monkeypatch):
+    monkeypatch.setenv("QSG_ORACLE_CAP", "x" * 5000)
+    code, out, err = invoke("dim", str(fixture_path("fix_a2.q")), "--algebra", "sg", "--oracle")
+    assert (code, out) == (4, "")
+    assert err == ("usage error: QSG_ORACLE_CAP must be a positive integer, got "
+                   f"{'x' * 40!r}... (5000 characters)\n")
+
+
+def test_oracle_needs_no_free_loop_name(tmp_path):
+    # every loop name Q^sp could give the isolated special vertex 1 is taken
+    names = ["sp_1", *(f"sp_1_{k}" for k in range(2, 1000))]
+    assert len(names) == 999
+    vertices = ", ".join(["1", *(f"u{i}, w{i}" for i in range(len(names)))])
+    arrows = ", ".join(f"{name}: u{i} -> w{i}" for i, name in enumerate(names))
+    path = tmp_path / "names.q"
+    path.write_text(f"quiver N {{ vertices: {vertices}; special: 1; arrows: {arrows}; }}")
+    code, out, err = invoke("invariants", str(path), "--dims")
+    assert (code, err) == (0, "")
+    assert out.endswith("dims: g=5995 gentle=2998 sg=2999\n")
+
+
 def test_bad_oracle_cap_is_reported_before_the_input_is_read(monkeypatch):
     monkeypatch.setenv("QSG_ORACLE_CAP", "abc")
     for argv in (("dim", "/no/such/file.q", "--algebra", "sg", "--oracle"),

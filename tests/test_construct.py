@@ -5,9 +5,17 @@ import pytest
 from skewgentle import (
     Arrow,
     BoundQuiver,
+    CommRelation,
+    GPairLabels,
+    InternalInconsistency,
     NameCollision,
     NotSkewedGentle,
+    SgArrow,
+    SgPresentation,
+    SignedVertex,
     SkewedGentleTriple,
+    SkewGentleError,
+    admissible_special_sets,
     basis,
     build_g_pair,
     build_quiver,
@@ -20,7 +28,7 @@ from skewgentle import (
     random_triple,
     relation_free_paths,
 )
-from skewgentle.construct import vertex_lifts
+from skewgentle.construct import _require_valid, vertex_lifts
 
 
 def test_sp_pair_fix_a2(fix_a, fix_a2):
@@ -212,7 +220,7 @@ def test_vertex_lifts_report_the_first_repeated_name():
         expected = _first_repeated_lift(vertices, split, "Q^sg vertex")
         if expected is None:
             lifts = vertex_lifts(t, split, "Q^sg vertex")
-            assert sorted(sv.name for v in lifts for sv in lifts[v]) == sorted(
+            assert sorted(name for v in lifts for name in lifts[v]) == sorted(
                 n for v in vertices for n in ((v + "+", v + "-") if v in split else (v,)))
         else:
             clashes += 1
@@ -259,3 +267,147 @@ def test_involution_preserves_relations_randomized():
         inv = canonical_involution(t)
         mapped = {(inv.arrow_map[x], inv.arrow_map[y]) for x, y in g.pair.relations}
         assert mapped == set(g.pair.relations)
+
+
+# The two constructions as they were before their lift tables, kept whole as
+# the reference: a SignedVertex per lift and an SgArrow per relation endpoint,
+# each named by its own f-string.
+
+def _reference_sg_name(base, source, target):
+    return f"{base}@{source}@{target}"
+
+
+def _reference_vertex_lifts(t, split, what):
+    q = t.pair.quiver
+    clashes = [v + s for v in split for s in "+-" if v + s in q.vertices and v + s not in split]
+    if clashes:
+        name = min(clashes)
+        raise NameCollision(f"{what} name {name!r} produced twice (from {name[:-1]!r} and {name!r})")
+    return {
+        v: (SignedVertex(v, "+"), SignedVertex(v, "-")) if v in split else (SignedVertex(v, ""),)
+        for v in q.vertex_list
+    }
+
+
+def _reference_build_sg_presentation(t):
+    _require_valid(t)
+    base = t.pair
+    q = base.quiver
+    lifts = _reference_vertex_lifts(t, t.special, "Q^sg vertex")
+
+    vertices = tuple(sv for v in q.vertex_list for sv in lifts[v])
+    arrows = tuple(
+        SgArrow(a.name, src.name, tgt.name)
+        for a in sorted(q.arrows, key=lambda a: a.name)
+        for src in lifts[a.source]
+        for tgt in lifts[a.target]
+    )
+    if len({_reference_sg_name(a.base, a.source, a.target) for a in arrows}) != len(arrows):
+        raise NameCollision("derived Q^sg arrow names are not distinct")
+
+    zero = set()
+    comm = set()
+    amap = q.arrow_map
+    for x, y in base.relation_list:
+        ax, ay = amap[x], amap[y]
+        middle = ay.target
+        for outer_src in lifts[ay.source]:
+            for outer_tgt in lifts[ax.target]:
+                if middle in t.special:
+                    plus, minus = lifts[middle]
+                    comm.add(CommRelation(
+                        plus=(_reference_sg_name(x, plus.name, outer_tgt.name),
+                              _reference_sg_name(y, outer_src.name, plus.name)),
+                        minus=(_reference_sg_name(x, minus.name, outer_tgt.name),
+                               _reference_sg_name(y, outer_src.name, minus.name)),
+                    ))
+                else:
+                    mid = lifts[middle][0]
+                    zero.add((_reference_sg_name(x, mid.name, outer_tgt.name),
+                              _reference_sg_name(y, outer_src.name, mid.name)))
+    return SgPresentation(vertices, arrows, frozenset(zero), frozenset(comm))
+
+
+def _reference_g_endpoint(v, sign, special):
+    return v if v in special else v + sign
+
+
+def _reference_build_g_pair(t):
+    _require_valid(t)
+    q = t.pair.quiver
+    lifts = _reference_vertex_lifts(t, q.vertices - t.special, "Q^g vertex")
+    vertex_label = {sv.name: sv for v in q.vertex_list for sv in lifts[v]}
+
+    arrows = []
+    arrow_label = {}
+    for a in sorted(q.arrows, key=lambda a: a.name):
+        for sign in ("+", "-"):
+            name = a.name + sign
+            arrows.append(Arrow(name,
+                                _reference_g_endpoint(a.source, sign, t.special),
+                                _reference_g_endpoint(a.target, sign, t.special)))
+            arrow_label[name] = (a.name, sign)
+
+    relations = set()
+    for x, y in t.pair.relation_list:
+        middle = q.arrow_map[y].target
+        if middle in t.special:
+            relations.add((x + "+", y + "-"))
+            relations.add((x + "-", y + "+"))
+        else:
+            relations.add((x + "+", y + "+"))
+            relations.add((x + "-", y + "-"))
+
+    pair = BoundQuiver(build_quiver(sorted(vertex_label), arrows), frozenset(relations))
+    if pair.gentle_violations or pair.fd_witness is not None:
+        raise InternalInconsistency(
+            f"associated pair of {t.name!r} is not gentle/finite: {list(pair.gentle_violations)}"
+        )
+    return GPairLabels(pair, vertex_label, arrow_label)
+
+
+def _outcome(build, t):
+    """What a construction gives, compared field by field, or its error."""
+    try:
+        made = build(t)
+    except SkewGentleError as e:
+        return type(e), str(e)
+    if isinstance(made, GPairLabels):
+        return made.pair, list(made.vertex_label.items()), list(made.arrow_label.items())
+    assert isinstance(made, SgPresentation)
+    return (made,)
+
+
+def _construction_cases():
+    for seed in range(300):
+        t = random_triple(seed, 8, 11)
+        yield t
+        for special in admissible_special_sets(t.pair)[1:4]:
+            yield SkewedGentleTriple(t.pair, frozenset(special), name=f"R{seed}")
+    for n in range(2, 13):
+        vs = [f"v{i}" for i in range(n)]
+        arrows = [Arrow(f"a{i}", vs[i], vs[(i + 1) % n]) for i in range(n)]
+        relations = frozenset((arrows[(i + 1) % n].name, arrows[i].name) for i in range(n))
+        pair = BoundQuiver(build_quiver(vs, arrows), relations)
+        for k in range(1, n + 1):  # k = 1: every vertex special, not skewed-gentle
+            yield SkewedGentleTriple(pair, frozenset(vs[::k]), name=f"C{n}k{k}")
+    for vertices, special in [(["2", "2+"], {"2"}), (["1", "1+", "1-", "2", "2-"], {"1", "2"}),
+                              (["1", "1+", "1-", "2", "2-"], {"1+", "2-"}),
+                              (["x", "x-", "x+", "y"], {"x-"}), (["x", "x-", "x+", "y"], {"x"}),
+                              (["a", "a+", "b", "b-"], {"a", "b-"})]:  # both clash
+        yield SkewedGentleTriple(BoundQuiver(build_quiver(vertices, [])), frozenset(special))
+    # names a library caller may choose: two lifts named "a@p@q@r"
+    clash = build_quiver(["p", "q@r", "q", "r"], [Arrow("a", "p", "q@r"), Arrow("a@p", "q", "r")])
+    yield SkewedGentleTriple(BoundQuiver(clash), frozenset())
+
+
+def test_constructions_match_their_reference():
+    outcomes = []
+    for t in _construction_cases():
+        for build, reference in ((build_g_pair, _reference_build_g_pair),
+                                 (build_sg_presentation, _reference_build_sg_presentation)):
+            outcome = _outcome(build, t)
+            assert outcome == _outcome(reference, t), (t.name, build.__name__)
+            outcomes.append(outcome[0] if isinstance(outcome[0], type) else "built")
+    assert outcomes.count("built") > 2000
+    assert outcomes.count(NameCollision) == 8

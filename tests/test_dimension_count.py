@@ -15,7 +15,9 @@ from skewgentle import (
     InfiniteDimensional,
     InternalInconsistency,
     NameCollision,
+    BasisPath,
     SkewedGentleTriple,
+    admissible_special_sets,
     basis,
     build_invariant_report,
     build_quiver,
@@ -25,7 +27,12 @@ from skewgentle import (
     random_triple,
     relation_free_paths,
 )
-from skewgentle.algebra import _corner_prime_counts, longest_relation_free_length
+from skewgentle.algebra import (
+    _corner_prime_counts,
+    _sg_admissible_pair,
+    _sp_length_bound,
+    longest_relation_free_length,
+)
 from skewgentle.quiver import count_relation_free_paths
 
 
@@ -130,3 +137,49 @@ def test_special_cycle_in_admissible_pair_is_caught(fix_a2):
     assert dimension_oracle(fix_a2, "sg") == 8
     with pytest.raises(InternalInconsistency, match="sg dimension 11 disagrees with oracle 8"):
         build_invariant_report(fix_a2, with_dims=True)
+
+
+def _reference_basis(t):
+    """``basis`` as it was before it read name tuples off the successor
+    graph: the signed lifts of the listed ``Path`` objects of (Q, I1)."""
+    def signs(v):
+        return ("+", "-") if v in t.special else ("",)
+
+    out = [BasisPath((), v + s, v + s) for v in t.pair.quiver.vertex_list for s in signs(v)]
+    for p in relation_free_paths(_sg_admissible_pair(t)):
+        if not p.is_trivial:
+            names = tuple(a.name for a in p.arrows)
+            out += [BasisPath(names, p.source + s, p.target + u)
+                    for s in signs(p.source) for u in signs(p.target)]
+    out.sort(key=lambda b: (b.length, b.arrows, b.source, b.target))
+    return out
+
+
+def _special_set_cases():
+    """Valid triples: random ones under their first six admissible special
+    sets, full-relation cycles with every k-th vertex special, and lines."""
+    for seed in range(300):
+        pair = random_triple(seed, 8, 11).pair
+        for special in admissible_special_sets(pair)[:6]:
+            yield SkewedGentleTriple(pair, frozenset(special), name=f"R{seed}")
+    for n in range(2, 13):
+        for k in range(2, n + 1):
+            yield _full_relation_cycle(n, k)
+    for n in (1, 2, 7):
+        yield _line(n)
+    yield from all_fixture_triples()
+
+
+def test_basis_matches_the_listed_paths():
+    for t in _special_set_cases():
+        if t.validation.skewed_gentle:
+            assert basis(t) == _reference_basis(t), t.name
+
+
+def test_oracle_length_bound_is_the_longest_path_of_q_sp():
+    checked = 0
+    for t in _special_set_cases():
+        if t.validation.skewed_gentle:
+            assert _sp_length_bound(t) == longest_relation_free_length(t.sp_pair), t.name
+            checked += bool(t.special)
+    assert checked > 1000

@@ -47,12 +47,10 @@ def test_one_decision_per_triple(monkeypatch, argv, triples):
     assert run(argv, out=io.StringIO(), err=io.StringIO()) == 0
 
     assert len(decisions) == triples
-    # only the oracle of --dims reads Q^sp, for its length bound
-    assert len(sp_builds) == (1 if "--dims" in argv else 0)
+    # the oracle of --dims reads its length bound off the base pair
+    assert sp_builds == []
     checked = [bq for bq, _ in gentle_checks]
     assert len({id(bq) for bq in checked}) == len(checked), "a pair was checked twice"
-    for _, sp in sp_builds:
-        assert not any(bq is sp for bq in checked), "a valid triple's Q^sp was checked"
 
 
 @pytest.mark.parametrize("name,valid", [("fixtures/fix_a2.q", True), ("golden/bad_g1.q", False)])
@@ -100,30 +98,29 @@ def test_verdict_is_one_walk_and_no_reachability_check(monkeypatch):
     assert validate.validate_skewed_gentle(t).skewed_gentle
 
     assert reached == []
-    # the base pair's walk, then the one with an edge per special vertex
-    assert len(walks) == 2
-    for looked in walks:
-        assert sorted(looked) == sorted(a.name for a in arrows)
+    # only the walk with an edge per special vertex: acyclic with those
+    # edges, the base pair is acyclic without them
+    [looked] = walks
+    assert sorted(looked) == sorted(a.name for a in arrows)
 
 
-@pytest.mark.parametrize("argv,listings", [
+@pytest.mark.parametrize("argv,bases", [
     (["dim", "FILE", "--algebra", "gentle"], 0),
     (["dim", "FILE", "--algebra", "sg"], 0),
     (["dim", "FILE", "--algebra", "g"], 0),
     (["invariants", "FILE", "--dims", "--json"], 0),
     (["reduce", "FILE", "--vertex", "2"], 1),  # the basis printed as t1/t2
 ])
-def test_paths_listed_only_for_the_basis(monkeypatch, argv, listings):
+def test_paths_listed_only_for_the_basis(monkeypatch, argv, bases):
+    # the basis reads its paths off the successor graph: no Path is listed
     listed = _count_calls(monkeypatch, quiver.relation_free_paths)
-    bases = _count_calls(monkeypatch, algebra.basis)
+    made = _count_calls(monkeypatch, algebra.basis)
     argv = [str(fixture_path("fix_a2.q")) if a == "FILE" else a for a in argv]
 
     assert run(argv, out=io.StringIO(), err=io.StringIO()) == 0
 
-    assert len(listed) == listings
-    assert len(bases) == listings
-    for (bq, _), (t, _) in zip(listed, bases):
-        assert bq is t.admissible_pair
+    assert listed == []
+    assert len(made) == bases
 
 
 def test_spset_decides_no_subset_through_the_definition(monkeypatch):
