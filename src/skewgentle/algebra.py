@@ -25,14 +25,15 @@ junction is not ranked at all.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .construct import _require_distinct_lifts, _require_valid
 from .errors import InternalInconsistency, LimitExceeded, NotSpecial
 from .quiver import (
     BoundQuiver,
+    Record,
     SkewedGentleTriple,
+    _set,
     _walk,
     count_relation_free_paths,
     relation_text,
@@ -52,8 +53,7 @@ class _Zero:
 ZERO = _Zero()
 
 
-@dataclass(frozen=True, slots=True)
-class BasisPath:
+class BasisPath(Record):
     """Normal form of a nonzero element: base arrows plus signed endpoints.
 
     ``arrows`` holds base arrow names in written order (last entry applied
@@ -61,9 +61,12 @@ class BasisPath:
     Internal split junctions are implicitly at the minus copy.
     """
 
-    arrows: tuple[str, ...]
-    source: str
-    target: str
+    __slots__ = ("arrows", "source", "target")
+
+    def __init__(self, arrows: tuple[str, ...], source: str, target: str):
+        _set(self, "arrows", arrows)
+        _set(self, "source", source)
+        _set(self, "target", target)
 
     @property
     def is_trivial(self) -> bool:
@@ -342,8 +345,7 @@ def dimension_oracle(t: SkewedGentleTriple, which: str, cap: int = DEFAULT_ORACL
     return dim
 
 
-@dataclass(frozen=True)
-class CornerData:
+class CornerData(Record):
     """Dimension bookkeeping for removing one split vertex a-.
 
     The basis partitions by endpoints at a-: the corner itself (one trivial
@@ -352,18 +354,26 @@ class CornerData:
     dim A - dim M * dim N.
     """
 
-    special_vertex: str
-    dim_gamma: int
-    dim_gamma_prime: int
-    dim_a: int
-    dim_m: int
-    dim_n: int
-    dim_im_phi: int
-    dim_m_prime: int
-    dim_n_prime: int
-    t1_basis: tuple[BasisPath, ...]
-    t2_basis: tuple[BasisPath, ...]
-    identity_holds: bool
+    __slots__ = ("special_vertex", "dim_gamma", "dim_gamma_prime", "dim_a", "dim_m", "dim_n",
+                 "dim_im_phi", "dim_m_prime", "dim_n_prime", "t1_basis", "t2_basis",
+                 "identity_holds")
+
+    def __init__(self, special_vertex: str, dim_gamma: int, dim_gamma_prime: int, dim_a: int,
+                 dim_m: int, dim_n: int, dim_im_phi: int, dim_m_prime: int, dim_n_prime: int,
+                 t1_basis: tuple[BasisPath, ...], t2_basis: tuple[BasisPath, ...],
+                 identity_holds: bool):
+        _set(self, "special_vertex", special_vertex)
+        _set(self, "dim_gamma", dim_gamma)
+        _set(self, "dim_gamma_prime", dim_gamma_prime)
+        _set(self, "dim_a", dim_a)
+        _set(self, "dim_m", dim_m)
+        _set(self, "dim_n", dim_n)
+        _set(self, "dim_im_phi", dim_im_phi)
+        _set(self, "dim_m_prime", dim_m_prime)
+        _set(self, "dim_n_prime", dim_n_prime)
+        _set(self, "t1_basis", t1_basis)
+        _set(self, "t2_basis", t2_basis)
+        _set(self, "identity_holds", identity_holds)
 
 
 def corner_data(t: SkewedGentleTriple, a: str) -> CornerData:

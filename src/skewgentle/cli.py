@@ -21,7 +21,6 @@ import argparse
 import os
 import sys
 from contextlib import redirect_stdout
-from pathlib import Path
 
 from .algebra import DEFAULT_ORACLE_CAP, corner_data, dimension, dimension_oracle
 from .dsl import parse
@@ -101,7 +100,8 @@ def _build_parser() -> _Parser:
 
 
 def _load(path: str) -> SkewedGentleTriple:
-    data = Path(path).read_bytes()
+    with open(path, "rb") as f:
+        data = f.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:

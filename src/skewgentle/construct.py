@@ -17,19 +17,20 @@ moved across the equation, so both stored sides carry coefficient +1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InternalInconsistency, NameCollision, NotSkewedGentle
-from .quiver import Arrow, BoundQuiver, SkewedGentleTriple, _by_name, build_quiver
+from .quiver import Arrow, BoundQuiver, Record, SkewedGentleTriple, _by_name, _set, build_quiver
 
 _SUFFIX_BUDGET = 1000
 
 
-@dataclass(frozen=True, slots=True)
-class SignedVertex:
-    base: str
-    sign: str  # "", "+", or "-"
+class SignedVertex(Record):
+    __slots__ = ("base", "sign")
+
+    def __init__(self, base: str, sign: str):  # sign is "", "+", or "-"
+        _set(self, "base", base)
+        _set(self, "sign", sign)
 
     @property
     def name(self) -> str:
@@ -41,37 +42,45 @@ def _sg_arrow_name(base: str, source: str, target: str) -> str:
     return f"{base}@{source}@{target}"
 
 
-@dataclass(frozen=True, slots=True)
-class SgArrow:
+class SgArrow(Record):
     """One lift (a, alpha, b) of a base arrow to signed endpoints."""
 
-    base: str
-    source: str
-    target: str
+    __slots__ = ("base", "source", "target")
+
+    def __init__(self, base: str, source: str, target: str):
+        _set(self, "base", base)
+        _set(self, "source", source)
+        _set(self, "target", target)
 
     @property
     def name(self) -> str:
         return _sg_arrow_name(self.base, self.source, self.target)
 
 
-@dataclass(frozen=True, slots=True)
-class CommRelation:
+class CommRelation(Record):
     """Equality of the through-plus and through-minus 2-paths.
 
     Each side is a pair of SgArrow names (later, first) sharing outer
     endpoints and differing only in the sign of the middle vertex.
     """
 
-    plus: tuple[str, str]
-    minus: tuple[str, str]
+    __slots__ = ("plus", "minus")
+
+    def __init__(self, plus: tuple[str, str], minus: tuple[str, str]):
+        _set(self, "plus", plus)
+        _set(self, "minus", minus)
 
 
-@dataclass(frozen=True)
-class SgPresentation:
-    vertices: tuple[SignedVertex, ...]
-    arrows: tuple[SgArrow, ...]
-    zero_relations: frozenset[tuple[str, str]]
-    comm_relations: frozenset[CommRelation]
+class SgPresentation(Record):
+    __slots__ = ("vertices", "arrows", "zero_relations", "comm_relations", "__dict__")
+
+    def __init__(self, vertices: tuple[SignedVertex, ...], arrows: tuple[SgArrow, ...],
+                 zero_relations: frozenset[tuple[str, str]],
+                 comm_relations: frozenset[CommRelation]):
+        _set(self, "vertices", vertices)
+        _set(self, "arrows", arrows)
+        _set(self, "zero_relations", zero_relations)
+        _set(self, "comm_relations", comm_relations)
 
     @cached_property
     def arrow_map(self) -> dict[str, SgArrow]:
@@ -82,17 +91,22 @@ class SgPresentation:
         return tuple(sorted(v.name for v in self.vertices))
 
 
-@dataclass(frozen=True, eq=False)
-class GPairLabels:
-    pair: BoundQuiver
-    vertex_label: dict[str, SignedVertex]
-    arrow_label: dict[str, tuple[str, str]]
+class GPairLabels(Record, eq=False):
+    __slots__ = ("pair", "vertex_label", "arrow_label")
+
+    def __init__(self, pair: BoundQuiver, vertex_label: dict[str, SignedVertex],
+                 arrow_label: dict[str, tuple[str, str]]):
+        _set(self, "pair", pair)
+        _set(self, "vertex_label", vertex_label)
+        _set(self, "arrow_label", arrow_label)
 
 
-@dataclass(frozen=True, eq=False)
-class Involution:
-    vertex_map: dict[str, str]
-    arrow_map: dict[str, str]
+class Involution(Record, eq=False):
+    __slots__ = ("vertex_map", "arrow_map")
+
+    def __init__(self, vertex_map: dict[str, str], arrow_map: dict[str, str]):
+        _set(self, "vertex_map", vertex_map)
+        _set(self, "arrow_map", arrow_map)
 
 
 def _fresh_loop_name(vertex, taken):

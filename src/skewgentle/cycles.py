@@ -16,34 +16,39 @@ once.  ``gldim_flags`` checks this against the cycles of (Q^g, I^g).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .construct import _require_valid
 from .errors import InternalInconsistency, NotGentle
-from .quiver import BoundQuiver, Quiver, SkewedGentleTriple
+from .quiver import BoundQuiver, Quiver, Record, SkewedGentleTriple, _set
 
 
-@dataclass(frozen=True)
-class CycleClass:
-    """One cycle in canonical rotation (lexicographically smallest sequence)."""
+class CycleClass(Record):
+    """One cycle in canonical rotation (lexicographically smallest sequence).
 
-    arrows: tuple[str, ...]
-    parity: str | None = None  # "even" / "odd", set when a special set is known
-    sigma: tuple[str, ...] | None = None  # signs for positions 2..n
-    tau: tuple[str, ...] | None = None
+    ``parity`` is "even" or "odd" and ``sigma`` and ``tau`` are the signs for
+    positions 2..n, all set when a special set is known.
+    """
+
+    __slots__ = ("arrows", "parity", "sigma", "tau")
+
+    def __init__(self, arrows: tuple[str, ...], parity: str | None = None,
+                 sigma: tuple[str, ...] | None = None, tau: tuple[str, ...] | None = None):
+        _set(self, "arrows", arrows)
+        _set(self, "parity", parity)
+        _set(self, "sigma", sigma)
+        _set(self, "tau", tau)
 
     @property
     def length(self) -> int:
         return len(self.arrows)
 
 
-@dataclass(frozen=True)
-class SingularityDescriptor:
-    shifts: tuple[int, ...]
+class SingularityDescriptor(Record):
+    __slots__ = ("shifts",)
 
-    def __post_init__(self):
-        if tuple(sorted(self.shifts)) != self.shifts:
+    def __init__(self, shifts: tuple[int, ...]):
+        if tuple(sorted(shifts)) != shifts:
             raise ValueError("descriptor shifts must be sorted ascending")
+        _set(self, "shifts", shifts)
 
     @staticmethod
     def of(values) -> "SingularityDescriptor":
@@ -158,15 +163,23 @@ def gldim_flags(t: SkewedGentleTriple) -> dict[str, bool]:
     exactly when the descriptor is trivial.
 
     gentle and sg share the base cycles (Chen-Lu).  For g, the descriptor
-    from cycle parities must equal the one read off (Q^g, I^g); a
+    from cycle parities must equal the one read off (Q^g, I^g), and the
+    cycles of (Q^g, I^g) must be the sign lifts of the base cycles; a
     difference is an implementation bug.
     """
     formula = descriptor_g(t)
-    direct = descriptor_gentle(t.g_pair.pair)
+    g_cycles = full_cycles(t.g_pair.pair)
+    direct = SingularityDescriptor.of(c.length for c in g_cycles)
     if formula != direct:
         raise InternalInconsistency(
             f"g descriptor of {t.name!r} from cycle parities {list(formula.shifts)} "
             f"disagrees with (Q^g, I^g): {list(direct.shifts)}"
         )
+    lifted = lift_cycles(t)
+    if lifted != g_cycles:
+        odd_one = min(lifted ^ g_cycles, key=lambda c: c.arrows)
+        where = ("a lift of a base cycle, not a cycle of (Q^g, I^g)" if odd_one in lifted
+                 else "a cycle of (Q^g, I^g), not a lift of a base cycle")
+        raise InternalInconsistency(f"g cycle {list(odd_one.arrows)} of {t.name!r} is {where}")
     base = not t.cycles
     return {"gentle": base, "sg": base, "g": direct.is_trivial}

@@ -26,10 +26,17 @@ returns a structurally equal triple.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import IntegrityError, ParseError
-from .quiver import Arrow, BoundQuiver, SkewedGentleTriple, build_quiver, relation_text
+from .quiver import (
+    Arrow,
+    BoundQuiver,
+    Record,
+    SkewedGentleTriple,
+    _set,
+    build_quiver,
+    relation_text,
+)
 
 _IDENT = r"[A-Za-z0-9_][A-Za-z0-9_+]*(?:-(?!>)[A-Za-z0-9_+]*)*"
 _IDENT_RE = re.compile(_IDENT)
@@ -73,11 +80,13 @@ _ITEM_RE = {
 }
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    line: int
-    column: int
-    length: int
+class SourceSpan(Record):
+    __slots__ = ("line", "column", "length")
+
+    def __init__(self, line: int, column: int, length: int):
+        _set(self, "line", line)
+        _set(self, "column", column)
+        _set(self, "length", length)
 
 
 def _span(text: str, token) -> SourceSpan:

@@ -11,13 +11,26 @@ arrow-successor graph with the one walk of it that decides finiteness and
 orders it for counting, and its gentle check; a triple's validation, its
 three constructions and its cycles.  Each is computed at most once per
 object and dies with it.
+
+Every value type of the package is a ``Record``: a plain class that lists
+its fields in ``__slots__`` (plus ``"__dict__"`` when it keeps cached
+properties) and sets them in an explicit ``__init__``, which also holds the
+defaults and the checks.  The base guarantees that a record is immutable
+(assigning or deleting any attribute raises ``AttributeError``; a cached
+property writes to the instance ``__dict__`` directly); that two
+records are equal exactly when they are of the same class with equal fields
+(``NotImplemented`` against any other class) and that equal records hash
+equal; that ``repr`` gives ``Name(field=value, ...)``, the form error
+messages quote; and that ``copy`` and ``pickle`` rebuild a record through
+its ``__init__``.  A class made with ``eq=False`` keeps identity equality
+and hashing instead.  Unlike ``dataclasses``, the base generates no code,
+so importing the package compiles nothing beyond its own source.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING
+from operator import attrgetter
 
 from .errors import (
     DanglingEndpoint,
@@ -27,6 +40,7 @@ from .errors import (
     UnknownVertex,
 )
 
+TYPE_CHECKING = False  # as typing.TYPE_CHECKING, without importing typing at start-up
 if TYPE_CHECKING:
     from .construct import GPairLabels, SgPresentation
     from .cycles import CycleClass
@@ -46,20 +60,64 @@ def _by_name(a) -> str:
     return a.name
 
 
-@dataclass(frozen=True, slots=True)
-class Arrow:
-    name: ArrowId
-    source: VertexId
-    target: VertexId
+_set = object.__setattr__  # how a record's __init__ sets its fields
+
+
+class Record:
+    """Base of the immutable value types; see the module docstring."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, eq=True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(f for f in cls.__slots__ if f != "__dict__")
+        get = attrgetter(*cls._fields)
+        # the field values as a tuple, also for a single field
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
+        if not eq:
+            cls.__eq__ = object.__eq__
+            cls.__hash__ = object.__hash__
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{self.__class__.__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{self.__class__.__name__} is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
+
+
+class Arrow(Record):
+    __slots__ = ("name", "source", "target")
+
+    def __init__(self, name: ArrowId, source: VertexId, target: VertexId):
+        _set(self, "name", name)
+        _set(self, "source", source)
+        _set(self, "target", target)
 
     def __repr__(self):
         return f"{self.name}: {self.source} -> {self.target}"
 
 
-@dataclass(frozen=True)
-class Quiver:
-    vertices: frozenset[VertexId]
-    arrows: tuple[Arrow, ...]
+class Quiver(Record):
+    __slots__ = ("vertices", "arrows", "__dict__")
+
+    def __init__(self, vertices: frozenset[VertexId], arrows: tuple[Arrow, ...]):
+        _set(self, "vertices", vertices)
+        _set(self, "arrows", arrows)
 
     @cached_property
     def vertex_list(self) -> tuple[VertexId, ...]:
@@ -105,28 +163,27 @@ def build_quiver(vertices, arrows) -> Quiver:
     return Quiver(frozenset(seen_v), tuple(sorted(arrows, key=_by_name)))
 
 
-@dataclass(frozen=True, slots=True)
-class Path:
+class Path(Record):
     """Either a trivial path at ``vertex`` or a nonempty arrow sequence.
 
     ``arrows`` is kept in written order: ``arrows[-1]`` is applied first.
     """
 
-    arrows: tuple[Arrow, ...] = ()
-    vertex: VertexId | None = None
+    __slots__ = ("arrows", "vertex")
 
-    def __post_init__(self):
-        if self.arrows:
-            if self.vertex is not None:
+    def __init__(self, arrows: tuple[Arrow, ...] = (), vertex: VertexId | None = None):
+        if arrows:
+            if vertex is not None:
                 raise ValueError("nontrivial path must not carry a base vertex")
-            for i in range(1, len(self.arrows)):
-                if self.arrows[i].target != self.arrows[i - 1].source:
+            for i in range(1, len(arrows)):
+                if arrows[i].target != arrows[i - 1].source:
                     raise NotComposable(
-                        f"arrows {self.arrows[i].name!r} and {self.arrows[i - 1].name!r}"
-                        " do not compose"
+                        f"arrows {arrows[i].name!r} and {arrows[i - 1].name!r} do not compose"
                     )
-        elif self.vertex is None:
+        elif vertex is None:
             raise ValueError("trivial path needs a vertex")
+        _set(self, "arrows", arrows)
+        _set(self, "vertex", vertex)
 
     @staticmethod
     def trivial(vertex: VertexId) -> "Path":
@@ -184,19 +241,20 @@ def _group(keys, pairs) -> dict:
     return {k: tuple(values) for k, values in index.items()}
 
 
-@dataclass(frozen=True)
-class BoundQuiver:
+class BoundQuiver(Record):
     """A quiver bound by length-2 zero relations.
 
     ``relations`` holds pairs of arrow names ``(x, y)`` meaning the 2-path
     "y, then x" is zero.
     """
 
-    quiver: Quiver
-    relations: frozenset[tuple[ArrowId, ArrowId]] = field(default_factory=frozenset)
+    __slots__ = ("quiver", "relations", "__dict__")
 
-    def __post_init__(self):
-        amap = self.quiver.arrow_map
+    def __init__(self, quiver: Quiver,
+                 relations: frozenset[tuple[ArrowId, ArrowId]] = frozenset()):
+        _set(self, "quiver", quiver)
+        _set(self, "relations", relations)
+        amap = quiver.arrow_map
         for x, y in self.relation_list:  # name order, whatever the hash seed
             if x not in amap or y not in amap:
                 raise UnknownVertex(f"relation {relation_text(x, y)} names an unknown arrow")
@@ -295,18 +353,19 @@ def _walk(graph) -> tuple[tuple[ArrowId, ...] | None, list[ArrowId]]:
     return None, order
 
 
-@dataclass(frozen=True)
-class SkewedGentleTriple:
+class SkewedGentleTriple(Record):
     """A bound quiver together with a (candidate) set of special vertices."""
 
-    pair: BoundQuiver
-    special: frozenset[VertexId] = field(default_factory=frozenset)
-    name: str = "Q"
+    __slots__ = ("pair", "special", "name", "__dict__")
 
-    def __post_init__(self):
-        unknown = self.special - self.pair.quiver.vertices
+    def __init__(self, pair: BoundQuiver, special: frozenset[VertexId] = frozenset(),
+                 name: str = "Q"):
+        unknown = special - pair.quiver.vertices
         if unknown:
             raise UnknownVertex(f"special vertices {sorted(unknown)} not in quiver")
+        _set(self, "pair", pair)
+        _set(self, "special", special)
+        _set(self, "name", name)
 
     @cached_property
     def special_list(self) -> tuple[VertexId, ...]:

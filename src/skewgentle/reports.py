@@ -14,7 +14,6 @@ JSON is dumped with sorted keys, so equal inputs give byte-identical text.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .algebra import DEFAULT_ORACLE_CAP, BasisPath, CornerData, dimension, dimension_oracle
 from .construct import CommRelation, GPairLabels, SgPresentation
@@ -26,20 +25,24 @@ from .cycles import (
 )
 from .dsl import serialize
 from .errors import InternalInconsistency
-from .quiver import BoundQuiver, Quiver, SkewedGentleTriple, relation_text
+from .quiver import BoundQuiver, Quiver, Record, SkewedGentleTriple, _set, relation_text
 from .validate import ValidationReport
 
 
-@dataclass(frozen=True, eq=False)
-class InvariantReport:
+class InvariantReport(Record, eq=False):
     """Everything the tool knows about one triple, ready for rendering."""
 
-    name: str
-    validation: ValidationReport
-    cycles: tuple[CycleClass, ...]
-    descriptors: dict[str, SingularityDescriptor]
-    gldim_finite: dict[str, bool]
-    dims: dict[str, int] | None = None
+    __slots__ = ("name", "validation", "cycles", "descriptors", "gldim_finite", "dims")
+
+    def __init__(self, name: str, validation: ValidationReport, cycles: tuple[CycleClass, ...],
+                 descriptors: dict[str, SingularityDescriptor], gldim_finite: dict[str, bool],
+                 dims: dict[str, int] | None = None):
+        _set(self, "name", name)
+        _set(self, "validation", validation)
+        _set(self, "cycles", cycles)
+        _set(self, "descriptors", descriptors)
+        _set(self, "gldim_finite", gldim_finite)
+        _set(self, "dims", dims)
 
 
 def build_invariant_report(t: SkewedGentleTriple, with_dims: bool = False,

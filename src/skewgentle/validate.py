@@ -12,25 +12,29 @@ Rule identifiers are stable and part of the JSON contract:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NotGentle
-from .quiver import BoundQuiver, SkewedGentleTriple, _by_name
+from .quiver import BoundQuiver, Record, SkewedGentleTriple, _by_name, _set
 
 
-@dataclass(frozen=True, slots=True)
-class Violation:
-    rule: str
-    items: tuple[str, ...]
+class Violation(Record):
+    __slots__ = ("rule", "items")
+
+    def __init__(self, rule: str, items: tuple[str, ...]):
+        _set(self, "rule", rule)
+        _set(self, "items", items)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    special_biserial: bool
-    gentle: bool
-    finite_dimensional: bool
-    skewed_gentle: bool
-    violations: tuple[Violation, ...]
+class ValidationReport(Record):
+    __slots__ = ("special_biserial", "gentle", "finite_dimensional", "skewed_gentle",
+                 "violations")
+
+    def __init__(self, special_biserial: bool, gentle: bool, finite_dimensional: bool,
+                 skewed_gentle: bool, violations: tuple[Violation, ...]):
+        _set(self, "special_biserial", special_biserial)
+        _set(self, "gentle", gentle)
+        _set(self, "finite_dimensional", finite_dimensional)
+        _set(self, "skewed_gentle", skewed_gentle)
+        _set(self, "violations", violations)
 
 
 def is_special_biserial(bq: BoundQuiver) -> tuple[bool, list[Violation]]:

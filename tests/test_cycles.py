@@ -1,7 +1,10 @@
+import re
+
 import pytest
 
 from skewgentle import (
     BoundQuiver,
+    CycleClass,
     InternalInconsistency,
     NotGentle,
     NotSkewedGentle,
@@ -142,6 +145,31 @@ def test_gldim_flags_compare_the_g_descriptor_with_the_constructed_pair(fix_a2, 
     with pytest.raises(InternalInconsistency,
                        match=r"from cycle parities \[2\] disagrees with \(Q\^g, I\^g\): \[4\]"):
         gldim_flags(fix_a2)
+
+
+def test_gldim_flags_compare_the_lifted_cycles_with_the_constructed_pair(fix_a, fix_a2,
+                                                                         monkeypatch):
+    """A lift with a wrong sign, or one that loses a cycle, keeps the g
+    descriptor; only the comparison of the cycles as sets sees it."""
+    import skewgentle.cycles as cycles
+
+    lift = cycles.lift_cycles
+    flip = {"+": "-", "-": "+"}
+
+    def last_sign_flipped(t):
+        return {CycleClass(c.arrows[:-1] + (c.arrows[-1][:-1] + flip[c.arrows[-1][-1]],))
+                for c in lift(t)}
+
+    monkeypatch.setattr(cycles, "lift_cycles", last_sign_flipped)
+    with pytest.raises(InternalInconsistency, match=re.escape(
+            "g cycle ['a+', 'b+', 'a-', 'b+'] of 'A' is a lift of a base cycle, "
+            "not a cycle of (Q^g, I^g)")):
+        gldim_flags(fix_a2)
+
+    monkeypatch.setattr(cycles, "lift_cycles", lambda t: set(sorted(lift(t), key=lambda c: c.arrows)[1:]))
+    with pytest.raises(InternalInconsistency, match=re.escape(
+            "g cycle ['a+', 'b+'] of 'A' is a cycle of (Q^g, I^g), not a lift of a base cycle")):
+        gldim_flags(fix_a)
 
 
 def test_arrows_lie_on_at_most_one_cycle():

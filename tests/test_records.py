@@ -73,6 +73,8 @@ def test_assignment_and_deletion_raise():
             setattr(record, field, None)
         with pytest.raises(AttributeError):
             delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.not_a_field = None
 
 
 def test_equality_is_by_class_and_fields():

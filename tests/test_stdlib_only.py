@@ -2,6 +2,8 @@
 a standard-library module or the package itself."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -23,3 +25,15 @@ def test_every_import_is_stdlib_or_the_package():
         for name in _imported_modules(ast.parse(path.read_text(encoding="utf-8"))):
             top = name.split(".")[0]
             assert top in sys.stdlib_module_names or top == "skewgentle", (path.name, name)
+
+
+def test_cli_import_loads_no_code_generators():
+    """Importing the command line compiles no generated code: no dataclasses
+    (nor the inspect it loads) and no pathlib, in a fresh interpreter without
+    site packages."""
+    probe = ("import sys, skewgentle.cli; "
+             "print(sorted({'dataclasses', 'inspect', 'pathlib'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "[]\n"
