@@ -1,4 +1,5 @@
 import re
+import time
 from unittest import mock
 
 import pytest
@@ -348,6 +349,47 @@ def test_parse_matches_token_parser(text):
     "quiver Q { vertices: 1; junk: 2; }",
     "quiver Q { vertices: 1; vertices: 2; }",
     "quiver Q { special: ; }",
+    "quiver Q { vertices: 1, # ; , 3\n 2; special: 1 # ,;\n, 2; }",
+    "quiver Q { vertices: 1 # x;\n; }",
+    "quiver#c\nQ { vertices: 1; }",
+    "quiver Q#c\n{ vertices: 1; }",
+    "quiver Q { vertices: 1; }#",
+    "quiver Q { vertices: 1; special: 1; }#c",
+    "quiver Q {\r\n vertices: 1, 2;\r\n arrows: a: 1 -> 2; # c\r\n relations: ;\r\n}\r\n",
+    "quiver Q { vertices: x-, y; arrows: a: x-#c\n> y; }",
+    "quiver Q { vertices: x, y; arrows: a: x-#c\n-> y; }",
+    "quiver Q { vertices: 1; special: 1,; }",
+    "quiver Q { vertices: 1; special: 1, ; }",
+    "quiver Q { vertices: 1; special: 1 1; }",
+    "quiver Q { vertices: 1; special: 1,,1; }",
+    "quiver Q { vertices: 1, 2; arrows: a: 1 -> 2,; }",
+    "quiver Q { vertices: 1, 2; arrows: a: 1 -> 2 b: 2 -> 1; }",
 ])
 def test_parse_matches_token_parser_on_edge_cases(text):
     _assert_parse_matches_reference(text)
+
+
+# Long texts of about 200 kB that a reader trying an item at every position,
+# or a backtracking pattern, would take minutes over.
+_LONG = 200_000
+_ADVERSARIAL = {
+    "long identifier, then junk": "quiver Q { vertices: " + "a" * _LONG + "%; }",
+    "long blank run": "quiver Q { vertices: a" + " " * _LONG + "b; }",
+    "many a, items": "quiver Q { vertices: " + "a," * (_LONG // 2) + "; }",
+    "long minus run before >": "quiver Q { vertices: x; arrows: a: x" + "-" * _LONG + "> x; }",
+    "many comment lines in a list": "quiver Q { vertices: 1,\n" + "#\n" * (_LONG // 2) + "2; }",
+    "arrows ending without a target": (
+        "quiver Q { vertices: 1; arrows: "
+        + ", ".join(f"a{i}: 1 -> 1" for i in range(_LONG // 14)) + ", z: 1 -> ; }"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ADVERSARIAL))
+def test_parse_time_is_linear_on_adversarial_text(name):
+    text = _ADVERSARIAL[name]
+    start = time.perf_counter()
+    try:
+        parse(text)
+    except ParseError:
+        pass
+    assert time.perf_counter() - start < 5.0

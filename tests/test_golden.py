@@ -20,7 +20,12 @@ expression.
 stdout of ``spset FILE`` for the serialized ``random_triple(s, 9, 12)``,
 s = 0..59.  It was recorded with the subset-by-subset enumeration, before
 the admissible sets were found by the local rule and a reachability check.
-To record the tables again after a deliberate output change, run
+``tests/golden/generated.json`` holds, for the same triples, the exit code
+and the exact stdout of ``validate``, ``invariants --dims --json`` and
+``reduce --vertex`` at the least special vertex (when there is one).  It was
+recorded before the statement reader became one split per statement; each
+file is also read with a comment after every ``,``, which must change no
+byte of the output.  To record the tables again after a deliberate output change, run
 
     PYTHONPATH=src python tests/test_golden.py --record
 """
@@ -165,6 +170,40 @@ def test_spset_on_generated_triples(tmp_path):
         assert {"exit": code, "stdout": stdout} == expected[str(seed)], f"seed {seed}"
 
 
+def _generated_commands(t):
+    """The command lines run on one generated triple, FILE standing for its path."""
+    cmds = [["validate", "FILE"], ["invariants", "FILE", "--dims", "--json"]]
+    if t.special_list:
+        cmds.append(["reduce", "FILE", "--vertex", t.special_list[0]])
+    return cmds
+
+
+def _generated(seed, tmp_dir, commented=False):
+    """{command: {"exit", "stdout"}} on the serialized ``random_triple(seed, 9, 12)``;
+    ``commented`` puts a comment holding ";" and "," after every comma."""
+    t = random_triple(seed, 9, 12)
+    text = serialize(t)
+    if commented:
+        text = text.replace(",", ",# x; y,\n")
+    path = Path(tmp_dir) / f"random_{seed}.q"
+    path.write_text(text, encoding="utf-8")
+    table = {}
+    for cmd in _generated_commands(t):
+        out, err = io.StringIO(), io.StringIO()
+        code = run([str(path) if arg == "FILE" else arg for arg in cmd], out=out, err=err)
+        table[" ".join(cmd)] = {"exit": code, "stdout": out.getvalue()}
+    return table
+
+
+@pytest.mark.parametrize("commented", [False, True], ids=["plain", "commented"])
+def test_commands_on_generated_triples(commented, tmp_path, monkeypatch):
+    monkeypatch.delenv("QSG_ORACLE_CAP", raising=False)
+    expected = json.loads((GOLDEN / "generated.json").read_text(encoding="utf-8"))
+    assert set(expected) == {str(s) for s in GENERATED_SEEDS}
+    for seed in GENERATED_SEEDS:
+        assert _generated(seed, tmp_path, commented) == expected[str(seed)], f"seed {seed}"
+
+
 def _write_table(name, table):
     text = json.dumps(table, indent=1, sort_keys=True) + "\n"
     (GOLDEN / f"{name}.json").write_text(text, encoding="utf-8")
@@ -180,6 +219,8 @@ def _record():
         _write_table("spset_generated", {
             str(seed): dict(zip(("exit", "stdout"), _spset_generated(seed, tmp_dir)))
             for seed in GENERATED_SEEDS})
+        _write_table("generated", {str(seed): _generated(seed, tmp_dir)
+                                   for seed in GENERATED_SEEDS})
     for fixture in FIXTURE_NAMES:
         table = {}
         for cmd in commands(fixture):
