@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import InternalInconsistency, NameCollision, NotSkewedGentle
-from .quiver import Arrow, BoundQuiver, Record, SkewedGentleTriple, _by_name, _set, build_quiver
+from .quiver import Arrow, BoundQuiver, Record, SkewedGentleTriple, _set, build_quiver
 
 _SUFFIX_BUDGET = 1000
 
@@ -172,7 +172,7 @@ def build_sg_presentation(t: SkewedGentleTriple) -> SgPresentation:
 
     vertices = tuple(sv for _, sv in _signed_vertices(signed))
     arrows, names = [], set()
-    for a in sorted(q.arrows, key=_by_name):
+    for a in q.arrows:
         for src in signed[a.source]:
             for tgt in signed[a.target]:
                 arrows.append(SgArrow(a.name, src, tgt))
@@ -214,7 +214,7 @@ def build_g_pair(t: SkewedGentleTriple) -> GPairLabels:
     arrows = []
     arrow_label = {}
     doubled = {}  # base arrow -> (a+, a-)
-    for a in sorted(q.arrows, key=_by_name):
+    for a in q.arrows:
         (src_plus, src_minus), (tgt_plus, tgt_minus) = ends[a.source], ends[a.target]
         plus, minus = doubled[a.name] = a.name + "+", a.name + "-"
         arrows.append(Arrow(plus, src_plus, tgt_plus))

@@ -12,10 +12,23 @@ Grammar::
 ``#`` starts a line comment and whitespace is insignificant; ``_TOKEN_RE``
 below is the whole token grammar, identifiers included.
 
-A well-formed file is read one statement at a time: one pattern checks the
-shape of a statement's item list and one more extracts its items.  The token
-parser gives the diagnostics: it runs only when that reader rejects the text,
-to say where and why, or when an integrity check fails, to place the item.
+A well-formed file is read one statement at a time, after its comments are
+removed (no token holds a ``#``).  A statement ends at its first ``;`` (no
+token holds one either), and one ``split`` over a pattern for one item reads
+its items; the statement is well formed exactly when no text is left between
+them.  An item may start only at the start of the list or right after a
+``,``, so a failed match is tried again only after the next ``,``, and every
+attempt stops at the next ``,``: reading takes time linear in the text,
+whatever the text.  Without that anchor ``split`` would try an item at every
+position, each attempt reading to the end of a long identifier, which is
+quadratic.
+
+The integrity checks on a read file are the model's own: ``build_quiver``,
+``BoundQuiver`` and ``SkewedGentleTriple`` check names and endpoints as they
+are built, and ``parse`` adds only the duplicates that its sets would hide.
+The token parser and the item-by-item checks give the diagnostics: the first
+runs only when the reader rejects the text, to say where and why; both run
+when the model rejects the triple, to name and place the first bad item.
 
 A relation item ``x*y`` declares the 2-path "y, then x" to be zero.  The
 canonical form emits the four statements in fixed order with identifiers
@@ -27,7 +40,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import IntegrityError, ParseError
+from .errors import DuplicateName, IntegrityError, ParseError, SkewGentleError
 from .quiver import (
     Arrow,
     BoundQuiver,
@@ -53,29 +66,29 @@ _TOKEN_RE = re.compile(
 )
 _STATEMENTS = ("vertices", "special", "arrows", "relations")
 
-# The reader of well-formed text.  Identifiers hold none of the symbols, and
-# only "quiver" is followed by another identifier, after a blank or a
-# comment, so each pattern splits a text into tokens as _TOKEN_RE does.
-_HEAD_RE = re.compile(rf"{_SKIP}quiver(?=[ \t\r\n#]){_SKIP}({_IDENT}){_SKIP}\{{")
-_KEYWORD_RE = re.compile(rf"{_SKIP}({_IDENT}){_SKIP}:")
-_END_RE = re.compile(rf"{_SKIP}\}}{_SKIP}(?:#[^\n]*)?\Z")
+# The reader of well-formed text works on the text with its comments removed.
+# Identifiers hold none of the symbols, and only "quiver" is followed by
+# another identifier, after a blank, so each pattern splits a text into
+# tokens as _TOKEN_RE does.
+_COMMENT_RE = re.compile(r"#[^\n]*")
+_BLANKS = r"[ \t\r\n]*"
+_HEAD_RE = re.compile(rf"{_BLANKS}quiver[ \t\r\n]+({_IDENT}){_BLANKS}\{{")
+_KEYWORD_RE = re.compile(rf"{_BLANKS}({_IDENT}){_BLANKS}:")
+_END_RE = re.compile(rf"{_BLANKS}\}}{_BLANKS}\Z")
 _ITEM = {  # "@" stands for an identifier
-    "vertices": "@",
-    "special": "@",
-    "arrows": f"@{_SKIP}:{_SKIP}@{_SKIP}->{_SKIP}@",
-    "relations": rf"@{_SKIP}\*{_SKIP}@",
+    "vertices": "(@)",
+    "special": "(@)",
+    "arrows": "(@)@:@(@)@->@(@)",
+    "relations": r"(@)@\*@(@)",
 }
-# A statement's item list up to its ";": the group "items" is absent when
-# the list is empty.
-_LIST_RE = {
-    kind: re.compile(rf"{_SKIP}(?P<items>{item}{_SKIP}(?:,{_SKIP}{item}{_SKIP})*)?;"
-                     .replace("@", _IDENT))
-    for kind, item in _ITEM.items()
-}
-# One item with the blanks and comments before it and its "," or ";": over a
-# nonempty list the matches tile it, so no item is read out of a comment.
+# One item of a statement's list, with the blanks around it and the "," after
+# it (none after the last item).  It starts only at the start of the list or
+# right after a ",", so split tries no other position beyond one look back;
+# a list is well formed exactly when split leaves no text between its items.
 _ITEM_RE = {
-    kind: re.compile(rf"{_SKIP}{item}{_SKIP}[,;]".replace("@", f"({_IDENT})"))
+    kind: re.compile(
+        rf"(?:^|(?<=,)){_BLANKS}{item}{_BLANKS}(?:,(?!\Z)|\Z)"
+        .replace("(@)", f"({_IDENT})").replace("@", _BLANKS))
     for kind, item in _ITEM.items()
 }
 
@@ -191,22 +204,36 @@ class _Parser:
         return first, self.expect("IDENT", "an arrow name")[1]
 
 
+def _items(kind: str, body: str):
+    """The items of one statement's list, or None when it is not well formed."""
+    if not body.strip(" \t\r\n"):
+        return []
+    split = _ITEM_RE[kind]
+    parts, step = split.split(body), split.groups + 1
+    if any(parts[::step]):  # text between or around the items
+        return None
+    if step == 2:
+        return parts[1::2]
+    return list(zip(*(parts[i::step] for i in range(1, step))))
+
+
 def _read(text: str):
     """What ``_Parser(text).file()`` gives, read one statement at a time, or
     None when the text is not well formed."""
+    if "#" in text:
+        text = _COMMENT_RE.sub("", text)
     m = _HEAD_RE.match(text)
     if m is None:
         return None
     name, pos, seen = m[1], m.end(), {}
     while (m := _KEYWORD_RE.match(text, pos)) is not None:
-        kind = m[1]
-        if kind not in _STATEMENTS or kind in seen:
+        kind, end = m[1], text.find(";", m.end())
+        if kind not in _STATEMENTS or kind in seen or end < 0:
             return None
-        body = _LIST_RE[kind].match(text, m.end())
-        if body is None:
+        seen[kind] = _items(kind, text[m.end():end])
+        if seen[kind] is None:
             return None
-        seen[kind] = _ITEM_RE[kind].findall(text, m.end(), body.end()) if body["items"] else []
-        pos = body.end()
+        pos = end + 1
     if not seen.get("vertices") or _END_RE.match(text, pos) is None:
         return None
     return name, seen
@@ -215,6 +242,28 @@ def _read(text: str):
 def parse(text: str) -> SkewedGentleTriple:
     """Parse a triple exactly as written; only referential integrity is checked."""
     name, stmts = _read(text) or _Parser(text).file()
+    relations, special = stmts.get("relations", []), stmts.get("special", [])
+    relation_set, special_set = frozenset(relations), frozenset(special)
+    try:
+        # the sets hide these duplicates; the model's constructors check the rest
+        if len(relation_set) < len(relations) or len(special_set) < len(special):
+            raise DuplicateName("a relation or a special vertex is declared twice")
+        arrows = [Arrow(*a) for a in stmts.get("arrows", ())]
+        pair = BoundQuiver(build_quiver(stmts["vertices"], arrows), relation_set)
+        return SkewedGentleTriple(pair, special_set, name=name)
+    except SkewGentleError:
+        _diagnose(text, stmts)
+        raise
+
+
+def _diagnose(text: str, stmts) -> None:
+    """Raise the ``IntegrityError`` of the first unresolved item, placed at
+    the item; return when every item resolves.
+
+    Statements are checked in the order vertices, arrows, relations, special,
+    and items in the order written.  Only ``parse`` calls this, once the
+    model has rejected the triple.
+    """
 
     def error(message, kind, index):
         # the token parser places the item, only for this diagnostic
@@ -228,7 +277,6 @@ def parse(text: str) -> SkewedGentleTriple:
             raise error(f"vertex {v!r} declared twice", "vertices", i)
         vertices.add(v)
 
-    arrows = []
     arrow_names = {}
     for i, (a, src, tgt) in enumerate(stmts.get("arrows", ())):
         if a in arrow_names:
@@ -238,7 +286,6 @@ def parse(text: str) -> SkewedGentleTriple:
         if tgt not in vertices:
             raise error(f"arrow {a!r} ends at unknown vertex {tgt!r}", "arrows", i)
         arrow_names[a] = (src, tgt)
-        arrows.append(Arrow(a, src, tgt))
 
     relations = set()
     for i, (x, y) in enumerate(stmts.get("relations", ())):
@@ -262,9 +309,6 @@ def parse(text: str) -> SkewedGentleTriple:
         if v in special:
             raise error(f"special vertex {v!r} declared twice", "special", i)
         special.add(v)
-
-    pair = BoundQuiver(build_quiver(vertices, arrows), frozenset(relations))
-    return SkewedGentleTriple(pair, frozenset(special), name=name)
 
 
 def _require_ident(value, what):

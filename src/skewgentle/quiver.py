@@ -55,11 +55,6 @@ def relation_text(x: ArrowId, y: ArrowId) -> str:
     return f"{x}*{y}"
 
 
-def _by_name(a) -> str:
-    """Sort key of arrows (and their lifts): the name."""
-    return a.name
-
-
 _set = object.__setattr__  # how a record's __init__ sets its fields
 
 
@@ -113,11 +108,13 @@ class Arrow(Record):
 
 
 class Quiver(Record):
+    """A quiver; ``arrows`` is kept sorted by name, whatever order it is given in."""
+
     __slots__ = ("vertices", "arrows", "__dict__")
 
-    def __init__(self, vertices: frozenset[VertexId], arrows: tuple[Arrow, ...]):
+    def __init__(self, vertices: frozenset[VertexId], arrows):
         _set(self, "vertices", vertices)
-        _set(self, "arrows", arrows)
+        _set(self, "arrows", tuple(sorted(arrows, key=attrgetter("name"))))
 
     @cached_property
     def vertex_list(self) -> tuple[VertexId, ...]:
@@ -130,20 +127,20 @@ class Quiver(Record):
     @cached_property
     def outgoing(self) -> dict[VertexId, tuple[Arrow, ...]]:
         out: dict[VertexId, list[Arrow]] = {v: [] for v in self.vertex_list}
-        for a in sorted(self.arrows, key=_by_name):
+        for a in self.arrows:
             out[a.source].append(a)
         return {v: tuple(items) for v, items in out.items()}
 
     @cached_property
     def incoming(self) -> dict[VertexId, tuple[Arrow, ...]]:
         inc: dict[VertexId, list[Arrow]] = {v: [] for v in self.vertex_list}
-        for a in sorted(self.arrows, key=_by_name):
+        for a in self.arrows:
             inc[a.target].append(a)
         return {v: tuple(items) for v, items in inc.items()}
 
 
 def build_quiver(vertices, arrows) -> Quiver:
-    """Validate and freeze a quiver; arrows are kept sorted by name."""
+    """Validate and freeze a quiver."""
     seen_v = set()
     for v in vertices:
         if not v:
@@ -160,7 +157,7 @@ def build_quiver(vertices, arrows) -> Quiver:
             raise DanglingEndpoint(f"arrow {a.name!r} starts at unknown vertex {a.source!r}")
         if a.target not in seen_v:
             raise DanglingEndpoint(f"arrow {a.name!r} ends at unknown vertex {a.target!r}")
-    return Quiver(frozenset(seen_v), tuple(sorted(arrows, key=_by_name)))
+    return Quiver(frozenset(seen_v), arrows)
 
 
 class Path(Record):

@@ -13,7 +13,7 @@ Rule identifiers are stable and part of the JSON contract:
 from __future__ import annotations
 
 from .errors import NotGentle
-from .quiver import BoundQuiver, Record, SkewedGentleTriple, _by_name, _set
+from .quiver import BoundQuiver, Record, SkewedGentleTriple, _set
 
 
 class Violation(Record):
@@ -43,7 +43,7 @@ def is_special_biserial(bq: BoundQuiver) -> tuple[bool, list[Violation]]:
     violations = [Violation("SB1", (v,)) for v in q.vertex_list
                   if len(out[v]) > 2 or len(inc[v]) > 2]
     succ, before = bq.successors, bq.relations_before
-    for a in sorted(q.arrows, key=_by_name):
+    for a in q.arrows:
         nonrel_succ = succ[a.name]
         if len(nonrel_succ) > 1:
             violations.append(Violation("SB2", (a.name, *nonrel_succ)))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from skewgentle import (
     Arrow,
     BoundQuiver,
+    DuplicateName,
     IntegrityError,
     ParseError,
     SkewedGentleTriple,
@@ -86,6 +87,17 @@ def test_parse_missing_vertices():
         parse("quiver C { arrows: ; }")
     with pytest.raises(ParseError, match="must not be empty"):
         parse("quiver C { vertices: ; }")
+
+
+def test_item_checks_run_only_when_the_model_rejects():
+    with mock.patch.object(dsl, "_diagnose", side_effect=AssertionError("diagnosed")):
+        assert parse(FIX_A2_TEXT) == hand_built_a2()
+        with pytest.raises(AssertionError, match="diagnosed"):
+            parse("quiver C { vertices: 1; special: 1, 1; }")
+    # when the item checks find nothing, the model's own error stands
+    with mock.patch.object(dsl, "_diagnose", return_value=None):
+        with pytest.raises(DuplicateName, match="vertex '1' declared twice"):
+            parse("quiver C { vertices: 1, 1; }")
 
 
 def test_parse_error_carries_span():
@@ -358,7 +370,6 @@ def test_parse_matches_token_parser(text):
     "quiver Q {\r\n vertices: 1, 2;\r\n arrows: a: 1 -> 2; # c\r\n relations: ;\r\n}\r\n",
     "quiver Q { vertices: x-, y; arrows: a: x-#c\n> y; }",
     "quiver Q { vertices: x, y; arrows: a: x-#c\n-> y; }",
-    "quiver Q { vertices: 1; special: 1,; }",
     "quiver Q { vertices: 1; special: 1, ; }",
     "quiver Q { vertices: 1; special: 1 1; }",
     "quiver Q { vertices: 1; special: 1,,1; }",
