@@ -10,16 +10,17 @@ junction to minus with coefficient +1.
 
 ``dimension`` counts without listing paths: one dynamic programme over the
 arrow-successor graph of the pair (see ``count_relation_free_paths``), in
-time linear in arrows plus relations; for sg a special endpoint weighs 2,
-one per sign.  ``basis`` lists the normal forms one by one, and so does the
-independent check, dimension_oracle: go through every lifted path up to the
-length bound given by (Q^sp, I^sp), read off Q's successor graph without
-building Q^sp, count those through an embedded zero relation, list the
-others, and compute the rank of the commutativity relations among them by
-exact rational elimination.  Each listed path carries the positions of its
-commutativity junctions, found once as it grows, so the oracle's work per
-degree is the paths it lists plus their junctions; a degree without a
-junction is not ranked at all.
+time linear in arrows plus relations; for sg an endpoint weighs its number
+of signed names in the lift table (``vertex_lifts``).  ``basis`` lists the
+normal forms one by one, and so does the independent check,
+dimension_oracle: go through every lifted path up to the length bound given
+by (Q^sp, I^sp), read off the walk of (Q, I1) without building Q^sp, count
+those through an embedded zero relation, list the others, and compute the
+rank of the commutativity relations among them by exact rational
+elimination.  Each listed path carries the positions of its commutativity
+junctions, found once as it grows, so the oracle's work per degree is the
+paths it lists plus their junctions; a degree without a junction is not
+ranked at all.
 """
 
 from __future__ import annotations
@@ -27,14 +28,13 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
-from .construct import _require_distinct_lifts, _require_valid
+from .construct import _require_valid, vertex_lifts
 from .errors import InternalInconsistency, LimitExceeded, NotSpecial
 from .quiver import (
     BoundQuiver,
     Record,
     SkewedGentleTriple,
     _set,
-    _walk,
     count_relation_free_paths,
     relation_text,
     successor_order,
@@ -91,17 +91,6 @@ def admissible_base_pair(t: SkewedGentleTriple) -> BoundQuiver:
     return BoundQuiver(t.pair.quiver, kept)
 
 
-def _endpoint_signs(vertex, special):
-    return ("+", "-") if vertex in special else ("",)
-
-
-def _sg_admissible_pair(t: SkewedGentleTriple) -> BoundQuiver:
-    """(Q, I1) once the triple is valid and its signed vertex names are distinct."""
-    _require_valid(t)
-    _require_distinct_lifts(t.pair.quiver.vertices, t.special, "Q^sg vertex")
-    return t.admissible_pair
-
-
 def basis(t: SkewedGentleTriple) -> list[BasisPath]:
     """All normal forms: trivial paths plus signed lifts of admissible paths.
 
@@ -109,11 +98,11 @@ def basis(t: SkewedGentleTriple) -> list[BasisPath]:
     arrow-successor graph of (Q, I1): each path from its first arrow, grown
     by one successor at a time.
     """
-    admissible = _sg_admissible_pair(t)
+    _require_valid(t)
+    signed = vertex_lifts(t, t.special, "Q^sg vertex")
+    admissible = t.admissible_pair
     successor_order(admissible)  # raises InfiniteDimensional with its witness
     succ = admissible.successors
-    signed = {v: tuple(v + sign for sign in _endpoint_signs(v, t.special))
-              for v in admissible.quiver.vertex_list}
     out = [BasisPath((), v, v) for lifts in signed.values() for v in lifts]
     amap = admissible.quiver.arrow_map
     for first in admissible.quiver.arrows:
@@ -169,29 +158,26 @@ def longest_relation_free_length(bq: BoundQuiver) -> int:
 
 
 def _sp_length_bound(t: SkewedGentleTriple) -> int:
-    """``longest_relation_free_length(t.sp_pair)`` of a valid triple, without Q^sp.
+    """``longest_relation_free_length(t.sp_pair)`` of a valid triple, read
+    off the walk of (Q, I1) without building Q^sp.
 
-    Q^sp's arrow-successor graph is ``t.pair.successors`` plus one node e_v
-    per special vertex v, for its loop, with edges a -> e_v for t(a) = v and
-    e_v -> b for s(b) = v (see ``admissible_special_sets``).  Nodes are
-    numbered, arrows in name order and then the special vertices, so no
-    loop needs a name.
+    Q^sp's arrow-successor graph is (Q, I1)'s with a loop node e_v on the
+    edge a -> b at each valency-2 special vertex v (b*a is in I, not in I1);
+    at a valency-1 special vertex e_v hangs after the one arrow in or before
+    the one arrow out, and at a valency-0 one it is isolated.  So the longest
+    path applying a first has length d(a) = 1 + [t(a) in Sp] + max d(g) over
+    the successors g of a, and the longest of all is the largest
+    d(a) + [s(a) in Sp], or a lone e_v.
     """
-    q = t.pair.quiver
-    succ = t.pair.successors
-    index = {a.name: i for i, a in enumerate(q.arrows)}
-    graph = {i: [index[g] for g in succ[a.name]] for i, a in enumerate(q.arrows)}
-    for e, v in enumerate(t.special_list, start=len(index)):
-        graph[e] = [index[b.name] for b in q.outgoing[v]]
-        for a in q.incoming[v]:
-            graph[index[a.name]].append(e)
-    cycle, order = _walk(graph)
-    if cycle is not None:
-        raise InternalInconsistency(f"Q^sp of valid triple {t.name!r} has a relation-free cycle")
-    depth: dict[int, int] = {}
-    for x in order:
-        depth[x] = 1 + max((depth[y] for y in graph[x]), default=0)
-    return max(depth.values(), default=0)
+    special = t.special
+    succ = t.admissible_pair.successors
+    depth: dict[str, int] = {}
+    longest = 1 if special else 0
+    for a in successor_order(t.admissible_pair):
+        d = 1 + (a.target in special) + max((depth[g] for g in succ[a.name]), default=0)
+        depth[a.name] = d
+        longest = max(longest, d + (a.source in special))
+    return longest
 
 
 def _one(vertex) -> int:
@@ -207,8 +193,8 @@ def _counted_dimension(bq: BoundQuiver, weight) -> int:
 def dimension(t: SkewedGentleTriple, which: str) -> int:
     """K-dimension of the chosen algebra: "gentle", "sg", or "g".
 
-    Counted, not listed: for sg every special endpoint weighs 2, one per
-    sign, which is what ``basis`` lists.
+    Counted, not listed: for sg an endpoint weighs its number of signed
+    names, which is what ``basis`` lists.
     """
     _require_valid(t)
     if which == "gentle":
@@ -216,7 +202,8 @@ def dimension(t: SkewedGentleTriple, which: str) -> int:
     if which == "g":
         return _counted_dimension(t.g_pair.pair, _one)
     if which == "sg":
-        return _counted_dimension(_sg_admissible_pair(t), lambda v: 2 if v in t.special else 1)
+        lifts = vertex_lifts(t, t.special, "Q^sg vertex")
+        return _counted_dimension(t.admissible_pair, lambda v: len(lifts[v]))
     raise ValueError(f"unknown algebra {which!r}")
 
 
@@ -399,7 +386,6 @@ def corner_data(t: SkewedGentleTriple, a: str) -> CornerData:
     dim_gamma_prime = dimension(reduced, "sg")
     dim_im_phi = len(t1) * len(t2)
 
-    out_first, in_last = _corner_prime_counts(t, a)
     return CornerData(
         special_vertex=a,
         dim_gamma=len(full),
@@ -408,20 +394,11 @@ def corner_data(t: SkewedGentleTriple, a: str) -> CornerData:
         dim_m=len(t1),
         dim_n=len(t2),
         dim_im_phi=dim_im_phi,
-        dim_m_prime=out_first,
-        dim_n_prime=in_last,
+        # S1 / S2: the admissible base paths leaving / entering a
+        dim_m_prime=len({p.arrows for p in t1}),
+        dim_n_prime=len({p.arrows for p in t2}),
         t1_basis=tuple(t1),
         t2_basis=tuple(t2),
         identity_holds=dim_gamma_prime == len(middle) - dim_im_phi,
     )
 
-
-def _corner_prime_counts(t, a):
-    """Sizes of S1 / S2: admissible base paths leaving / entering vertex a."""
-    admissible = t.admissible_pair
-
-    def at_a(v):
-        return int(v == a)
-
-    return (count_relation_free_paths(admissible, at_a, _one),
-            count_relation_free_paths(admissible, _one, at_a))

@@ -187,7 +187,14 @@ def run(argv, out=None, err=None) -> int:
             raise _UsageError("the following arguments are required: command")
         # the cap is read before the input, so a bad cap wins over a bad file
         args.cap = _oracle_cap() if args.oracle else DEFAULT_ORACLE_CAP
-        return args.handler(args, _load(args.file), out)
+        try:
+            t = _load(args.file)
+        except OSError as e:  # only the read: the handler's OSError is a failed write
+            print(f"cannot read input: {e}", file=err)
+            return 2
+        code = args.handler(args, t, out)
+        out.flush()
+        return code
     except SystemExit:  # only --help exits; a usage error raises _UsageError
         return 0
     except _UsageError as e:
@@ -203,12 +210,19 @@ def run(argv, out=None, err=None) -> int:
         print(f"validation failed: {e}", file=err)
         return 1
     except OSError as e:
-        print(f"cannot read input: {e}", file=err)
-        return 2
+        print(f"error: cannot write output: {e}", file=err)
+        return 1
     except SkewGentleError as e:
         print(f"error: {e}", file=err)
         return 1
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # a closed stdout (`skewgentle spset FILE | head -1`) is already
+        # reported; point it at devnull so the exit flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)

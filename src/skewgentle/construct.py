@@ -143,24 +143,20 @@ def _require_valid(t):
 
 def vertex_lifts(t: SkewedGentleTriple, split, what: str) -> dict[str, tuple[str, ...]]:
     """The lift table: the signed names of each base vertex, v+ and v- for v
-    in ``split``, v itself otherwise, in ``vertex_list`` order."""
+    in ``split``, v itself otherwise, in ``vertex_list`` order.  Raises
+    NameCollision for the least unsplit vertex named v+ or v- with v split:
+    a split name ends in its sign, so no other two lifts can share a name."""
     q = t.pair.quiver
-    _require_distinct_lifts(q.vertices, split, what)
+    clashes = [v + s for v in split for s in "+-" if v + s in q.vertices and v + s not in split]
+    if clashes:
+        name = min(clashes)
+        raise NameCollision(f"{what} name {name!r} produced twice (from {name[:-1]!r} and {name!r})")
     return {v: (v + "+", v + "-") if v in split else (v,) for v in q.vertex_list}
 
 
 def _signed_vertices(lifts):
     """A SignedVertex per lifted name of a lift table, in its order."""
     return [(name, SignedVertex(v, name[len(v):])) for v, names in lifts.items() for name in names]
-
-
-def _require_distinct_lifts(vertices, split, what):
-    """Raise NameCollision for the least unsplit vertex named v+ or v- with v split:
-    a split name ends in its sign, so no other two lifts can share a name."""
-    clashes = [v + s for v in split for s in "+-" if v + s in vertices and v + s not in split]
-    if clashes:
-        name = min(clashes)
-        raise NameCollision(f"{what} name {name!r} produced twice (from {name[:-1]!r} and {name!r})")
 
 
 def build_sg_presentation(t: SkewedGentleTriple) -> SgPresentation:

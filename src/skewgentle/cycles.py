@@ -94,7 +94,7 @@ def full_cycles(bq: BoundQuiver, special=None) -> set[CycleClass]:
     nxt = {x: y for x, y in bq.relations}  # y follows x in the written sequence
     cycles = set()
     placed = set()
-    for start in sorted(bq.quiver.arrow_map):
+    for start in bq.quiver.arrow_map:
         if start in placed:
             continue
         seq = [start]

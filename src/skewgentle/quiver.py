@@ -126,17 +126,11 @@ class Quiver(Record):
 
     @cached_property
     def outgoing(self) -> dict[VertexId, tuple[Arrow, ...]]:
-        out: dict[VertexId, list[Arrow]] = {v: [] for v in self.vertex_list}
-        for a in self.arrows:
-            out[a.source].append(a)
-        return {v: tuple(items) for v, items in out.items()}
+        return _group(self.vertex_list, ((a.source, a) for a in self.arrows))
 
     @cached_property
     def incoming(self) -> dict[VertexId, tuple[Arrow, ...]]:
-        inc: dict[VertexId, list[Arrow]] = {v: [] for v in self.vertex_list}
-        for a in self.arrows:
-            inc[a.target].append(a)
-        return {v: tuple(items) for v, items in inc.items()}
+        return _group(self.vertex_list, ((a.target, a) for a in self.arrows))
 
 
 def build_quiver(vertices, arrows) -> Quiver:

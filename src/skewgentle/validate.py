@@ -59,7 +59,7 @@ def is_special_biserial(bq: BoundQuiver) -> tuple[bool, list[Violation]]:
 def is_gentle(bq: BoundQuiver) -> tuple[bool, list[Violation]]:
     ok, violations = is_special_biserial(bq)
     before, after = bq.relations_before, bq.relations_after
-    for name in sorted(bq.quiver.arrow_map):
+    for name in bq.quiver.arrow_map:
         rel_pred = before[name]
         if len(rel_pred) > 1:
             violations.append(Violation("G1", (name, *rel_pred)))

@@ -202,6 +202,38 @@ def test_missing_file_exit_two():
     assert code == 2
 
 
+def _many_isolated(tmp_path):
+    # 16 isolated vertices: every one of the 65536 subsets is admissible
+    path = tmp_path / "many.q"
+    path.write_text("quiver M { vertices: " + ", ".join(map(str, range(16))) + "; }")
+    return path
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, s):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_failed_write_is_not_a_failed_read(tmp_path):
+    err = io.StringIO()
+    assert run(["spset", str(_many_isolated(tmp_path))], out=_ClosedPipe(), err=err) == 1
+    assert err.getvalue() == "error: cannot write output: [Errno 32] Broken pipe\n"
+
+
+def test_closed_stdout_gives_one_diagnostic_line(tmp_path):
+    # `skewgentle spset many.q | head -1`: the interpreter's own exit flush
+    # must not add a second report of the closed pipe
+    proc = subprocess.Popen([sys.executable, "-m", "skewgentle", "spset",
+                             str(_many_isolated(tmp_path))],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"{}\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert err == b"error: cannot write output: [Errno 32] Broken pipe\n"
+
+
 def test_oracle_cap_exit_three(monkeypatch):
     monkeypatch.setenv("QSG_ORACLE_CAP", "2")
     code, _, err = invoke("dim", str(fixture_path("fix_a2.q")), "--algebra", "sg", "--oracle")

@@ -21,6 +21,7 @@ from skewgentle import (
     basis,
     build_invariant_report,
     build_quiver,
+    corner_data,
     dimension,
     dimension_oracle,
     finite_dimensional_witness,
@@ -28,8 +29,6 @@ from skewgentle import (
     relation_free_paths,
 )
 from skewgentle.algebra import (
-    _corner_prime_counts,
-    _sg_admissible_pair,
     _sp_length_bound,
     longest_relation_free_length,
 )
@@ -63,7 +62,8 @@ def _assert_counts_match_enumeration(t):
         assert len(bq.quiver.vertices) + count_relation_free_paths(bq, _one, _one) == len(listed)
         assert longest_relation_free_length(bq) == max(p.length for p in listed)
     for a in t.special_list:
-        assert _corner_prime_counts(t, a) == _listed_corner_counts(t, a)
+        corner = corner_data(t, a)
+        assert (corner.dim_m_prime, corner.dim_n_prime) == _listed_corner_counts(t, a)
 
 
 @pytest.mark.parametrize("size", [(6, 7), (10, 14)])
@@ -146,7 +146,7 @@ def _reference_basis(t):
         return ("+", "-") if v in t.special else ("",)
 
     out = [BasisPath((), v + s, v + s) for v in t.pair.quiver.vertex_list for s in signs(v)]
-    for p in relation_free_paths(_sg_admissible_pair(t)):
+    for p in relation_free_paths(t.admissible_pair):
         if not p.is_trivial:
             names = tuple(a.name for a in p.arrows)
             out += [BasisPath(names, p.source + s, p.target + u)

@@ -1,0 +1,24 @@
+"""The README's Library example runs as written, from the fixtures directory."""
+
+import gc
+import re
+import warnings
+from pathlib import Path
+
+from conftest import FIXTURES
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def _library_example() -> str:
+    section = README.read_text(encoding="utf-8").split("## Library", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_library_example_runs_and_closes_its_file(monkeypatch):
+    monkeypatch.chdir(FIXTURES)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        exec(compile(_library_example(), str(README), "exec"), {})
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []

@@ -3,8 +3,9 @@ built only for a failure's witnesses or where it is read; each derived pair
 is built once per command, ``spset`` decides no subset through the
 definition, the oracle ranks rows only for commutativity flips and ranks
 nothing without them, paths are listed only where the output lists them,
-valid text is parsed without tokens, source positions are computed only for
-a diagnostic, and a command builds no argument parser."""
+the sg layer reads the walk of (Q, I1) and the listed corner it already
+has, valid text is parsed without tokens, source positions are computed
+only for a diagnostic, and a command builds no argument parser."""
 
 import argparse
 import io
@@ -121,6 +122,22 @@ def test_paths_listed_only_for_the_basis(monkeypatch, argv, bases):
 
     assert listed == []
     assert len(made) == bases
+
+
+@pytest.mark.parametrize("argv,fn,calls", [
+    # the verdict's, the base pair's, (Q, I1)'s and Q^g's walks: the sg
+    # oracle's length bound reads the walk of (Q, I1) that the sg count made
+    (["invariants", "FILE", "--dims", "--json"], quiver._walk, 4),
+    # only the reduced triple's sg count: the corner's S1 and S2 are its listed paths
+    (["reduce", "FILE", "--vertex", "2"], quiver.count_relation_free_paths, 1),
+])
+def test_sg_layer_reads_what_the_triple_holds(monkeypatch, argv, fn, calls):
+    made = _count_calls(monkeypatch, fn)
+    argv = [str(fixture_path("fix_a2.q")) if a == "FILE" else a for a in argv]
+
+    assert run(argv, out=io.StringIO(), err=io.StringIO()) == 0
+
+    assert len(made) == calls
 
 
 def test_spset_decides_no_subset_through_the_definition(monkeypatch):
