@@ -17,10 +17,14 @@ dimension_oracle: go through every lifted path up to the length bound given
 by (Q^sp, I^sp), read off the walk of (Q, I1) without building Q^sp, count
 those through an embedded zero relation, list the others, and compute the
 rank of the commutativity relations among them by exact rational
-elimination.  Each listed path carries the positions of its commutativity
-junctions, found once as it grows, so the oracle's work per degree is the
-paths it lists plus their junctions; a degree without a junction is not
-ranked at all.
+elimination.  Without commutativity relations (gentle and g always, sg when
+no special vertex joins two arrows by a relation) the listed paths are
+independent and each is kept as its last arrow only, so the oracle's work
+per degree is one entry per listed path.  With them, each listed path is the
+tuple of its arrows and carries the positions of its commutativity
+junctions, found once as it grows: the work per degree is the listed paths
+times their length, plus their junctions, and a degree without a junction
+is not ranked at all.
 """
 
 from __future__ import annotations
@@ -282,11 +286,16 @@ def dimension_oracle(t: SkewedGentleTriple, which: str, cap: int = DEFAULT_ORACL
     degree; the relations are homogeneous so degrees do not mix.  A path
     through an embedded zero relation spans a relation by itself, and so
     does every longer path through it: those paths are counted by their
-    last arrow, for the cap, and only the others are listed and ranked
-    (``_degree_dimension``).  Each listed path keeps the positions of its
-    commutativity junctions; a path grown by one arrow can gain only the new
-    junction, so the work per degree is the listed paths plus their
-    junctions.
+    last arrow, for the cap, and only the others are listed.
+
+    Without commutativity relations the listed paths are independent, so
+    each is kept as its last arrow alone and a degree's dimension is the
+    number of entries: the work per degree is one entry per listed path.
+    With them, each listed path is the tuple of its arrows plus the
+    positions of its commutativity junctions, and is ranked
+    (``_degree_dimension``); a path grown by one arrow can gain only the new
+    junction, so the work per degree is the listed paths times their length,
+    plus their junctions.
     """
     _require_valid(t)
     vertices, triples, zero_pairs, comm, bound = _oracle_presentation(t, which)
@@ -301,33 +310,47 @@ def dimension_oracle(t: SkewedGentleTriple, which: str, cap: int = DEFAULT_ORACL
 
     total = len(vertices)
     if total > cap:
-        raise LimitExceeded(f"oracle path count exceeded cap {cap}")
+        raise LimitExceeded(f"oracle path count exceeded cap {cap} ({total} paths counted"
+                            f" through degree 0 of at most {bound})")
     dim = len(vertices)  # trivial paths, always independent
-    current: list[tuple[str, ...]] = [(name,) for name in sorted(by_name)]
-    flips: list[tuple[int, ...]] = [()] * len(current)  # junction positions
+    if comm:
+        current: list = [(name,) for name in sorted(by_name)]
+        flips: list[tuple[int, ...]] = [()] * len(current)  # junction positions
+    else:
+        current = sorted(by_name)  # each listed path as its last arrow
+        free = {a: [b for b in after if (b, a) not in zero_pairs] for a, after in succ.items()}
+        into_zero = {a: [b for b in after if (b, a) in zero_pairs] for a, after in succ.items()}
     zero: Counter[str] = Counter()  # last arrow -> paths through a zero relation
     degree = 1
     while degree <= bound and (current or zero):
         total += len(current) + sum(zero.values())
         if total > cap:
-            raise LimitExceeded(f"oracle path count exceeded cap {cap}")
-        dim += _degree_dimension(current, flips, comm)
+            raise LimitExceeded(f"oracle path count exceeded cap {cap} ({total} paths counted"
+                                f" through degree {degree} of at most {bound})")
+        dim += _degree_dimension(current, flips, comm) if comm else len(current)
         if degree == bound:
             break
-        grown, grown_flips, grown_zero = [], [], Counter()
+        grown_zero = Counter()
         for last, count in zero.items():
             for nxt in succ[last]:
                 grown_zero[nxt] += count
-        for p, at in zip(current, flips):
-            last = p[-1]
-            for nxt in succ[last]:
-                if (nxt, last) in zero_pairs:
-                    grown_zero[nxt] += 1
-                else:
-                    grown.append(p + (nxt,))
-                    # only the new junction, at position degree - 1, can add a flip
-                    grown_flips.append(at + (degree - 1,) if (last, nxt) in comm else at)
-        current, flips, zero = grown, grown_flips, grown_zero
+        if comm:
+            grown, grown_flips = [], []
+            for p, at in zip(current, flips):
+                last = p[-1]
+                for nxt in succ[last]:
+                    if (nxt, last) in zero_pairs:
+                        grown_zero[nxt] += 1
+                    else:
+                        grown.append(p + (nxt,))
+                        # only the new junction, at position degree - 1, can add a flip
+                        grown_flips.append(at + (degree - 1,) if (last, nxt) in comm else at)
+            current, flips = grown, grown_flips
+        else:
+            if zero_pairs:
+                grown_zero.update(nxt for last in current for nxt in into_zero[last])
+            current = [nxt for last in current for nxt in free[last]]
+        zero = grown_zero
         degree += 1
     return dim
 

@@ -88,20 +88,14 @@ def _name(r, name):
     return name or getattr(r, "name", None) or "Q"
 
 
-def _pair_view(x):
-    """A pair-like object as (bound quiver, vertices drawn doubled).
-
-    Q^g draws its unsigned vertices doubled and a triple its special ones;
-    in text and JSON a triple renders as its bound quiver.
-    """
-    if isinstance(x, SkewedGentleTriple):
-        return x.pair, x.special
-    if isinstance(x, GPairLabels):
-        return x.pair, frozenset(n for n, sv in x.vertex_label.items() if sv.sign == "")
+def _pair_view(x) -> BoundQuiver:
+    """A pair-like object as its bound quiver; a triple renders as its pair."""
+    if isinstance(x, (SkewedGentleTriple, GPairLabels)):
+        return x.pair
     if isinstance(x, BoundQuiver):
-        return x, frozenset()
+        return x
     if isinstance(x, Quiver):
-        return BoundQuiver(x), frozenset()
+        return BoundQuiver(x)
     raise TypeError(f"cannot render {type(x).__name__}")
 
 
@@ -149,7 +143,7 @@ def _text_lines(r, name):
                 "arrows: " + ", ".join(f"{a.name}: {a.source} -> {a.target}" for a in arrows),
                 f"zero: {', '.join(zero)}",
                 f"comm: {', '.join(map(_comm_text, comm))}"]
-    return [serialize(SkewedGentleTriple(_pair_view(r)[0], frozenset(), name=name))]
+    return [serialize(SkewedGentleTriple(_pair_view(r), frozenset(), name=name))]
 
 
 def report_text(r, name: str | None = None) -> str:
@@ -215,7 +209,7 @@ def _payload(r, name):
             "comm_relations": [{"plus": relation_text(*c.plus), "minus": relation_text(*c.minus)}
                                for c in comm],
         }
-    pair = _pair_view(r)[0]
+    pair = _pair_view(r)
     q = pair.quiver
     return {
         "name": name,
@@ -243,8 +237,15 @@ def to_dot(x, name: str | None = None) -> str:
         doubled = frozenset(v.name for v in x.vertices if v.sign != "")
         comments = [f"zero: {z}" for z in zero] + [f"comm: {_comm_text(c)}" for c in comm]
     else:
-        pair, doubled = _pair_view(x)
+        pair = _pair_view(x)
         nodes, arrows = pair.quiver.vertex_list, pair.quiver.arrows
+        # Q^g draws its unsigned vertices doubled and a triple its special ones
+        if isinstance(x, SkewedGentleTriple):
+            doubled = x.special
+        elif isinstance(x, GPairLabels):
+            doubled = frozenset(n for n, sv in x.vertex_label.items() if sv.sign == "")
+        else:
+            doubled = frozenset()
         comments = [f"zero: {relation_text(a, b)}" for a, b in pair.relation_list]
 
     lines = [f"digraph {_dot_quote(name)} {{"]

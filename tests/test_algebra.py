@@ -362,3 +362,37 @@ def test_oracle_matches_reference_on_many_commutativity_relations(n):
                         (n, k, offset, which, cap)
                     if got != "capped":
                         assert got == dimension(t, which), (n, k, offset, which, cap)
+
+
+def _line_with_relations(n, offset, special_ends):
+    """A_n with every 3rd 2-path from ``offset`` a relation: no commutativity
+    relation, zero relations and long paths."""
+    vs = [f"v{i}" for i in range(n)]
+    arrows = [Arrow(f"a{i}", vs[i], vs[i + 1]) for i in range(n - 1)]
+    relations = frozenset((arrows[i + 1].name, arrows[i].name) for i in range(offset, n - 2, 3))
+    special = frozenset({vs[0], vs[-1]}) if special_ends else frozenset()
+    return SkewedGentleTriple(BoundQuiver(build_quiver(vs, arrows), relations), special)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 12, 19, 30])
+def test_oracle_matches_reference_on_lines_without_commutativity(n):
+    # the oracle keeps a comm-free path as its last arrow; the reference
+    # lists whole paths.  Same value or both capped, around the cap each
+    # presentation first exceeds.
+    for offset in range(3):
+        for special_ends in (False, True):
+            t = _line_with_relations(n, offset, special_ends)
+            for which in ("gentle", "sg", "g"):
+                low, high = 1, 20000  # the least cap the reference does not exceed
+                while low < high:
+                    mid = (low + high) // 2
+                    if _oracle_or_capped(_reference_dimension_oracle, t, which, mid) == "capped":
+                        low = mid + 1
+                    else:
+                        high = mid
+                for cap in range(max(1, low - 3), low + 3):
+                    got = _oracle_or_capped(dimension_oracle, t, which, cap)
+                    assert got == _oracle_or_capped(_reference_dimension_oracle, t, which, cap), \
+                        (n, offset, special_ends, which, cap)
+                    assert (got == "capped") == (cap < low)
+                assert dimension_oracle(t, which, cap=low) == dimension(t, which)

@@ -1,7 +1,9 @@
+import gc
 import io
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -273,7 +275,19 @@ def test_oracle_cap_of_any_length_is_read(monkeypatch):
     monkeypatch.setenv("QSG_ORACLE_CAP", "9" * 5000)
     assert invoke(*argv) == (0, "8\noracle: 8\n", "")
     monkeypatch.setenv("QSG_ORACLE_CAP", "0" * 5000 + "2")
-    assert invoke(*argv)[::2] == (3, "limit exceeded: oracle path count exceeded cap 2\n")
+    assert invoke(*argv)[::2] == (3, "limit exceeded: oracle path count exceeded cap 2"
+                                     " (3 paths counted through degree 0 of at most 3)\n")
+
+
+@pytest.mark.parametrize("name, cap, degree, counted", [
+    ("fix_a2", 2, 0, 3), ("fix_a2", 3, 1, 7), ("fix_b3", 3, 0, 4), ("fix_b3", 10, 2, 15),
+])
+def test_capped_oracle_says_how_far_it_got(monkeypatch, name, cap, degree, counted):
+    # paths counted so far, the degree reached and the length bound (3 on both)
+    monkeypatch.setenv("QSG_ORACLE_CAP", str(cap))
+    code, _, err = invoke("dim", str(fixture_path(f"{name}.q")), "--algebra", "sg", "--oracle")
+    assert (code, err) == (3, f"limit exceeded: oracle path count exceeded cap {cap}"
+                              f" ({counted} paths counted through degree {degree} of at most 3)\n")
 
 
 def test_long_bad_oracle_cap_is_echoed_cut(monkeypatch):
@@ -402,6 +416,46 @@ def test_dim_of_long_line_and_long_cycle(tmp_path):
     cycle = tmp_path / "c5000.q"
     _write_full_relation_cycle(cycle, 5000, 4)
     assert invoke("dim", str(cycle), "--algebra", "sg") == (0, "15000\n", "")
+
+
+_SCALING_FAMILIES = {
+    "cycle-every-3rd-special": (lambda path, n: _write_full_relation_cycle(path, n, 3), 600),
+    "cycle-every-2nd-special": (lambda path, n: _write_full_relation_cycle(path, n, 2), 600),
+    "free-line": (_write_line, 300),
+}
+
+
+@pytest.mark.parametrize("family", _SCALING_FAMILIES)
+@pytest.mark.parametrize("command", [
+    ("validate",), ("invariants", "--dims", "--json"),
+    ("construct", "--target", "sg", "--format", "json"),
+    ("construct", "--target", "g", "--format", "json"),
+    ("dim", "--algebra", "sg"), ("dim", "--algebra", "g"),
+], ids=" ".join)
+def test_allocation_peak_grows_linearly(tmp_path, monkeypatch, family, command):
+    # The traced allocation peak of one command is deterministic where wall
+    # time is not.  After a collection it grows x1.93-2.03 per doubling on
+    # these commands; x2.25 still catches a free-line oracle that holds each
+    # listed path as a tuple of its arrows (x2.40).  The oracle in --dims
+    # lists about n^2 / 2 paths of the free line, hence the raised cap.
+    monkeypatch.setenv("QSG_ORACLE_CAP", str(10 ** 6))
+    write, n = _SCALING_FAMILIES[family]
+    argv = {}
+    for size in (12, n, 2 * n):
+        path = tmp_path / f"{size}.q"
+        write(path, size)
+        argv[size] = (command[0], str(path), *command[1:])
+    assert invoke(*argv[12])[::2] == (0, "")  # warm-up: imports and first-use caches
+    peaks = []
+    for size in (n, 2 * n):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert invoke(*argv[size])[::2] == (0, "")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2.25 * peaks[0], peaks
 
 
 def test_runs_without_docstrings():
