@@ -10,14 +10,22 @@ junction to minus with coefficient +1.
 
 ``dimension`` counts without listing paths: one dynamic programme over the
 arrow-successor graph of the pair (see ``count_relation_free_paths``), in
-time linear in arrows plus relations; for sg an endpoint weighs its number
-of signed names in the lift table (``vertex_lifts``).  ``basis`` lists the
-normal forms one by one, and so does the independent check,
-dimension_oracle: go through every lifted path up to the length bound given
-by (Q^sp, I^sp), read off the walk of (Q, I1) without building Q^sp, count
-those through an embedded zero relation, list the others, and compute the
-rank of the commutativity relations among them by exact rational
-elimination.  Without commutativity relations (gentle and g always, sg when
+time linear in arrows plus relations.  Every sg and g count runs over
+(Q, I1), whose graph and walk are the verdict's (``t.admissible_walk``):
+for sg an endpoint weighs its number of signed names in the lift table
+(``vertex_lifts``), and for g each nontrivial path lifts to two paths of
+Q^g, so Q^g is read only by its construction, ``gldim_flags`` and the g
+oracle.  ``corner_data`` counts its numbers by weighted passes over (Q, I1)
+and lists the paths at its corner only when they are read, by walking from
+the corner's arrows: text ``reduce`` counts, and ``reduce --json`` is
+output-sized.
+
+``basis`` lists the normal forms one by one, and so does the independent
+check, dimension_oracle: go through every lifted path up to the length
+bound given by (Q^sp, I^sp), read off the walk of (Q, I1) without building
+Q^sp, count those through an embedded zero relation, list the others, and
+compute the rank of the commutativity relations among them by exact
+rational elimination.  Without commutativity relations (gentle and g always, sg when
 no special vertex joins two arrows by a relation) the listed paths are
 independent and each is kept as its last arrow only, so the oracle's work
 per degree is one entry per listed path.  With them, each listed path is the
@@ -31,6 +39,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 
 from .construct import _require_valid, vertex_lifts
 from .errors import InternalInconsistency, LimitExceeded, NotSpecial
@@ -87,12 +96,24 @@ class BasisPath(Record):
 
 
 def admissible_base_pair(t: SkewedGentleTriple) -> BoundQuiver:
-    """(Q, I1): the base pair keeping only ordinary-middle relations."""
+    """(Q, I1): the base pair keeping only ordinary-middle relations.
+
+    Its arrow-successor graph and walk are the verdict's,
+    ``t.admissible_walk``, so it is not walked again; it is ``t.pair`` itself
+    when no relation has a special middle vertex.
+    """
+    _require_valid(t)
     amap = t.pair.quiver.arrow_map
     kept = frozenset(
         (x, y) for x, y in t.pair.relations if amap[y].target not in t.special
     )
-    return BoundQuiver(t.pair.quiver, kept)
+    if len(kept) == len(t.pair.relations):
+        return t.pair
+    return BoundQuiver.walked(t.pair.quiver, kept, t.admissible_walk)
+
+
+def _basis_order(b: BasisPath):
+    return len(b.arrows), b.arrows, b.source, b.target
 
 
 def basis(t: SkewedGentleTriple) -> list[BasisPath]:
@@ -106,21 +127,26 @@ def basis(t: SkewedGentleTriple) -> list[BasisPath]:
     signed = vertex_lifts(t, t.special, "Q^sg vertex")
     admissible = t.admissible_pair
     successor_order(admissible)  # raises InfiniteDimensional with its witness
-    succ = admissible.successors
     out = [BasisPath((), v, v) for lifts in signed.values() for v in lifts]
-    amap = admissible.quiver.arrow_map
     for first in admissible.quiver.arrows:
         sources = signed[first.source]
-        stack = [((first.name,), first.target)]  # written order: last entry applied first
-        while stack:
-            names, end = stack.pop()
-            for source in sources:
-                for target in signed[end]:
-                    out.append(BasisPath(names, source, target))
-            for g in succ[names[0]]:
-                stack.append(((g, *names), amap[g].target))
-    out.sort(key=lambda b: (len(b.arrows), b.arrows, b.source, b.target))
+        for names, end in _paths_from(admissible, (first,)):
+            out += [BasisPath(names, source, target)
+                    for source in sources for target in signed[end]]
+    out.sort(key=_basis_order)
     return out
+
+
+def _paths_from(admissible: BoundQuiver, firsts):
+    """Each relation-free path that applies an arrow of ``firsts`` first, as
+    its arrow names in written order (last entry applied first) and its
+    target, grown by one successor at a time."""
+    succ, amap = admissible.successors, admissible.quiver.arrow_map
+    stack = [((x.name,), x.target) for x in firsts]
+    while stack:
+        names, end = stack.pop()
+        yield names, end
+        stack += [((g, *names), amap[g].target) for g in succ[names[0]]]
 
 
 def multiply(t: SkewedGentleTriple, p, q):
@@ -194,17 +220,31 @@ def _counted_dimension(bq: BoundQuiver, weight) -> int:
     return trivial + count_relation_free_paths(bq, weight, weight)
 
 
+def pair_dimension(bq: BoundQuiver) -> int:
+    """Dimension of the monomial algebra of ``bq``: its relation-free paths,
+    trivial ones included, counted."""
+    return _counted_dimension(bq, _one)
+
+
 def dimension(t: SkewedGentleTriple, which: str) -> int:
     """K-dimension of the chosen algebra: "gentle", "sg", or "g".
 
-    Counted, not listed: for sg an endpoint weighs its number of signed
-    names, which is what ``basis`` lists.
+    Counted, not listed.  For sg an endpoint of a path of (Q, I1) weighs its
+    number of signed names, which is what ``basis`` lists.  Q^g is the sign
+    lift of (Q, I1) and is not built: its arrow-successor graph is two
+    copies of that of (Q, I1), one per sign, since at an ordinary vertex a+
+    continues only to g+ and a- only to g-, and at a two-arrow special
+    vertex the relations (b+, a-) and (b-, a+) leave only a+ -> b+ and
+    a- -> b-.  So each nontrivial path of (Q, I1) lifts to exactly two, and
+    the trivial paths are Q^g's vertices.
     """
     _require_valid(t)
     if which == "gentle":
-        return _counted_dimension(t.pair, _one)
+        return pair_dimension(t.pair)
     if which == "g":
-        return _counted_dimension(t.g_pair.pair, _one)
+        lifts = vertex_lifts(t, t.pair.quiver.vertices - t.special, "Q^g vertex")
+        paths = count_relation_free_paths(t.admissible_pair, _one, _one)
+        return sum(map(len, lifts.values())) + 2 * paths
     if which == "sg":
         lifts = vertex_lifts(t, t.special, "Q^sg vertex")
         return _counted_dimension(t.admissible_pair, lambda v: len(lifts[v]))
@@ -361,17 +401,17 @@ class CornerData(Record):
     The basis partitions by endpoints at a-: the corner itself (one trivial
     path), M (source a-), N (target a-), and A (neither endpoint).  The
     reduced triple drops a from the special set; its dimension must equal
-    dim A - dim M * dim N.
+    dim A - dim M * dim N.  The bases of M and N, ``t1_basis`` and
+    ``t2_basis``, are listed from ``triple`` when first read.
     """
 
     __slots__ = ("special_vertex", "dim_gamma", "dim_gamma_prime", "dim_a", "dim_m", "dim_n",
-                 "dim_im_phi", "dim_m_prime", "dim_n_prime", "t1_basis", "t2_basis",
-                 "identity_holds")
+                 "dim_im_phi", "dim_m_prime", "dim_n_prime", "identity_holds", "triple",
+                 "__dict__")
 
     def __init__(self, special_vertex: str, dim_gamma: int, dim_gamma_prime: int, dim_a: int,
                  dim_m: int, dim_n: int, dim_im_phi: int, dim_m_prime: int, dim_n_prime: int,
-                 t1_basis: tuple[BasisPath, ...], t2_basis: tuple[BasisPath, ...],
-                 identity_holds: bool):
+                 identity_holds: bool, triple: SkewedGentleTriple):
         _set(self, "special_vertex", special_vertex)
         _set(self, "dim_gamma", dim_gamma)
         _set(self, "dim_gamma_prime", dim_gamma_prime)
@@ -381,47 +421,83 @@ class CornerData(Record):
         _set(self, "dim_im_phi", dim_im_phi)
         _set(self, "dim_m_prime", dim_m_prime)
         _set(self, "dim_n_prime", dim_n_prime)
-        _set(self, "t1_basis", t1_basis)
-        _set(self, "t2_basis", t2_basis)
         _set(self, "identity_holds", identity_holds)
+        _set(self, "triple", triple)
+
+    @cached_property
+    def t1_basis(self) -> tuple[BasisPath, ...]:
+        """The basis paths from a-, in ``basis`` order."""
+        return _corner_basis(self.triple, self.special_vertex, leaving=True)
+
+    @cached_property
+    def t2_basis(self) -> tuple[BasisPath, ...]:
+        """The basis paths to a-, in ``basis`` order."""
+        return _corner_basis(self.triple, self.special_vertex, leaving=False)
+
+
+def _corner_basis(t: SkewedGentleTriple, a: str, leaving: bool) -> tuple[BasisPath, ...]:
+    """The nontrivial basis paths from a- (``leaving``) or to a-: the
+    admissible paths from or to a, grown one arrow at a time from a's own
+    arrows, each with every signed name of its other end.  Output-sized."""
+    admissible = t.admissible_pair
+    q = admissible.quiver
+    signed = vertex_lifts(t, t.special, "Q^sg vertex")
+    minus = a + "-"
+    out = []
+    if leaving:
+        for names, end in _paths_from(admissible, q.outgoing[a]):
+            out += [BasisPath(names, minus, v) for v in signed[end]]
+    else:  # grown at the end applied first, names[-1]
+        succ = admissible.successors
+        stack = [((x.name,), x.source) for x in q.incoming[a]]
+        while stack:
+            names, start = stack.pop()
+            out += [BasisPath(names, v, minus) for v in signed[start]]
+            stack += [((*names, x.name), x.source) for x in q.incoming[start]
+                      if names[-1] in succ[x.name]]
+    out.sort(key=_basis_order)
+    return tuple(out)
 
 
 def corner_data(t: SkewedGentleTriple, a: str) -> CornerData:
+    """The corner numbers of special vertex ``a``, counted without listing a path.
+
+    Each of M, N and their base-path counts M' and N' is one weighted pass
+    over (Q, I1): weight [v = a] on the side of a, and on the other side
+    the number of signed names of v, or 1.  The trivial path is the only
+    one from a- to a-: a longer one would be relation-free through special
+    a, so its square would be too, and (Q, I1) would have a cycle.  So
+    dim A = dim Gamma - 1 - dim M - dim N.
+    """
     _require_valid(t)
     if a not in t.special:
         raise NotSpecial(f"vertex {a!r} is not special in {t.name!r}")
-    full = basis(t)
-    minus = a + "-"
-    # The trivial path is the only one from a- to a-: a longer one would be
-    # relation-free through special a, so its square would be too, and
-    # `basis` would have raised InfiniteDimensional.
-    t1, t2, middle = [], [], []
-    for p in full:
-        if p.source == minus:
-            if not p.is_trivial:
-                t1.append(p)
-        elif p.target == minus:
-            t2.append(p)
-        else:
-            middle.append(p)
+    lifts = vertex_lifts(t, t.special, "Q^sg vertex")
+    admissible = t.admissible_pair
 
+    def at_a(v):
+        return int(v == a)
+
+    def signed(v):
+        return len(lifts[v])
+
+    dim_gamma = dimension(t, "sg")
+    dim_m = count_relation_free_paths(admissible, at_a, signed)
+    dim_n = count_relation_free_paths(admissible, signed, at_a)
+    dim_a = dim_gamma - 1 - dim_m - dim_n
     reduced = SkewedGentleTriple(t.pair, t.special - {a}, name=t.name)
     dim_gamma_prime = dimension(reduced, "sg")
-    dim_im_phi = len(t1) * len(t2)
-
     return CornerData(
         special_vertex=a,
-        dim_gamma=len(full),
+        dim_gamma=dim_gamma,
         dim_gamma_prime=dim_gamma_prime,
-        dim_a=len(middle),
-        dim_m=len(t1),
-        dim_n=len(t2),
-        dim_im_phi=dim_im_phi,
+        dim_a=dim_a,
+        dim_m=dim_m,
+        dim_n=dim_n,
+        dim_im_phi=dim_m * dim_n,
         # S1 / S2: the admissible base paths leaving / entering a
-        dim_m_prime=len({p.arrows for p in t1}),
-        dim_n_prime=len({p.arrows for p in t2}),
-        t1_basis=tuple(t1),
-        t2_basis=tuple(t2),
-        identity_holds=dim_gamma_prime == len(middle) - dim_im_phi,
+        dim_m_prime=count_relation_free_paths(admissible, at_a, _one),
+        dim_n_prime=count_relation_free_paths(admissible, _one, at_a),
+        identity_holds=dim_gamma_prime == dim_a - dim_m * dim_n,
+        triple=t,
     )
-

@@ -8,9 +8,10 @@ arrow applied first, so ``t(a_i) = s(a_{i-1})`` for i = 2..r, the source of
 Bound quivers and triples are immutable, so what is derived from them is
 kept on them as cached properties: a bound quiver's relation index, its
 arrow-successor graph with the one walk of it that decides finiteness and
-orders it for counting, and its gentle check; a triple's validation, its
-three constructions and its cycles.  Each is computed at most once per
-object and dies with it.
+orders it for counting, and its gentle check; a triple's validation with
+its one walk of the arrow-successor graph of (Q, I1), its three
+constructions, (Q, I1) itself and its cycles.  Each is computed at most
+once per object and dies with it.
 
 Every value type of the package is a ``Record``: a plain class that lists
 its fields in ``__slots__`` (plus ``"__dict__"`` when it keeps cached
@@ -278,30 +279,46 @@ class BoundQuiver(Record):
         }
 
     @cached_property
-    def arrow_dag(self) -> tuple[tuple[ArrowId, ...] | None, tuple[Arrow, ...]]:
-        """``_walk`` of the arrow-successor graph, successors in name order:
-        ``(cycle, ())`` when it has a relation-free cycle, else
-        ``(None, order)`` with every arrow placed after all its successors."""
-        cycle, order = _walk(self.successors)
-        if cycle is not None:
-            return cycle, ()
-        amap = self.quiver.arrow_map
-        return None, tuple(amap[a] for a in order)
+    def walk(self) -> ArrowWalk:
+        """The one walk of the arrow-successor graph, successors in name order."""
+        return ArrowWalk.of(self.successors)
 
-    def acyclic_with(self, edges) -> bool:
-        """Whether the arrow-successor graph stays acyclic once each edge
-        a -> b in ``edges`` is added to it."""
+    @cached_property
+    def arrow_dag(self) -> tuple[tuple[ArrowId, ...] | None, tuple[Arrow, ...]]:
+        """``walk`` as arrows: ``(cycle, ())`` when the graph has a
+        relation-free cycle, else ``(None, order)`` with every arrow placed
+        after all its successors."""
+        walk = self.walk
+        if walk.cycle is not None:
+            return walk.cycle, ()
+        amap = self.quiver.arrow_map
+        return None, tuple(amap[a] for a in walk.order)
+
+    def walk_with(self, edges) -> ArrowWalk:
+        """The walk of the arrow-successor graph once each edge a -> b in
+        ``edges`` is added to it; this pair's own ``walk`` when there is none."""
         if not edges:
-            return self.fd_witness is None
+            return self.walk
         graph = dict(self.successors)
         for a, b in edges:
             graph[a] = (*graph[a], b)
-        return _walk(graph)[0] is None
+        return ArrowWalk.of(graph)
+
+    @classmethod
+    def walked(cls, quiver: Quiver, relations: frozenset[tuple[ArrowId, ArrowId]],
+               walk: ArrowWalk) -> BoundQuiver:
+        """The pair (quiver, relations) whose arrow-successor graph ``walk``
+        has already walked: it keeps that graph and walk instead of grouping
+        its relations and walking again."""
+        bq = cls(quiver, relations)
+        bq.__dict__["successors"] = walk.successors
+        bq.__dict__["walk"] = walk
+        return bq
 
     @cached_property
     def fd_witness(self) -> tuple[ArrowId, ...] | None:
-        """The relation-free cycle ``arrow_dag`` found, or None when there is none."""
-        return self.arrow_dag[0]
+        """The relation-free cycle ``walk`` found, or None when there is none."""
+        return self.walk.cycle
 
     @cached_property
     def gentle_violations(self) -> tuple[Violation, ...]:
@@ -309,6 +326,25 @@ class BoundQuiver(Record):
         from .validate import is_gentle  # deferred: validate imports this module
 
         return tuple(is_gentle(self)[1])
+
+
+class ArrowWalk(Record, eq=False):
+    """One ``_walk`` of an arrow-successor graph ``successors`` (arrow name
+    to successor names): ``cycle`` is the cycle it found, or None, and then
+    ``order`` holds every arrow after all its successors."""
+
+    __slots__ = ("successors", "cycle", "order")
+
+    def __init__(self, successors: dict[ArrowId, tuple[ArrowId, ...]],
+                 cycle: tuple[ArrowId, ...] | None, order: tuple[ArrowId, ...]):
+        _set(self, "successors", successors)
+        _set(self, "cycle", cycle)
+        _set(self, "order", order)
+
+    @staticmethod
+    def of(successors) -> "ArrowWalk":
+        cycle, order = _walk(successors)
+        return ArrowWalk(successors, cycle, tuple(order))
 
 
 def _walk(graph) -> tuple[tuple[ArrowId, ...] | None, list[ArrowId]]:
@@ -395,8 +431,18 @@ class SkewedGentleTriple(Record):
         return build_g_pair(self)
 
     @cached_property
+    def admissible_walk(self) -> ArrowWalk | None:
+        """The walk that decides the triple, of the arrow-successor graph of
+        (Q, I1), as ``admissible_walk`` makes it; None when a special vertex
+        fails the local rule."""
+        from .validate import admissible_walk
+
+        return admissible_walk(self)
+
+    @cached_property
     def admissible_pair(self) -> BoundQuiver:
-        """(Q, I1), as ``admissible_base_pair`` makes it."""
+        """(Q, I1) on ``admissible_walk``, as ``admissible_base_pair`` makes it;
+        needs a valid triple."""
         from .algebra import admissible_base_pair
 
         return admissible_base_pair(self)

@@ -15,7 +15,14 @@ from __future__ import annotations
 
 import json
 
-from .algebra import DEFAULT_ORACLE_CAP, BasisPath, CornerData, dimension, dimension_oracle
+from .algebra import (
+    DEFAULT_ORACLE_CAP,
+    BasisPath,
+    CornerData,
+    dimension,
+    dimension_oracle,
+    pair_dimension,
+)
 from .construct import CommRelation, GPairLabels, SgPresentation
 from .cycles import (
     CycleClass,
@@ -47,7 +54,9 @@ class InvariantReport(Record, eq=False):
 
 def build_invariant_report(t: SkewedGentleTriple, with_dims: bool = False,
                            oracle_cap: int = DEFAULT_ORACLE_CAP) -> InvariantReport:
-    """Assemble the full report; with_dims adds the sg oracle cross-check."""
+    """Assemble the full report; with_dims adds the dimensions with two
+    witnesses: the sg oracle, and the paths of the constructed Q^g, which
+    the gldim flags read, for the g count over (Q, I1)."""
     validation = t.validation
     cycles = t.cycles
     base = SingularityDescriptor.of(c.length for c in cycles)
@@ -60,6 +69,11 @@ def build_invariant_report(t: SkewedGentleTriple, with_dims: bool = False,
         if oracle != dims["sg"]:
             raise InternalInconsistency(
                 f"sg dimension {dims['sg']} disagrees with oracle {oracle}"
+            )
+        built = pair_dimension(t.g_pair.pair)
+        if built != dims["g"]:
+            raise InternalInconsistency(
+                f"g dimension {dims['g']} disagrees with the constructed Q^g's {built}"
             )
     return InvariantReport(t.name, validation, cycles, descriptors,
                            gldim_flags(t), dims)

@@ -13,7 +13,7 @@ Rule identifiers are stable and part of the JSON contract:
 from __future__ import annotations
 
 from .errors import NotGentle
-from .quiver import BoundQuiver, Record, SkewedGentleTriple, _set
+from .quiver import ArrowWalk, BoundQuiver, Record, SkewedGentleTriple, _set
 
 
 class Violation(Record):
@@ -76,9 +76,10 @@ def validate_skewed_gentle(t: SkewedGentleTriple) -> ValidationReport:
     vertex passes the local rule, and ``successors`` plus the edge a -> b of
     each valency-2 special vertex stays acyclic (the proof is under
     ``admissible_special_sets``): one rule check per special vertex and one
-    walk, since a graph acyclic with those edges is acyclic without them.
-    The base pair's own walk (``fd_witness``) and Q^sp are made only when the
-    answer is no, for the flags and the witnesses of the failure.
+    walk, ``t.admissible_walk``, since a graph acyclic with those edges is
+    acyclic without them.  The base pair's own walk (``fd_witness``) and
+    Q^sp are made only when the answer is no, for the flags and the
+    witnesses of the failure.
 
     The special_biserial / gentle / finite_dimensional flags describe the
     base pair (Q, I); skewed_gentle and the violations describe (Q^sp, I^sp),
@@ -88,9 +89,9 @@ def validate_skewed_gentle(t: SkewedGentleTriple) -> ValidationReport:
     base = t.pair
     gentle = not base.gentle_violations
     if gentle:
-        passing = _local_rule(base, t.special_list)
+        walk = t.admissible_walk
         # acyclic with the loops' edges, so acyclic without them: (Q, I) is finite too
-        if len(passing) == len(t.special) and base.acyclic_with([e for _, e in passing if e]):
+        if walk is not None and walk.cycle is None:
             return ValidationReport(special_biserial=True, gentle=True, finite_dimensional=True,
                                     skewed_gentle=True, violations=())
     flags = {
@@ -106,6 +107,21 @@ def validate_skewed_gentle(t: SkewedGentleTriple) -> ValidationReport:
         violations.append(Violation("FD", witness))
     violations.sort(key=lambda v: (v.rule, v.items))
     return ValidationReport(**flags, skewed_gentle=not violations, violations=tuple(violations))
+
+
+def admissible_walk(t: SkewedGentleTriple) -> ArrowWalk | None:
+    """The walk that decides a triple with a gentle base pair: of
+    ``successors`` plus the edge a -> b of each valency-2 special vertex;
+    None, without a walk, when a special vertex fails the local rule.
+
+    That graph is the arrow-successor graph of (Q, I1): b*a is the only
+    relation through such a vertex, and I1 drops exactly these, so the sg
+    and g counts read this walk instead of walking (Q, I1) again.
+    """
+    passing = _local_rule(t.pair, t.special_list)
+    if len(passing) < len(t.special):
+        return None
+    return t.pair.walk_with([e for _, e in passing if e])
 
 
 def _local_rule(bq: BoundQuiver, vertices) -> list[tuple[str, tuple[str, str] | None]]:

@@ -393,10 +393,14 @@ def test_text_and_json_numbers_agree():
         assert line in text
 
 
-def _write_line(path, n):
+def _write_line(path, n, special=""):
     vertices = ", ".join(f"v{i}" for i in range(n))
     arrows = ", ".join(f"a{i}: v{i} -> v{i + 1}" for i in range(n - 1))
-    path.write_text(f"quiver A {{ vertices: {vertices}; arrows: {arrows}; }}")
+    path.write_text(f"quiver A {{ vertices: {vertices}; {special}arrows: {arrows}; }}")
+
+
+def _write_line_with_special_ends(path, n):
+    _write_line(path, n, special=f"special: v0, v{n - 1}; ")
 
 
 def _write_full_relation_cycle(path, n, k):
@@ -416,28 +420,50 @@ def test_dim_of_long_line_and_long_cycle(tmp_path):
     cycle = tmp_path / "c5000.q"
     _write_full_relation_cycle(cycle, 5000, 4)
     assert invoke("dim", str(cycle), "--algebra", "sg") == (0, "15000\n", "")
+    # the corner of v0 on a line with special ends, counted: the paths from
+    # v0 reach n - 2 ordinary vertices and the split v_{n-1}; none end at v0
+    n = 4000
+    ends = tmp_path / "a4000ends.q"
+    _write_line_with_special_ends(ends, n)
+    interior = (n - 2) * (n - 3) // 2  # paths between ordinary vertices
+    gamma = n + 2 + 4 * (n - 2) + 4 + interior
+    gamma_prime = n + 1 + 2 * (n - 1) + (n - 1) * (n - 2) // 2
+    assert invoke("reduce", str(ends), "--vertex", "v0") == (0, (
+        f"name: A vertex: v0\ndim gamma: {gamma}\ndim gamma': {gamma_prime}\n"
+        f"dim A: {gamma - 1 - n}\ndim M: {n} (M'={n - 1})\ndim N: 0 (N'=0)\n"
+        "dim im phi: 0\nidentity: holds\n"), "")
 
 
 _SCALING_FAMILIES = {
     "cycle-every-3rd-special": (lambda path, n: _write_full_relation_cycle(path, n, 3), 600),
     "cycle-every-2nd-special": (lambda path, n: _write_full_relation_cycle(path, n, 2), 600),
     "free-line": (_write_line, 300),
+    "line-with-special-ends": (_write_line_with_special_ends, 300),
 }
 
 
-@pytest.mark.parametrize("family", _SCALING_FAMILIES)
-@pytest.mark.parametrize("command", [
+_SCALING_COMMANDS = [
     ("validate",), ("invariants", "--dims", "--json"),
     ("construct", "--target", "sg", "--format", "json"),
     ("construct", "--target", "g", "--format", "json"),
     ("dim", "--algebra", "sg"), ("dim", "--algebra", "g"),
-], ids=" ".join)
+    ("reduce", "--vertex", "v0"),
+]
+# every family but the free line has v0 special
+_SCALING_CASES = [(command, family) for command in _SCALING_COMMANDS for family in _SCALING_FAMILIES
+                  if command[0] != "reduce" or family != "free-line"]
+
+
+@pytest.mark.parametrize("command,family", _SCALING_CASES,
+                         ids=[f"{' '.join(command)}-{family}" for command, family in _SCALING_CASES])
 def test_allocation_peak_grows_linearly(tmp_path, monkeypatch, family, command):
     # The traced allocation peak of one command is deterministic where wall
-    # time is not.  After a collection it grows x1.93-2.03 per doubling on
+    # time is not.  After a collection it grows x1.90-2.03 per doubling on
     # these commands; x2.25 still catches a free-line oracle that holds each
-    # listed path as a tuple of its arrows (x2.40).  The oracle in --dims
-    # lists about n^2 / 2 paths of the free line, hence the raised cap.
+    # listed path as a tuple of its arrows (x2.40), and a `reduce` that lists
+    # the basis to count its corner (x7 on the line with special ends).  The
+    # oracle in --dims lists about n^2 / 2 paths of a line, hence the raised
+    # cap.
     monkeypatch.setenv("QSG_ORACLE_CAP", str(10 ** 6))
     write, n = _SCALING_FAMILIES[family]
     argv = {}

@@ -183,3 +183,65 @@ def test_oracle_length_bound_is_the_longest_path_of_q_sp():
             assert _sp_length_bound(t) == longest_relation_free_length(t.sp_pair), t.name
             checked += bool(t.special)
     assert checked > 1000
+
+
+def test_g_count_matches_the_constructed_q_g_and_the_oracle():
+    # the count never builds Q^g; the constructed pair and the oracle do
+    checked = 0
+    for seed in range(300):
+        pair = random_triple(seed, 8, 11).pair
+        for special in admissible_special_sets(pair)[:8]:
+            t = SkewedGentleTriple(pair, frozenset(special), name=f"R{seed}")
+            g = t.g_pair.pair
+            built = len(g.quiver.vertices) + count_relation_free_paths(g, _one, _one)
+            oracle = dimension_oracle(t, "g", cap=10 ** 6)
+            assert dimension(t, "g") == built == oracle, (t.name, special)
+            checked += 1
+    assert checked == 1820
+
+
+def test_report_catches_a_g_count_that_disagrees_with_q_g(fix_a2):
+    # Q^g of the same pair without special vertices: 8 paths, not 9
+    fix_a2.__dict__["g_pair"] = SkewedGentleTriple(fix_a2.pair, frozenset()).g_pair
+    with pytest.raises(InternalInconsistency,
+                       match="g dimension 9 disagrees with the constructed Q\\^g's 8"):
+        build_invariant_report(fix_a2, with_dims=True)
+
+
+def _reference_corner_data(t, a):
+    """``corner_data`` as it was before it counted: every basis path listed
+    and sorted into the corner, M, N and A by its endpoints at a-."""
+    full = basis(t)
+    minus = a + "-"
+    t1, t2, middle = [], [], []
+    for p in full:
+        if p.source == minus:
+            if not p.is_trivial:
+                t1.append(p)
+        elif p.target == minus:
+            t2.append(p)
+        else:
+            middle.append(p)
+    dim_gamma_prime = dimension(SkewedGentleTriple(t.pair, t.special - {a}), "sg")
+    fields = {
+        "dim_gamma": len(full), "dim_gamma_prime": dim_gamma_prime, "dim_a": len(middle),
+        "dim_m": len(t1), "dim_n": len(t2), "dim_im_phi": len(t1) * len(t2),
+        "dim_m_prime": len({p.arrows for p in t1}), "dim_n_prime": len({p.arrows for p in t2}),
+        "identity_holds": dim_gamma_prime == len(middle) - len(t1) * len(t2),
+    }
+    return fields, tuple(t1), tuple(t2)
+
+
+def test_corner_counts_match_the_listed_corner():
+    corners = 0
+    for seed in range(300):
+        pair = random_triple(seed, 8, 11).pair
+        for special in admissible_special_sets(pair)[:6]:
+            t = SkewedGentleTriple(pair, frozenset(special), name=f"R{seed}")
+            for a in t.special_list:
+                fields, t1, t2 = _reference_corner_data(t, a)
+                corner = corner_data(t, a)
+                assert {f: getattr(corner, f) for f in fields} == fields, (t.name, special, a)
+                assert (corner.t1_basis, corner.t2_basis) == (t1, t2), (t.name, special, a)
+                corners += 1
+    assert corners == 1280

@@ -34,6 +34,7 @@ from skewgentle import (
     parse,
 )
 from skewgentle.algebra import BasisPath
+from skewgentle.quiver import ArrowWalk
 
 from conftest import fixture_path
 
@@ -56,6 +57,7 @@ def _one_of_each():
         (t.cycles[0], "parity"), (SingularityDescriptor((2,)), "shifts"),
         (SourceSpan(1, 2, 3), "line"), (build_invariant_report(t), "dims"),
         (Violation("G1", ("a", "b")), "items"), (t.validation, "gentle"),
+        (t.admissible_walk, "cycle"),
     ]
 
 
@@ -64,7 +66,7 @@ def _records():
 
 
 def test_one_of_each_covers_every_record_type():
-    assert len({type(r) for r in _records()}) == 19
+    assert len({type(r) for r in _records()}) == 20
 
 
 def test_assignment_and_deletion_raise():
@@ -91,7 +93,7 @@ def test_equality_is_by_class_and_fields():
 
 def test_equal_records_hash_equal():
     for first, second in zip(_records(), _records()):
-        if isinstance(first, (GPairLabels, Involution, InvariantReport)):
+        if isinstance(first, (GPairLabels, Involution, InvariantReport, ArrowWalk)):
             continue
         assert first == second, type(first)
         assert hash(first) == hash(second), type(first)
@@ -100,7 +102,7 @@ def test_equal_records_hash_equal():
 
 def test_identity_equality_classes():
     for first, second in zip(_records(), _records()):
-        if isinstance(first, (GPairLabels, Involution, InvariantReport)):
+        if isinstance(first, (GPairLabels, Involution, InvariantReport, ArrowWalk)):
             assert first != second
             assert first == first
             assert hash(first) == object.__hash__(first)
@@ -176,7 +178,7 @@ def test_reprs():
 
 def test_copy_and_pickle_keep_the_value():
     for record in _records():
-        if isinstance(record, (GPairLabels, Involution, InvariantReport)):
+        if isinstance(record, (GPairLabels, Involution, InvariantReport, ArrowWalk)):
             continue
         assert copy.copy(record) == record, type(record)
         assert pickle.loads(pickle.dumps(record)) == record, type(record)

@@ -3,9 +3,10 @@ built only for a failure's witnesses or where it is read; each derived pair
 is built once per command, ``spset`` decides no subset through the
 definition, the oracle ranks rows only for commutativity flips and ranks
 nothing without them, paths are listed only where the output lists them,
-the sg layer reads the walk of (Q, I1) and the listed corner it already
-has, valid text is parsed without tokens, source positions are computed
-only for a diagnostic, and a command builds no argument parser."""
+every sg and g count reads the verdict's walk of (Q, I1) and Q^g is built
+only where it is read, valid text is parsed without tokens, source
+positions are computed only for a diagnostic, and a command builds no
+argument parser."""
 
 import argparse
 import io
@@ -110,7 +111,8 @@ def test_verdict_is_one_walk_and_no_reachability_check(monkeypatch):
     (["dim", "FILE", "--algebra", "sg"], 0),
     (["dim", "FILE", "--algebra", "g"], 0),
     (["invariants", "FILE", "--dims", "--json"], 0),
-    (["reduce", "FILE", "--vertex", "2"], 1),  # the basis printed as t1/t2
+    (["reduce", "FILE", "--vertex", "2"], 0),  # the corner is counted
+    (["reduce", "FILE", "--vertex", "2", "--json"], 0),  # and t1/t2 walk from a's arrows
 ])
 def test_paths_listed_only_for_the_basis(monkeypatch, argv, bases):
     # the basis reads its paths off the successor graph: no Path is listed
@@ -125,11 +127,22 @@ def test_paths_listed_only_for_the_basis(monkeypatch, argv, bases):
 
 
 @pytest.mark.parametrize("argv,fn,calls", [
-    # the verdict's, the base pair's, (Q, I1)'s and Q^g's walks: the sg
-    # oracle's length bound reads the walk of (Q, I1) that the sg count made
-    (["invariants", "FILE", "--dims", "--json"], quiver._walk, 4),
-    # only the reduced triple's sg count: the corner's S1 and S2 are its listed paths
-    (["reduce", "FILE", "--vertex", "2"], quiver.count_relation_free_paths, 1),
+    # the verdict's walk, which (Q, I1) keeps, the base pair's and Q^g's:
+    # the sg oracle's length bound reads the walk of (Q, I1) too
+    (["invariants", "FILE", "--dims", "--json"], quiver._walk, 3),
+    # dim Gamma, M, N, M' and N' over (Q, I1) and dim Gamma' over the base
+    # pair: six linear passes, and no path listed
+    (["reduce", "FILE", "--vertex", "2"], quiver.count_relation_free_paths, 6),
+    # the verdict's walk, which (Q, I1) keeps, and the reduced triple's,
+    # which is the base pair's
+    (["reduce", "FILE", "--vertex", "2"], quiver._walk, 2),
+    (["dim", "FILE", "--algebra", "sg"], quiver._walk, 1),
+    # the g count is two sign lifts of each path of (Q, I1): no Q^g
+    (["dim", "FILE", "--algebra", "g"], quiver._walk, 1),
+    (["dim", "FILE", "--algebra", "g"], construct.build_g_pair, 0),
+    # t1/t2 only where the output lists them
+    (["reduce", "FILE", "--vertex", "2"], algebra._corner_basis, 0),
+    (["reduce", "FILE", "--vertex", "2", "--json"], algebra._corner_basis, 2),
 ])
 def test_sg_layer_reads_what_the_triple_holds(monkeypatch, argv, fn, calls):
     made = _count_calls(monkeypatch, fn)
