@@ -11,16 +11,20 @@ reads the oracle cap and maps errors to exit codes.  Every report and
 presentation is rendered by ``reports``; ``dim`` and ``spset`` print bare
 values, one per line.
 
-The argument parser is built once, at import, and names each command's
-handler; ``run`` loads the input once and hands the triple to it.
+Each command is declared once, in ``_COMMANDS``.  ``_read_argv`` reads a
+plainly written command line from that table; anything else (help, an
+abbreviation, ``--opt=value``, ``--``, a repeated option, every usage error)
+goes to the argparse parser built from the same table on first need, so help
+and usage wording stay argparse's own.  ``run`` loads the input once and
+hands the triple to the command's handler.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-from contextlib import redirect_stdout
+from functools import cache
+from types import SimpleNamespace
 
 from .algebra import DEFAULT_ORACLE_CAP, corner_data, dimension, dimension_oracle
 from .dsl import parse
@@ -45,11 +49,6 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
-
-
 _DESCRIPTION = (
     "Validate a skewed-gentle triple (Q, Sp, I) given as a quiver file, build "
     "Q^sp, Q^sg and Q^g, and compute cycles, singularity-category descriptors, "
@@ -61,42 +60,6 @@ _EPILOG = (
     "4 usage error. The environment variable QSG_ORACLE_CAP, a positive integer, "
     f"overrides the oracle path cap (default {DEFAULT_ORACLE_CAP})."
 )
-
-
-def _build_parser() -> _Parser:
-    p = _Parser(prog="skewgentle", description=_DESCRIPTION, epilog=_EPILOG)
-    # not required: with a required command, argparse reports the missing
-    # command before an unknown option such as `skewgentle --bogus`
-    sub = p.add_subparsers(dest="command")
-
-    def command(name, handler, help):
-        # defaults set before the options are added become the options' defaults
-        c = sub.add_parser(name, help=help)
-        c.set_defaults(handler=handler, format="text", oracle=False)
-        c.add_argument("file")
-        return c
-
-    v = command("validate", _cmd_validate, "check the skewed-gentle conditions")
-    v.add_argument("--json", action="store_const", const="json", dest="format")
-
-    c = command("construct", _cmd_construct, "emit Q^sp, Q^sg, or Q^g")
-    c.add_argument("--target", required=True, choices=tuple(_TARGETS))
-    c.add_argument("--format", choices=tuple(_FORMATS))
-
-    i = command("invariants", _cmd_invariants, "cycles, descriptors, gldim flags")
-    i.add_argument("--json", action="store_const", const="json", dest="format")
-    i.add_argument("--dims", action="store_true", dest="oracle")
-
-    d = command("dim", _cmd_dim, "algebra dimension")
-    d.add_argument("--algebra", required=True, choices=("gentle", "sg", "g"))
-    d.add_argument("--oracle", action="store_true")
-
-    r = command("reduce", _cmd_reduce, "corner data for one special vertex")
-    r.add_argument("--vertex", required=True)
-    r.add_argument("--json", action="store_const", const="json", dest="format")
-
-    command("spset", _cmd_spset, "admissible special subsets of the pair")
-    return p
 
 
 def _load(path: str) -> SkewedGentleTriple:
@@ -172,19 +135,94 @@ def _cmd_spset(args, t, out):
     return 0
 
 
-# Built once: parse_args fills a new namespace and leaves the parser as it was,
-# and building the seven parsers costs more than a small command itself.
-_PARSER = _build_parser()
+_JSON = {"action": "store_const", "const": "json", "dest": "format"}
+
+# name: (handler, help, options).  Each option's keywords go to argparse's
+# add_argument as they stand, and _read_argv reads the same keywords.
+_COMMANDS = {
+    "validate": (_cmd_validate, "check the skewed-gentle conditions", {"--json": _JSON}),
+    "construct": (_cmd_construct, "emit Q^sp, Q^sg, or Q^g", {
+        "--target": {"required": True, "choices": tuple(_TARGETS)},
+        "--format": {"choices": tuple(_FORMATS)}}),
+    "invariants": (_cmd_invariants, "cycles, descriptors, gldim flags", {
+        "--json": _JSON, "--dims": {"action": "store_true", "dest": "oracle"}}),
+    "dim": (_cmd_dim, "algebra dimension", {
+        "--algebra": {"required": True, "choices": ("gentle", "sg", "g")},
+        "--oracle": {"action": "store_true"}}),
+    "reduce": (_cmd_reduce, "corner data for one special vertex", {
+        "--vertex": {"required": True}, "--json": _JSON}),
+    "spset": (_cmd_spset, "admissible special subsets of the pair", {}),
+}
+_DEFAULTS = {"format": "text", "oracle": False}  # every command's, before its options
+
+
+def _read_argv(argv):
+    """The namespace argparse gives for a plainly written ``argv``, read in one
+    pass: a command, one operand, and each of its options at most once and
+    spelled in full, with a value from its choices.  None for anything else,
+    which argparse then reads or diagnoses."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    handler, _, options = _COMMANDS[argv[0]]
+    args = {"command": argv[0], "handler": handler, **_DEFAULTS}
+    operands, seen, words = [], set(), iter(argv[1:])
+    for word in words:
+        if not word.startswith("-"):
+            operands.append(word)
+            continue
+        spec = options.get(word)
+        if spec is None or word in seen:
+            return None
+        seen.add(word)
+        if "action" in spec:
+            value = spec.get("const", True)
+        else:
+            value = next(words, "-")  # a missing value reads as "-" and is refused
+            if value.startswith("-") or value not in spec.get("choices", (value,)):
+                return None
+        args[spec.get("dest", word[2:])] = value
+    if len(operands) != 1 or any(spec.get("required") and flag not in seen
+                                 for flag, spec in options.items()):
+        return None
+    return SimpleNamespace(file=operands[0], **args)
+
+
+# Built once, on first need: importing argparse and building the seven parsers
+# costs more than a small command itself.
+@cache
+def _build_parser():
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _UsageError(message)
+
+    p = _Parser(prog="skewgentle", description=_DESCRIPTION, epilog=_EPILOG)
+    # not required: with a required command, argparse reports the missing
+    # command before an unknown option such as `skewgentle --bogus`
+    sub = p.add_subparsers(dest="command")
+    for name, (handler, help, options) in _COMMANDS.items():
+        # defaults set before the options are added become the options' defaults
+        c = sub.add_parser(name, help=help)
+        c.set_defaults(handler=handler, **_DEFAULTS)
+        c.add_argument("file")
+        for flag, spec in options.items():
+            c.add_argument(flag, **spec)
+    return p
 
 
 def run(argv, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        with redirect_stdout(out):  # argparse prints --help to sys.stdout
-            args = _PARSER.parse_args(argv)
-        if args.command is None:
-            raise _UsageError("the following arguments are required: command")
+        args = _read_argv(argv)
+        if args is None:
+            from contextlib import redirect_stdout
+
+            with redirect_stdout(out):  # argparse prints --help to sys.stdout
+                args = _build_parser().parse_args(argv)
+            if args.command is None:
+                raise _UsageError("the following arguments are required: command")
         # the cap is read before the input, so a bad cap wins over a bad file
         args.cap = _oracle_cap() if args.oracle else DEFAULT_ORACLE_CAP
         try:

@@ -309,8 +309,11 @@ class BoundQuiver(Record):
                walk: ArrowWalk) -> BoundQuiver:
         """The pair (quiver, relations) whose arrow-successor graph ``walk``
         has already walked: it keeps that graph and walk instead of grouping
-        its relations and walking again."""
-        bq = cls(quiver, relations)
+        its relations and walking again.  The relations are a subset of a
+        checked pair's, so ``__init__``'s check is not repeated."""
+        bq = cls.__new__(cls)
+        _set(bq, "quiver", quiver)
+        _set(bq, "relations", relations)
         bq.__dict__["successors"] = walk.successors
         bq.__dict__["walk"] = walk
         return bq

@@ -37,3 +37,17 @@ def test_cli_import_loads_no_code_generators():
     done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+def test_a_plain_command_loads_no_argument_parser():
+    """A plainly written command line is read without argparse, so neither it
+    nor the gettext it loads is imported; help still comes from argparse."""
+    fixture = PACKAGE.parents[1] / "tests" / "fixtures" / "fix_a2.q"
+    probe = ("import io, sys, skewgentle.cli as cli; "
+             f"code = cli.run(['validate', {str(fixture)!r}], out=io.StringIO()); "
+             "print(code, sorted({'argparse', 'gettext'} & set(sys.modules))); "
+             "cli.run(['dim', '--help'])")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.startswith("0 []\nusage: skewgentle dim ")

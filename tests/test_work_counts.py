@@ -5,8 +5,9 @@ definition, the oracle ranks rows only for commutativity flips and ranks
 nothing without them, paths are listed only where the output lists them,
 every sg and g count reads the verdict's walk of (Q, I1) and Q^g is built
 only where it is read, valid text is parsed without tokens, source
-positions are computed only for a diagnostic, and a command builds no
-argument parser."""
+positions are computed only for a diagnostic, a pair's relations are
+checked once, and a plainly written command builds no argument parser and
+calls none."""
 
 import argparse
 import io
@@ -230,17 +231,48 @@ def test_parse_tokenizes_only_for_a_diagnostic(monkeypatch):
 
 
 def test_a_command_builds_no_parser_and_parses_its_input_once(monkeypatch):
-    built, init = [], argparse.ArgumentParser.__init__
+    built, argv_parsed = [], []
+    init, parse_args = argparse.ArgumentParser.__init__, argparse.ArgumentParser.parse_args
 
     def counted(self, *args, **kwargs):
         built.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
+    def counted_parse(self, *args, **kwargs):
+        argv_parsed.append(args)
+        return parse_args(self, *args, **kwargs)
+
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", counted_parse)
     parsed = _count_calls(monkeypatch, dsl.parse)
 
     assert run(["validate", str(fixture_path("fix_a2.q"))], out=io.StringIO(),
                err=io.StringIO()) == 0
 
     assert built == []
+    assert argv_parsed == []  # a plainly written command line is read without argparse
     assert len(parsed) == 1
+
+
+@pytest.mark.parametrize("argv,pairs", [
+    # the file's pair only: (Q, I1) keeps the verdict's walk and relations
+    # already checked, so it is built without checking them again
+    (["dim", "FILE", "--algebra", "sg"], 1),
+    (["dim", "FILE", "--algebra", "g"], 1),
+    (["reduce", "FILE", "--vertex", "2"], 1),
+    # and Q^g, which --dims checks against the g count
+    (["invariants", "FILE", "--dims"], 2),
+])
+def test_relations_checked_once_per_pair(monkeypatch, argv, pairs):
+    made, init = [], quiver.BoundQuiver.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(quiver.BoundQuiver, "__init__", counted)
+    argv = [str(fixture_path("fix_a2.q")) if a == "FILE" else a for a in argv]
+
+    assert run(argv, out=io.StringIO(), err=io.StringIO()) == 0
+
+    assert len(made) == pairs
