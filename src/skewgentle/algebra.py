@@ -8,11 +8,13 @@ keeps only the relations with an ordinary middle vertex; a relation with a
 special middle vertex turns into the commutativity rewrite that pins the
 junction to minus with coefficient +1.
 
-``dimension`` counts without listing paths: one dynamic programme over the
-arrow-successor graph of the pair (see ``count_relation_free_paths``), in
-time linear in arrows plus relations.  Every sg and g count runs over
-(Q, I1), whose graph and walk are the verdict's (``t.admissible_walk``):
-for sg an endpoint weighs its number of signed names in the lift table
+``dimension`` counts without listing paths: one dynamic programme over a
+walk of an arrow-successor graph (see ``count_relation_free_paths``), in
+time linear in arrows plus relations.  Every sg and g count, listing and
+length bound over (Q, I1) reads the verdict's walk of its graph,
+``t.admissible_walk``; (Q, I1) as a pair, ``admissible_base_pair``, is
+built only as the reference that walk is checked against.  For sg an
+endpoint weighs its number of signed names in the lift table
 (``vertex_lifts``), and for g each nontrivial path lifts to two paths of
 Q^g, so Q^g is read only by its construction, ``gldim_flags`` and the g
 oracle.  ``corner_data`` counts its numbers by weighted passes over (Q, I1)
@@ -44,6 +46,7 @@ from functools import cached_property
 from .construct import _require_valid, vertex_lifts
 from .errors import InternalInconsistency, LimitExceeded, NotSpecial
 from .quiver import (
+    ArrowWalk,
     BoundQuiver,
     Record,
     SkewedGentleTriple,
@@ -98,18 +101,16 @@ class BasisPath(Record):
 def admissible_base_pair(t: SkewedGentleTriple) -> BoundQuiver:
     """(Q, I1): the base pair keeping only ordinary-middle relations.
 
-    Its arrow-successor graph and walk are the verdict's,
-    ``t.admissible_walk``, so it is not walked again; it is ``t.pair`` itself
-    when no relation has a special middle vertex.
+    No count reads it: they read the verdict's walk of the same graph,
+    ``t.admissible_walk``.  It walks its own graph, so it is the reference
+    that walk is checked against.
     """
     _require_valid(t)
     amap = t.pair.quiver.arrow_map
     kept = frozenset(
         (x, y) for x, y in t.pair.relations if amap[y].target not in t.special
     )
-    if len(kept) == len(t.pair.relations):
-        return t.pair
-    return BoundQuiver.walked(t.pair.quiver, kept, t.admissible_walk)
+    return BoundQuiver(t.pair.quiver, kept)
 
 
 def _basis_order(b: BasisPath):
@@ -125,23 +126,23 @@ def basis(t: SkewedGentleTriple) -> list[BasisPath]:
     """
     _require_valid(t)
     signed = vertex_lifts(t, t.special, "Q^sg vertex")
-    admissible = t.admissible_pair
-    successor_order(admissible)  # raises InfiniteDimensional with its witness
+    walk = t.admissible_walk
+    successor_order(walk)  # raises InfiniteDimensional with its witness
     out = [BasisPath((), v, v) for lifts in signed.values() for v in lifts]
-    for first in admissible.quiver.arrows:
+    for first in walk.quiver.arrows:
         sources = signed[first.source]
-        for names, end in _paths_from(admissible, (first,)):
+        for names, end in _paths_from(walk, (first,)):
             out += [BasisPath(names, source, target)
                     for source in sources for target in signed[end]]
     out.sort(key=_basis_order)
     return out
 
 
-def _paths_from(admissible: BoundQuiver, firsts):
-    """Each relation-free path that applies an arrow of ``firsts`` first, as
-    its arrow names in written order (last entry applied first) and its
-    target, grown by one successor at a time."""
-    succ, amap = admissible.successors, admissible.quiver.arrow_map
+def _paths_from(walk: ArrowWalk, firsts):
+    """Each relation-free path of the walk's graph that applies an arrow of
+    ``firsts`` first, as its arrow names in written order (last entry applied
+    first) and its target, grown by one successor at a time."""
+    succ, amap = walk.successors, walk.quiver.arrow_map
     stack = [((x.name,), x.target) for x in firsts]
     while stack:
         names, end = stack.pop()
@@ -177,33 +178,24 @@ def multiply(t: SkewedGentleTriple, p, q):
     return BasisPath(p.arrows + q.arrows, q.source, p.target)
 
 
-def longest_relation_free_length(bq: BoundQuiver) -> int:
-    """Length of the longest relation-free path, from one pass over the
-    arrow-successor graph: L(a) = 1 + the largest L(g) over successors g."""
-    succ = bq.successors
-    depth: dict[str, int] = {}
-    for a in successor_order(bq):
-        depth[a.name] = 1 + max((depth[g] for g in succ[a.name]), default=0)
-    return max(depth.values(), default=0)
+def longest_relation_free_length(walk: ArrowWalk, special=frozenset()) -> int:
+    """Length of the longest relation-free path of the walk's graph, from one
+    pass over it: L(a) = 1 + the largest L(g) over successors g.
 
-
-def _sp_length_bound(t: SkewedGentleTriple) -> int:
-    """``longest_relation_free_length(t.sp_pair)`` of a valid triple, read
-    off the walk of (Q, I1) without building Q^sp.
-
-    Q^sp's arrow-successor graph is (Q, I1)'s with a loop node e_v on the
-    edge a -> b at each valency-2 special vertex v (b*a is in I, not in I1);
-    at a valency-1 special vertex e_v hangs after the one arrow in or before
-    the one arrow out, and at a valency-0 one it is isolated.  So the longest
-    path applying a first has length d(a) = 1 + [t(a) in Sp] + max d(g) over
-    the successors g of a, and the longest of all is the largest
-    d(a) + [s(a) in Sp], or a lone e_v.
+    With ``special`` the special vertices of a valid triple and ``walk`` its
+    ``admissible_walk``, the walk of (Q, I1), it is the longest of
+    (Q^sp, I^sp), and Q^sp is not built.  Q^sp's arrow-successor graph is
+    (Q, I1)'s with a loop node e_v on the edge a -> b at each valency-2
+    special vertex v (b*a is in I, not in I1); at a valency-1 special vertex
+    e_v hangs after the one arrow in or before the one arrow out, and at a
+    valency-0 one it is isolated.  So the longest path applying a first has
+    length L(a) = 1 + [t(a) in Sp] + max L(g) over the successors g of a,
+    and the longest of all is the largest L(a) + [s(a) in Sp], or a lone e_v.
     """
-    special = t.special
-    succ = t.admissible_pair.successors
+    succ = walk.successors
     depth: dict[str, int] = {}
     longest = 1 if special else 0
-    for a in successor_order(t.admissible_pair):
+    for a in successor_order(walk):
         d = 1 + (a.target in special) + max((depth[g] for g in succ[a.name]), default=0)
         depth[a.name] = d
         longest = max(longest, d + (a.source in special))
@@ -214,16 +206,16 @@ def _one(vertex) -> int:
     return 1
 
 
-def _counted_dimension(bq: BoundQuiver, weight) -> int:
+def _counted_dimension(walk: ArrowWalk, weight) -> int:
     """Trivial paths weigh ``weight(v)``, a nontrivial path p ``weight(s(p)) * weight(t(p))``."""
-    trivial = sum(weight(v) for v in bq.quiver.vertex_list)
-    return trivial + count_relation_free_paths(bq, weight, weight)
+    trivial = sum(weight(v) for v in walk.quiver.vertex_list)
+    return trivial + count_relation_free_paths(walk, weight, weight)
 
 
 def pair_dimension(bq: BoundQuiver) -> int:
     """Dimension of the monomial algebra of ``bq``: its relation-free paths,
     trivial ones included, counted."""
-    return _counted_dimension(bq, _one)
+    return _counted_dimension(bq.walk, _one)
 
 
 def dimension(t: SkewedGentleTriple, which: str) -> int:
@@ -243,11 +235,11 @@ def dimension(t: SkewedGentleTriple, which: str) -> int:
         return pair_dimension(t.pair)
     if which == "g":
         lifts = vertex_lifts(t, t.pair.quiver.vertices - t.special, "Q^g vertex")
-        paths = count_relation_free_paths(t.admissible_pair, _one, _one)
+        paths = count_relation_free_paths(t.admissible_walk, _one, _one)
         return sum(map(len, lifts.values())) + 2 * paths
     if which == "sg":
         lifts = vertex_lifts(t, t.special, "Q^sg vertex")
-        return _counted_dimension(t.admissible_pair, lambda v: len(lifts[v]))
+        return _counted_dimension(t.admissible_walk, lambda v: len(lifts[v]))
     raise ValueError(f"unknown algebra {which!r}")
 
 
@@ -280,7 +272,7 @@ def _oracle_presentation(t, which):
         bq = t.pair if which == "gentle" else t.g_pair.pair
         triples = [(a.name, a.source, a.target) for a in bq.quiver.arrows]
         return (bq.quiver.vertex_list, triples, set(bq.relations), {},
-                longest_relation_free_length(bq))
+                longest_relation_free_length(bq.walk))
     if which == "sg":
         pres = t.sg_presentation
         triples = [(a.name, a.source, a.target) for a in pres.arrows]
@@ -290,7 +282,8 @@ def _oracle_presentation(t, which):
             comm[(rel.plus[1], rel.plus[0])] = (rel.minus[1], rel.minus[0])
             comm[(rel.minus[1], rel.minus[0])] = (rel.plus[1], rel.plus[0])
         return (pres.vertex_names, triples,
-                set(pres.zero_relations), comm, _sp_length_bound(t))
+                set(pres.zero_relations), comm,
+                longest_relation_free_length(t.admissible_walk, t.special))
     raise ValueError(f"unknown algebra {which!r}")
 
 
@@ -439,16 +432,16 @@ def _corner_basis(t: SkewedGentleTriple, a: str, leaving: bool) -> tuple[BasisPa
     """The nontrivial basis paths from a- (``leaving``) or to a-: the
     admissible paths from or to a, grown one arrow at a time from a's own
     arrows, each with every signed name of its other end.  Output-sized."""
-    admissible = t.admissible_pair
-    q = admissible.quiver
+    walk = t.admissible_walk
+    q = walk.quiver
     signed = vertex_lifts(t, t.special, "Q^sg vertex")
     minus = a + "-"
     out = []
     if leaving:
-        for names, end in _paths_from(admissible, q.outgoing[a]):
+        for names, end in _paths_from(walk, q.outgoing[a]):
             out += [BasisPath(names, minus, v) for v in signed[end]]
     else:  # grown at the end applied first, names[-1]
-        succ = admissible.successors
+        succ = walk.successors
         stack = [((x.name,), x.source) for x in q.incoming[a]]
         while stack:
             names, start = stack.pop()
@@ -473,7 +466,7 @@ def corner_data(t: SkewedGentleTriple, a: str) -> CornerData:
     if a not in t.special:
         raise NotSpecial(f"vertex {a!r} is not special in {t.name!r}")
     lifts = vertex_lifts(t, t.special, "Q^sg vertex")
-    admissible = t.admissible_pair
+    admissible = t.admissible_walk
 
     def at_a(v):
         return int(v == a)

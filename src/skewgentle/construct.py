@@ -22,8 +22,6 @@ from functools import cached_property
 from .errors import InternalInconsistency, NameCollision, NotSkewedGentle
 from .quiver import Arrow, BoundQuiver, Record, SkewedGentleTriple, _set, build_quiver
 
-_SUFFIX_BUDGET = 1000
-
 
 class SignedVertex(Record):
     __slots__ = ("base", "sign")
@@ -110,14 +108,18 @@ class Involution(Record, eq=False):
 
 
 def _fresh_loop_name(vertex, taken):
+    """``sp_v``, or else ``sp_v_k`` for the least k >= 2 not in ``taken``.
+
+    A taken ``sp_v_k`` is a name of this form for no other vertex, as k has
+    no ``_``, so all the searches together read each taken name once.
+    """
     name = f"sp_{vertex}"
     if name not in taken:
         return name
-    for k in range(2, _SUFFIX_BUDGET):
-        candidate = f"{name}_{k}"
-        if candidate not in taken:
-            return candidate
-    raise NameCollision(f"no free loop name for special vertex {vertex!r}")
+    k = 2
+    while f"{name}_{k}" in taken:
+        k += 1
+    return f"{name}_{k}"
 
 
 def build_sp_pair(t: SkewedGentleTriple) -> BoundQuiver:
@@ -230,7 +232,7 @@ def build_g_pair(t: SkewedGentleTriple) -> GPairLabels:
             relations.add((x_minus, y_minus))
 
     pair = BoundQuiver(build_quiver(sorted(vertex_label), arrows), frozenset(relations))
-    if pair.gentle_violations or pair.fd_witness is not None:
+    if pair.gentle_violations or pair.walk.cycle is not None:
         raise InternalInconsistency(
             f"associated pair of {t.name!r} is not gentle/finite: {list(pair.gentle_violations)}"
         )

@@ -88,7 +88,7 @@ def sign_sequences(quiver: Quiver, arrows, special) -> tuple[tuple[str, ...], tu
 
 def full_cycles(bq: BoundQuiver, special=None) -> set[CycleClass]:
     """All full repetition-free relation cycles of a gentle pair."""
-    if bq.gentle_violations or bq.fd_witness is not None:
+    if bq.gentle_violations or bq.walk.cycle is not None:
         raise NotGentle("full_cycles needs a gentle finite-dimensional pair: "
                         f"{list(bq.gentle_violations)}")
     nxt = {x: y for x, y in bq.relations}  # y follows x in the written sequence

@@ -15,7 +15,6 @@ import random
 
 from .errors import GenerationExhausted
 from .quiver import Arrow, BoundQuiver, SkewedGentleTriple, build_quiver, valency
-from .validate import validate_skewed_gentle
 
 RETRY_BUDGET = 64
 
@@ -85,13 +84,14 @@ def _attempt(rng: random.Random, max_vertices: int, max_arrows: int) -> SkewedGe
 
 
 def random_triple(seed: int, max_vertices: int, max_arrows: int) -> SkewedGentleTriple:
-    """A seeded triple that always passes validate_skewed_gentle."""
+    """A seeded triple that always passes validate_skewed_gentle; its
+    verdict is kept on it as ``validation``, so it is not decided again."""
     if max_vertices < 1:
         raise ValueError("max_vertices must be at least 1")
     rng = random.Random(seed)
     for _ in range(RETRY_BUDGET):
         triple = _attempt(rng, max_vertices, max_arrows)
-        if validate_skewed_gentle(triple).skewed_gentle:
+        if triple.validation.skewed_gentle:
             return triple
     raise GenerationExhausted(
         f"no skewed-gentle triple for seed {seed} within {RETRY_BUDGET} attempts"

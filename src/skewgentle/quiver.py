@@ -10,8 +10,10 @@ kept on them as cached properties: a bound quiver's relation index, its
 arrow-successor graph with the one walk of it that decides finiteness and
 orders it for counting, and its gentle check; a triple's validation with
 its one walk of the arrow-successor graph of (Q, I1), its three
-constructions, (Q, I1) itself and its cycles.  Each is computed at most
-once per object and dies with it.
+constructions and its cycles.  Each is computed at most once per object
+and dies with it.  Relation-free paths are counted and listed off a walk
+(``ArrowWalk``), not off a pair: the base pair's or Q^g's own, or the
+verdict's walk for (Q, I1), which is never built as a pair.
 
 Every value type of the package is a ``Record``: a plain class that lists
 its fields in ``__slots__`` (plus ``"__dict__"`` when it keeps cached
@@ -281,18 +283,7 @@ class BoundQuiver(Record):
     @cached_property
     def walk(self) -> ArrowWalk:
         """The one walk of the arrow-successor graph, successors in name order."""
-        return ArrowWalk.of(self.successors)
-
-    @cached_property
-    def arrow_dag(self) -> tuple[tuple[ArrowId, ...] | None, tuple[Arrow, ...]]:
-        """``walk`` as arrows: ``(cycle, ())`` when the graph has a
-        relation-free cycle, else ``(None, order)`` with every arrow placed
-        after all its successors."""
-        walk = self.walk
-        if walk.cycle is not None:
-            return walk.cycle, ()
-        amap = self.quiver.arrow_map
-        return None, tuple(amap[a] for a in walk.order)
+        return ArrowWalk.of(self.quiver, self.successors)
 
     def walk_with(self, edges) -> ArrowWalk:
         """The walk of the arrow-successor graph once each edge a -> b in
@@ -302,26 +293,7 @@ class BoundQuiver(Record):
         graph = dict(self.successors)
         for a, b in edges:
             graph[a] = (*graph[a], b)
-        return ArrowWalk.of(graph)
-
-    @classmethod
-    def walked(cls, quiver: Quiver, relations: frozenset[tuple[ArrowId, ArrowId]],
-               walk: ArrowWalk) -> BoundQuiver:
-        """The pair (quiver, relations) whose arrow-successor graph ``walk``
-        has already walked: it keeps that graph and walk instead of grouping
-        its relations and walking again.  The relations are a subset of a
-        checked pair's, so ``__init__``'s check is not repeated."""
-        bq = cls.__new__(cls)
-        _set(bq, "quiver", quiver)
-        _set(bq, "relations", relations)
-        bq.__dict__["successors"] = walk.successors
-        bq.__dict__["walk"] = walk
-        return bq
-
-    @cached_property
-    def fd_witness(self) -> tuple[ArrowId, ...] | None:
-        """The relation-free cycle ``walk`` found, or None when there is none."""
-        return self.walk.cycle
+        return ArrowWalk.of(self.quiver, graph)
 
     @cached_property
     def gentle_violations(self) -> tuple[Violation, ...]:
@@ -333,21 +305,29 @@ class BoundQuiver(Record):
 
 class ArrowWalk(Record, eq=False):
     """One ``_walk`` of an arrow-successor graph ``successors`` (arrow name
-    to successor names): ``cycle`` is the cycle it found, or None, and then
-    ``order`` holds every arrow after all its successors."""
+    to successor names) on the arrows of ``quiver``: ``cycle`` is the cycle
+    it found, or None, and then ``order`` holds every arrow after all its
+    successors.  Every count and listing of relation-free paths reads one."""
 
-    __slots__ = ("successors", "cycle", "order")
+    __slots__ = ("quiver", "successors", "cycle", "order", "__dict__")
 
-    def __init__(self, successors: dict[ArrowId, tuple[ArrowId, ...]],
+    def __init__(self, quiver: Quiver, successors: dict[ArrowId, tuple[ArrowId, ...]],
                  cycle: tuple[ArrowId, ...] | None, order: tuple[ArrowId, ...]):
+        _set(self, "quiver", quiver)
         _set(self, "successors", successors)
         _set(self, "cycle", cycle)
         _set(self, "order", order)
 
     @staticmethod
-    def of(successors) -> "ArrowWalk":
+    def of(quiver: Quiver, successors) -> "ArrowWalk":
         cycle, order = _walk(successors)
-        return ArrowWalk(successors, cycle, tuple(order))
+        return ArrowWalk(quiver, successors, cycle, tuple(order))
+
+    @cached_property
+    def arrows(self) -> tuple[Arrow, ...]:
+        """``order`` as arrows, made when a count first reads it."""
+        amap = self.quiver.arrow_map
+        return tuple([amap[a] for a in self.order])
 
 
 def _walk(graph) -> tuple[tuple[ArrowId, ...] | None, list[ArrowId]]:
@@ -443,14 +423,6 @@ class SkewedGentleTriple(Record):
         return admissible_walk(self)
 
     @cached_property
-    def admissible_pair(self) -> BoundQuiver:
-        """(Q, I1) on ``admissible_walk``, as ``admissible_base_pair`` makes it;
-        needs a valid triple."""
-        from .algebra import admissible_base_pair
-
-        return admissible_base_pair(self)
-
-    @cached_property
     def cycles(self) -> tuple[CycleClass, ...]:
         """Full relation cycles of the base pair with their parities, by arrows."""
         from .cycles import full_cycles
@@ -465,36 +437,35 @@ def finite_dimensional_witness(bq: BoundQuiver) -> tuple[ArrowId, ...] | None:
     whenever t(b) = s(a) and (a, b) is not a relation.  The quotient algebra
     is finite dimensional exactly when this graph is acyclic.
     """
-    return bq.fd_witness
+    return bq.walk.cycle
 
 
 def is_finite_dimensional(bq: BoundQuiver) -> bool:
-    return bq.fd_witness is None
+    return bq.walk.cycle is None
 
 
-def successor_order(bq: BoundQuiver) -> tuple[Arrow, ...]:
+def successor_order(walk: ArrowWalk) -> tuple[Arrow, ...]:
     """Every arrow after all its successors; raises when the algebra is infinite."""
-    witness, order = bq.arrow_dag
-    if witness is not None:
+    if walk.cycle is not None:
         raise InfiniteDimensional(
-            f"relation-free cycle {list(witness)} makes the algebra infinite dimensional",
-            witness=witness,
+            f"relation-free cycle {list(walk.cycle)} makes the algebra infinite dimensional",
+            witness=walk.cycle,
         )
-    return order
+    return walk.arrows
 
 
-def count_relation_free_paths(bq: BoundQuiver, source_weight, target_weight) -> int:
+def count_relation_free_paths(walk: ArrowWalk, source_weight, target_weight) -> int:
     """Sum of ``source_weight(s(p)) * target_weight(t(p))`` over the nontrivial
-    relation-free paths p, without building any of them.
+    relation-free paths p of the walk's graph, without building any of them.
 
     One pass over the arrow-successor graph, successors first: the paths
     that apply arrow a first weigh F(a) = target_weight(t(a)) plus the sum
     of F(g) over the successors g of a.
     """
-    succ = bq.successors
+    succ = walk.successors
     weight: dict[ArrowId, int] = {}
     total = 0
-    for a in successor_order(bq):
+    for a in successor_order(walk):
         f = target_weight(a.target)
         for g in succ[a.name]:
             f += weight[g]
@@ -509,7 +480,7 @@ def relation_free_paths(bq: BoundQuiver) -> list[Path]:
     Their number is the dimension of the monomial algebra presented by ``bq``;
     ``count_relation_free_paths`` gives it without listing them.
     """
-    successor_order(bq)  # raises InfiniteDimensional with its witness
+    successor_order(bq.walk)  # raises InfiniteDimensional with its witness
     amap = bq.quiver.arrow_map
     paths = [Path.trivial(v) for v in bq.quiver.vertex_list]
     for v in bq.quiver.vertex_list:

@@ -77,7 +77,7 @@ def validate_skewed_gentle(t: SkewedGentleTriple) -> ValidationReport:
     each valency-2 special vertex stays acyclic (the proof is under
     ``admissible_special_sets``): one rule check per special vertex and one
     walk, ``t.admissible_walk``, since a graph acyclic with those edges is
-    acyclic without them.  The base pair's own walk (``fd_witness``) and
+    acyclic without them.  The base pair's own walk (``walk``) and
     Q^sp are made only when the answer is no, for the flags and the
     witnesses of the failure.
 
@@ -98,11 +98,11 @@ def validate_skewed_gentle(t: SkewedGentleTriple) -> ValidationReport:
         # is_gentle reports the SB violations too: only G1 ones leave the pair special biserial
         "special_biserial": all(v.rule == "G1" for v in base.gentle_violations),
         "gentle": gentle,
-        "finite_dimensional": base.fd_witness is None,
+        "finite_dimensional": base.walk.cycle is None,
     }
     sp = t.sp_pair
     violations = list(sp.gentle_violations)
-    witness = sp.fd_witness
+    witness = sp.walk.cycle
     if witness is not None:
         violations.append(Violation("FD", witness))
     violations.sort(key=lambda v: (v.rule, v.items))
@@ -115,8 +115,8 @@ def admissible_walk(t: SkewedGentleTriple) -> ArrowWalk | None:
     None, without a walk, when a special vertex fails the local rule.
 
     That graph is the arrow-successor graph of (Q, I1): b*a is the only
-    relation through such a vertex, and I1 drops exactly these, so the sg
-    and g counts read this walk instead of walking (Q, I1) again.
+    relation through such a vertex, and I1 drops exactly these, so every sg
+    and g count reads this walk, and (Q, I1) is not built as a pair.
     """
     passing = _local_rule(t.pair, t.special_list)
     if len(passing) < len(t.special):
@@ -170,7 +170,7 @@ def admissible_special_sets(bq: BoundQuiver) -> list[tuple[str, ...]]:
     only when b does not reach a.  So no superset of a failing set is
     visited, and level k comes out in lex order.
     """
-    if bq.gentle_violations or bq.fd_witness is not None:
+    if bq.gentle_violations or bq.walk.cycle is not None:
         raise NotGentle("admissible_special_sets needs a gentle finite-dimensional pair")
     candidates = _local_rule(bq, bq.quiver.vertex_list)
     succ = bq.successors

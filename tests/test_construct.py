@@ -1,3 +1,4 @@
+import io
 import random
 
 import pytest
@@ -28,6 +29,7 @@ from skewgentle import (
     random_triple,
     relation_free_paths,
 )
+from skewgentle.cli import run
 from skewgentle.construct import _require_valid, vertex_lifts
 
 
@@ -55,6 +57,22 @@ def test_sp_pair_loop_name_collision():
     t = SkewedGentleTriple(BoundQuiver(quiver), frozenset({"1"}))
     sp = build_sp_pair(t)
     assert "sp_1_2" in sp.quiver.arrow_map
+
+
+def test_sp_loop_takes_the_least_free_suffix(tmp_path):
+    # sp_v and sp_v_2 ... sp_v_999 are arrows elsewhere; the triple is valid
+    names = ["sp_v", *(f"sp_v_{k}" for k in range(2, 1000))]
+    vertices = ", ".join(["v", *(f"u{i}, w{i}" for i in range(len(names)))])
+    arrows = ", ".join(f"{name}: u{i} -> w{i}" for i, name in enumerate(names))
+    path = tmp_path / "taken.q"
+    path.write_text(f"quiver N {{ vertices: {vertices}; special: v; arrows: {arrows}; }}")
+    out, err = io.StringIO(), io.StringIO()
+
+    assert run(["construct", str(path), "--target", "sp"], out=out, err=err) == 0
+
+    assert err.getvalue() == ""
+    assert "sp_v_1000: v -> v" in out.getvalue()
+    assert "sp_v_1000*sp_v_1000" in out.getvalue()
 
 
 def test_sg_presentation_fix_a2(fix_a2):
@@ -359,7 +377,7 @@ def _reference_build_g_pair(t):
             relations.add((x + "-", y + "-"))
 
     pair = BoundQuiver(build_quiver(sorted(vertex_label), arrows), frozenset(relations))
-    if pair.gentle_violations or pair.fd_witness is not None:
+    if pair.gentle_violations or pair.walk.cycle is not None:
         raise InternalInconsistency(
             f"associated pair of {t.name!r} is not gentle/finite: {list(pair.gentle_violations)}"
         )

@@ -17,6 +17,7 @@ from skewgentle import (
     NameCollision,
     BasisPath,
     SkewedGentleTriple,
+    admissible_base_pair,
     admissible_special_sets,
     basis,
     build_invariant_report,
@@ -28,10 +29,7 @@ from skewgentle import (
     random_triple,
     relation_free_paths,
 )
-from skewgentle.algebra import (
-    _sp_length_bound,
-    longest_relation_free_length,
-)
+from skewgentle.algebra import longest_relation_free_length
 from skewgentle.quiver import count_relation_free_paths
 
 
@@ -41,12 +39,12 @@ def _one(v):
 
 def _pairs(t):
     """The base pair, Q^sp, Q^g and the admissible pair of a valid triple."""
-    return (t.pair, t.sp_pair, t.g_pair.pair, t.admissible_pair)
+    return (t.pair, t.sp_pair, t.g_pair.pair, admissible_base_pair(t))
 
 
 def _listed_corner_counts(t, a):
     s1 = s2 = 0
-    for p in relation_free_paths(t.admissible_pair):
+    for p in relation_free_paths(admissible_base_pair(t)):
         if not p.is_trivial:
             s1 += p.source == a
             s2 += p.target == a
@@ -59,8 +57,9 @@ def _assert_counts_match_enumeration(t):
     assert dimension(t, "sg") == len(basis(t))
     for bq in _pairs(t):
         listed = relation_free_paths(bq)
-        assert len(bq.quiver.vertices) + count_relation_free_paths(bq, _one, _one) == len(listed)
-        assert longest_relation_free_length(bq) == max(p.length for p in listed)
+        counted = count_relation_free_paths(bq.walk, _one, _one)
+        assert len(bq.quiver.vertices) + counted == len(listed)
+        assert longest_relation_free_length(bq.walk) == max(p.length for p in listed)
     for a in t.special_list:
         corner = corner_data(t, a)
         assert (corner.dim_m_prime, corner.dim_n_prime) == _listed_corner_counts(t, a)
@@ -98,7 +97,7 @@ def test_line_closed_forms(n):
     assert dimension(t, "gentle") == n * (n + 1) // 2
     assert dimension(t, "sg") == n * (n + 1) // 2
     assert dimension(t, "g") == n * (n + 1)
-    assert longest_relation_free_length(t.pair) == n - 1
+    assert longest_relation_free_length(t.pair.walk) == n - 1
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (12, 3), (60, 4), (2000, 4), (2000, 16)])
@@ -113,10 +112,10 @@ def test_full_relation_cycle_closed_forms(n, k):
 def test_counts_raise_with_the_finiteness_witness(fix_a):
     free = BoundQuiver(fix_a.pair.quiver, frozenset())
     witness = finite_dimensional_witness(free)
-    for count in (lambda bq: count_relation_free_paths(bq, _one, _one),
+    for count in (lambda walk: count_relation_free_paths(walk, _one, _one),
                   longest_relation_free_length):
         with pytest.raises(InfiniteDimensional) as caught:
-            count(free)
+            count(free.walk)
         assert caught.value.witness == witness
 
 
@@ -128,11 +127,12 @@ def test_sg_count_keeps_the_name_collision_guard():
 
 
 def test_special_cycle_in_admissible_pair_is_caught(fix_a2):
-    # An admissible pair that wrongly keeps b*a, whose middle vertex 2 is
+    # A walk of (Q, I1) that wrongly keeps b*a, whose middle vertex 2 is
     # special, and drops a*b: the path "b, then a" runs from 2 back to 2.
-    # The count reads that pair; the oracle never does, so the report's
-    # cross-check catches the wrong count.
-    fix_a2.__dict__["admissible_pair"] = BoundQuiver(fix_a2.pair.quiver, frozenset({("b", "a")}))
+    # The count reads that walk; the oracle reads only its length bound, so
+    # the report's cross-check catches the wrong count.
+    wrong = BoundQuiver(fix_a2.pair.quiver, frozenset({("b", "a")})).walk
+    fix_a2.__dict__["admissible_walk"] = wrong
     assert dimension(fix_a2, "sg") == 11
     assert dimension_oracle(fix_a2, "sg") == 8
     with pytest.raises(InternalInconsistency, match="sg dimension 11 disagrees with oracle 8"):
@@ -146,7 +146,7 @@ def _reference_basis(t):
         return ("+", "-") if v in t.special else ("",)
 
     out = [BasisPath((), v + s, v + s) for v in t.pair.quiver.vertex_list for s in signs(v)]
-    for p in relation_free_paths(t.admissible_pair):
+    for p in relation_free_paths(admissible_base_pair(t)):
         if not p.is_trivial:
             names = tuple(a.name for a in p.arrows)
             out += [BasisPath(names, p.source + s, p.target + u)
@@ -170,6 +170,17 @@ def _special_set_cases():
     yield from all_fixture_triples()
 
 
+def test_the_verdicts_walk_is_the_graph_of_q_i1():
+    # every sg and g count reads the verdict's walk; (Q, I1) built as a pair
+    # walks its own graph, and the two graphs are the same
+    drawn = 0
+    for t in _special_set_cases():
+        if t.validation.skewed_gentle:
+            assert admissible_base_pair(t).successors == t.admissible_walk.successors, t.name
+            drawn += t.name.startswith("R")
+    assert drawn == 1430
+
+
 def test_basis_matches_the_listed_paths():
     for t in _special_set_cases():
         if t.validation.skewed_gentle:
@@ -180,7 +191,8 @@ def test_oracle_length_bound_is_the_longest_path_of_q_sp():
     checked = 0
     for t in _special_set_cases():
         if t.validation.skewed_gentle:
-            assert _sp_length_bound(t) == longest_relation_free_length(t.sp_pair), t.name
+            bound = longest_relation_free_length(t.admissible_walk, t.special)
+            assert bound == longest_relation_free_length(t.sp_pair.walk), t.name
             checked += bool(t.special)
     assert checked > 1000
 
@@ -193,7 +205,7 @@ def test_g_count_matches_the_constructed_q_g_and_the_oracle():
         for special in admissible_special_sets(pair)[:8]:
             t = SkewedGentleTriple(pair, frozenset(special), name=f"R{seed}")
             g = t.g_pair.pair
-            built = len(g.quiver.vertices) + count_relation_free_paths(g, _one, _one)
+            built = len(g.quiver.vertices) + count_relation_free_paths(g.walk, _one, _one)
             oracle = dimension_oracle(t, "g", cap=10 ** 6)
             assert dimension(t, "g") == built == oracle, (t.name, special)
             checked += 1

@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 
 import skewgentle.generate as generate
+import skewgentle.validate as validate
 from skewgentle import (
     GenerationExhausted,
     random_triple,
@@ -41,7 +42,7 @@ def test_generation_exhausted(monkeypatch):
     class Rejecting:
         skewed_gentle = False
 
-    monkeypatch.setattr(generate, "validate_skewed_gentle", lambda t: Rejecting())
+    monkeypatch.setattr(validate, "validate_skewed_gentle", lambda t: Rejecting())
     with pytest.raises(GenerationExhausted):
         generate.random_triple(0, 3, 3)
 

@@ -43,7 +43,7 @@ def test_fd_witness_is_a_cycle_exactly_when_networkx_finds_one():
         for bq in _pairs(seed):
             for pair in (bq, BoundQuiver(bq.quiver)):
                 graph = _successor_graph(pair)
-                witness = pair.fd_witness
+                witness = pair.walk.cycle
                 assert (witness is None) == nx.is_directed_acyclic_graph(graph), seed
                 if witness is not None:
                     cyclic += 1

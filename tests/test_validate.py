@@ -313,14 +313,14 @@ def _reference_validate(t):
     base = t.pair
     sp = build_sp_pair(t)
     violations = list(sp.gentle_violations)
-    witness = sp.fd_witness
+    witness = sp.walk.cycle
     if witness is not None:
         violations.append(Violation("FD", witness))
     violations.sort(key=lambda v: (v.rule, v.items))
     return ValidationReport(
         special_biserial=all(v.rule == "G1" for v in base.gentle_violations),
         gentle=not base.gentle_violations,
-        finite_dimensional=base.fd_witness is None,
+        finite_dimensional=base.walk.cycle is None,
         skewed_gentle=not sp.gentle_violations and witness is None,
         violations=tuple(violations),
     )

@@ -1,4 +1,5 @@
-"""Each triple is decided once, by the local rule and one walk, and Q^sp is
+"""Each triple is decided once, by the local rule and one walk, a drawn
+triple keeps the generator's verdict, and Q^sp is
 built only for a failure's witnesses or where it is read; each derived pair
 is built once per command, ``spset`` decides no subset through the
 definition, the oracle ranks rows only for commutativity flips and ranks
@@ -18,7 +19,7 @@ import pytest
 
 from conftest import fixture_path
 
-from skewgentle import ParseError, algebra, construct, dsl, quiver, validate
+from skewgentle import ParseError, algebra, construct, dsl, generate, quiver, validate
 from skewgentle.cli import run
 
 
@@ -54,6 +55,18 @@ def test_one_decision_per_triple(monkeypatch, argv, triples):
     assert sp_builds == []
     checked = [bq for bq, _ in gentle_checks]
     assert len({id(bq) for bq in checked}) == len(checked), "a pair was checked twice"
+
+
+def test_a_drawn_triple_keeps_its_verdict(monkeypatch):
+    decisions = _count_calls(monkeypatch, validate.validate_skewed_gentle)
+
+    t = generate.random_triple(7, 8, 11)  # drawn at the 7th attempt
+    assert t.validation.skewed_gentle
+
+    # one decision per attempt; the drawn triple's is the one it keeps
+    drawn = [arg for arg, _ in decisions]
+    assert len(drawn) == 7 and drawn[-1] is t
+    assert sum(arg is t for arg in drawn) == 1
 
 
 @pytest.mark.parametrize("name,valid", [("fixtures/fix_a2.q", True), ("golden/bad_g1.q", False)])
