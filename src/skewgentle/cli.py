@@ -42,7 +42,13 @@ from .validate import admissible_special_sets
 
 
 _TARGETS = {"sp": "sp_pair", "sg": "sg_presentation", "g": "g_pair"}
-_FORMATS = {"text": report_text, "dot": to_dot, "json": report_json}
+# Renderers by name, looked up in this module at each call, so a rebinding of
+# the module's name (a tracer's or a test's wrapper) is the one called.
+_FORMATS = {"text": "report_text", "dot": "to_dot", "json": "report_json"}
+
+
+def _renderer(fmt):
+    return globals()[_FORMATS[fmt]]
 
 
 class _UsageError(Exception):
@@ -93,18 +99,18 @@ def _oracle_cap() -> int:
 
 
 def _cmd_validate(args, t, out):
-    out.write(_FORMATS[args.format](t.validation, name=t.name))
+    out.write(_renderer(args.format)(t.validation, name=t.name))
     return 0 if t.validation.skewed_gentle else 1
 
 
 def _cmd_construct(args, t, out):
     made = getattr(t, _TARGETS[args.target])
-    out.write(_FORMATS[args.format](made, name=f"{t.name}_{args.target}"))
+    out.write(_renderer(args.format)(made, name=f"{t.name}_{args.target}"))
     return 0
 
 
 def _cmd_invariants(args, t, out):
-    render = _FORMATS[args.format]
+    render = _renderer(args.format)
     if not t.validation.skewed_gentle:
         out.write(render(t.validation, name=t.name))
         return 1
@@ -126,7 +132,7 @@ def _cmd_dim(args, t, out):
 
 
 def _cmd_reduce(args, t, out):
-    out.write(_FORMATS[args.format](corner_data(t, args.vertex), name=t.name))
+    out.write(_renderer(args.format)(corner_data(t, args.vertex), name=t.name))
     return 0
 
 

@@ -5,8 +5,12 @@ quivers: vertex degrees are capped at two per direction while arrows are
 drawn, and the relation pairs at each vertex are chosen among exactly the
 local patterns allowed by the gentle matching conditions.  What remains to
 filter is the global part (relation-free cycles and the admissibility of
-the sampled special set), so rejection stays rare.  The retry draws from
-the same seeded stream, which keeps the whole procedure reproducible.
+the sampled special set), and that part rejects most draws.  Over seeds
+0-299 the first attempt is kept for 21%, 14% and 10% of seeds at
+(max_vertices, max_arrows) = (6, 7), (8, 11) and (12, 16); the mean is 4.1,
+7.1 and 8.3 attempts, and the worst 24, 46 and 44 of the RETRY_BUDGET of 64.
+The retry draws from the same seeded stream, which keeps the whole
+procedure reproducible.
 """
 
 from __future__ import annotations

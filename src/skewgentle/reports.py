@@ -8,12 +8,23 @@ of Q^g, and the SgPresentation of Q^sg.  The text form of a pair is its
 canonical DSL form from ``serialize``.
 
 All output is deterministic: identifiers are sorted before emission and
-JSON is dumped with sorted keys, so equal inputs give byte-identical text.
+JSON objects have sorted keys, so equal inputs give byte-identical text.
+
+JSON is written by ``_json``, byte for byte what ``json.dumps(payload,
+sort_keys=True, indent=2)`` writes, at C speed for the bulk of it: every
+string goes through the C ``encode_basestring_ascii``, and a list of
+str-valued objects that share one key set (the arrows of a pair and the
+comm relations of Q^sg, most of the bytes) is written from one ``%``
+template per list, one formatting per row.  Anything else takes the general
+recursion.  The payloads hold only str, int, bool, None, lists, tuples and
+str-keyed dicts; any other value, a float included, raises TypeError.
 """
 
 from __future__ import annotations
 
-import json
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _str
+from operator import itemgetter
 
 from .algebra import (
     DEFAULT_ORACLE_CAP,
@@ -233,9 +244,59 @@ def _payload(r, name):
     }
 
 
+def _rows(items, pad):
+    """The items of a list, at ``pad``, each from one template when all are
+    dicts with one nonempty set of str keys and only str values; else None."""
+    first = items[0]
+    if (set(map(type, items)) != {dict} or not first or set(map(type, first)) != {str}
+            or not all(map(first.keys().__eq__, map(dict.keys, items)))
+            or set(map(type, chain.from_iterable(map(dict.values, items)))) != {str}):
+        return None
+    keys = sorted(first)
+    inner = pad + "  "
+    template = "{\n" + ",\n".join(
+        f"{inner}{_str(k).replace('%', '%%')}: %s" for k in keys) + f"\n{pad}}}"
+    get = itemgetter(*keys)
+    if len(keys) == 1:
+        return [template % _str(get(d)) for d in items]
+    return [template % tuple(map(_str, get(d))) for d in items]
+
+
+def _json(value, pad: str) -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes it,
+    its nested lines indented past ``pad``."""
+    if isinstance(value, str):
+        return _str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        rows = _rows(value, inner) or [_json(v, inner) for v in value]
+        open_, close = "[", "]"
+    elif isinstance(value, dict):
+        if not value:
+            return "{}"
+        for k in value:
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+        rows = [f"{_str(k)}: {_json(value[k], inner)}" for k in sorted(value)]
+        open_, close = "{", "}"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return f"{open_}\n{inner}" + f",\n{inner}".join(rows) + f"\n{pad}{close}"
+
+
 def report_json(r, name: str | None = None) -> str:
     """Deterministic JSON: sorted keys, multisets as ascending arrays."""
-    return json.dumps(_payload(r, _name(r, name)), sort_keys=True, indent=2) + "\n"
+    return _json(_payload(r, _name(r, name)), "") + "\n"
 
 
 def _dot_quote(s):

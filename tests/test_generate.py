@@ -76,3 +76,23 @@ def _reference_relation_options(outs, ins):
 @pytest.mark.parametrize("ins", [["y"], ["y", "w"], ["l"], ["l", "y"], ["y", "l"]])
 def test_relation_options_match_the_subset_search(outs, ins):
     assert generate._relation_options(outs, ins) == _reference_relation_options(outs, ins)
+
+
+@pytest.mark.parametrize("size,worst", [((6, 7), 24), ((8, 11), 46), ((12, 16), 44)])
+def test_worst_attempt_count_per_size(monkeypatch, size, worst):
+    """The most attempts any of seeds 0-299 takes, against RETRY_BUDGET = 64:
+    a sampler change that eats the budget, or moves the seeded stream the
+    corpus is drawn from, shows here."""
+    attempts, attempt = [0], generate._attempt
+
+    def counted(*args):
+        attempts[0] += 1
+        return attempt(*args)
+
+    monkeypatch.setattr(generate, "_attempt", counted)
+    counts = []
+    for seed in range(300):
+        attempts[0] = 0
+        generate.random_triple(seed, *size)
+        counts.append(attempts[0])
+    assert max(counts) == worst

@@ -7,8 +7,8 @@ nothing without them, paths are listed only where the output lists them,
 every sg and g count reads the verdict's walk of (Q, I1) and Q^g is built
 only where it is read, valid text is parsed without tokens, source
 positions are computed only for a diagnostic, a pair's relations are
-checked once, and a plainly written command builds no argument parser and
-calls none."""
+checked once, a plainly written command builds no argument parser and
+calls none, and a command calls the renderer its module holds at the call."""
 
 import argparse
 import io
@@ -289,3 +289,16 @@ def test_relations_checked_once_per_pair(monkeypatch, argv, pairs):
     assert run(argv, out=io.StringIO(), err=io.StringIO()) == 0
 
     assert len(made) == pairs
+
+
+def test_the_renderer_is_read_from_the_module_at_each_call(monkeypatch):
+    """The command line calls the renderer its module holds by name at the
+    call, so a wrapper bound there (a tracer's, say) sees every rendering."""
+    import skewgentle.cli as cli
+
+    rendered = _count_calls(monkeypatch, cli.report_json)
+    argv = ["construct", str(fixture_path("fix_a2.q")), "--target", "g", "--format", "json"]
+
+    assert run(argv, out=io.StringIO(), err=io.StringIO()) == 0
+
+    assert len(rendered) == 1
