@@ -26,21 +26,24 @@ output-sized.
 check, dimension_oracle: go through every lifted path up to the length
 bound given by (Q^sp, I^sp), read off the walk of (Q, I1) without building
 Q^sp, count those through an embedded zero relation, list the others, and
-compute the rank of the commutativity relations among them by exact
-rational elimination.  Without commutativity relations (gentle and g always, sg when
-no special vertex joins two arrows by a relation) the listed paths are
-independent and each is kept as its last arrow only, so the oracle's work
-per degree is one entry per listed path.  With them, each listed path is the
-tuple of its arrows and carries the positions of its commutativity
-junctions, found once as it grows: the work per degree is the listed paths
-times their length, plus their junctions, and a degree without a junction
-is not ranked at all.
+quotient them by the commutativity relations.  Each such relation is
+p - flip(p), where flip swaps the signs at one junction, or p alone when
+flip(p) runs through a zero relation; so the quotient of a degree has one
+dimension per component of its flip graph that holds no such p, over any
+field, and one union-find counts them.  Without commutativity relations
+(gentle and g always, sg when no special vertex joins two arrows by a
+relation) the listed paths are independent and each is kept as its last
+arrow only, so the oracle's work per degree is one entry per listed path.
+With them, each listed path is the tuple of its arrows and carries the
+positions of its commutativity junctions, found once as it grows: the work
+per degree is the listed paths times their length, plus their junctions,
+and a degree without a junction is not quotiented at all.  Either way the
+cap on the paths counted also bounds the oracle's time: paths counted times
+their length.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from fractions import Fraction
 from functools import cached_property
 
 from .construct import _require_valid, vertex_lifts
@@ -196,7 +199,7 @@ def longest_relation_free_length(walk: ArrowWalk, special=frozenset()) -> int:
     depth: dict[str, int] = {}
     longest = 1 if special else 0
     for a in successor_order(walk):
-        d = 1 + (a.target in special) + max((depth[g] for g in succ[a.name]), default=0)
+        d = 1 + (a.target in special) + max(map(depth.__getitem__, succ[a.name]), default=0)
         depth[a.name] = d
         longest = max(longest, d + (a.source in special))
     return longest
@@ -243,29 +246,6 @@ def dimension(t: SkewedGentleTriple, which: str) -> int:
     raise ValueError(f"unknown algebra {which!r}")
 
 
-def _rank(rows) -> int:
-    """Rank of sparse rows (dict column -> Fraction) by exact elimination."""
-    pivots: dict = {}
-    rank = 0
-    for row in rows:
-        row = dict(row)
-        while row:
-            col = min(row)
-            if col not in pivots:
-                pivots[col] = row
-                rank += 1
-                break
-            piv = pivots[col]
-            factor = row[col] / piv[col]
-            for c, v in piv.items():
-                new = row.get(c, Fraction(0)) - factor * v
-                if new:
-                    row[c] = new
-                else:
-                    row.pop(c, None)
-    return rank
-
-
 def _oracle_presentation(t, which):
     """Vertices, arrows (name, source, target), relations, and length bound."""
     if which in ("gentle", "g"):
@@ -287,28 +267,52 @@ def _oracle_presentation(t, which):
     raise ValueError(f"unknown algebra {which!r}")
 
 
+def _find(parent: list[int], j: int) -> int:
+    """The root of path j's component, each path on the way re-pointed at it."""
+    root = parent[j]
+    if root != j:
+        root = parent[j] = _find(parent, root)
+    return root
+
+
 def _degree_dimension(paths, flips, comm) -> int:
     """Dimension of the span of ``paths``, all of one degree and through no
     zero relation, modulo the commutativity relations.
 
     ``flips[j]`` holds the positions i at which ``paths[j][i:i + 2]`` is a
-    commutativity junction.  Each such flip gives one sparse row; the flipped
-    path's entry vanishes when it is not in ``paths``, i.e. when it runs
-    through a zero relation and so is zero itself.  Without a flip the
-    paths are independent.
+    commutativity junction.  Each such flip gives the relation p - flip(p),
+    or p alone (p is killed) when flip(p) is not in ``paths``, i.e. when it
+    runs through a zero relation and so is zero itself.  So no relation
+    joins two components of the flip graph, and over any field a component
+    C spans relations of rank |C| - 1, the differences along a spanning
+    tree, or |C| once a path of C is killed: a killed path's coordinates
+    sum to 1, every difference's to 0.  The dimension is the number of
+    components without a killed path, found by one union-find: each flip is
+    met at both of its ends and joined from the later one, by one find.
+    Without a flip the paths are independent.
     """
     if not any(flips):
         return len(paths)
-    index = {p: i for i, p in enumerate(paths)}
-    rows = []
-    for col, (p, at) in enumerate(zip(paths, flips)):
+    index = {p: j for j, p in enumerate(paths)}
+    parent = list(range(len(paths)))
+    size = [1] * len(paths)
+    killed = []
+    components = len(paths)
+    for j, (p, at) in enumerate(zip(paths, flips)):
+        root = j  # j is joined only here, so it starts alone
         for i in at:
-            row = {col: Fraction(1)}
-            flipped = index.get(p[:i] + comm[p[i:i + 2]] + p[i + 2:])
-            if flipped is not None:
-                row[flipped] = Fraction(-1)
-            rows.append(row)
-    return len(paths) - _rank(rows)
+            k = index.get(p[:i] + comm[p[i:i + 2]] + p[i + 2:])
+            if k is None:
+                killed.append(j)
+            elif k < j:
+                other = _find(parent, k)
+                if other != root:
+                    if size[root] < size[other]:
+                        root, other = other, root
+                    parent[other] = root
+                    size[root] += size[other]
+                    components -= 1
+    return components - len({_find(parent, j) for j in killed})
 
 
 def dimension_oracle(t: SkewedGentleTriple, which: str, cap: int = DEFAULT_ORACLE_CAP) -> int:
@@ -325,10 +329,11 @@ def dimension_oracle(t: SkewedGentleTriple, which: str, cap: int = DEFAULT_ORACL
     each is kept as its last arrow alone and a degree's dimension is the
     number of entries: the work per degree is one entry per listed path.
     With them, each listed path is the tuple of its arrows plus the
-    positions of its commutativity junctions, and is ranked
-    (``_degree_dimension``); a path grown by one arrow can gain only the new
-    junction, so the work per degree is the listed paths times their length,
-    plus their junctions.
+    positions of its commutativity junctions, and a degree's dimension is
+    the number of live components of its flip graph (``_degree_dimension``);
+    a path grown by one arrow can gain only the new junction, so the work
+    per degree is the listed paths times their length, plus their
+    junctions.  So the cap bounds the time as well as the paths counted.
     """
     _require_valid(t)
     vertices, triples, zero_pairs, comm, bound = _oracle_presentation(t, which)
@@ -353,7 +358,7 @@ def dimension_oracle(t: SkewedGentleTriple, which: str, cap: int = DEFAULT_ORACL
         current = sorted(by_name)  # each listed path as its last arrow
         free = {a: [b for b in after if (b, a) not in zero_pairs] for a, after in succ.items()}
         into_zero = {a: [b for b in after if (b, a) in zero_pairs] for a, after in succ.items()}
-    zero: Counter[str] = Counter()  # last arrow -> paths through a zero relation
+    zero: dict[str, int] = {}  # last arrow -> paths through a zero relation
     degree = 1
     while degree <= bound and (current or zero):
         total += len(current) + sum(zero.values())
@@ -363,17 +368,17 @@ def dimension_oracle(t: SkewedGentleTriple, which: str, cap: int = DEFAULT_ORACL
         dim += _degree_dimension(current, flips, comm) if comm else len(current)
         if degree == bound:
             break
-        grown_zero = Counter()
+        grown_zero: dict[str, int] = {}
         for last, count in zero.items():
             for nxt in succ[last]:
-                grown_zero[nxt] += count
+                grown_zero[nxt] = grown_zero.get(nxt, 0) + count
         if comm:
             grown, grown_flips = [], []
             for p, at in zip(current, flips):
                 last = p[-1]
                 for nxt in succ[last]:
                     if (nxt, last) in zero_pairs:
-                        grown_zero[nxt] += 1
+                        grown_zero[nxt] = grown_zero.get(nxt, 0) + 1
                     else:
                         grown.append(p + (nxt,))
                         # only the new junction, at position degree - 1, can add a flip
@@ -381,7 +386,9 @@ def dimension_oracle(t: SkewedGentleTriple, which: str, cap: int = DEFAULT_ORACL
             current, flips = grown, grown_flips
         else:
             if zero_pairs:
-                grown_zero.update(nxt for last in current for nxt in into_zero[last])
+                for last in current:
+                    for nxt in into_zero[last]:
+                        grown_zero[nxt] = grown_zero.get(nxt, 0) + 1
             current = [nxt for last in current for nxt in free[last]]
         zero = grown_zero
         degree += 1

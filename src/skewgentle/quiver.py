@@ -129,11 +129,21 @@ class Quiver(Record):
 
     @cached_property
     def outgoing(self) -> dict[VertexId, tuple[Arrow, ...]]:
-        return _group(self.vertex_list, ((a.source, a) for a in self.arrows))
+        return self._incidence[0]
 
     @cached_property
     def incoming(self) -> dict[VertexId, tuple[Arrow, ...]]:
-        return _group(self.vertex_list, ((a.target, a) for a in self.arrows))
+        return self._incidence[1]
+
+    @cached_property
+    def _incidence(self) -> tuple[dict, dict]:
+        """``outgoing`` and ``incoming``, from one pass over the arrows."""
+        out: dict = {v: [] for v in self.vertex_list}
+        into: dict = {v: [] for v in self.vertex_list}
+        for a in self.arrows:
+            out[a.source].append(a)
+            into[a.target].append(a)
+        return _frozen(out), _frozen(into)
 
 
 def build_quiver(vertices, arrows) -> Quiver:
@@ -227,11 +237,7 @@ def valency(q: Quiver, v: VertexId) -> int:
     return len(q.outgoing[v]) + len(q.incoming[v])
 
 
-def _group(keys, pairs) -> dict:
-    """Map each key to the values paired with it, in the order of ``pairs``."""
-    index: dict = {k: [] for k in keys}
-    for k, v in pairs:
-        index[k].append(v)
+def _frozen(index: dict) -> dict:
     return {k: tuple(values) for k, values in index.items()}
 
 
@@ -262,12 +268,23 @@ class BoundQuiver(Record):
     @cached_property
     def relations_before(self) -> dict[ArrowId, tuple[ArrowId, ...]]:
         """For each arrow x, the arrows y with (x, y) a relation, in name order."""
-        return _group(self.quiver.arrow_map, self.relation_list)
+        return self._relation_index[0]
 
     @cached_property
     def relations_after(self) -> dict[ArrowId, tuple[ArrowId, ...]]:
         """For each arrow y, the arrows x with (x, y) a relation, in name order."""
-        return _group(self.quiver.arrow_map, ((y, x) for x, y in self.relation_list))
+        return self._relation_index[1]
+
+    @cached_property
+    def _relation_index(self) -> tuple[dict, dict]:
+        """``relations_before`` and ``relations_after``, from one pass over the
+        relations; ``relation_list`` is sorted, so both come out in name order."""
+        before: dict = {a: [] for a in self.quiver.arrow_map}
+        after: dict = {a: [] for a in self.quiver.arrow_map}
+        for x, y in self.relation_list:
+            before[x].append(y)
+            after[y].append(x)
+        return _frozen(before), _frozen(after)
 
     @cached_property
     def successors(self) -> dict[ArrowId, tuple[ArrowId, ...]]:

@@ -54,3 +54,14 @@ def all_fixture_triples():
     """Every shipped fixture that is a valid skewed-gentle triple."""
     return [load(n) for n in
             ("fix_a.q", "fix_a2.q", "fix_b.q", "fix_b3.q", "fix_c.q", "fix_c1.q", "fix_d.q")]
+
+
+def special_line(n: int):
+    """L_n: the line v0 -> ... -> v_{n-1} with every 2-path a relation and
+    every inner vertex special, the densest case for commutativity relations."""
+    vertices = ", ".join(f"v{i}" for i in range(n))
+    special = ", ".join(f"v{i}" for i in range(1, n - 1))
+    arrows = ", ".join(f"a{i}: v{i} -> v{i + 1}" for i in range(n - 1))
+    relations = ", ".join(f"a{i + 1}*a{i}" for i in range(n - 2))
+    return parse(f"quiver L {{ vertices: {vertices}; special: {special}; arrows: {arrows};"
+                 f" relations: {relations}; }}")

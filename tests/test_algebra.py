@@ -1,4 +1,10 @@
+import itertools
+import random
+from fractions import Fraction
+
 import pytest
+
+from conftest import special_line
 
 from skewgentle import (
     ZERO,
@@ -8,6 +14,7 @@ from skewgentle import (
     LimitExceeded,
     NotSpecial,
     SkewedGentleTriple,
+    admissible_special_sets,
     basis,
     build_quiver,
     corner_data,
@@ -17,7 +24,7 @@ from skewgentle import (
     random_triple,
     relation_free_paths,
 )
-from skewgentle.algebra import admissible_base_pair
+from skewgentle.algebra import _degree_dimension, _oracle_presentation, admissible_base_pair
 
 
 def test_basis_fix_a2(fix_a2):
@@ -280,14 +287,35 @@ def test_reduction_chain_reversed_on_random():
 
 
 # dimension_oracle as it was before zero paths were counted instead of
-# listed: every path is listed and each one through a zero relation gets a
-# unit row.  It is the reference for the oracle, cap included.
+# listed and before the flip graph's components replaced elimination: every
+# path is listed, each one through a zero relation gets a unit row, each
+# commutativity junction a row p - flip(p), and the rows are ranked by exact
+# rational elimination.  It is the reference for the oracle, cap included.
+
+def _rank(rows) -> int:
+    """Rank of sparse rows (dict column -> Fraction) by exact elimination."""
+    pivots: dict = {}
+    rank = 0
+    for row in rows:
+        row = dict(row)
+        while row:
+            col = min(row)
+            if col not in pivots:
+                pivots[col] = row
+                rank += 1
+                break
+            piv = pivots[col]
+            factor = row[col] / piv[col]
+            for c, v in piv.items():
+                new = row.get(c, Fraction(0)) - factor * v
+                if new:
+                    row[c] = new
+                else:
+                    row.pop(c, None)
+    return rank
+
 
 def _reference_dimension_oracle(t, which, cap):
-    from fractions import Fraction
-
-    from skewgentle.algebra import _oracle_presentation, _rank
-
     vertices, triples, zero_pairs, comm, bound = _oracle_presentation(t, which)
     starting = {v: [] for v in vertices}
     for name, src, _ in sorted(triples):
@@ -362,6 +390,54 @@ def test_oracle_matches_reference_on_many_commutativity_relations(n):
                         (n, k, offset, which, cap)
                     if got != "capped":
                         assert got == dimension(t, which), (n, k, offset, which, cap)
+
+
+def test_oracle_matches_fraction_reference_with_commutativity_relations():
+    # the first six admissible special sets of each generated pair; the
+    # quotient by flip-graph components must agree with elimination
+    with_comm = 0
+    for seed in range(300):
+        pair = random_triple(seed, 8, 11).pair
+        for special in admissible_special_sets(pair)[:6]:
+            t = SkewedGentleTriple(pair, frozenset(special))
+            with_comm += bool(t.sg_presentation.comm_relations)
+            for cap in (10, 300, 20000):
+                assert (_oracle_or_capped(dimension_oracle, t, "sg", cap)
+                        == _oracle_or_capped(_reference_dimension_oracle, t, "sg", cap)), \
+                    (seed, special, cap)
+    assert with_comm == 204
+
+
+@pytest.mark.parametrize("n", range(8, 12))
+def test_oracle_matches_fraction_reference_on_special_lines(n):
+    t = special_line(n)
+    for cap in (10, 300, 20000):
+        assert (_oracle_or_capped(dimension_oracle, t, "sg", cap)
+                == _oracle_or_capped(_reference_dimension_oracle, t, "sg", cap)), cap
+
+
+def test_degree_quotient_matches_elimination_when_flips_leave_the_paths():
+    # In a presentation built from a triple every flip stays among the listed
+    # paths: a zero relation holds for both signs at a junction.  Here random
+    # subsets of the words of length 4 are quotiented by an involution on
+    # letter pairs, so some flips leave the subset and kill their component.
+    comm = {(0, 1): (2, 3), (2, 3): (0, 1), (1, 2): (3, 0), (3, 0): (1, 2)}
+    words = list(itertools.product(range(4), repeat=4))
+    rng = random.Random(0)
+    killed = 0
+    for _ in range(200):
+        paths = [w for w in words if rng.random() < rng.choice((0.5, 0.9, 0.97))]
+        flips = [tuple(i for i in range(3) if p[i:i + 2] in comm) for p in paths]
+        index = {p: j for j, p in enumerate(paths)}
+        rows = []
+        for j, (p, at) in enumerate(zip(paths, flips)):
+            for i in at:
+                flipped = index.get(p[:i] + comm[p[i:i + 2]] + p[i + 2:])
+                rows.append({j: Fraction(1)} if flipped is None
+                            else {j: Fraction(1), flipped: Fraction(-1)})
+                killed += flipped is None
+        assert _degree_dimension(paths, flips, comm) == len(paths) - _rank(rows)
+    assert killed
 
 
 def _line_with_relations(n, offset, special_ends):

@@ -29,10 +29,11 @@ def test_every_import_is_stdlib_or_the_package():
 
 def test_cli_import_loads_no_code_generators():
     """Importing the command line compiles no generated code: no dataclasses
-    (nor the inspect it loads) and no pathlib, in a fresh interpreter without
-    site packages."""
+    (nor the inspect it loads), no pathlib, and no fractions (nor the decimal
+    and numbers it loads), in a fresh interpreter without site packages."""
     probe = ("import sys, skewgentle.cli; "
-             "print(sorted({'dataclasses', 'inspect', 'pathlib'} & set(sys.modules)))")
+             "print(sorted({'dataclasses', 'inspect', 'pathlib', 'fractions', 'decimal',"
+             " 'numbers'} & set(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
                           text=True, check=True)

@@ -2,13 +2,14 @@
 triple keeps the generator's verdict, and Q^sp is
 built only for a failure's witnesses or where it is read; each derived pair
 is built once per command, ``spset`` decides no subset through the
-definition, the oracle ranks rows only for commutativity flips and ranks
-nothing without them, paths are listed only where the output lists them,
-every sg and g count reads the verdict's walk of (Q, I1) and Q^g is built
-only where it is read, valid text is parsed without tokens, source
-positions are computed only for a diagnostic, a pair's relations are
-checked once, a plainly written command builds no argument parser and
-calls none, and a command calls the renderer its module holds at the call."""
+definition, the oracle joins paths only at commutativity flips, takes no
+quotient step without them and about one find step per junction, paths are
+listed only where the output lists them, every sg and g count reads the
+verdict's walk of (Q, I1) and Q^g is built only where it is read, valid
+text is parsed without tokens, source positions are computed only for a
+diagnostic, a pair's relations are checked once, a plainly written command
+builds no argument parser and calls none, and a command calls the renderer
+its module holds at the call."""
 
 import argparse
 import io
@@ -17,9 +18,19 @@ from pathlib import Path
 
 import pytest
 
-from conftest import fixture_path
+from conftest import fixture_path, special_line
 
-from skewgentle import ParseError, algebra, construct, dsl, generate, quiver, validate
+from skewgentle import (
+    ParseError,
+    algebra,
+    construct,
+    dimension,
+    dimension_oracle,
+    dsl,
+    generate,
+    quiver,
+    validate,
+)
 from skewgentle.cli import run
 
 
@@ -177,17 +188,37 @@ def test_spset_decides_no_subset_through_the_definition(monkeypatch):
     assert sp_builds == []
 
 
-@pytest.mark.parametrize("which,rows", [("g", 0), ("sg", 2)])
-def test_oracle_rows_only_for_commutativity_flips(monkeypatch, which, rows):
-    # a path through a zero relation is dropped, not given a row of its own;
+def _record_quotients(monkeypatch):
+    """Each call of the oracle's quotient step, one per degree, as
+    [paths, junction positions, find steps], each find step one call of
+    ``_find``: it follows one parent pointer and calls itself for the next."""
+    calls = []
+    quotient, find = algebra._degree_dimension, algebra._find
+
+    def counted_quotient(paths, flips, comm):
+        calls.append([paths, flips, 0])
+        return quotient(paths, flips, comm)
+
+    def counted_find(parent, j):
+        calls[-1][2] += 1
+        return find(parent, j)
+
+    monkeypatch.setattr(algebra, "_degree_dimension", counted_quotient)
+    monkeypatch.setattr(algebra, "_find", counted_find)
+    return calls
+
+
+@pytest.mark.parametrize("which,flips", [("g", 0), ("sg", 2)])
+def test_oracle_rows_only_for_commutativity_flips(monkeypatch, which, flips):
+    # a path through a zero relation is dropped, not flipped or joined;
     # fix_a2's Q^g has no commutativity relations; its Q^sg has one, which
     # flips a path each way
-    ranked = _count_calls(monkeypatch, algebra._rank)
+    quotients = _record_quotients(monkeypatch)
     argv = ["dim", str(fixture_path("fix_a2.q")), "--algebra", which, "--oracle"]
 
     assert run(argv, out=io.StringIO(), err=io.StringIO()) == 0
 
-    assert sum(len(r) for r, _ in ranked) == rows
+    assert sum(len(at) for _, junctions, _ in quotients for at in junctions) == flips
 
 
 @pytest.mark.parametrize("argv", [
@@ -195,17 +226,33 @@ def test_oracle_rows_only_for_commutativity_flips(monkeypatch, which, rows):
     ["invariants", "FILE", "--dims"],
 ])
 def test_oracle_ranks_nothing_without_commutativity_relations(monkeypatch, tmp_path, argv):
-    # a free line has no special vertex, so no degree has a flip to rank
+    # a free line has no special vertex, so no degree has a flip to join
     line = tmp_path / "a40.q"
     vertices = ", ".join(f"v{i}" for i in range(40))
     arrows = ", ".join(f"a{i}: v{i} -> v{i + 1}" for i in range(39))
     line.write_text(f"quiver A {{ vertices: {vertices}; arrows: {arrows}; }}")
-    ranked = _count_calls(monkeypatch, algebra._rank)
+    quotients = _record_quotients(monkeypatch)
     argv = [str(line) if a == "FILE" else a for a in argv]
 
     assert run(argv, out=io.StringIO(), err=io.StringIO()) == 0
 
-    assert ranked == []
+    assert quotients == []
+
+
+@pytest.mark.parametrize("n", range(4, 14))
+def test_oracle_union_find_steps_within_junctions_plus_paths(monkeypatch, n):
+    # L_n is the densest case for commutativity junctions: at L_13 a degree
+    # has 4096 paths and 40960 junctions.  Each flip is met at both ends and
+    # joined from one, by one find; a link joins two components, so a degree
+    # makes fewer links than it has paths.
+    quotients = _record_quotients(monkeypatch)
+
+    assert dimension_oracle(special_line(n), "sg") == dimension(special_line(n), "sg")
+
+    assert sum(len(at) for _, junctions, _ in quotients for at in junctions)
+    for paths, junctions, finds in quotients:
+        most_links = len(paths) - 1
+        assert finds + most_links <= sum(map(len, junctions)) + len(paths)
 
 
 def test_parse_builds_a_source_span_only_for_a_diagnostic(monkeypatch):
