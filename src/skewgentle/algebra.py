@@ -290,6 +290,12 @@ def _degree_dimension(paths, flips, comm) -> int:
     components without a killed path, found by one union-find: each flip is
     met at both of its ends and joined from the later one, by one find.
     Without a flip the paths are independent.
+
+    On a presentation built from a triple no path is killed: a zero
+    relation of Q^sg holds for every sign of its outer ends, so a flip
+    keeps every zero relation of the path, and flip(p) is listed with p.
+    The kill is the general rule of the quotient, kept for any other
+    presentation.
     """
     if not any(flips):
         return len(paths)

@@ -136,8 +136,13 @@ def _cmd_reduce(args, t, out):
     return 0
 
 
+_SPSET_CHUNK = 4096  # sets joined and written at a time, so the text held stays bounded
+
+
 def _cmd_spset(args, t, out):
-    out.writelines("{" + ", ".join(subset) + "}\n" for subset in admissible_special_sets(t.pair))
+    sets = admissible_special_sets(t.pair)
+    for i in range(0, len(sets), _SPSET_CHUNK):
+        out.write("{" + "}\n{".join(map(", ".join, sets[i:i + _SPSET_CHUNK])) + "}\n")
     return 0
 
 

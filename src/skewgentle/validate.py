@@ -12,6 +12,9 @@ Rule identifiers are stable and part of the JSON contract:
 
 from __future__ import annotations
 
+from itertools import combinations, islice
+from math import comb
+
 from .errors import NotGentle
 from .quiver import ArrowWalk, BoundQuiver, Record, SkewedGentleTriple, _set
 
@@ -142,7 +145,7 @@ def _local_rule(bq: BoundQuiver, vertices) -> list[tuple[str, tuple[str, str] | 
 def admissible_special_sets(bq: BoundQuiver) -> list[tuple[str, ...]]:
     """All vertex subsets S making (Q, S, I) skewed-gentle, by size then lex.
 
-    Lex is in ``vertex_list`` order.  Only admissible sets are visited:
+    Lex is in ``vertex_list`` order.  Only admissible sets are built:
 
     *Local rule.*  Q^sp adds a loop e at each v in S, with e*e zero.  That
     changes the gentle conditions only at v: SB1 counts the arrows at v, and
@@ -154,7 +157,7 @@ def admissible_special_sets(bq: BoundQuiver) -> list[tuple[str, ...]]:
     and one outgoing arrow b with b*a zero (a's free successor becomes e,
     b's free predecessor e).  Every other vertex fails: two arrows on one
     side break SB1 once e is added, and if b*a is free, a has two free
-    successors, b and e (SB2).
+    successors, b and e (SB2).  The vertices that pass are the candidates.
 
     *Global rule.*  The arrow-successor graph of Q^sp (x -> y when y*x is
     free) keeps exactly the edges of Q's, since I^sp adds only e*e, and
@@ -162,46 +165,106 @@ def admissible_special_sets(bq: BoundQuiver) -> list[tuple[str, ...]]:
     on one side only, so it lies on no cycle.  At valency 2 its edges are
     a -> e -> b, so every cycle through e runs along the walk a -> e -> b.
     Hence Q^sp is finite dimensional exactly when ``bq.successors`` plus an
-    edge a -> b for each valency-2 vertex of S stays acyclic.  A loop a = b
-    with a*a zero passes the local rule, and its edge a -> a is a cycle.
+    edge a -> b for each valency-2 vertex of S stays acyclic.
 
-    Sets grow level by level: each admissible set of size k - 1, in lex
-    order, is extended by each later candidate, whose edge a -> b may join
-    only when b does not reach a.  So no superset of a failing set is
-    visited, and level k comes out in lex order.
+    *Rings.*  In the gentle pair SB2 gives each arrow at most one free
+    successor and at most one free predecessor, and ``bq.successors`` is
+    acyclic, so it is a union of disjoint chains.  A valency-2 candidate v
+    with arrows a -> v -> b and b*a zero has a as the only arrow into v and
+    b as the only one out, so a ends a chain and b starts one; two
+    candidates share neither a nor b.  With any set of these edges added,
+    every arrow keeps at most one successor and one predecessor, so a cycle
+    is whole chains joined end to start by candidate edges.  Let the next
+    candidate of v be the one whose edge leaves the end of the chain that
+    v's edge enters: the candidates form disjoint paths and cycles under
+    "next", the rings, and the cycles of the graph with the edges of S are
+    exactly the rings that S holds whole.  So S is admissible exactly when
+    it holds no whole ring.  A ring of one (a loop a with a*a zero, or a
+    chain whose own end the edge leaves) rules its candidate out.
+
+    *Enumeration.*  Each admissible set of size k - 1, in lex order, is
+    extended by each later candidate, so level k comes out in lex order.  As
+    the candidates are passed in order, a ring is broken once one of its
+    candidates is passed over, and an extension is skipped exactly when its
+    candidate is the last of a ring not yet broken.  Once every ring with a
+    candidate after position i is broken, the set extended by any choice of
+    candidates from i on (from i + 1, if i is the last of its unbroken ring)
+    is admissible: the set with that tail stands for all of its extensions,
+    and at each size ``combinations`` of the set and its tail lists them,
+    as its first C(tail, size - |set|) tuples are those keeping the whole
+    set.  So every set built is returned, and past the empty set a pair
+    with no ring of two or more candidates is listed by one
+    ``combinations`` call per size.  A set
+    built one at a time skips only extensions that would complete a ring,
+    each ring with another candidate in the set, so at most as many as the
+    set has candidates: the work is proportional to the size of the output,
+    after the one pass over the arrows that finds the rings.
     """
     if bq.gentle_violations or bq.walk.cycle is not None:
         raise NotGentle("admissible_special_sets needs a gentle finite-dimensional pair")
     candidates = _local_rule(bq, bq.quiver.vertex_list)
-    succ = bq.successors
-    admissible = [()]
-    level = [((), 0, {})]  # (admissible set, next candidate, its edges a -> b)
-    while level:
+    rings = _rings(bq.successors, candidates)
+    ring_bit = {i: 1 << r for r, ring in enumerate(rings) if len(ring) > 1 for i in ring}
+    lone = {ring[0] for ring in rings if len(ring) == 1}
+    names = tuple(v for i, (v, _) in enumerate(candidates) if i not in lone)
+    bits = [ring_bit.get(i, 0) for i in range(len(candidates)) if i not in lone]
+    n = len(names)
+    opens = [0] * n  # the rings with a candidate after each position
+    for i in range(n - 1, 0, -1):
+        opens[i - 1] = opens[i] | bits[i]
+    closing = [bit & ~later for bit, later in zip(bits, opens)]  # the last of its ring
+    # entries in lex order: (set, next position, rings broken) for a set that
+    # a later candidate could still make fail, (set and its tail, set size)
+    # for a set every extension of which is admissible
+    admissible, level = [()], [((), 0, 0)]
+    for size in range(1, n + 1):
         grown = []
-        for chosen, start, added in level:
-            for i in range(start, len(candidates)):
-                v, edge = candidates[i]
-                if edge is None:
-                    grown.append(((*chosen, v), i + 1, added))
-                elif not _reaches(succ, added, edge[1], edge[0]):
-                    grown.append(((*chosen, v), i + 1, {**added, edge[0]: edge[1]}))
-        admissible += [chosen for chosen, _, _ in grown]
+        for entry in level:
+            if len(entry) == 3:
+                chosen, start, broken = entry
+                entry = None
+                for i in range(start, n):
+                    closes = closing[i] & ~broken
+                    if not opens[i] & ~broken:  # no ring can be made whole from here on
+                        entry = ((*chosen, *names[i + 1 if closes else i:]), size - 1)
+                        break
+                    if not closes:
+                        grown_set = (*chosen, names[i])
+                        admissible.append(grown_set)
+                        grown.append((grown_set, i + 1, broken))
+                    broken |= bits[i]
+                if entry is None:
+                    continue
+            pool, fixed = entry
+            count = comb(len(pool) - fixed, size - fixed)
+            if count:
+                admissible += islice(combinations(pool, size), count)
+                grown.append(entry)
         level = grown
     return admissible
 
 
-def _reaches(succ, added, start, goal) -> bool:
-    """Whether ``goal`` is reachable from ``start`` along ``succ`` plus the
-    edges a -> b in ``added``.  Such an a has no successor in ``succ``: b is
-    the only arrow out of its target, and b*a is zero."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        if x == goal:
-            return True
-        for y in (added[x],) if x in added else succ[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return False
+def _rings(succ, candidates) -> list[list[int]]:
+    """The rings of the candidates' edges a -> b (see
+    ``admissible_special_sets``), each as positions in ``candidates`` along
+    the ring.  One pass over the arrows: each chain is walked from its start
+    at most once, as only one candidate's edge enters it."""
+    leaving = {edge[0]: i for i, (_, edge) in enumerate(candidates) if edge}
+    following = {}
+    for i, (_, edge) in enumerate(candidates):
+        if edge:
+            end = edge[1]
+            while succ[end]:
+                end = succ[end][0]
+            if end in leaving:
+                following[i] = leaving[end]
+    rings, seen = [], set()
+    for i in following:
+        ring, j = [], i
+        while j is not None and j not in seen:
+            seen.add(j)
+            ring.append(j)
+            j = following.get(j)
+        if j == i:
+            rings.append(ring)
+    return rings

@@ -15,6 +15,7 @@ from skewgentle import (
     NotSpecial,
     SkewedGentleTriple,
     admissible_special_sets,
+    algebra,
     basis,
     build_quiver,
     corner_data,
@@ -438,6 +439,35 @@ def test_degree_quotient_matches_elimination_when_flips_leave_the_paths():
                 killed += flipped is None
         assert _degree_dimension(paths, flips, comm) == len(paths) - _rank(rows)
     assert killed
+
+
+def test_no_flip_leaves_the_paths_of_a_triple(monkeypatch):
+    # A zero relation of Q^sg holds for every sign of its outer ends, so a
+    # flip keeps a path's zero relations: the oracle never kills a path on
+    # a presentation built from a triple.  Counted on the generated triples
+    # of the differential test above and on L_3-L_11.
+    junctions, killed = [], []
+
+    def counted(paths, flips, comm):
+        listed = set(paths)
+        for p, at in zip(paths, flips):
+            for i in at:
+                junctions.append(p)
+                if p[:i] + comm[p[i:i + 2]] + p[i + 2:] not in listed:
+                    killed.append(p)
+        return _degree_dimension(paths, flips, comm)
+
+    monkeypatch.setattr(algebra, "_degree_dimension", counted)
+    triples = 0
+    for seed in range(300):
+        pair = random_triple(seed, 8, 11).pair
+        for special in admissible_special_sets(pair)[:6]:
+            triples += 1
+            dimension_oracle(SkewedGentleTriple(pair, frozenset(special)), "sg")
+    assert (triples, len(junctions), killed) == (1430, 1778, [])
+    for n in range(3, 12):
+        dimension_oracle(special_line(n), "sg")
+    assert (len(junctions), killed) == (1778 + 49794, [])
 
 
 def _line_with_relations(n, offset, special_ends):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -19,7 +21,7 @@ from skewgentle import (
     valency,
     validate_skewed_gentle,
 )
-from skewgentle.validate import ValidationReport, Violation
+from skewgentle.validate import ValidationReport, Violation, _local_rule, _rings
 
 
 def test_special_biserial_fix_a(fix_a):
@@ -254,6 +256,81 @@ def test_admissible_sets_match_reference_on_random_triples():
     for seed, size in [*((s, (3, 4)) for s in range(2000)), *((s, (7, 9)) for s in range(300))]:
         bq = random_triple(seed, *size).pair
         assert admissible_special_sets(bq) == _reference_admissible_sets(bq), (seed, size)
+
+
+# admissible_special_sets as it was before the ring rule: sets grow level by
+# level, and a later candidate's edge a -> b joins only when b does not reach
+# a along the successors and the edges already added.  The reference for the
+# ring rule and the enumeration built on it.
+
+def _level_reference_admissible_sets(bq):
+    candidates = _local_rule(bq, bq.quiver.vertex_list)
+    succ = bq.successors
+    admissible = [()]
+    level = [((), 0, {})]  # (admissible set, next candidate, its edges a -> b)
+    while level:
+        grown = []
+        for chosen, start, added in level:
+            for i in range(start, len(candidates)):
+                v, edge = candidates[i]
+                if edge is None:
+                    grown.append(((*chosen, v), i + 1, added))
+                elif not _reaches(succ, added, edge[1], edge[0]):
+                    grown.append(((*chosen, v), i + 1, {**added, edge[0]: edge[1]}))
+        admissible += [chosen for chosen, _, _ in grown]
+        level = grown
+    return admissible
+
+
+def _reaches(succ, added, start, goal):
+    seen = {start}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        if x == goal:
+            return True
+        for y in (added[x],) if x in added else succ[x]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return False
+
+
+def _necklace(seed):
+    """1-3 disjoint cycles of 1-4 arrows, each junction a relation with
+    probability 0.8, and 0-3 isolated vertices, under shuffled names."""
+    rng = random.Random(seed)
+    lengths = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+    labels = list(range(sum(lengths) + rng.randint(0, 3)))
+    rng.shuffle(labels)
+    names = iter(f"v{k}" for k in labels)
+    vertices, arrows, relations = [], [], []
+    for c, m in enumerate(lengths):
+        cycle = [next(names) for _ in range(m)]
+        ring = [(f"a{c}_{i}", cycle[i], cycle[(i + 1) % m]) for i in range(m)]
+        vertices += cycle
+        arrows += ring
+        relations += [(ring[(i + 1) % m][0], ring[i][0]) for i in range(m) if rng.random() < 0.8]
+    return _pair([*vertices, *names], arrows, relations)
+
+
+def test_admissible_sets_match_level_reference_on_necklaces():
+    # a full-relation stretch of a cycle joins its candidates' edges into a
+    # ring; a free junction cuts it into a path
+    valid = ringed = small = 0
+    for seed in range(3000):
+        bq = _necklace(seed)
+        if bq.gentle_violations or bq.walk.cycle is not None:
+            continue
+        valid += 1
+        candidates = _local_rule(bq, bq.quiver.vertex_list)
+        ringed += any(len(ring) > 1 for ring in _rings(bq.successors, candidates))
+        found = admissible_special_sets(bq)
+        assert found == _level_reference_admissible_sets(bq), seed
+        if len(bq.quiver.vertex_list) <= 8:
+            small += 1
+            assert found == _reference_admissible_sets(bq), seed
+    assert (valid, ringed, small) == (2632, 2215, 1925)
 
 
 def _pair(vertices, arrows, relations=()):

@@ -2,14 +2,14 @@
 triple keeps the generator's verdict, and Q^sp is
 built only for a failure's witnesses or where it is read; each derived pair
 is built once per command, ``spset`` decides no subset through the
-definition, the oracle joins paths only at commutativity flips, takes no
-quotient step without them and about one find step per junction, paths are
-listed only where the output lists them, every sg and g count reads the
-verdict's walk of (Q, I1) and Q^g is built only where it is read, valid
-text is parsed without tokens, source positions are computed only for a
-diagnostic, a pair's relations are checked once, a plainly written command
-builds no argument parser and calls none, and a command calls the renderer
-its module holds at the call."""
+definition and builds no set it drops, the oracle joins paths only at
+commutativity flips, takes no quotient step without them and about one find
+step per junction, paths are listed only where the output lists them, every
+sg and g count reads the verdict's walk of (Q, I1) and Q^g is built only
+where it is read, valid text is parsed without tokens, source positions are
+computed only for a diagnostic, a pair's relations are checked once, a
+plainly written command builds no argument parser and calls none, and a
+command calls the renderer its module holds at the call."""
 
 import argparse
 import io
@@ -100,15 +100,16 @@ def test_validate_builds_q_sp_only_for_a_failure(monkeypatch, name, valid):
 
 def test_verdict_is_one_walk_and_no_reachability_check(monkeypatch):
     # a full-relation line whose interior vertices are all special, named so
-    # that name order runs against the line: adding the loops' edges in that
-    # order makes each per-extension reachability check walk the whole line
+    # that name order runs against the line: the verdict walks the arrows
+    # once, with the loops' edges, and runs no search for the rings that
+    # spset reads
     n = 2000
     names = [f"{n - 1 - i:04d}" for i in range(n)]
     arrows = [quiver.Arrow(f"a{names[i]}", names[i], names[i + 1]) for i in range(n - 1)]
     relations = {(arrows[i + 1].name, arrows[i].name) for i in range(n - 2)}
     bq = quiver.BoundQuiver(quiver.build_quiver(names, arrows), frozenset(relations))
     t = quiver.SkewedGentleTriple(bq, frozenset(names[1:-1]))
-    reached = _count_calls(monkeypatch, validate._reaches)
+    ring_searches = _count_calls(monkeypatch, validate._rings)
     walks, walk = [], quiver._walk
 
     class Looked(dict):
@@ -124,7 +125,7 @@ def test_verdict_is_one_walk_and_no_reachability_check(monkeypatch):
 
     assert validate.validate_skewed_gentle(t).skewed_gentle
 
-    assert reached == []
+    assert ring_searches == []
     # only the walk with an edge per special vertex: acyclic with those
     # edges, the base pair is acyclic without them
     [looked] = walks
@@ -186,6 +187,45 @@ def test_spset_decides_no_subset_through_the_definition(monkeypatch):
 
     assert decisions == []
     assert sp_builds == []
+
+
+def _two_cycles(k, isolated):
+    """k disjoint full-relation 2-cycles a_i: p_i -> q_i, b_i: q_i -> p_i,
+    each a ring of the candidates p_i and q_i, and isolated vertices z_j."""
+    vertices = [*(f"p{i}, q{i}" for i in range(k)), *(f"z{j}" for j in range(isolated))]
+    text = f"quiver N {{ vertices: {', '.join(vertices)};"
+    if k:
+        arrows = ", ".join(f"a{i}: p{i} -> q{i}, b{i}: q{i} -> p{i}" for i in range(k))
+        relations = ", ".join(f"b{i}*a{i}, a{i}*b{i}" for i in range(k))
+        text += f" arrows: {arrows}; relations: {relations};"
+    return dsl.parse(text + " }").pair
+
+
+@pytest.mark.parametrize("k,isolated,built", [
+    (0, 16, 1),  # no ring: past {}, one combinations call per size
+    (12, 0, 265721),  # 3^12 sets; a filter after combinations would visit 4^12
+    (6, 4, 365),
+])
+def test_spset_builds_no_set_it_drops(monkeypatch, k, isolated, built):
+    yielded, combinations = [], validate.combinations
+
+    def recorded(pool, size):
+        for subset in combinations(pool, size):
+            yielded.append(subset)
+            yield subset
+
+    monkeypatch.setattr(validate, "combinations", recorded)
+
+    sets = validate.admissible_special_sets(_two_cycles(k, isolated))
+
+    assert len(sets) == 3 ** k * 2 ** isolated
+    assert not any(f"p{i}" in s and f"q{i}" in s for s in sets for i in range(k))
+    # every tuple combinations yields is returned, and the rest were built
+    # one at a time: nothing is built and then dropped
+    returned = {id(s) for s in sets}
+    assert len(returned) == len(sets)
+    assert len({id(s) for s in yielded} & returned) == len(yielded)
+    assert len(sets) - len(yielded) == built
 
 
 def _record_quotients(monkeypatch):
