@@ -183,7 +183,7 @@ def build_sg_presentation(t: SkewedGentleTriple) -> SgPresentation:
     zero = set()
     comm = set()
     amap = q.arrow_map
-    for x, y in base.relation_list:
+    for x, y in base.relations:
         sources, middle, targets = signed[amap[y].source], amap[y].target, signed[amap[x].target]
         if middle in special:
             plus, minus = signed[middle]

@@ -15,6 +15,12 @@ and dies with it.  Relation-free paths are counted and listed off a walk
 (``ArrowWalk``), not off a pair: the base pair's or Q^g's own, or the
 verdict's walk for (Q, I1), which is never built as a pair.
 
+A bound quiver reads its relations as the set gives them: its check, its
+relation index (each arrow's partners in name order, whatever the hash
+seed) and its arrow-successor graph are each one linear pass, also when
+one arrow has many relation partners.  The relations are sorted only to
+name the first bad one and where an output lists them (``relation_list``).
+
 Every value type of the package is a ``Record``: a plain class that lists
 its fields in ``__slots__`` (plus ``"__dict__"`` when it keeps cached
 properties) and sets them in an explicit ``__init__``, which also holds the
@@ -255,7 +261,15 @@ class BoundQuiver(Record):
         _set(self, "quiver", quiver)
         _set(self, "relations", relations)
         amap = quiver.arrow_map
-        for x, y in self.relation_list:  # name order, whatever the hash seed
+        for x, y in relations:
+            if x not in amap or y not in amap or amap[y].target != amap[x].source:
+                self._raise_first_bad_relation()
+
+    def _raise_first_bad_relation(self):
+        """Raise for the first relation in name order, whatever the hash
+        seed, that names an unknown arrow or is no composable 2-path."""
+        amap = self.quiver.arrow_map
+        for x, y in self.relation_list:
             if x not in amap or y not in amap:
                 raise UnknownVertex(f"relation {relation_text(x, y)} names an unknown arrow")
             if amap[y].target != amap[x].source:
@@ -278,24 +292,57 @@ class BoundQuiver(Record):
     @cached_property
     def _relation_index(self) -> tuple[dict, dict]:
         """``relations_before`` and ``relations_after``, from one pass over the
-        relations; ``relation_list`` is sorted, so both come out in name order."""
-        before: dict = {a: [] for a in self.quiver.arrow_map}
-        after: dict = {a: [] for a in self.quiver.arrow_map}
-        for x, y in self.relation_list:
-            before[x].append(y)
-            after[y].append(x)
-        return _frozen(before), _frozen(after)
+        relations as the set gives them.  An arrow's first partner is kept as
+        a 1-tuple; a second turns the entry into a list, which later partners
+        extend, and only those lists are sorted into tuples at the end.  So
+        both come out in name order, whatever the hash seed, in linear time."""
+        amap = self.quiver.arrow_map
+        before: dict = dict.fromkeys(amap, ())
+        after: dict = dict.fromkeys(amap, ())
+        many_before, many_after = [], []
+        for x, y in self.relations:
+            ys = before[x]
+            if not ys:
+                before[x] = (y,)
+            elif len(ys) == 1:
+                before[x] = [ys[0], y]
+                many_before.append(x)
+            else:
+                ys.append(y)
+            xs = after[y]
+            if not xs:
+                after[y] = (x,)
+            elif len(xs) == 1:
+                after[y] = [xs[0], x]
+                many_after.append(y)
+            else:
+                xs.append(x)
+        for index, many in ((before, many_before), (after, many_after)):
+            for a in many:
+                index[a] = tuple(sorted(index[a]))
+        return before, after
 
     @cached_property
     def successors(self) -> dict[ArrowId, tuple[ArrowId, ...]]:
         """The arrow-successor graph: for each arrow a, the arrows g with
-        s(g) = t(a) and (g, a) not a relation, in name order."""
+        s(g) = t(a) and (g, a) not a relation, in name order.
+
+        Every relation partner after a starts at t(a), so a keeps all the
+        arrows there when it has no partner and none when it has as many."""
         out = self.quiver.outgoing
         after = self.relations_after
-        return {
-            a.name: tuple([g.name for g in out[a.target] if g.name not in after[a.name]])
-            for a in self.quiver.arrows
-        }
+        succ = {}
+        for a in self.quiver.arrows:
+            outs, killed = out[a.target], after[a.name]
+            if not killed:
+                succ[a.name] = tuple([g.name for g in outs])
+            elif len(killed) == len(outs):
+                succ[a.name] = ()
+            else:
+                if len(killed) > 1:
+                    killed = set(killed)
+                succ[a.name] = tuple([g.name for g in outs if g.name not in killed])
+        return succ
 
     @cached_property
     def walk(self) -> ArrowWalk:
@@ -354,16 +401,24 @@ def _walk(graph) -> tuple[tuple[ArrowId, ...] | None, list[ArrowId]]:
     with every node placed after all its successors, as nodes are recorded
     when they finish.  Starts are taken in name order and successors in the
     order given, so the cycle found is always the same one.  Each node's
-    successors are read once.
+    successors are read once.  A node without successors lies on no cycle:
+    it finishes as soon as it is reached, as a start or as a successor,
+    without a trail entry or an iterator, in the place in ``order`` that
+    pushing and popping it would give.
     """
     state = dict.fromkeys(graph, 0)  # 0 unvisited, 1 on the trail, 2 done
     order: list[ArrowId] = []
     for start in sorted(graph):
         if state[start]:
             continue
+        succ = graph[start]
+        if not succ:
+            state[start] = 2
+            order.append(start)
+            continue
         state[start] = 1
         trail = [start]
-        pending = [iter(graph[start])]
+        pending = [iter(succ)]
         while pending:
             nxt = next(pending[-1], None)
             if nxt is None:
@@ -374,9 +429,14 @@ def _walk(graph) -> tuple[tuple[ArrowId, ...] | None, list[ArrowId]]:
             elif state[nxt] == 1:
                 return tuple(trail[trail.index(nxt):]), []
             elif state[nxt] == 0:
-                state[nxt] = 1
-                trail.append(nxt)
-                pending.append(iter(graph[nxt]))
+                succ = graph[nxt]
+                if succ:
+                    state[nxt] = 1
+                    trail.append(nxt)
+                    pending.append(iter(succ))
+                else:
+                    state[nxt] = 2
+                    order.append(nxt)
     return None, order
 
 

@@ -41,34 +41,41 @@ class ValidationReport(Record):
 
 
 def is_special_biserial(bq: BoundQuiver) -> tuple[bool, list[Violation]]:
-    q = bq.quiver
-    out, inc = q.outgoing, q.incoming
-    violations = [Violation("SB1", (v,)) for v in q.vertex_list
-                  if len(out[v]) > 2 or len(inc[v]) > 2]
-    succ, before = bq.successors, bq.relations_before
-    for a in q.arrows:
-        nonrel_succ = succ[a.name]
-        if len(nonrel_succ) > 1:
-            violations.append(Violation("SB2", (a.name, *nonrel_succ)))
-        ins = inc[a.source]
-        if len(ins) > 1:  # a single arrow in is a single partner at most
-            killed = before[a.name]
-            nonrel_pred = [b.name for b in ins if b.name not in killed]
-            if len(nonrel_pred) > 1:
-                violations.append(Violation("SB2", (a.name, *nonrel_pred)))
+    """The violations of ``is_gentle`` (kept on the pair) less the G1 ones."""
+    violations = [v for v in bq.gentle_violations if v.rule != "G1"]
     return not violations, violations
 
 
 def is_gentle(bq: BoundQuiver) -> tuple[bool, list[Violation]]:
-    ok, violations = is_special_biserial(bq)
-    before, after = bq.relations_before, bq.relations_after
-    for name in bq.quiver.arrow_map:
+    """One pass: SB1 over the vertices, then SB2 and G1 over the arrows;
+    the violations come out SB1, then SB2 by arrow, then G1 by arrow.
+
+    Every relation partner of an arrow is a composition partner on that
+    side, so an arrow with k arrows in and j relation partners before it
+    has k - j free ones, and they are listed only for a violation."""
+    q = bq.quiver
+    out, inc = q.outgoing, q.incoming
+    violations = [Violation("SB1", (v,)) for v in q.vertex_list
+                  if len(out[v]) > 2 or len(inc[v]) > 2]
+    g1 = []
+    succ, before, after = bq.successors, bq.relations_before, bq.relations_after
+    for a in q.arrows:
+        name = a.name
+        nonrel_succ = succ[name]
+        if len(nonrel_succ) > 1:
+            violations.append(Violation("SB2", (name, *nonrel_succ)))
         rel_pred = before[name]
+        ins = inc[a.source]
+        if len(ins) - len(rel_pred) > 1:
+            killed = set(rel_pred)
+            violations.append(Violation("SB2", (name, *[b.name for b in ins
+                                                         if b.name not in killed])))
         if len(rel_pred) > 1:
-            violations.append(Violation("G1", (name, *rel_pred)))
+            g1.append(Violation("G1", (name, *rel_pred)))
         rel_succ = after[name]
         if len(rel_succ) > 1:
-            violations.append(Violation("G1", (name, *rel_succ)))
+            g1.append(Violation("G1", (name, *rel_succ)))
+    violations += g1
     return not violations, violations
 
 

@@ -65,3 +65,30 @@ def special_line(n: int):
     relations = ", ".join(f"a{i + 1}*a{i}" for i in range(n - 2))
     return parse(f"quiver L {{ vertices: {vertices}; special: {special}; arrows: {arrows};"
                  f" relations: {relations}; }}")
+
+
+def in_star(k: int) -> str:
+    """The in-star: k arrows y_i: p -> q, one arrow x: q -> r and every x*y_i
+    a relation, so x has k relation partners before it."""
+    ys = ", ".join(f"y{i}: p -> q" for i in range(k))
+    relations = ", ".join(f"x*y{i}" for i in range(k))
+    return f"quiver S {{ vertices: p, q, r; arrows: {ys}, x: q -> r; relations: {relations}; }}"
+
+
+def out_star(k: int) -> str:
+    """The out-star: one arrow y: p -> q, k arrows z_i: q -> r and every z_i*y
+    a relation, so y has k relation partners after it."""
+    zs = ", ".join(f"z{i}: q -> r" for i in range(k))
+    relations = ", ".join(f"z{i}*y" for i in range(k))
+    return f"quiver S {{ vertices: p, q, r; arrows: y: p -> q, {zs}; relations: {relations}; }}"
+
+
+def crossing(k: int) -> str:
+    """k arrows y_i: p -> q, one arrow m: q -> r and k arrows z_i: r -> s, with
+    every composition through m a relation: m has k relation partners on each
+    side, and their name order (y0, y1, y10, ...) is not the order written."""
+    ys = ", ".join(f"y{i}: p -> q" for i in range(k))
+    zs = ", ".join(f"z{i}: r -> s" for i in range(k))
+    relations = ", ".join([*(f"m*y{i}" for i in range(k)), *(f"z{i}*m" for i in range(k))])
+    return (f"quiver W {{ vertices: p, q, r, s; arrows: {ys}, m: q -> r, {zs};"
+            f" relations: {relations}; }}")

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -6,6 +7,8 @@ from pathlib import Path as FsPath
 import pytest
 
 import skewgentle
+
+from conftest import crossing
 
 from skewgentle import (
     Arrow,
@@ -162,3 +165,39 @@ def test_first_bad_relation_in_name_order_whatever_the_hash_seed():
                               capture_output=True, text=True, check=True)
         messages.add(done.stdout)
     assert messages == {"NotComposable relation a*b is not a composable 2-path\n"}
+
+
+_VALIDATE_JSON = """
+import io, json, sys
+from skewgentle.cli import run
+results = []
+for path in sys.argv[1:]:
+    out = io.StringIO()
+    results.append((run(["validate", path, "--json"], out=out, err=io.StringIO()), out.getvalue()))
+print(json.dumps(results))
+"""
+
+
+def test_witnesses_in_name_order_whatever_the_hash_seed(tmp_path):
+    # the relation index is built from the relation set as it iterates, in
+    # the order of the string hash; the witnesses must come out the same
+    golden_dir = FsPath(__file__).parent / "golden"
+    golden = json.loads((golden_dir / "bad_g1.json").read_text(encoding="utf-8"))
+    expected = [golden["validate FILE --json"]["exit"], golden["validate FILE --json"]["stdout"]]
+    wide = tmp_path / "wide.q"
+    wide.write_text(crossing(12), encoding="utf-8")  # 12 relation partners on each side
+    src = str(FsPath(skewgentle.__file__).parents[1])
+    outputs = set()
+    for seed in range(8):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", _VALIDATE_JSON, str(golden_dir / "bad_g1.q"), str(wide)],
+            env=env, capture_output=True, text=True, check=True)
+        bad_g1, wide_result = json.loads(done.stdout)
+        assert bad_g1 == expected, seed
+        outputs.add(tuple(wide_result))
+    [(code, stdout)] = outputs
+    assert code == 1
+    g1 = [v["items"] for v in json.loads(stdout)["violations"] if v["rule"] == "G1"]
+    assert g1 == [["m", *sorted(f"y{i}" for i in range(12))],
+                  ["m", *sorted(f"z{i}" for i in range(12))]]

@@ -1,8 +1,11 @@
+import io
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 
+from conftest import crossing, in_star, out_star
 from test_dsl import _triples
 
 from skewgentle import (
@@ -21,6 +24,7 @@ from skewgentle import (
     valency,
     validate_skewed_gentle,
 )
+from skewgentle.cli import run
 from skewgentle.validate import ValidationReport, Violation, _local_rule, _rings
 
 
@@ -228,11 +232,30 @@ def test_indexed_checks_match_reference_on_random_triples():
             _assert_matches_reference(bq)
 
 
+def _loop_violator():
+    # a loop x with x*x, x*w and y*x: two relation partners on each side
+    return parse("quiver O { vertices: u, v, t; arrows: w: u -> v, x: v -> v, y: v -> t;"
+                 " relations: x*x, x*w, y*x; }").pair
+
+
 def test_indexed_checks_match_reference_on_violators(fix_d):
-    for bq in (_star(), _g1_violator(fix_d), _sb2_violator(fix_d)):
+    stars = [parse(text).pair for text in (in_star(7), out_star(7), crossing(3))]
+    for bq in (_star(), _g1_violator(fix_d), _sb2_violator(fix_d), *stars, _loop_violator()):
         ok, _ = _reference_gentle(bq)
         assert not ok
         _assert_matches_reference(bq)
+
+
+@pytest.mark.parametrize("star,hub,side", [(in_star, "x", "y"), (out_star, "y", "z")])
+def test_relation_stars_list_every_partner(star, hub, side, tmp_path):
+    # all k partners of the hub on one side, where lookups in a tuple were quadratic
+    k = 20000
+    path = tmp_path / "star.q"
+    path.write_text(star(k), encoding="utf-8")
+    out = io.StringIO()
+    assert run(["validate", str(path), "--json"], out=out, err=io.StringIO()) == 1
+    [g1] = [v["items"] for v in json.loads(out.getvalue())["violations"] if v["rule"] == "G1"]
+    assert g1 == [hub, *sorted(f"{side}{i}" for i in range(k))]
 
 
 # admissible_special_sets as it was before the local rule: every subset of
