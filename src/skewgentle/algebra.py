@@ -16,10 +16,11 @@ length bound over (Q, I1) reads the verdict's walk of its graph,
 built only as the reference that walk is checked against.  For sg an
 endpoint weighs its number of signed names in the lift table
 (``vertex_lifts``), and for g each nontrivial path lifts to two paths of
-Q^g, so Q^g is read only by its construction, ``gldim_flags`` and the g
-oracle.  ``corner_data`` counts its numbers by weighted passes over (Q, I1)
-and lists the paths at its corner only when they are read, by walking from
-the corner's arrows: text ``reduce`` counts, and ``reduce --json`` is
+Q^g, so Q^g is read only by its construction, ``gldim_flags``, the g
+oracle and the check of the g count in ``invariants --dims``.
+``corner_data`` counts its numbers by weighted passes over (Q, I1) and
+lists the paths at its corner only when they are read, by walking from the
+corner's arrows: text ``reduce`` counts, and ``reduce --json`` is
 output-sized.
 
 ``basis`` lists the normal forms one by one, and so does the independent

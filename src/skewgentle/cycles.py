@@ -4,7 +4,8 @@ A full repetition-free cycle of a gentle pair is a cyclic arrow sequence
 a1 ... an, no arrow repeated, in which every consecutive pair (and the wrap
 pair) is a relation.  Because each arrow has at most one relation partner
 on each side, these cycles are the disjoint cycles of a partial injection
-on arrows and every arrow lies on at most one of them.
+on arrows and every arrow lies on at most one of them, read off the
+shared linear walk ``quiver._chain_cycles``.
 
 The singularity descriptor is the multiset of positive shift integers, one
 factor D^b(k)/[n] per cycle of length n; the skewed-gentle algebra has the
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from .construct import _require_valid
 from .errors import InternalInconsistency, NotGentle
-from .quiver import BoundQuiver, Quiver, Record, SkewedGentleTriple, _set
+from .quiver import BoundQuiver, Quiver, Record, SkewedGentleTriple, _chain_cycles, _set
 
 
 class CycleClass(Record):
@@ -91,26 +92,9 @@ def full_cycles(bq: BoundQuiver, special=None) -> set[CycleClass]:
     if bq.gentle_violations or bq.walk.cycle is not None:
         raise NotGentle("full_cycles needs a gentle finite-dimensional pair: "
                         f"{list(bq.gentle_violations)}")
-    nxt = {x: y for x, y in bq.relations}  # y follows x in the written sequence
-    cycles = set()
-    placed = set()
-    for start in bq.quiver.arrow_map:
-        if start in placed:
-            continue
-        seq = [start]
-        seen = {start}
-        while seq[-1] in nxt:
-            follower = nxt[seq[-1]]
-            if follower == start:
-                arrows = _canonical_rotation(tuple(seq))
-                placed.update(arrows)
-                cycles.add(_classify(bq.quiver, arrows, special))
-                break
-            if follower in seen:
-                break  # entered a cycle not through its start; handled from there
-            seq.append(follower)
-            seen.add(follower)
-    return cycles
+    follower = dict(bq.relations)  # y follows x in the written sequence
+    return {_classify(bq.quiver, _canonical_rotation(tuple(arrows)), special)
+            for arrows in _chain_cycles(follower)}
 
 
 def _classify(quiver, arrows, special):

@@ -92,6 +92,8 @@ def random_triple(seed: int, max_vertices: int, max_arrows: int) -> SkewedGentle
     verdict is kept on it as ``validation``, so it is not decided again."""
     if max_vertices < 1:
         raise ValueError("max_vertices must be at least 1")
+    if max_arrows < 0:
+        raise ValueError("max_arrows must be at least 0")
     rng = random.Random(seed)
     for _ in range(RETRY_BUDGET):
         triple = _attempt(rng, max_vertices, max_arrows)

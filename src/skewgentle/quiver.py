@@ -16,10 +16,11 @@ and dies with it.  Relation-free paths are counted and listed off a walk
 verdict's walk for (Q, I1), which is never built as a pair.
 
 A bound quiver reads its relations as the set gives them: its check, its
-relation index (each arrow's partners in name order, whatever the hash
-seed) and its arrow-successor graph are each one linear pass, also when
-one arrow has many relation partners.  The relations are sorted only to
-name the first bad one and where an output lists them (``relation_list``).
+arrow-successor graph and each side of its relation index (``_grouped``,
+which also groups a quiver's arrows by end) are one linear pass each, also
+when one arrow has many relation partners.  The relations are sorted only
+to name the first bad one and where an output lists them.  Full relation
+cycles and spset's rings are read off one linear walk, ``_chain_cycles``.
 
 Every value type of the package is a ``Record``: a plain class that lists
 its fields in ``__slots__`` (plus ``"__dict__"`` when it keeps cached
@@ -65,6 +66,7 @@ def relation_text(x: ArrowId, y: ArrowId) -> str:
 
 
 _set = object.__setattr__  # how a record's __init__ sets its fields
+_by_name = attrgetter("name")
 
 
 class Record:
@@ -123,7 +125,7 @@ class Quiver(Record):
 
     def __init__(self, vertices: frozenset[VertexId], arrows):
         _set(self, "vertices", vertices)
-        _set(self, "arrows", tuple(sorted(arrows, key=attrgetter("name"))))
+        _set(self, "arrows", tuple(sorted(arrows, key=_by_name)))
 
     @cached_property
     def vertex_list(self) -> tuple[VertexId, ...]:
@@ -135,21 +137,51 @@ class Quiver(Record):
 
     @cached_property
     def outgoing(self) -> dict[VertexId, tuple[Arrow, ...]]:
-        return self._incidence[0]
+        return _grouped(self.vertex_list, ((a.source, a) for a in self.arrows), _by_name)
 
     @cached_property
     def incoming(self) -> dict[VertexId, tuple[Arrow, ...]]:
-        return self._incidence[1]
+        return _grouped(self.vertex_list, ((a.target, a) for a in self.arrows), _by_name)
 
-    @cached_property
-    def _incidence(self) -> tuple[dict, dict]:
-        """``outgoing`` and ``incoming``, from one pass over the arrows."""
-        out: dict = {v: [] for v in self.vertex_list}
-        into: dict = {v: [] for v in self.vertex_list}
-        for a in self.arrows:
-            out[a.source].append(a)
-            into[a.target].append(a)
-        return _frozen(out), _frozen(into)
+
+def _grouped(keys, pairs, order=None) -> dict:
+    """Each key of ``keys`` with a tuple of the values ``pairs`` gives it,
+    sorted by ``order``, in one pass over the pairs in any order.  A first
+    value is kept as a 1-tuple and a second makes a list, so only keys with
+    two or more values are sorted, and the pass stays linear."""
+    index = dict.fromkeys(keys, ())
+    many = []
+    for key, value in pairs:
+        values = index[key]
+        if not values:
+            index[key] = (value,)
+        elif len(values) == 1:
+            index[key] = [values[0], value]
+            many.append(key)
+        else:
+            values.append(value)
+    for key in many:
+        index[key] = tuple(sorted(index[key], key=order))
+    return index
+
+
+def _chain_cycles(follower: dict) -> list[list]:
+    """The cycles of ``follower``, a map in which no two keys share a value,
+    each as its keys in walk order.  Each key is read once: as no two keys
+    share a value, a walk meets a key seen before only at its own start,
+    closing a cycle, or on an earlier walk, and then its start is on none."""
+    cycles, seen = [], set()
+    for start in follower:
+        if start in seen:
+            continue
+        chain, key = [], start
+        while key is not None and key not in seen:
+            seen.add(key)
+            chain.append(key)
+            key = follower.get(key)
+        if key == start:
+            cycles.append(chain)
+    return cycles
 
 
 def build_quiver(vertices, arrows) -> Quiver:
@@ -243,10 +275,6 @@ def valency(q: Quiver, v: VertexId) -> int:
     return len(q.outgoing[v]) + len(q.incoming[v])
 
 
-def _frozen(index: dict) -> dict:
-    return {k: tuple(values) for k, values in index.items()}
-
-
 class BoundQuiver(Record):
     """A quiver bound by length-2 zero relations.
 
@@ -282,45 +310,12 @@ class BoundQuiver(Record):
     @cached_property
     def relations_before(self) -> dict[ArrowId, tuple[ArrowId, ...]]:
         """For each arrow x, the arrows y with (x, y) a relation, in name order."""
-        return self._relation_index[0]
+        return _grouped(self.quiver.arrow_map, self.relations)
 
     @cached_property
     def relations_after(self) -> dict[ArrowId, tuple[ArrowId, ...]]:
         """For each arrow y, the arrows x with (x, y) a relation, in name order."""
-        return self._relation_index[1]
-
-    @cached_property
-    def _relation_index(self) -> tuple[dict, dict]:
-        """``relations_before`` and ``relations_after``, from one pass over the
-        relations as the set gives them.  An arrow's first partner is kept as
-        a 1-tuple; a second turns the entry into a list, which later partners
-        extend, and only those lists are sorted into tuples at the end.  So
-        both come out in name order, whatever the hash seed, in linear time."""
-        amap = self.quiver.arrow_map
-        before: dict = dict.fromkeys(amap, ())
-        after: dict = dict.fromkeys(amap, ())
-        many_before, many_after = [], []
-        for x, y in self.relations:
-            ys = before[x]
-            if not ys:
-                before[x] = (y,)
-            elif len(ys) == 1:
-                before[x] = [ys[0], y]
-                many_before.append(x)
-            else:
-                ys.append(y)
-            xs = after[y]
-            if not xs:
-                after[y] = (x,)
-            elif len(xs) == 1:
-                after[y] = [xs[0], x]
-                many_after.append(y)
-            else:
-                xs.append(x)
-        for index, many in ((before, many_before), (after, many_after)):
-            for a in many:
-                index[a] = tuple(sorted(index[a]))
-        return before, after
+        return _grouped(self.quiver.arrow_map, [(y, x) for x, y in self.relations])
 
     @cached_property
     def successors(self) -> dict[ArrowId, tuple[ArrowId, ...]]:

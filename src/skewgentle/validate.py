@@ -16,7 +16,7 @@ from itertools import combinations, islice
 from math import comb
 
 from .errors import NotGentle
-from .quiver import ArrowWalk, BoundQuiver, Record, SkewedGentleTriple, _set
+from .quiver import ArrowWalk, BoundQuiver, Record, SkewedGentleTriple, _chain_cycles, _set
 
 
 class Violation(Record):
@@ -265,13 +265,4 @@ def _rings(succ, candidates) -> list[list[int]]:
                 end = succ[end][0]
             if end in leaving:
                 following[i] = leaving[end]
-    rings, seen = [], set()
-    for i in following:
-        ring, j = [], i
-        while j is not None and j not in seen:
-            seen.add(j)
-            ring.append(j)
-            j = following.get(j)
-        if j == i:
-            rings.append(ring)
-    return rings
+    return _chain_cycles(following)

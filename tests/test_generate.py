@@ -38,6 +38,11 @@ def test_max_vertices_must_be_positive():
         random_triple(0, 0, 0)
 
 
+def test_max_arrows_must_not_be_negative():
+    with pytest.raises(ValueError, match="^max_arrows must be at least 0$"):
+        random_triple(1, 3, -1)
+
+
 def test_generation_exhausted(monkeypatch):
     class Rejecting:
         skewed_gentle = False

@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from operator import attrgetter
 from pathlib import Path as FsPath
 
 import pytest
 
 import skewgentle
 
-from conftest import crossing
+from conftest import crossing, in_star, out_star
 
 from skewgentle import (
     Arrow,
@@ -23,6 +24,8 @@ from skewgentle import (
     compose,
     finite_dimensional_witness,
     is_finite_dimensional,
+    parse,
+    random_triple,
     relation_free_paths,
     valency,
 )
@@ -201,3 +204,24 @@ def test_witnesses_in_name_order_whatever_the_hash_seed(tmp_path):
     g1 = [v["items"] for v in json.loads(stdout)["violations"] if v["rule"] == "G1"]
     assert g1 == [["m", *sorted(f"y{i}" for i in range(12))],
                   ["m", *sorted(f"z{i}" for i in range(12))]]
+
+
+def _index_cases():
+    yield from (random_triple(seed, 8, 11).pair for seed in range(100))
+    for text in (in_star(7), out_star(7), crossing(12),
+                 "quiver X { vertices: 1; arrows: x: 1 -> 1; relations: x*x; }"):
+        yield parse(text).pair
+
+
+def test_indexes_are_sorted_filters_of_arrows_and_relations():
+    name = attrgetter("name")
+    for bq in _index_cases():
+        q, rels = bq.quiver, bq.relations
+        assert q.outgoing == {v: tuple(sorted([a for a in q.arrows if a.source == v], key=name))
+                              for v in q.vertices}
+        assert q.incoming == {v: tuple(sorted([a for a in q.arrows if a.target == v], key=name))
+                              for v in q.vertices}
+        assert bq.relations_before == {a.name: tuple(sorted([y for x, y in rels if x == a.name]))
+                                       for a in q.arrows}
+        assert bq.relations_after == {a.name: tuple(sorted([x for x, y in rels if y == a.name]))
+                                      for a in q.arrows}

@@ -24,6 +24,7 @@ from skewgentle import (
     ParseError,
     algebra,
     construct,
+    cycles,
     dimension,
     dimension_oracle,
     dsl,
@@ -130,6 +131,44 @@ def test_verdict_is_one_walk_and_no_reachability_check(monkeypatch):
     # edges, the base pair is acyclic without them
     [looked] = walks
     assert sorted(looked) == sorted(a.name for a in arrows)
+
+
+@pytest.mark.parametrize("special", [False, True])
+@pytest.mark.parametrize("n", [500, 1000, 2000])
+def test_full_cycles_read_each_follower_once(monkeypatch, n, special):
+    # the line L_n has no relation cycle, yet every arrow but the last has a
+    # follower: a walk restarted at every arrow reads about n^2 / 2 of them
+    t = special_line(n)
+    if not special:
+        t = quiver.SkewedGentleTriple(t.pair, frozenset(), t.name)
+    reads, walk = [], quiver._chain_cycles
+
+    class Looked(dict):
+        def get(self, key, default=None):
+            reads[-1].append(key)
+            return dict.get(self, key, default)
+
+        def __getitem__(self, key):
+            reads[-1].append(key)
+            return dict.__getitem__(self, key)
+
+        def __contains__(self, key):
+            reads[-1].append(key)
+            return dict.__contains__(self, key)
+
+    def counted(follower):
+        reads.append([])
+        return walk(Looked(follower))
+
+    monkeypatch.setattr(cycles, "_chain_cycles", counted)
+
+    assert cycles.gldim_flags(t) == {"gentle": True, "sg": True, "g": True}
+
+    # the base pair's cycles, then those of Q^g
+    assert len(reads) == 2
+    for looked, bq in zip(reads, (t.pair, t.g_pair.pair)):
+        assert len(looked) == len(set(looked)), "an arrow's follower was read twice"
+        assert set(looked) <= set(bq.quiver.arrow_map)
 
 
 @pytest.mark.parametrize("argv,bases", [
