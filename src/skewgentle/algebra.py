@@ -17,7 +17,9 @@ built only as the reference that walk is checked against.  For sg an
 endpoint weighs its number of signed names in the lift table
 (``vertex_lifts``), and for g each nontrivial path lifts to two paths of
 Q^g, so Q^g is read only by its construction, ``gldim_flags``, the g
-oracle and the check of the g count in ``invariants --dims``.
+oracle and the check of the g count in ``invariants --dims``, and none of
+them reads its labels.  The sg oracle takes Q^sg's arrow names from its
+``arrow_map``, where each was formatted once.
 ``corner_data`` counts its numbers by weighted passes over (Q, I1) and
 lists the paths at its corner only when they are read, by walking from the
 corner's arrows: text ``reduce`` counts, and ``reduce --json`` is
@@ -256,7 +258,7 @@ def _oracle_presentation(t, which):
                 longest_relation_free_length(bq.walk))
     if which == "sg":
         pres = t.sg_presentation
-        triples = [(a.name, a.source, a.target) for a in pres.arrows]
+        triples = [(name, a.source, a.target) for name, a in pres.arrow_map.items()]
         # in application order a comm factor reads (first, later)
         comm = {}
         for rel in pres.comm_relations:

@@ -13,14 +13,24 @@
 
 Commutativity relations are stored sign-free: the minus-weighted term is
 moved across the equation, so both stored sides carry coefficient +1.
+
+Each construction does only the work some output reads.  Q^sg formats each
+lifted arrow name ``a@s@t`` once, into the name map it checks for
+distinctness and keeps as ``SgPresentation.arrow_map``; its relations are
+read off the per-arrow lists of those names, not formatted again.  Q^g's
+quiver is frozen without a second name check, as its lift table already
+makes every name distinct, and its labels, a SignedVertex per vertex and a
+(base, sign) per arrow, are made on first read: only DOT and
+``canonical_involution`` read them.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
 
 from .errors import InternalInconsistency, NameCollision, NotSkewedGentle
-from .quiver import Arrow, BoundQuiver, Record, SkewedGentleTriple, _set, build_quiver
+from .quiver import Arrow, BoundQuiver, Quiver, Record, SkewedGentleTriple, _set, build_quiver
 
 
 class SignedVertex(Record):
@@ -70,15 +80,22 @@ class CommRelation(Record):
 
 
 class SgPresentation(Record):
+    """Q^sg and I^sg.  ``arrow_map`` sends each arrow's name to the arrow, in
+    ``arrows`` order; ``build_sg_presentation`` gives the map it made the
+    names in, and otherwise it is made from ``arrows`` on first read."""
+
     __slots__ = ("vertices", "arrows", "zero_relations", "comm_relations", "__dict__")
 
     def __init__(self, vertices: tuple[SignedVertex, ...], arrows: tuple[SgArrow, ...],
                  zero_relations: frozenset[tuple[str, str]],
-                 comm_relations: frozenset[CommRelation]):
+                 comm_relations: frozenset[CommRelation],
+                 arrow_map: dict[str, SgArrow] | None = None):
         _set(self, "vertices", vertices)
         _set(self, "arrows", arrows)
         _set(self, "zero_relations", zero_relations)
         _set(self, "comm_relations", comm_relations)
+        if arrow_map is not None:
+            self.__dict__["arrow_map"] = arrow_map
 
     @cached_property
     def arrow_map(self) -> dict[str, SgArrow]:
@@ -90,13 +107,30 @@ class SgPresentation(Record):
 
 
 class GPairLabels(Record, eq=False):
-    __slots__ = ("pair", "vertex_label", "arrow_label")
+    """(Q^g, I^g) with the labels of its vertices and arrows.
 
-    def __init__(self, pair: BoundQuiver, vertex_label: dict[str, SignedVertex],
-                 arrow_label: dict[str, tuple[str, str]]):
+    ``lifts`` is the lift table of Q^g's vertices (``vertex_lifts``) and
+    ``base_arrows`` the base arrow names in order; each base arrow a gives
+    the arrows a+ and a-.  The labels are made from them on first read:
+    ``vertex_label`` maps each vertex name to its SignedVertex in lift-table
+    order, and ``arrow_label`` each arrow name to (base, sign), a+ before a-.
+    """
+
+    __slots__ = ("pair", "lifts", "base_arrows", "__dict__")
+
+    def __init__(self, pair: BoundQuiver, lifts: dict[str, tuple[str, ...]],
+                 base_arrows: tuple[str, ...]):
         _set(self, "pair", pair)
-        _set(self, "vertex_label", vertex_label)
-        _set(self, "arrow_label", arrow_label)
+        _set(self, "lifts", lifts)
+        _set(self, "base_arrows", base_arrows)
+
+    @cached_property
+    def vertex_label(self) -> dict[str, SignedVertex]:
+        return dict(_signed_vertices(self.lifts))
+
+    @cached_property
+    def arrow_label(self) -> dict[str, tuple[str, str]]:
+        return {a + sign: (a, sign) for a in self.base_arrows for sign in "+-"}
 
 
 class Involution(Record, eq=False):
@@ -169,13 +203,16 @@ def build_sg_presentation(t: SkewedGentleTriple) -> SgPresentation:
     signed = vertex_lifts(t, special, "Q^sg vertex")
 
     vertices = tuple(sv for _, sv in _signed_vertices(signed))
-    arrows, names = [], set()
+    # each lift named once; lifted[a] holds a's lift names source-major
+    arrow_map, lifted = {}, {}
     for a in q.arrows:
+        names = lifted[a.name] = []
         for src in signed[a.source]:
             for tgt in signed[a.target]:
-                arrows.append(SgArrow(a.name, src, tgt))
-                names.add(_sg_arrow_name(a.name, src, tgt))
-    if len(names) != len(arrows):
+                name = _sg_arrow_name(a.name, src, tgt)
+                arrow_map[name] = SgArrow(a.name, src, tgt)
+                names.append(name)
+    if len(arrow_map) != sum(map(len, lifted.values())):
         raise NameCollision("derived Q^sg arrow names are not distinct")
 
     # Every composition through a special vertex is a base relation, or
@@ -184,20 +221,20 @@ def build_sg_presentation(t: SkewedGentleTriple) -> SgPresentation:
     comm = set()
     amap = q.arrow_map
     for x, y in base.relations:
-        sources, middle, targets = signed[amap[y].source], amap[y].target, signed[amap[x].target]
-        if middle in special:
-            plus, minus = signed[middle]
-            for src in sources:
-                for tgt in targets:
-                    comm.add(CommRelation(
-                        plus=(_sg_arrow_name(x, plus, tgt), _sg_arrow_name(y, src, plus)),
-                        minus=(_sg_arrow_name(x, minus, tgt), _sg_arrow_name(y, src, minus)),
-                    ))
+        into, out = lifted[y], lifted[x]
+        if amap[y].target in special:
+            # y's lifts alternate into plus and minus, per source; x's lifts
+            # out of plus, one per target, come before those out of minus
+            half = len(out) // 2
+            for y_plus, y_minus in zip(into[::2], into[1::2]):
+                for x_plus, x_minus in zip(out[:half], out[half:]):
+                    comm.add(CommRelation(plus=(x_plus, y_plus), minus=(x_minus, y_minus)))
         else:
-            for src in sources:
-                for tgt in targets:
-                    zero.add((_sg_arrow_name(x, middle, tgt), _sg_arrow_name(y, src, middle)))
-    return SgPresentation(vertices, tuple(arrows), frozenset(zero), frozenset(comm))
+            for y_lift in into:
+                for x_lift in out:
+                    zero.add((x_lift, y_lift))
+    return SgPresentation(vertices, tuple(arrow_map.values()), frozenset(zero), frozenset(comm),
+                          arrow_map)
 
 
 def build_g_pair(t: SkewedGentleTriple) -> GPairLabels:
@@ -205,20 +242,16 @@ def build_g_pair(t: SkewedGentleTriple) -> GPairLabels:
     q = t.pair.quiver
     special = t.special
     signed = vertex_lifts(t, q.vertices - special, "Q^g vertex")
-    vertex_label = dict(_signed_vertices(signed))
     # a+ ends at a vertex's first lift and a- at its last: v itself when special
     ends = {v: (names[0], names[-1]) for v, names in signed.items()}
 
     arrows = []
-    arrow_label = {}
     doubled = {}  # base arrow -> (a+, a-)
     for a in q.arrows:
         (src_plus, src_minus), (tgt_plus, tgt_minus) = ends[a.source], ends[a.target]
         plus, minus = doubled[a.name] = a.name + "+", a.name + "-"
         arrows.append(Arrow(plus, src_plus, tgt_plus))
         arrows.append(Arrow(minus, src_minus, tgt_minus))
-        arrow_label[plus] = (a.name, "+")
-        arrow_label[minus] = (a.name, "-")
 
     relations = set()
     amap = q.arrow_map
@@ -231,12 +264,16 @@ def build_g_pair(t: SkewedGentleTriple) -> GPairLabels:
             relations.add((x_plus, y_plus))
             relations.add((x_minus, y_minus))
 
-    pair = BoundQuiver(build_quiver(sorted(vertex_label), arrows), frozenset(relations))
+    # Quiver, not build_quiver: vertex_lifts refuses a vertex named as a lift,
+    # x+ and x- differ from y+ and y- for x != y, and so do a+ and a- from
+    # b+ and b- for arrows a != b; every endpoint comes from the lift table.
+    vertices = frozenset(chain.from_iterable(signed.values()))
+    pair = BoundQuiver(Quiver(vertices, arrows), frozenset(relations))
     if pair.gentle_violations or pair.walk.cycle is not None:
         raise InternalInconsistency(
             f"associated pair of {t.name!r} is not gentle/finite: {list(pair.gentle_violations)}"
         )
-    return GPairLabels(pair, vertex_label, arrow_label)
+    return GPairLabels(pair, signed, tuple(doubled))
 
 
 def canonical_involution(t: SkewedGentleTriple) -> Involution:

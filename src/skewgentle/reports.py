@@ -12,12 +12,19 @@ JSON objects have sorted keys, so equal inputs give byte-identical text.
 
 JSON is written by ``_json``, byte for byte what ``json.dumps(payload,
 sort_keys=True, indent=2)`` writes, at C speed for the bulk of it: every
-string goes through the C ``encode_basestring_ascii``, and a list of
-str-valued objects that share one key set (the arrows of a pair and the
-comm relations of Q^sg, most of the bytes) is written from one ``%``
-template per list, one formatting per row.  Anything else takes the general
-recursion.  The payloads hold only str, int, bool, None, lists, tuples and
-str-keyed dicts; any other value, a float included, raises TypeError.
+string goes through the C ``encode_basestring_ascii``, a list of strings
+(vertices, relations, a witness's items) is encoded by one C-level ``map``
+with no Python call per item, and a list of str-valued objects that share
+one key set (the arrows of a pair and the comm relations of Q^sg, most of
+the bytes) is written from one ``%`` template per list, one formatting per
+row.  Anything else takes the general recursion.  The payloads hold only
+str, int, bool, None, lists, tuples and str-keyed dicts; any other value, a
+float included, raises TypeError.
+
+The renderers read what the constructions already made: Q^sg's arrow names
+from its ``arrow_map``, where each was formatted once, and Q^g's vertex
+labels only in DOT, which draws its unsigned vertices doubled; no other
+output makes a label of Q^g.
 """
 
 from __future__ import annotations
@@ -125,8 +132,9 @@ def _pair_view(x) -> BoundQuiver:
 
 
 def _sg_view(p: SgPresentation):
-    """Arrows by name, zero relations and comm relations, in output order."""
-    return (sorted(p.arrows, key=lambda a: a.name),
+    """(name, arrow) pairs by name, zero relations and comm relations, in
+    output order; each name is read from ``arrow_map``, not formatted again."""
+    return (sorted(p.arrow_map.items(), key=itemgetter(0)),
             [relation_text(x, y) for x, y in sorted(p.zero_relations)],
             sorted(p.comm_relations, key=lambda c: c.plus))
 
@@ -165,7 +173,7 @@ def _text_lines(r, name):
         arrows, zero, comm = _sg_view(r)
         return [f"sg-presentation {name}",
                 f"vertices: {', '.join(r.vertex_names)}",
-                "arrows: " + ", ".join(f"{a.name}: {a.source} -> {a.target}" for a in arrows),
+                "arrows: " + ", ".join(f"{n}: {a.source} -> {a.target}" for n, a in arrows),
                 f"zero: {', '.join(zero)}",
                 f"comm: {', '.join(map(_comm_text, comm))}"]
     return [serialize(SkewedGentleTriple(_pair_view(r), frozenset(), name=name))]
@@ -228,8 +236,8 @@ def _payload(r, name):
         return {
             "name": name,
             "vertices": list(r.vertex_names),
-            "arrows": [{"name": a.name, "base": a.base, "source": a.source, "target": a.target}
-                       for a in arrows],
+            "arrows": [{"name": n, "base": a.base, "source": a.source, "target": a.target}
+                       for n, a in arrows],
             "zero_relations": zero,
             "comm_relations": [{"plus": relation_text(*c.plus), "minus": relation_text(*c.minus)}
                                for c in comm],
@@ -245,10 +253,10 @@ def _payload(r, name):
 
 
 def _rows(items, pad):
-    """The items of a list, at ``pad``, each from one template when all are
-    dicts with one nonempty set of str keys and only str values; else None."""
+    """The items of a list of dicts, at ``pad``, each from one template when
+    all have one nonempty set of str keys and only str values; else None."""
     first = items[0]
-    if (set(map(type, items)) != {dict} or not first or set(map(type, first)) != {str}
+    if (not first or set(map(type, first)) != {str}
             or not all(map(first.keys().__eq__, map(dict.keys, items)))
             or set(map(type, chain.from_iterable(map(dict.values, items)))) != {str}):
         return None
@@ -279,7 +287,11 @@ def _json(value, pad: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        rows = _rows(value, inner) or [_json(v, inner) for v in value]
+        kinds = set(map(type, value))
+        if kinds == {str}:
+            rows = map(_str, value)
+        else:
+            rows = kinds == {dict} and _rows(value, inner) or [_json(v, inner) for v in value]
         open_, close = "[", "]"
     elif isinstance(value, dict):
         if not value:
@@ -313,7 +325,8 @@ def to_dot(x, name: str | None = None) -> str:
         comments = [f"zero: {z}" for z in zero] + [f"comm: {_comm_text(c)}" for c in comm]
     else:
         pair = _pair_view(x)
-        nodes, arrows = pair.quiver.vertex_list, pair.quiver.arrows
+        nodes = pair.quiver.vertex_list
+        arrows = [(a.name, a) for a in pair.quiver.arrows]
         # Q^g draws its unsigned vertices doubled and a triple its special ones
         if isinstance(x, SkewedGentleTriple):
             doubled = x.special
@@ -328,8 +341,8 @@ def to_dot(x, name: str | None = None) -> str:
     for v in nodes:
         attr = " [shape=doublecircle]" if v in doubled else ""
         lines.append(f"  {_dot_quote(v)}{attr};")
-    for a in arrows:
-        src, tgt, label = _dot_quote(a.source), _dot_quote(a.target), _dot_quote(a.name)
+    for n, a in arrows:
+        src, tgt, label = _dot_quote(a.source), _dot_quote(a.target), _dot_quote(n)
         lines.append(f"  {src} -> {tgt} [label={label}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -484,6 +484,38 @@ def test_allocation_peak_grows_linearly(tmp_path, monkeypatch, family, command):
     assert peaks[1] <= 2.25 * peaks[0], peaks
 
 
+_OUTPUT_FAMILIES = ("cycle-every-3rd-special", "cycle-every-2nd-special", "free-line")
+
+
+@pytest.mark.parametrize("target", ["sg", "g"])
+@pytest.mark.parametrize("family", _OUTPUT_FAMILIES)
+def test_construct_peak_is_a_multiple_of_its_output(tmp_path, family, target):
+    # JSON `construct` writes a few lines per vertex, arrow and relation of
+    # the pair it builds, so what it allocates should be a multiple of what
+    # it writes.  The traced peak over the output bytes, on the 1200-cycles
+    # and the 600-line, measured 10.1-18.0 across Python 3.10-3.13; the
+    # largest is Q^g of the cycle with every 2nd vertex special on 3.10.  A
+    # bound of 20 leaves 11% above it and still fails a writer that holds
+    # the output in pieces, as the stdlib's indenting JSON encoder does
+    # (21.1x and 21.3x on the Q^g of both cycles).
+    write, n = _SCALING_FAMILIES[family]
+    argv = {}
+    for size in (12, 2 * n):
+        path = tmp_path / f"{size}.q"
+        write(path, size)
+        argv[size] = ("construct", str(path), "--target", target, "--format", "json")
+    assert invoke(*argv[12])[::2] == (0, "")  # warm-up: imports and first-use caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        code, out, err = invoke(*argv[2 * n])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    assert peak <= 20 * len(out.encode()), (peak, len(out))
+
+
 def test_runs_without_docstrings():
     result = subprocess.run(
         [sys.executable, "-OO", "-m", "skewgentle", "validate", _FIX],

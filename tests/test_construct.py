@@ -381,7 +381,10 @@ def _reference_build_g_pair(t):
         raise InternalInconsistency(
             f"associated pair of {t.name!r} is not gentle/finite: {list(pair.gentle_violations)}"
         )
-    return GPairLabels(pair, vertex_label, arrow_label)
+    names = {v: tuple(sv.name for sv in lifts[v]) for v in q.vertex_list}
+    base_arrows = tuple(sorted(a.name for a in q.arrows))
+    # the reference's own labels go beside the pair, as the built pair makes its own
+    return GPairLabels(pair, names, base_arrows), vertex_label, arrow_label
 
 
 def _outcome(build, t):
@@ -390,10 +393,13 @@ def _outcome(build, t):
         made = build(t)
     except SkewGentleError as e:
         return type(e), str(e)
-    if isinstance(made, GPairLabels):
-        return made.pair, list(made.vertex_label.items()), list(made.arrow_label.items())
-    assert isinstance(made, SgPresentation)
-    return (made,)
+    if isinstance(made, SgPresentation):
+        return made, list(made.arrow_map.items())
+    g, vertex_label, arrow_label = made if isinstance(made, tuple) else (
+        made, made.vertex_label, made.arrow_label)
+    assert isinstance(g, GPairLabels)
+    return (g.pair, g.lifts, g.base_arrows,
+            list(vertex_label.items()), list(arrow_label.items()))
 
 
 def _construction_cases():
@@ -417,6 +423,14 @@ def _construction_cases():
     # names a library caller may choose: two lifts named "a@p@q@r"
     clash = build_quiver(["p", "q@r", "q", "r"], [Arrow("a", "p", "q@r"), Arrow("a@p", "q", "r")])
     yield SkewedGentleTriple(BoundQuiver(clash), frozenset())
+    # signed-looking names that stay distinct: Q^g has the arrows a+, a-,
+    # a++, a+-, a-+, a--, a+-+, a+-- and the vertices v+, v-, v++, v+-, ...
+    line = build_quiver(["v", "v+", "w", "x", "y"],
+                        [Arrow("a", "v", "v+"), Arrow("a+", "v+", "w"),
+                         Arrow("a-", "w", "x"), Arrow("a+-", "x", "y")])
+    yield SkewedGentleTriple(BoundQuiver(line, frozenset({("a-", "a+")})), frozenset({"w"}))
+    # Q^g splits u into u+ and u-, while u+ is special and keeps its name
+    yield SkewedGentleTriple(BoundQuiver(build_quiver(["u", "u+"], [])), frozenset({"u+"}))
 
 
 def test_constructions_match_their_reference():
@@ -427,5 +441,8 @@ def test_constructions_match_their_reference():
             outcome = _outcome(build, t)
             assert outcome == _outcome(reference, t), (t.name, build.__name__)
             outcomes.append(outcome[0] if isinstance(outcome[0], type) else "built")
+            if isinstance(outcome[0], SgPresentation):
+                sg = outcome[0]
+                assert list(sg.arrow_map.items()) == [(a.name, a) for a in sg.arrows]
     assert outcomes.count("built") > 2000
-    assert outcomes.count(NameCollision) == 8
+    assert outcomes.count(NameCollision) == 9

@@ -6,10 +6,11 @@ definition and builds no set it drops, the oracle joins paths only at
 commutativity flips, takes no quotient step without them and about one find
 step per junction, paths are listed only where the output lists them, every
 sg and g count reads the verdict's walk of (Q, I1) and Q^g is built only
-where it is read, valid text is parsed without tokens, source positions are
-computed only for a diagnostic, a pair's relations are checked once, a
-plainly written command builds no argument parser and calls none, and a
-command calls the renderer its module holds at the call."""
+where it is read and its labels only where they are read, valid text is
+parsed without tokens, source positions are computed only for a
+diagnostic, a pair's relations are checked once, a plainly written command
+builds no argument parser and calls none, and a command calls the renderer
+its module holds at the call."""
 
 import argparse
 import io
@@ -216,6 +217,38 @@ def test_sg_layer_reads_what_the_triple_holds(monkeypatch, argv, fn, calls):
     assert run(argv, out=io.StringIO(), err=io.StringIO()) == 0
 
     assert len(made) == calls
+
+
+_LABELS = {"vertex_label", "arrow_label"}
+
+
+@pytest.mark.parametrize("argv,read", [
+    (["invariants", "FILE", "--dims", "--json"], set()),
+    (["dim", "FILE", "--algebra", "g", "--oracle"], set()),
+    (["construct", "FILE", "--target", "g", "--format", "json"], set()),
+    (["construct", "FILE", "--target", "g", "--format", "text"], set()),
+    # DOT draws Q^g's unsigned vertices doubled, from their labels
+    (["construct", "FILE", "--target", "g", "--format", "dot"], {"vertex_label"}),
+])
+def test_g_labels_are_made_only_when_read(monkeypatch, argv, read):
+    built = _count_calls(monkeypatch, construct.build_g_pair)
+    signed = _count_calls(monkeypatch, construct._signed_vertices)
+    argv = [str(fixture_path("fix_a2.q")) if a == "FILE" else a for a in argv]
+
+    assert run(argv, out=io.StringIO(), err=io.StringIO()) == 0
+
+    [(_, g)] = built
+    assert _LABELS & set(vars(g)) == read
+    assert len([lifts for lifts, _ in signed if lifts is g.lifts]) == len(read)
+
+
+def test_involution_makes_the_g_labels_once(monkeypatch, fix_a2):
+    signed = _count_calls(monkeypatch, construct._signed_vertices)
+    for _ in range(2):
+        construct.canonical_involution(fix_a2)
+    g = fix_a2.g_pair
+    assert _LABELS <= set(vars(g))
+    assert [lifts for lifts, _ in signed] == [g.lifts] and signed[0][0] is g.lifts
 
 
 def test_spset_decides_no_subset_through_the_definition(monkeypatch):
