@@ -1,27 +1,22 @@
 """Skewed-gentle bound quivers: validation, constructions, and invariants."""
 
 from .algebra import (
-    ZERO,
     BasisPath,
     CornerData,
-    admissible_base_pair,
     basis,
     corner_data,
     dimension,
     dimension_oracle,
-    multiply,
 )
 from .construct import (
     CommRelation,
     GPairLabels,
-    Involution,
     SgArrow,
     SgPresentation,
     SignedVertex,
     build_g_pair,
     build_sg_presentation,
     build_sp_pair,
-    canonical_involution,
 )
 from .cycles import (
     CycleClass,
@@ -55,15 +50,9 @@ from .generate import random_triple
 from .quiver import (
     Arrow,
     BoundQuiver,
-    Path,
     Quiver,
     SkewedGentleTriple,
     build_quiver,
-    compose,
-    finite_dimensional_witness,
-    is_finite_dimensional,
-    relation_free_paths,
-    valency,
 )
 from .reports import (
     InvariantReport,
@@ -77,7 +66,6 @@ from .validate import (
     Violation,
     admissible_special_sets,
     is_gentle,
-    is_special_biserial,
     validate_skewed_gentle,
 )
 

@@ -1,56 +1,14 @@
-"""Normal-form arithmetic for the skewed-gentle algebra K Q^sg / <I^sg>.
-
-A nonzero element has a unique basis representative: a lifted path whose
-internal junctions at split vertices all use the minus copy (the sign at a
-special source or target stays free).  Such a lift exists exactly for the
-sg-admissible base paths, i.e. the relation-free paths of (Q, I1) where I1
-keeps only the relations with an ordinary middle vertex; a relation with a
-special middle vertex turns into the commutativity rewrite that pins the
-junction to minus with coefficient +1.
-
-``dimension`` counts without listing paths: one dynamic programme over a
-walk of an arrow-successor graph (see ``count_relation_free_paths``), in
-time linear in arrows plus relations.  Every sg and g count, listing and
-length bound over (Q, I1) reads the verdict's walk of its graph,
-``t.admissible_walk``; (Q, I1) as a pair, ``admissible_base_pair``, is
-built only as the reference that walk is checked against.  For sg an
-endpoint weighs its number of signed names in the lift table
-(``vertex_lifts``), and for g each nontrivial path lifts to two paths of
-Q^g, so Q^g is read only by its construction, ``gldim_flags``, the g
-oracle and the check of the g count in ``invariants --dims``, and none of
-them reads its labels.  The sg oracle takes Q^sg's arrow names from its
-``arrow_map``, where each was formatted once.
-``corner_data`` counts its numbers by weighted passes over (Q, I1) and
-lists the paths at its corner only when they are read, by walking from the
-corner's arrows: text ``reduce`` counts, and ``reduce --json`` is
-output-sized.
-
-``basis`` lists the normal forms one by one, and so does the independent
-check, dimension_oracle: go through every lifted path up to the length
-bound given by (Q^sp, I^sp), read off the walk of (Q, I1) without building
-Q^sp, count those through an embedded zero relation, list the others, and
-quotient them by the commutativity relations.  Each such relation is
-p - flip(p), where flip swaps the signs at one junction, or p alone when
-flip(p) runs through a zero relation; so the quotient of a degree has one
-dimension per component of its flip graph that holds no such p, over any
-field, and one union-find counts them.  Without commutativity relations
-(gentle and g always, sg when no special vertex joins two arrows by a
-relation) the listed paths are independent and each is kept as its last
-arrow only, so the oracle's work per degree is one entry per listed path.
-With them, each listed path is the tuple of its arrows and carries the
-positions of its commutativity junctions, found once as it grows: the work
-per degree is the listed paths times their length, plus their junctions,
-and a degree without a junction is not quotiented at all.  Either way the
-cap on the paths counted also bounds the oracle's time: paths counted times
-their length.
-"""
+"""Dimensions, normal-form basis, brute-force oracle and corner data of the
+base, sg and g algebras.  Every sg and g count reads ``t.admissible_walk``,
+the walk of (Q, I1): the base pair less its relations through special
+vertices, which is never built as a pair."""
 
 from __future__ import annotations
 
 from functools import cached_property
 
 from .construct import _require_valid, vertex_lifts
-from .errors import InternalInconsistency, LimitExceeded, NotSpecial
+from .errors import LimitExceeded, NotSpecial
 from .quiver import (
     ArrowWalk,
     BoundQuiver,
@@ -58,21 +16,10 @@ from .quiver import (
     SkewedGentleTriple,
     _set,
     count_relation_free_paths,
-    relation_text,
     successor_order,
 )
 
 DEFAULT_ORACLE_CAP = 20000
-
-
-class _Zero:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "Zero"
-
-
-ZERO = _Zero()
 
 
 class BasisPath(Record):
@@ -102,21 +49,6 @@ class BasisPath(Record):
         if self.is_trivial:
             return f"e({self.source})"
         return f"{''.join(self.arrows)}[{self.source}->{self.target}]"
-
-
-def admissible_base_pair(t: SkewedGentleTriple) -> BoundQuiver:
-    """(Q, I1): the base pair keeping only ordinary-middle relations.
-
-    No count reads it: they read the verdict's walk of the same graph,
-    ``t.admissible_walk``.  It walks its own graph, so it is the reference
-    that walk is checked against.
-    """
-    _require_valid(t)
-    amap = t.pair.quiver.arrow_map
-    kept = frozenset(
-        (x, y) for x, y in t.pair.relations if amap[y].target not in t.special
-    )
-    return BoundQuiver(t.pair.quiver, kept)
 
 
 def _basis_order(b: BasisPath):
@@ -154,34 +86,6 @@ def _paths_from(walk: ArrowWalk, firsts):
         names, end = stack.pop()
         yield names, end
         stack += [((g, *names), amap[g].target) for g in succ[names[0]]]
-
-
-def multiply(t: SkewedGentleTriple, p, q):
-    """Product p * q (q applied first) of basis paths, as a normal form.
-
-    Orthogonal endpoints give Zero; a junction on a zero relation (ordinary
-    middle vertex) gives Zero; a junction at a split vertex is rewritten to
-    the minus copy, which the endpoint-sign representation makes implicit.
-    """
-    if p is ZERO or q is ZERO:
-        return ZERO
-    if p.source != q.target:
-        return ZERO
-    if p.is_trivial:
-        return q
-    if q.is_trivial:
-        return p
-    later, first = p.arrows[-1], q.arrows[0]
-    middle = t.pair.quiver.arrow_map[first].target
-    if middle in t.special:
-        if (later, first) not in t.pair.relations:
-            raise InternalInconsistency(
-                f"composition {relation_text(later, first)} through special vertex {middle!r}"
-                " has no base relation"
-            )
-    elif (later, first) in t.pair.relations:
-        return ZERO
-    return BasisPath(p.arrows + q.arrows, q.source, p.target)
 
 
 def longest_relation_free_length(walk: ArrowWalk, special=frozenset()) -> int:

@@ -8,20 +8,10 @@
   equals through-minus) when it is special.
 * (Q^g, I^g): split ordinary vertices instead, double every arrow into a+,
   a-, and pair relation signs equal/opposite according to the middle vertex.
-  This pair is gentle again and carries a canonical order-2 involution
-  swapping the signs.
+  This pair is gentle again, and swapping the signs is an involution of it.
 
 Commutativity relations are stored sign-free: the minus-weighted term is
 moved across the equation, so both stored sides carry coefficient +1.
-
-Each construction does only the work some output reads.  Q^sg formats each
-lifted arrow name ``a@s@t`` once, into the name map it checks for
-distinctness and keeps as ``SgPresentation.arrow_map``; its relations are
-read off the per-arrow lists of those names, not formatted again.  Q^g's
-quiver is frozen without a second name check, as its lift table already
-makes every name distinct, and its labels, a SignedVertex per vertex and a
-(base, sign) per arrow, are made on first read: only DOT and
-``canonical_involution`` read them.
 """
 
 from __future__ import annotations
@@ -107,38 +97,15 @@ class SgPresentation(Record):
 
 
 class GPairLabels(Record, eq=False):
-    """(Q^g, I^g) with the labels of its vertices and arrows.
+    """(Q^g, I^g) with ``lifts``, the lift table of its vertices
+    (``vertex_lifts``), where only a special vertex has one name, its own:
+    Q^g leaves it unsigned."""
 
-    ``lifts`` is the lift table of Q^g's vertices (``vertex_lifts``) and
-    ``base_arrows`` the base arrow names in order; each base arrow a gives
-    the arrows a+ and a-.  The labels are made from them on first read:
-    ``vertex_label`` maps each vertex name to its SignedVertex in lift-table
-    order, and ``arrow_label`` each arrow name to (base, sign), a+ before a-.
-    """
+    __slots__ = ("pair", "lifts")
 
-    __slots__ = ("pair", "lifts", "base_arrows", "__dict__")
-
-    def __init__(self, pair: BoundQuiver, lifts: dict[str, tuple[str, ...]],
-                 base_arrows: tuple[str, ...]):
+    def __init__(self, pair: BoundQuiver, lifts: dict[str, tuple[str, ...]]):
         _set(self, "pair", pair)
         _set(self, "lifts", lifts)
-        _set(self, "base_arrows", base_arrows)
-
-    @cached_property
-    def vertex_label(self) -> dict[str, SignedVertex]:
-        return dict(_signed_vertices(self.lifts))
-
-    @cached_property
-    def arrow_label(self) -> dict[str, tuple[str, str]]:
-        return {a + sign: (a, sign) for a in self.base_arrows for sign in "+-"}
-
-
-class Involution(Record, eq=False):
-    __slots__ = ("vertex_map", "arrow_map")
-
-    def __init__(self, vertex_map: dict[str, str], arrow_map: dict[str, str]):
-        _set(self, "vertex_map", vertex_map)
-        _set(self, "arrow_map", arrow_map)
 
 
 def _fresh_loop_name(vertex, taken):
@@ -190,11 +157,6 @@ def vertex_lifts(t: SkewedGentleTriple, split, what: str) -> dict[str, tuple[str
     return {v: (v + "+", v + "-") if v in split else (v,) for v in q.vertex_list}
 
 
-def _signed_vertices(lifts):
-    """A SignedVertex per lifted name of a lift table, in its order."""
-    return [(name, SignedVertex(v, name[len(v):])) for v, names in lifts.items() for name in names]
-
-
 def build_sg_presentation(t: SkewedGentleTriple) -> SgPresentation:
     _require_valid(t)
     base = t.pair
@@ -202,7 +164,8 @@ def build_sg_presentation(t: SkewedGentleTriple) -> SgPresentation:
     special = t.special
     signed = vertex_lifts(t, special, "Q^sg vertex")
 
-    vertices = tuple(sv for _, sv in _signed_vertices(signed))
+    vertices = tuple(SignedVertex(v, name[len(v):])
+                     for v, names in signed.items() for name in names)
     # each lift named once; lifted[a] holds a's lift names source-major
     arrow_map, lifted = {}, {}
     for a in q.arrows:
@@ -273,32 +236,4 @@ def build_g_pair(t: SkewedGentleTriple) -> GPairLabels:
         raise InternalInconsistency(
             f"associated pair of {t.name!r} is not gentle/finite: {list(pair.gentle_violations)}"
         )
-    return GPairLabels(pair, signed, tuple(doubled))
-
-
-def canonical_involution(t: SkewedGentleTriple) -> Involution:
-    """The sign swap on (Q^g, I^g): v+ <-> v-, a+ <-> a-, specials fixed."""
-    g = t.g_pair
-    flip = {"+": "-", "-": "+", "": ""}
-    vertex_map = {
-        name: sv.base + flip[sv.sign] for name, sv in sorted(g.vertex_label.items())
-    }
-    arrow_map = {
-        name: base + flip[sign] for name, (base, sign) in sorted(g.arrow_label.items())
-    }
-
-    for m in (vertex_map, arrow_map):
-        if any(m[m[k]] != k for k in m):
-            raise InternalInconsistency("involution is not self-inverse")
-    fixed = {v for v, w in vertex_map.items() if v == w}
-    if fixed != set(t.special):
-        raise InternalInconsistency("involution fixes the wrong vertex set")
-    amap = g.pair.quiver.arrow_map
-    for name, arrow in amap.items():
-        image = amap[arrow_map[name]]
-        if image.source != vertex_map[arrow.source] or image.target != vertex_map[arrow.target]:
-            raise InternalInconsistency("involution is not a quiver morphism")
-    mapped = {(arrow_map[x], arrow_map[y]) for x, y in g.pair.relations}
-    if mapped != set(g.pair.relations):
-        raise InternalInconsistency("involution does not preserve the relations")
-    return Involution(vertex_map, arrow_map)
+    return GPairLabels(pair, signed)

@@ -18,7 +18,7 @@ class UnknownVertex(SkewGentleError):
 
 
 class NotComposable(SkewGentleError):
-    """Two paths cannot be concatenated because their endpoints disagree."""
+    """A relation x*y is no 2-path: the arrow y does not end where x starts."""
 
 
 class InfiniteDimensional(SkewGentleError):

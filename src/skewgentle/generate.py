@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 
 from .errors import GenerationExhausted
-from .quiver import Arrow, BoundQuiver, SkewedGentleTriple, build_quiver, valency
+from .quiver import Arrow, BoundQuiver, SkewedGentleTriple, build_quiver
 
 RETRY_BUDGET = 64
 
@@ -82,7 +82,8 @@ def _attempt(rng: random.Random, max_vertices: int, max_arrows: int) -> SkewedGe
             options = [o for o in options if o]
         relations.update(rng.choice(options))
 
-    candidates = [v for v in vertices if valency(quiver, v) <= 2]
+    # the vertices of valency at most 2, a loop counted at both ends
+    candidates = [v for v in vertices if out_used[v] + in_used[v] <= 2]
     special = frozenset(v for v in candidates if rng.random() < 0.5)
     return SkewedGentleTriple(BoundQuiver(quiver, frozenset(relations)), special)
 

@@ -1,4 +1,4 @@
-"""Immutable quivers, paths, and bound quivers with length-2 zero relations.
+"""Immutable quivers and bound quivers with length-2 zero relations.
 
 Path convention: a path ``p = a1 a2 ... ar`` is written with the rightmost
 arrow applied first, so ``t(a_i) = s(a_{i-1})`` for i = 2..r, the source of
@@ -203,76 +203,6 @@ def build_quiver(vertices, arrows) -> Quiver:
         if a.target not in seen_v:
             raise DanglingEndpoint(f"arrow {a.name!r} ends at unknown vertex {a.target!r}")
     return Quiver(frozenset(seen_v), arrows)
-
-
-class Path(Record):
-    """Either a trivial path at ``vertex`` or a nonempty arrow sequence.
-
-    ``arrows`` is kept in written order: ``arrows[-1]`` is applied first.
-    """
-
-    __slots__ = ("arrows", "vertex")
-
-    def __init__(self, arrows: tuple[Arrow, ...] = (), vertex: VertexId | None = None):
-        if arrows:
-            if vertex is not None:
-                raise ValueError("nontrivial path must not carry a base vertex")
-            for i in range(1, len(arrows)):
-                if arrows[i].target != arrows[i - 1].source:
-                    raise NotComposable(
-                        f"arrows {arrows[i].name!r} and {arrows[i - 1].name!r} do not compose"
-                    )
-        elif vertex is None:
-            raise ValueError("trivial path needs a vertex")
-        _set(self, "arrows", arrows)
-        _set(self, "vertex", vertex)
-
-    @staticmethod
-    def trivial(vertex: VertexId) -> "Path":
-        return Path((), vertex)
-
-    @staticmethod
-    def of(arrows) -> "Path":
-        return Path(tuple(arrows), None)
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.arrows
-
-    @property
-    def source(self) -> VertexId:
-        return self.vertex if self.is_trivial else self.arrows[-1].source
-
-    @property
-    def target(self) -> VertexId:
-        return self.vertex if self.is_trivial else self.arrows[0].target
-
-    @property
-    def length(self) -> int:
-        return len(self.arrows)
-
-    def __repr__(self):
-        if self.is_trivial:
-            return f"e({self.vertex})"
-        return "".join(a.name for a in self.arrows)
-
-
-def compose(p: Path, q: Path) -> Path:
-    """Concatenate ``p`` after ``q`` (q applied first); trivial paths are units."""
-    if p.source != q.target:
-        raise NotComposable(f"source of {p!r} is {p.source!r}, target of {q!r} is {q.target!r}")
-    if p.is_trivial:
-        return q
-    if q.is_trivial:
-        return p
-    return Path(p.arrows + q.arrows)
-
-
-def valency(q: Quiver, v: VertexId) -> int:
-    """Number of arrow endpoints at ``v``; a loop contributes twice."""
-    if v not in q.vertices:
-        raise UnknownVertex(f"vertex {v!r} not in quiver")
-    return len(q.outgoing[v]) + len(q.incoming[v])
 
 
 class BoundQuiver(Record):
@@ -480,7 +410,7 @@ class SkewedGentleTriple(Record):
 
     @cached_property
     def g_pair(self) -> GPairLabels:
-        """(Q^g, I^g) with its labels, as ``build_g_pair`` makes it; needs a valid triple."""
+        """(Q^g, I^g) with its lift table, as ``build_g_pair`` makes it; needs a valid triple."""
         from .construct import build_g_pair
 
         return build_g_pair(self)
@@ -500,20 +430,6 @@ class SkewedGentleTriple(Record):
         from .cycles import full_cycles
 
         return tuple(sorted(full_cycles(self.pair, self.special), key=lambda c: c.arrows))
-
-
-def finite_dimensional_witness(bq: BoundQuiver) -> tuple[ArrowId, ...] | None:
-    """Return a relation-free arrow cycle if one exists, else None.
-
-    Works on the arrow-successor graph: one node per arrow, an edge b -> a
-    whenever t(b) = s(a) and (a, b) is not a relation.  The quotient algebra
-    is finite dimensional exactly when this graph is acyclic.
-    """
-    return bq.walk.cycle
-
-
-def is_finite_dimensional(bq: BoundQuiver) -> bool:
-    return bq.walk.cycle is None
 
 
 def successor_order(walk: ArrowWalk) -> tuple[Arrow, ...]:
@@ -544,24 +460,3 @@ def count_relation_free_paths(walk: ArrowWalk, source_weight, target_weight) -> 
         weight[a.name] = f
         total += source_weight(a.source) * f
     return total
-
-
-def relation_free_paths(bq: BoundQuiver) -> list[Path]:
-    """All paths avoiding every relation pair, including one trivial per vertex.
-
-    Their number is the dimension of the monomial algebra presented by ``bq``;
-    ``count_relation_free_paths`` gives it without listing them.
-    """
-    successor_order(bq.walk)  # raises InfiniteDimensional with its witness
-    amap = bq.quiver.arrow_map
-    paths = [Path.trivial(v) for v in bq.quiver.vertex_list]
-    for v in bq.quiver.vertex_list:
-        # walk in application order, first arrow at index 0
-        stack = [[a] for a in reversed(bq.quiver.outgoing[v])]
-        while stack:
-            walk = stack.pop()
-            paths.append(Path(tuple(reversed(walk))))
-            for g in reversed(bq.successors[walk[-1].name]):
-                stack.append(walk + [amap[g]])
-    paths.sort(key=lambda p: (p.length, tuple(a.name for a in p.arrows), p.source))
-    return paths

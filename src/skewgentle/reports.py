@@ -3,9 +3,9 @@
 This is the one module that knows an output format.  There is one
 renderer per format, ``report_text``, ``report_json`` and ``to_dot``, and
 each takes every object the command line prints: a ValidationReport, an
-InvariantReport, CornerData, a bound quiver such as Q^sp, the GPairLabels
-of Q^g, and the SgPresentation of Q^sg.  The text form of a pair is its
-canonical DSL form from ``serialize``.
+InvariantReport, CornerData, the bound quiver Q^sp, the GPairLabels of Q^g,
+and the SgPresentation of Q^sg.  The text form of a pair is its canonical
+DSL form from ``serialize``.
 
 All output is deterministic: identifiers are sorted before emission and
 JSON objects have sorted keys, so equal inputs give byte-identical text.
@@ -20,11 +20,6 @@ the bytes) is written from one ``%`` template per list, one formatting per
 row.  Anything else takes the general recursion.  The payloads hold only
 str, int, bool, None, lists, tuples and str-keyed dicts; any other value, a
 float included, raises TypeError.
-
-The renderers read what the constructions already made: Q^sg's arrow names
-from its ``arrow_map``, where each was formatted once, and Q^g's vertex
-labels only in DOT, which draws its unsigned vertices doubled; no other
-output makes a label of Q^g.
 """
 
 from __future__ import annotations
@@ -50,7 +45,7 @@ from .cycles import (
 )
 from .dsl import serialize
 from .errors import InternalInconsistency
-from .quiver import BoundQuiver, Quiver, Record, SkewedGentleTriple, _set, relation_text
+from .quiver import BoundQuiver, Record, SkewedGentleTriple, _set, relation_text
 from .validate import ValidationReport
 
 
@@ -121,13 +116,11 @@ def _name(r, name):
 
 
 def _pair_view(x) -> BoundQuiver:
-    """A pair-like object as its bound quiver; a triple renders as its pair."""
-    if isinstance(x, (SkewedGentleTriple, GPairLabels)):
+    """A bound quiver, or Q^g as its pair."""
+    if isinstance(x, GPairLabels):
         return x.pair
     if isinstance(x, BoundQuiver):
         return x
-    if isinstance(x, Quiver):
-        return BoundQuiver(x)
     raise TypeError(f"cannot render {type(x).__name__}")
 
 
@@ -327,13 +320,11 @@ def to_dot(x, name: str | None = None) -> str:
         pair = _pair_view(x)
         nodes = pair.quiver.vertex_list
         arrows = [(a.name, a) for a in pair.quiver.arrows]
-        # Q^g draws its unsigned vertices doubled and a triple its special ones
-        if isinstance(x, SkewedGentleTriple):
-            doubled = x.special
-        elif isinstance(x, GPairLabels):
-            doubled = frozenset(n for n, sv in x.vertex_label.items() if sv.sign == "")
-        else:
-            doubled = frozenset()
+        doubled = frozenset()
+        if isinstance(x, GPairLabels):
+            # Q^g draws doubled its unsigned vertices, the special ones: the
+            # one-name entries of its lift table
+            doubled = frozenset(names[0] for names in x.lifts.values() if len(names) == 1)
         comments = [f"zero: {relation_text(a, b)}" for a, b in pair.relation_list]
 
     lines = [f"digraph {_dot_quote(name)} {{"]

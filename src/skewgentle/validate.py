@@ -40,12 +40,6 @@ class ValidationReport(Record):
         _set(self, "violations", violations)
 
 
-def is_special_biserial(bq: BoundQuiver) -> tuple[bool, list[Violation]]:
-    """The violations of ``is_gentle`` (kept on the pair) less the G1 ones."""
-    violations = [v for v in bq.gentle_violations if v.rule != "G1"]
-    return not violations, violations
-
-
 def is_gentle(bq: BoundQuiver) -> tuple[bool, list[Violation]]:
     """One pass: SB1 over the vertices, then SB2 and G1 over the arrows;
     the violations come out SB1, then SB2 by arrow, then G1 by arrow.

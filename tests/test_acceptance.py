@@ -8,11 +8,11 @@ import json
 import time
 
 from conftest import all_fixture_triples, fixture_path
+from reference import ZERO, multiply
 
 from skewgentle import (
     InternalInconsistency,
     SkewedGentleTriple,
-    ZERO,
     basis,
     build_g_pair,
     corner_data,
@@ -23,7 +23,6 @@ from skewgentle import (
     full_cycles,
     gldim_flags,
     lift_cycles,
-    multiply,
     parse,
     random_triple,
     serialize,

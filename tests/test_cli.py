@@ -516,6 +516,22 @@ def test_construct_peak_is_a_multiple_of_its_output(tmp_path, family, target):
     assert peak <= 20 * len(out.encode()), (peak, len(out))
 
 
+def test_q_g_dot_of_the_20000_cycle_as_a_process(tmp_path):
+    # the console-script gate of CI in tier-1: on the full-relation
+    # 20000-cycle with every 3rd vertex special, DOT of Q^g finishes within
+    # 10 s and draws each of the 6667 special vertices, unsigned in Q^g, as
+    # one doublecircle, read off the lift table
+    path = tmp_path / "C20000.q"
+    _write_full_relation_cycle(path, 20000, 3)
+    result = subprocess.run(
+        [sys.executable, "-m", "skewgentle", "construct", str(path), "--target", "g",
+         "--format", "dot"],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert sum("doublecircle" in line for line in result.stdout.splitlines()) == 6667
+
+
 def test_runs_without_docstrings():
     result = subprocess.run(
         [sys.executable, "-OO", "-m", "skewgentle", "validate", _FIX],

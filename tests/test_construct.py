@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from reference import relation_free_paths, sign_swap
+
 from skewgentle import (
     Arrow,
     BoundQuiver,
@@ -22,12 +24,9 @@ from skewgentle import (
     build_quiver,
     build_sg_presentation,
     build_sp_pair,
-    canonical_involution,
     dimension,
-    is_finite_dimensional,
     is_gentle,
     random_triple,
-    relation_free_paths,
 )
 from skewgentle.cli import run
 from skewgentle.construct import _require_valid, vertex_lifts
@@ -136,8 +135,9 @@ def test_g_pair_no_special_is_doubling(fix_a):
     assert g.pair.relations == {
         ("a+", "b+"), ("b+", "a+"), ("a-", "b-"), ("b-", "a-"),
     }
-    # two disjoint relabeled copies: dimension doubles
+    # two disjoint relabeled copies: vertices and paths double
     assert len(relation_free_paths(g.pair)) == 2 * len(relation_free_paths(fix_a.pair))
+    assert len(g.pair.quiver.vertices) == 2 * len(fix_a.pair.quiver.vertices)
 
 
 def test_g_pair_always_gentle_and_finite():
@@ -146,7 +146,7 @@ def test_g_pair_always_gentle_and_finite():
         g = build_g_pair(t)
         ok, violations = is_gentle(g.pair)
         assert ok, violations
-        assert is_finite_dimensional(g.pair)
+        assert g.pair.walk.cycle is None
 
 
 def test_construction_counts():
@@ -167,10 +167,28 @@ def test_construction_counts():
         assert len(g.pair.relations) == 2 * len(t.pair.relations)
 
 
+def _assert_sign_swap_is_an_involution(t):
+    """The sign swap, named from the triple alone, is an order-2
+    automorphism of the built (Q^g, I^g) that fixes exactly the special
+    vertices."""
+    g = t.g_pair.pair
+    vertex_map, arrow_map = sign_swap(t)
+    assert set(vertex_map) == g.quiver.vertices
+    assert set(arrow_map) == set(g.quiver.arrow_map)
+    for m in (vertex_map, arrow_map):
+        assert all(m[m[k]] == k for k in m)
+    assert {v for v, w in vertex_map.items() if v == w} == set(t.special)
+    for name, arrow in g.quiver.arrow_map.items():
+        image = g.quiver.arrow_map[arrow_map[name]]
+        assert (image.source, image.target) == (vertex_map[arrow.source], vertex_map[arrow.target])
+    assert {(arrow_map[x], arrow_map[y]) for x, y in g.relations} == g.relations
+    return vertex_map, arrow_map
+
+
 def test_involution_fix_a2(fix_a2):
-    inv = canonical_involution(fix_a2)
-    assert inv.vertex_map == {"1+": "1-", "1-": "1+", "2": "2"}
-    assert inv.arrow_map == {"a+": "a-", "a-": "a+", "b+": "b-", "b-": "b+"}
+    vertex_map, arrow_map = _assert_sign_swap_is_an_involution(fix_a2)
+    assert vertex_map == {"1+": "1-", "1-": "1+", "2": "2"}
+    assert arrow_map == {"a+": "a-", "a-": "a+", "b+": "b-", "b-": "b+"}
 
 
 def test_involution_all_special():
@@ -178,21 +196,18 @@ def test_involution_all_special():
         BoundQuiver(build_quiver(["1", "2"], [Arrow("a", "1", "2")])),
         frozenset({"1", "2"}),
     )
-    inv = canonical_involution(t)
-    assert all(v == w for v, w in inv.vertex_map.items())
-    assert all(a != b for a, b in inv.arrow_map.items())
+    vertex_map, arrow_map = _assert_sign_swap_is_an_involution(t)
+    assert all(v == w for v, w in vertex_map.items())
+    assert all(a != b for a, b in arrow_map.items())
 
 
 def test_involution_is_order_two(fix_b3):
-    inv = canonical_involution(fix_b3)
-    for m in (inv.vertex_map, inv.arrow_map):
-        assert all(m[m[k]] == k for k in m)
-    assert {v for v, w in inv.vertex_map.items() if v == w} == set(fix_b3.special)
+    _assert_sign_swap_is_an_involution(fix_b3)
 
 
 def test_constructions_reject_invalid(fix_a):
     bad = SkewedGentleTriple(fix_a.pair, frozenset({"1", "2"}), name="A")
-    for op in (build_sg_presentation, build_g_pair, canonical_involution):
+    for op in (build_sg_presentation, build_g_pair):
         with pytest.raises(NotSkewedGentle):
             op(bad)
 
@@ -281,10 +296,9 @@ def test_sp_loops_iff_special_generated():
 def test_involution_preserves_relations_randomized():
     for seed in range(40):
         t = random_triple(seed, 6, 7)
-        g = build_g_pair(t)
-        inv = canonical_involution(t)
-        mapped = {(inv.arrow_map[x], inv.arrow_map[y]) for x, y in g.pair.relations}
-        assert mapped == set(g.pair.relations)
+        _assert_sign_swap_is_an_involution(t)
+        for special in admissible_special_sets(t.pair)[1:4]:
+            _assert_sign_swap_is_an_involution(SkewedGentleTriple(t.pair, frozenset(special)))
 
 
 # The two constructions as they were before their lift tables, kept whole as
@@ -354,17 +368,14 @@ def _reference_build_g_pair(t):
     _require_valid(t)
     q = t.pair.quiver
     lifts = _reference_vertex_lifts(t, q.vertices - t.special, "Q^g vertex")
-    vertex_label = {sv.name: sv for v in q.vertex_list for sv in lifts[v]}
+    names = {v: tuple(sv.name for sv in lifts[v]) for v in q.vertex_list}
 
     arrows = []
-    arrow_label = {}
     for a in sorted(q.arrows, key=lambda a: a.name):
         for sign in ("+", "-"):
-            name = a.name + sign
-            arrows.append(Arrow(name,
+            arrows.append(Arrow(a.name + sign,
                                 _reference_g_endpoint(a.source, sign, t.special),
                                 _reference_g_endpoint(a.target, sign, t.special)))
-            arrow_label[name] = (a.name, sign)
 
     relations = set()
     for x, y in t.pair.relation_list:
@@ -376,15 +387,13 @@ def _reference_build_g_pair(t):
             relations.add((x + "+", y + "+"))
             relations.add((x + "-", y + "-"))
 
-    pair = BoundQuiver(build_quiver(sorted(vertex_label), arrows), frozenset(relations))
+    vertices = sorted(name for lifted in names.values() for name in lifted)
+    pair = BoundQuiver(build_quiver(vertices, arrows), frozenset(relations))
     if pair.gentle_violations or pair.walk.cycle is not None:
         raise InternalInconsistency(
             f"associated pair of {t.name!r} is not gentle/finite: {list(pair.gentle_violations)}"
         )
-    names = {v: tuple(sv.name for sv in lifts[v]) for v in q.vertex_list}
-    base_arrows = tuple(sorted(a.name for a in q.arrows))
-    # the reference's own labels go beside the pair, as the built pair makes its own
-    return GPairLabels(pair, names, base_arrows), vertex_label, arrow_label
+    return GPairLabels(pair, names)
 
 
 def _outcome(build, t):
@@ -395,11 +404,8 @@ def _outcome(build, t):
         return type(e), str(e)
     if isinstance(made, SgPresentation):
         return made, list(made.arrow_map.items())
-    g, vertex_label, arrow_label = made if isinstance(made, tuple) else (
-        made, made.vertex_label, made.arrow_label)
-    assert isinstance(g, GPairLabels)
-    return (g.pair, g.lifts, g.base_arrows,
-            list(vertex_label.items()), list(arrow_label.items()))
+    assert isinstance(made, GPairLabels)
+    return made.pair, list(made.lifts.items())
 
 
 def _construction_cases():

@@ -1,13 +1,15 @@
 """Dimensions counted over the arrow-successor graph agree with enumeration.
 
-The reference is the enumeration itself: ``len(relation_free_paths(...))``,
-``len(basis(t))`` and the longest enumerated path.  The closed forms for
+The reference is the enumeration itself: ``relation_free_paths`` of
+``tests/reference.py`` with one trivial path per vertex, ``len(basis(t))``
+and the longest enumerated path.  The closed forms for
 lines and full-relation cycles are the ones stated in ``perfbench/README.md``.
 """
 
 import pytest
 
 from conftest import all_fixture_triples
+from reference import admissible_base_pair, ends, relation_free_paths
 
 from skewgentle import (
     Arrow,
@@ -17,7 +19,6 @@ from skewgentle import (
     NameCollision,
     BasisPath,
     SkewedGentleTriple,
-    admissible_base_pair,
     admissible_special_sets,
     basis,
     build_invariant_report,
@@ -25,9 +26,7 @@ from skewgentle import (
     corner_data,
     dimension,
     dimension_oracle,
-    finite_dimensional_witness,
     random_triple,
-    relation_free_paths,
 )
 from skewgentle.algebra import longest_relation_free_length
 from skewgentle.quiver import count_relation_free_paths
@@ -44,22 +43,27 @@ def _pairs(t):
 
 def _listed_corner_counts(t, a):
     s1 = s2 = 0
-    for p in relation_free_paths(admissible_base_pair(t)):
-        if not p.is_trivial:
-            s1 += p.source == a
-            s2 += p.target == a
+    pair = admissible_base_pair(t)
+    for p in relation_free_paths(pair):
+        source, target = ends(pair, p)
+        s1 += source == a
+        s2 += target == a
     return s1, s2
 
 
+def _listed_dimension(bq):
+    return len(bq.quiver.vertices) + len(relation_free_paths(bq))
+
+
 def _assert_counts_match_enumeration(t):
-    assert dimension(t, "gentle") == len(relation_free_paths(t.pair))
-    assert dimension(t, "g") == len(relation_free_paths(t.g_pair.pair))
+    assert dimension(t, "gentle") == _listed_dimension(t.pair)
+    assert dimension(t, "g") == _listed_dimension(t.g_pair.pair)
     assert dimension(t, "sg") == len(basis(t))
     for bq in _pairs(t):
         listed = relation_free_paths(bq)
         counted = count_relation_free_paths(bq.walk, _one, _one)
-        assert len(bq.quiver.vertices) + counted == len(listed)
-        assert longest_relation_free_length(bq.walk) == max(p.length for p in listed)
+        assert counted == len(listed)
+        assert longest_relation_free_length(bq.walk) == max(map(len, listed), default=0)
     for a in t.special_list:
         corner = corner_data(t, a)
         assert (corner.dim_m_prime, corner.dim_n_prime) == _listed_corner_counts(t, a)
@@ -111,7 +115,7 @@ def test_full_relation_cycle_closed_forms(n, k):
 
 def test_counts_raise_with_the_finiteness_witness(fix_a):
     free = BoundQuiver(fix_a.pair.quiver, frozenset())
-    witness = finite_dimensional_witness(free)
+    witness = free.walk.cycle
     for count in (lambda walk: count_relation_free_paths(walk, _one, _one),
                   longest_relation_free_length):
         with pytest.raises(InfiniteDimensional) as caught:
@@ -141,16 +145,15 @@ def test_special_cycle_in_admissible_pair_is_caught(fix_a2):
 
 def _reference_basis(t):
     """``basis`` as it was before it read name tuples off the successor
-    graph: the signed lifts of the listed ``Path`` objects of (Q, I1)."""
+    graph: the signed lifts of the listed paths of (Q, I1)."""
     def signs(v):
         return ("+", "-") if v in t.special else ("",)
 
     out = [BasisPath((), v + s, v + s) for v in t.pair.quiver.vertex_list for s in signs(v)]
-    for p in relation_free_paths(admissible_base_pair(t)):
-        if not p.is_trivial:
-            names = tuple(a.name for a in p.arrows)
-            out += [BasisPath(names, p.source + s, p.target + u)
-                    for s in signs(p.source) for u in signs(p.target)]
+    pair = admissible_base_pair(t)
+    for p in relation_free_paths(pair):
+        source, target = ends(pair, p)
+        out += [BasisPath(p, source + s, target + u) for s in signs(source) for u in signs(target)]
     out.sort(key=lambda b: (b.length, b.arrows, b.source, b.target))
     return out
 

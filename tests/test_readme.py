@@ -1,9 +1,12 @@
-"""The README's Library example runs as written, from the fixtures directory."""
+"""The README's Library example runs as written, from the fixtures directory,
+and every call it quotes names a public attribute of the package."""
 
 import gc
 import re
 import warnings
 from pathlib import Path
+
+import skewgentle
 
 from conftest import FIXTURES
 
@@ -22,3 +25,10 @@ def test_library_example_runs_and_closes_its_file(monkeypatch):
         exec(compile(_library_example(), str(README), "exec"), {})
         gc.collect()
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_every_quoted_call_names_a_public_attribute():
+    # `name(` anywhere in the text, so the prose cannot cite a deleted function
+    quoted = set(re.findall(r"`([A-Za-z_]\w*)\(", README.read_text(encoding="utf-8")))
+    assert quoted
+    assert sorted(n for n in quoted if n.startswith("_") or not hasattr(skewgentle, n)) == []

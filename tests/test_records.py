@@ -14,11 +14,9 @@ from skewgentle import (
     CommRelation,
     CycleClass,
     GPairLabels,
-    Involution,
     InvariantReport,
     NotComposable,
     NotGentle,
-    Path,
     SgArrow,
     SignedVertex,
     SingularityDescriptor,
@@ -28,7 +26,6 @@ from skewgentle import (
     Violation,
     build_invariant_report,
     build_quiver,
-    canonical_involution,
     corner_data,
     full_cycles,
     parse,
@@ -50,10 +47,10 @@ def _one_of_each():
     corner = corner_data(t, "2")
     return [
         (t.pair.quiver.arrows[0], "name"), (t.pair.quiver, "arrows"),
-        (Path.of(t.pair.quiver.arrows[:1]), "arrows"), (t.pair, "relations"), (t, "special"),
+        (t.pair, "relations"), (t, "special"),
         (corner.t1_basis[0], "source"), (corner, "dim_a"),
         (sg.vertices[0], "sign"), (sg.arrows[0], "base"), (next(iter(sg.comm_relations)), "plus"),
-        (sg, "comm_relations"), (t.g_pair, "pair"), (canonical_involution(t), "vertex_map"),
+        (sg, "comm_relations"), (t.g_pair, "pair"),
         (t.cycles[0], "parity"), (SingularityDescriptor((2,)), "shifts"),
         (SourceSpan(1, 2, 3), "line"), (build_invariant_report(t), "dims"),
         (Violation("G1", ("a", "b")), "items"), (t.validation, "gentle"),
@@ -66,7 +63,7 @@ def _records():
 
 
 def test_one_of_each_covers_every_record_type():
-    assert len({type(r) for r in _records()}) == 20
+    assert len({type(r) for r in _records()}) == 18
 
 
 def test_assignment_and_deletion_raise():
@@ -93,7 +90,7 @@ def test_equality_is_by_class_and_fields():
 
 def test_equal_records_hash_equal():
     for first, second in zip(_records(), _records()):
-        if isinstance(first, (GPairLabels, Involution, InvariantReport, ArrowWalk)):
+        if isinstance(first, (GPairLabels, InvariantReport, ArrowWalk)):
             continue
         assert first == second, type(first)
         assert hash(first) == hash(second), type(first)
@@ -102,7 +99,7 @@ def test_equal_records_hash_equal():
 
 def test_identity_equality_classes():
     for first, second in zip(_records(), _records()):
-        if isinstance(first, (GPairLabels, Involution, InvariantReport, ArrowWalk)):
+        if isinstance(first, (GPairLabels, InvariantReport, ArrowWalk)):
             assert first != second
             assert first == first
             assert hash(first) == object.__hash__(first)
@@ -129,20 +126,12 @@ def test_defaults():
     assert t.name == "Q"
     assert CycleClass(("a",)).parity is None
     assert CycleClass(("a",)).sigma is None and CycleClass(("a",)).tau is None
-    assert Path(vertex="1").arrows == ()
-    assert Path((Arrow("a", "1", "2"),)).vertex is None
     report = InvariantReport("Q", ValidationReport(True, True, True, True, ()), (), {}, {})
     assert report.dims is None
 
 
 def test_constructor_checks_raise():
     a, b = Arrow("a", "1", "2"), Arrow("b", "1", "2")
-    with pytest.raises(NotComposable):
-        Path((a, b))
-    with pytest.raises(ValueError):
-        Path()
-    with pytest.raises(ValueError):
-        Path((a,), "1")
     with pytest.raises(ValueError):
         SingularityDescriptor((3, 1))
     q = build_quiver(["1", "2"], [a, b])
@@ -178,7 +167,7 @@ def test_reprs():
 
 def test_copy_and_pickle_keep_the_value():
     for record in _records():
-        if isinstance(record, (GPairLabels, Involution, InvariantReport, ArrowWalk)):
+        if isinstance(record, (GPairLabels, InvariantReport, ArrowWalk)):
             continue
         assert copy.copy(record) == record, type(record)
         assert pickle.loads(pickle.dumps(record)) == record, type(record)

