@@ -70,17 +70,21 @@ class CommRelation(Record):
 
 
 class SgPresentation(Record):
-    """Q^sg and I^sg.  ``arrow_map`` sends each arrow's name to the arrow, in
-    ``arrows`` order; ``build_sg_presentation`` gives the map it made the
-    names in, and otherwise it is made from ``arrows`` on first read."""
+    """Q^sg and I^sg.  ``vertex_names`` holds the vertices' names, sorted.
+    ``arrow_map`` sends each arrow's name to the arrow, in ``arrows`` order;
+    ``build_sg_presentation`` gives the map it made the names in, and
+    otherwise it is made from ``arrows`` on first read."""
 
-    __slots__ = ("vertices", "arrows", "zero_relations", "comm_relations", "__dict__")
+    __slots__ = ("vertices", "vertex_names", "arrows", "zero_relations", "comm_relations",
+                 "__dict__")
 
-    def __init__(self, vertices: tuple[SignedVertex, ...], arrows: tuple[SgArrow, ...],
+    def __init__(self, vertices: tuple[SignedVertex, ...], vertex_names: tuple[str, ...],
+                 arrows: tuple[SgArrow, ...],
                  zero_relations: frozenset[tuple[str, str]],
                  comm_relations: frozenset[CommRelation],
                  arrow_map: dict[str, SgArrow] | None = None):
         _set(self, "vertices", vertices)
+        _set(self, "vertex_names", vertex_names)
         _set(self, "arrows", arrows)
         _set(self, "zero_relations", zero_relations)
         _set(self, "comm_relations", comm_relations)
@@ -90,10 +94,6 @@ class SgPresentation(Record):
     @cached_property
     def arrow_map(self) -> dict[str, SgArrow]:
         return {a.name: a for a in self.arrows}
-
-    @cached_property
-    def vertex_names(self) -> tuple[str, ...]:
-        return tuple(sorted(v.name for v in self.vertices))
 
 
 class GPairLabels(Record, eq=False):
@@ -196,8 +196,9 @@ def build_sg_presentation(t: SkewedGentleTriple) -> SgPresentation:
             for y_lift in into:
                 for x_lift in out:
                     zero.add((x_lift, y_lift))
-    return SgPresentation(vertices, tuple(arrow_map.values()), frozenset(zero), frozenset(comm),
-                          arrow_map)
+    names = tuple(sorted(chain.from_iterable(signed.values())))
+    return SgPresentation(vertices, names, tuple(arrow_map.values()), frozenset(zero),
+                          frozenset(comm), arrow_map)
 
 
 def build_g_pair(t: SkewedGentleTriple) -> GPairLabels:

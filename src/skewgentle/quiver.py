@@ -15,12 +15,18 @@ and dies with it.  Relation-free paths are counted and listed off a walk
 (``ArrowWalk``), not off a pair: the base pair's or Q^g's own, or the
 verdict's walk for (Q, I1), which is never built as a pair.
 
-A bound quiver reads its relations as the set gives them: its check, its
-arrow-successor graph and each side of its relation index (``_grouped``,
-which also groups a quiver's arrows by end) are one linear pass each, also
-when one arrow has many relation partners.  The relations are sorted only
-to name the first bad one and where an output lists them.  Full relation
-cycles and spset's rings are read off one linear walk, ``_chain_cycles``.
+A bound quiver is decided gentle from counts, in ``gentle_index``: SB1
+from the arrows out of and into each vertex, G1 from ``dict(relations)``
+and its inverse, compared by size, and SB2 in one pass over the arrows,
+which also builds the arrow-successor graph, as each arrow of a gentle pair
+has at most one successor.  So a gentle pair builds no index of arrows by
+end and no relation index.  Only a pair the decision rejects runs the
+witness pass, ``validate._gentle_witnesses``, on that general index
+(``_grouped``), which stays linear also when one arrow has many relation
+partners.  The relations are sorted only to name the first bad one and
+where an output lists them.  The walk of a successor graph follows a run of
+single successors without a stack entry per arrow.  Full relation cycles
+and spset's rings are read off one linear walk, ``_chain_cycles``.
 
 Every value type of the package is a ``Record``: a plain class that lists
 its fields in ``__slots__`` (plus ``"__dict__"`` when it keeps cached
@@ -39,6 +45,7 @@ so importing the package compiles nothing beyond its own source.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
 from operator import attrgetter
 
@@ -248,26 +255,59 @@ class BoundQuiver(Record):
         return _grouped(self.quiver.arrow_map, [(y, x) for x, y in self.relations])
 
     @cached_property
+    def gentle_index(self) -> tuple[dict, Counter, dict, dict] | None:
+        """The counted decision: ``(outs, ins, before, successors)`` when the
+        pair is gentle, else None.  ``outs`` holds each vertex's arrows out
+        by name, ``ins`` its number of arrows in, ``before`` each arrow's
+        relation partner before it, and ``successors`` is the
+        arrow-successor graph.
+
+        SB1 reads the counts, and G1 ``dict(relations)`` and its inverse,
+        compared by size.  SB2 takes one pass over the arrows: given G1, an
+        arrow a has as many free successors as arrows out of t(a), less one
+        for its relation partner after it, which starts there, and as many
+        free predecessors as arrows into s(a), less one for its partner
+        before it.  The pass keeps a's one free successor, if any: with no
+        partner, that is the tuple of ``outs`` itself."""
+        arrows = self.quiver.arrows
+        ins = Counter([a.target for a in arrows])
+        if max(ins.values(), default=0) > 2:
+            return None
+        outs = {}
+        for a in arrows:
+            out = outs.get(a.source)
+            if out is None:
+                outs[a.source] = (a.name,)
+            elif len(out) == 1:
+                outs[a.source] = (*out, a.name)
+            else:
+                return None
+        before = dict(self.relations)
+        after = dict(zip(before.values(), before))
+        if len(after) < len(self.relations):
+            return None
+        succ = {}
+        for a in arrows:
+            name = a.name
+            out = outs.get(a.target, ())
+            x = after.get(name)
+            if x is None:
+                if len(out) == 2:
+                    return None
+                succ[name] = out
+            else:
+                succ[name] = out[1:] if out[0] == x else out[:1]
+            if ins[a.source] - (name in before) > 1:
+                return None
+        return outs, ins, before, succ
+
+    @cached_property
     def successors(self) -> dict[ArrowId, tuple[ArrowId, ...]]:
         """The arrow-successor graph: for each arrow a, the arrows g with
-        s(g) = t(a) and (g, a) not a relation, in name order.
-
-        Every relation partner after a starts at t(a), so a keeps all the
-        arrows there when it has no partner and none when it has as many."""
-        out = self.quiver.outgoing
-        after = self.relations_after
-        succ = {}
-        for a in self.quiver.arrows:
-            outs, killed = out[a.target], after[a.name]
-            if not killed:
-                succ[a.name] = tuple([g.name for g in outs])
-            elif len(killed) == len(outs):
-                succ[a.name] = ()
-            else:
-                if len(killed) > 1:
-                    killed = set(killed)
-                succ[a.name] = tuple([g.name for g in outs if g.name not in killed])
-        return succ
+        s(g) = t(a) and (g, a) not a relation, in name order; the counted
+        decision's when the pair is gentle."""
+        index = self.gentle_index
+        return _successors(self) if index is None else index[3]
 
     @cached_property
     def walk(self) -> ArrowWalk:
@@ -286,10 +326,34 @@ class BoundQuiver(Record):
 
     @cached_property
     def gentle_violations(self) -> tuple[Violation, ...]:
-        """The violations ``is_gentle`` reports, found once; empty when gentle."""
+        """The violations ``is_gentle`` reports, found once; empty when
+        gentle, and then without its witness pass."""
+        if self.gentle_index is not None:
+            return ()
         from .validate import is_gentle  # deferred: validate imports this module
 
         return tuple(is_gentle(self)[1])
+
+
+def _successors(bq: BoundQuiver) -> dict[ArrowId, tuple[ArrowId, ...]]:
+    """The arrow-successor graph of any pair, off the general index.
+
+    Every relation partner after a starts at t(a), so a keeps all the
+    arrows there when it has no partner and none when it has as many."""
+    out = bq.quiver.outgoing
+    after = bq.relations_after
+    succ = {}
+    for a in bq.quiver.arrows:
+        outs, killed = out[a.target], after[a.name]
+        if not killed:
+            succ[a.name] = tuple([g.name for g in outs])
+        elif len(killed) == len(outs):
+            succ[a.name] = ()
+        else:
+            if len(killed) > 1:
+                killed = set(killed)
+            succ[a.name] = tuple([g.name for g in outs if g.name not in killed])
+    return succ
 
 
 class ArrowWalk(Record, eq=False):
@@ -326,42 +390,49 @@ def _walk(graph) -> tuple[tuple[ArrowId, ...] | None, list[ArrowId]]:
     with every node placed after all its successors, as nodes are recorded
     when they finish.  Starts are taken in name order and successors in the
     order given, so the cycle found is always the same one.  Each node's
-    successors are read once.  A node without successors lies on no cycle:
-    it finishes as soon as it is reached, as a start or as a successor,
-    without a trail entry or an iterator, in the place in ``order`` that
-    pushing and popping it would give.
+    successors are read once.  The trail holds the nodes being walked, and
+    only a node with two or more successors keeps an iterator: a run of
+    single successors is followed directly and, once its end is done,
+    finishes at once, last node first.  A node without successors lies on
+    no cycle and finishes as soon as it is reached, without a trail entry.
     """
     state = dict.fromkeys(graph, 0)  # 0 unvisited, 1 on the trail, 2 done
     order: list[ArrowId] = []
     for start in sorted(graph):
         if state[start]:
             continue
-        succ = graph[start]
-        if not succ:
-            state[start] = 2
-            order.append(start)
-            continue
-        state[start] = 1
-        trail = [start]
-        pending = [iter(succ)]
-        while pending:
-            nxt = next(pending[-1], None)
-            if nxt is None:
-                done = trail.pop()
-                state[done] = 2
-                order.append(done)
-                pending.pop()
-            elif state[nxt] == 1:
-                return tuple(trail[trail.index(nxt):]), []
-            elif state[nxt] == 0:
-                succ = graph[nxt]
+        trail, forks, node = [], [], start  # forks: (trail length after a fork, its iterator)
+        while node is not None:
+            mark = state[node]
+            if not mark:
+                succ = graph[node]
                 if succ:
-                    state[nxt] = 1
-                    trail.append(nxt)
-                    pending.append(iter(succ))
-                else:
-                    state[nxt] = 2
-                    order.append(nxt)
+                    state[node] = 1
+                    trail.append(node)
+                    if len(succ) == 1:
+                        node = succ[0]
+                    else:
+                        rest = iter(succ)
+                        forks.append((len(trail), rest))
+                        node = next(rest)
+                    continue
+                state[node] = 2
+                order.append(node)
+            elif mark == 1:
+                return tuple(trail[trail.index(node):]), []
+            # node is done: finish the trail back to the last fork with a successor left
+            node = None
+            while trail and node is None:
+                at, rest = forks[-1] if forks else (0, None)
+                done = trail[at:]
+                del trail[at:]
+                done.reverse()
+                order += done
+                state.update(dict.fromkeys(done, 2))
+                if rest is not None:
+                    node = next(rest, None)
+                    if node is None:
+                        forks.pop()
     return None, order
 
 
@@ -419,7 +490,7 @@ class SkewedGentleTriple(Record):
     def admissible_walk(self) -> ArrowWalk | None:
         """The walk that decides the triple, of the arrow-successor graph of
         (Q, I1), as ``admissible_walk`` makes it; None when a special vertex
-        fails the local rule."""
+        fails the local rule.  Needs a gentle base pair."""
         from .validate import admissible_walk
 
         return admissible_walk(self)

@@ -41,6 +41,16 @@ class ValidationReport(Record):
 
 
 def is_gentle(bq: BoundQuiver) -> tuple[bool, list[Violation]]:
+    """Whether ``bq`` is gentle, with its violations: the counted decision
+    (``BoundQuiver.gentle_index``), and the witness pass only for a pair it
+    rejects.  ``bq.gentle_violations`` keeps the answer."""
+    if bq.gentle_index is not None:
+        return True, []
+    violations = _gentle_witnesses(bq)
+    return not violations, violations
+
+
+def _gentle_witnesses(bq: BoundQuiver) -> list[Violation]:
     """One pass: SB1 over the vertices, then SB2 and G1 over the arrows;
     the violations come out SB1, then SB2 by arrow, then G1 by arrow.
 
@@ -70,7 +80,7 @@ def is_gentle(bq: BoundQuiver) -> tuple[bool, list[Violation]]:
         if len(rel_succ) > 1:
             g1.append(Violation("G1", (name, *rel_succ)))
     violations += g1
-    return not violations, violations
+    return violations
 
 
 def validate_skewed_gentle(t: SkewedGentleTriple) -> ValidationReport:
@@ -131,15 +141,17 @@ def admissible_walk(t: SkewedGentleTriple) -> ArrowWalk | None:
 def _local_rule(bq: BoundQuiver, vertices) -> list[tuple[str, tuple[str, str] | None]]:
     """The vertices of ``vertices`` that pass the local rule, each with the
     edge a -> b its loop in Q^sp adds to the arrow-successor graph, or None
-    at valency <= 1 (see ``admissible_special_sets``)."""
-    q = bq.quiver
+    at valency <= 1 (see ``admissible_special_sets``).  Reads the counts of
+    the gentle decision, so ``bq`` must be gentle: at one arrow a in and one
+    arrow b out, b*a is zero exactly when b has a partner before it."""
+    outs, ins, before, _ = bq.gentle_index
     passing = []
     for v in vertices:
-        ins, outs = q.incoming[v], q.outgoing[v]
-        if len(ins) + len(outs) <= 1:
+        out = outs.get(v, ())
+        if ins[v] + len(out) <= 1:
             passing.append((v, None))
-        elif len(ins) == len(outs) == 1 and (outs[0].name, ins[0].name) in bq.relations:
-            passing.append((v, (ins[0].name, outs[0].name)))
+        elif ins[v] == len(out) == 1 and out[0] in before:
+            passing.append((v, (before[out[0]], out[0])))
     return passing
 
 

@@ -59,12 +59,17 @@ def all_fixture_triples():
 def special_line(n: int):
     """L_n: the line v0 -> ... -> v_{n-1} with every 2-path a relation and
     every inner vertex special, the densest case for commutativity relations."""
+    return parse(special_line_text(n))
+
+
+def special_line_text(n: int, special: bool = True) -> str:
+    """The text of L_n, or of its pair alone, with no special vertex."""
     vertices = ", ".join(f"v{i}" for i in range(n))
-    special = ", ".join(f"v{i}" for i in range(1, n - 1))
+    inner = ", ".join(f"v{i}" for i in range(1, n - 1))
     arrows = ", ".join(f"a{i}: v{i} -> v{i + 1}" for i in range(n - 1))
     relations = ", ".join(f"a{i + 1}*a{i}" for i in range(n - 2))
-    return parse(f"quiver L {{ vertices: {vertices}; special: {special}; arrows: {arrows};"
-                 f" relations: {relations}; }}")
+    return (f"quiver L {{ vertices: {vertices};{f' special: {inner};' if special else ''}"
+            f" arrows: {arrows}; relations: {relations}; }}")
 
 
 def in_star(k: int) -> str:

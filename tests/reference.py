@@ -9,6 +9,8 @@ count of the package, and is not part of it: no command needs it.
   through special vertices, built as a pair that walks its own graph.
 * ``multiply``: the product of two normal forms of the sg algebra.
 * ``sign_swap``: the sign swap of (Q^g, I^g), named from the triple.
+* ``walk``: the plain depth-first walk of a successor graph, an iterator
+  per node on the trail, as ``quiver._walk`` must walk it.
 """
 
 from skewgentle import BasisPath, BoundQuiver, InfiniteDimensional, InternalInconsistency
@@ -92,3 +94,31 @@ def sign_swap(t):
         vertex_map.update({v + s: v + flip[s] for s in "+-"})
     arrow_map = {a.name + s: a.name + flip[s] for a in t.pair.quiver.arrows for s in "+-"}
     return vertex_map, arrow_map
+
+
+def walk(graph):
+    """``(cycle, [])`` for the first cycle an iterative depth-first walk of
+    ``graph`` (node to successor tuple) meets, starts in name order and
+    successors in the order given, else ``(None, order)`` with the nodes in
+    the order they finish.  A node without successors finishes when reached."""
+    state = dict.fromkeys(graph, 0)  # 0 unvisited, 1 on the trail, 2 done
+    order = []
+    for start in sorted(graph):
+        if state[start]:
+            continue
+        state[start] = 1
+        trail, pending = [start], [iter(graph[start])]
+        while pending:
+            nxt = next(pending[-1], None)
+            if nxt is None:
+                done = trail.pop()
+                state[done] = 2
+                order.append(done)
+                pending.pop()
+            elif state[nxt] == 1:
+                return tuple(trail[trail.index(nxt):]), []
+            elif state[nxt] == 0:
+                state[nxt] = 1
+                trail.append(nxt)
+                pending.append(iter(graph[nxt]))
+    return None, order

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import fixture_path
+from conftest import fixture_path, in_star, out_star, special_line_text
 
 from skewgentle.cli import run
 
@@ -530,6 +530,34 @@ def test_q_g_dot_of_the_20000_cycle_as_a_process(tmp_path):
     )
     assert (result.returncode, result.stderr) == (0, "")
     assert sum("doublecircle" in line for line in result.stdout.splitlines()) == 6667
+
+
+@pytest.mark.parametrize("special", [False, True])
+def test_invariants_of_the_20000_line_as_a_process(tmp_path, special):
+    # the console-script gate of CI in tier-1: text `invariants` on L_20000,
+    # with no special vertex and with every inner vertex special, finishes
+    # within 10 s with every gldim finite
+    path = tmp_path / "L20000.q"
+    path.write_text(special_line_text(20000, special), encoding="utf-8")
+    result = subprocess.run([sys.executable, "-m", "skewgentle", "invariants", str(path)],
+                            capture_output=True, text=True, timeout=10)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert "gldim_finite: g=yes gentle=yes sg=yes" in result.stdout.splitlines()
+
+
+@pytest.mark.parametrize("star,hub,side", [(in_star, "x", "y"), (out_star, "y", "z")])
+def test_validate_of_a_50000_star_as_a_process(tmp_path, star, hub, side):
+    # the console-script gate of CI in tier-1: `validate --json` on the
+    # relation star at k = 50000 exits 1 within 10 s with one G1 item that
+    # lists all k partners of the hub, from the witness pass that runs once
+    # the counted decision rejects the pair
+    path = tmp_path / "star.q"
+    path.write_text(star(50000), encoding="utf-8")
+    result = subprocess.run([sys.executable, "-m", "skewgentle", "validate", str(path), "--json"],
+                            capture_output=True, text=True, timeout=10)
+    assert (result.returncode, result.stderr) == (1, "")
+    g1 = [v["items"] for v in json.loads(result.stdout)["violations"] if v["rule"] == "G1"]
+    assert g1 == [[hub, *sorted(side + str(i) for i in range(50000))]]
 
 
 def test_runs_without_docstrings():

@@ -357,7 +357,8 @@ def _reference_build_sg_presentation(t):
                     mid = lifts[middle][0]
                     zero.add((_reference_sg_name(x, mid.name, outer_tgt.name),
                               _reference_sg_name(y, outer_src.name, mid.name)))
-    return SgPresentation(vertices, arrows, frozenset(zero), frozenset(comm))
+    names = tuple(sorted(sv.name for sv in vertices))
+    return SgPresentation(vertices, names, arrows, frozenset(zero), frozenset(comm))
 
 
 def _reference_g_endpoint(v, sign, special):

@@ -8,13 +8,16 @@ step per junction, paths are listed only where the output lists them, every
 sg and g count reads the verdict's walk of (Q, I1) and Q^g is built only
 where it is read and its lift table read only by DOT, valid text is
 parsed without tokens, source positions are computed only for a
-diagnostic, a pair's relations are checked once, a plainly written command
+diagnostic, a pair's relations are checked once, a valid command's pairs
+are decided gentle from their counts, with no witness pass and no index of
+arrows by end or of relations, a plainly written command
 builds no argument parser and calls none, and a command calls the renderer
 its module holds at the call."""
 
 import argparse
 import io
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -59,6 +62,9 @@ def test_one_decision_per_triple(monkeypatch, argv, triples):
     decisions = _count_calls(monkeypatch, validate.validate_skewed_gentle)
     sp_builds = _count_calls(monkeypatch, construct.build_sp_pair)
     gentle_checks = _count_calls(monkeypatch, validate.is_gentle)
+    indexes = _count_builds(monkeypatch, [(quiver.Quiver, "outgoing"), (quiver.Quiver, "incoming"),
+                                          (quiver.BoundQuiver, "relations_before"),
+                                          (quiver.BoundQuiver, "relations_after")])
     argv = [str(fixture_path("fix_a2.q")) if a == "FILE" else a for a in argv]
 
     assert run(argv, out=io.StringIO(), err=io.StringIO()) == 0
@@ -66,8 +72,26 @@ def test_one_decision_per_triple(monkeypatch, argv, triples):
     assert len(decisions) == triples
     # the oracle of --dims reads its length bound off the base pair
     assert sp_builds == []
-    checked = [bq for bq, _ in gentle_checks]
-    assert len({id(bq) for bq in checked}) == len(checked), "a pair was checked twice"
+    # every pair is gentle, Q^g included: decided from its counts, with no
+    # witness pass and no general index of arrows by end or of relations
+    assert gentle_checks == []
+    assert indexes == []
+
+
+def _count_builds(monkeypatch, properties):
+    """Record the name of each of the cached ``properties`` (class, name) as it is built."""
+    built = []
+    for cls, name in properties:
+        make = cls.__dict__[name].func
+
+        def counted(self, make=make, name=name):
+            built.append(name)
+            return make(self)
+
+        prop = cached_property(counted)
+        prop.__set_name__(cls, name)
+        monkeypatch.setattr(cls, name, prop)
+    return built
 
 
 def test_a_drawn_triple_keeps_its_verdict(monkeypatch):
@@ -92,10 +116,11 @@ def test_validate_builds_q_sp_only_for_a_failure(monkeypatch, name, valid):
     assert run(["validate", str(path)], out=io.StringIO(), err=io.StringIO()) == (0 if valid else 1)
 
     [(t, _)] = decisions
-    assert [bq for bq, _ in gentle_checks][:1] == [t.pair]
     if valid:
-        assert sp_builds == [] and len(gentle_checks) == 1
+        # the counted decision accepts the pair: no witness pass
+        assert sp_builds == [] and gentle_checks == []
     else:
+        # the witness pass runs once on each pair the counted decision rejects
         [(_, sp)] = sp_builds
         assert [bq for bq, _ in gentle_checks] == [t.pair, sp]
 
