@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .construct import _require_valid, vertex_lifts
+from .construct import _require_valid
 from .errors import LimitExceeded, NotSpecial
 from .quiver import (
     ArrowWalk,
@@ -63,7 +63,7 @@ def basis(t: SkewedGentleTriple) -> list[BasisPath]:
     by one successor at a time.
     """
     _require_valid(t)
-    signed = vertex_lifts(t, t.special, "Q^sg vertex")
+    signed = t.sg_lifts
     walk = t.admissible_walk
     successor_order(walk)  # raises InfiniteDimensional with its witness
     out = [BasisPath((), v, v) for lifts in signed.values() for v in lifts]
@@ -144,11 +144,10 @@ def dimension(t: SkewedGentleTriple, which: str) -> int:
     if which == "gentle":
         return pair_dimension(t.pair)
     if which == "g":
-        lifts = vertex_lifts(t, t.pair.quiver.vertices - t.special, "Q^g vertex")
         paths = count_relation_free_paths(t.admissible_walk, _one, _one)
-        return sum(map(len, lifts.values())) + 2 * paths
+        return sum(map(len, t.g_lifts.values())) + 2 * paths
     if which == "sg":
-        lifts = vertex_lifts(t, t.special, "Q^sg vertex")
+        lifts = t.sg_lifts
         return _counted_dimension(t.admissible_walk, lambda v: len(lifts[v]))
     raise ValueError(f"unknown algebra {which!r}")
 
@@ -354,7 +353,7 @@ def _corner_basis(t: SkewedGentleTriple, a: str, leaving: bool) -> tuple[BasisPa
     arrows, each with every signed name of its other end.  Output-sized."""
     walk = t.admissible_walk
     q = walk.quiver
-    signed = vertex_lifts(t, t.special, "Q^sg vertex")
+    signed = t.sg_lifts
     minus = a + "-"
     out = []
     if leaving:
@@ -385,7 +384,7 @@ def corner_data(t: SkewedGentleTriple, a: str) -> CornerData:
     _require_valid(t)
     if a not in t.special:
         raise NotSpecial(f"vertex {a!r} is not special in {t.name!r}")
-    lifts = vertex_lifts(t, t.special, "Q^sg vertex")
+    lifts = t.sg_lifts
     admissible = t.admissible_walk
 
     def at_a(v):

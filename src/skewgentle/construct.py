@@ -12,6 +12,10 @@
 
 Commutativity relations are stored sign-free: the minus-weighted term is
 moved across the equation, so both stored sides carry coefficient +1.
+
+Each lift table, Q^sg's and Q^g's, is made once per triple by
+``vertex_lifts`` and kept on it (``sg_lifts``, ``g_lifts``); the
+constructions, dimensions, basis and corner data all read the kept one.
 """
 
 from __future__ import annotations
@@ -148,9 +152,12 @@ def vertex_lifts(t: SkewedGentleTriple, split, what: str) -> dict[str, tuple[str
     """The lift table: the signed names of each base vertex, v+ and v- for v
     in ``split``, v itself otherwise, in ``vertex_list`` order.  Raises
     NameCollision for the least unsplit vertex named v+ or v- with v split:
-    a split name ends in its sign, so no other two lifts can share a name."""
+    a split name ends in its sign, so no other two lifts can share a name.
+    The check reads each vertex name once and formats no lift, so it stays
+    cheap when most vertices are split, as in Q^g."""
     q = t.pair.quiver
-    clashes = [v + s for v in split for s in "+-" if v + s in q.vertices and v + s not in split]
+    clashes = [w for w in q.vertices
+               if w.endswith(("+", "-")) and w[:-1] in split and w not in split]
     if clashes:
         name = min(clashes)
         raise NameCollision(f"{what} name {name!r} produced twice (from {name[:-1]!r} and {name!r})")
@@ -162,7 +169,7 @@ def build_sg_presentation(t: SkewedGentleTriple) -> SgPresentation:
     base = t.pair
     q = base.quiver
     special = t.special
-    signed = vertex_lifts(t, special, "Q^sg vertex")
+    signed = t.sg_lifts
 
     vertices = tuple(SignedVertex(v, name[len(v):])
                      for v, names in signed.items() for name in names)
@@ -191,7 +198,7 @@ def build_sg_presentation(t: SkewedGentleTriple) -> SgPresentation:
             half = len(out) // 2
             for y_plus, y_minus in zip(into[::2], into[1::2]):
                 for x_plus, x_minus in zip(out[:half], out[half:]):
-                    comm.add(CommRelation(plus=(x_plus, y_plus), minus=(x_minus, y_minus)))
+                    comm.add(CommRelation((x_plus, y_plus), (x_minus, y_minus)))
         else:
             for y_lift in into:
                 for x_lift in out:
@@ -205,7 +212,7 @@ def build_g_pair(t: SkewedGentleTriple) -> GPairLabels:
     _require_valid(t)
     q = t.pair.quiver
     special = t.special
-    signed = vertex_lifts(t, q.vertices - special, "Q^g vertex")
+    signed = t.g_lifts
     # a+ ends at a vertex's first lift and a- at its last: v itself when special
     ends = {v: (names[0], names[-1]) for v, names in signed.items()}
 
@@ -231,8 +238,13 @@ def build_g_pair(t: SkewedGentleTriple) -> GPairLabels:
     # Quiver, not build_quiver: vertex_lifts refuses a vertex named as a lift,
     # x+ and x- differ from y+ and y- for x != y, and so do a+ and a- from
     # b+ and b- for arrows a != b; every endpoint comes from the lift table.
+    # BoundQuiver.unchecked, not BoundQuiver: each relation lifts a relation
+    # (x, y) of the checked base pair, whose middle vertex m = t(y) = s(x).
+    # Its arrows are x+ or x- and y+ or y-, and both sides meet at one lift
+    # of m: y+ and x+ at m+ and y- and x- at m- when m is ordinary; y- and
+    # x+, or y+ and x-, at m itself when m is special, its one lift.
     vertices = frozenset(chain.from_iterable(signed.values()))
-    pair = BoundQuiver(Quiver(vertices, arrows), frozenset(relations))
+    pair = BoundQuiver.unchecked(Quiver(vertices, arrows), frozenset(relations))
     if pair.gentle_violations or pair.walk.cycle is not None:
         raise InternalInconsistency(
             f"associated pair of {t.name!r} is not gentle/finite: {list(pair.gentle_violations)}"

@@ -9,9 +9,9 @@ Bound quivers and triples are immutable, so what is derived from them is
 kept on them as cached properties: a bound quiver's relation index, its
 arrow-successor graph with the one walk of it that decides finiteness and
 orders it for counting, and its gentle check; a triple's validation with
-its one walk of the arrow-successor graph of (Q, I1), its three
-constructions and its cycles.  Each is computed at most once per object
-and dies with it.  Relation-free paths are counted and listed off a walk
+its one walk of the arrow-successor graph of (Q, I1), its two lift tables,
+its three constructions and its cycles.  Each is computed at most once per
+object and dies with it.  Relation-free paths are counted and listed off a walk
 (``ArrowWalk``), not off a pair: the base pair's or Q^g's own, or the
 verdict's walk for (Q, I1), which is never built as a pair.
 
@@ -229,6 +229,16 @@ class BoundQuiver(Record):
         for x, y in relations:
             if x not in amap or y not in amap or amap[y].target != amap[x].source:
                 self._raise_first_bad_relation()
+
+    @classmethod
+    def unchecked(cls, quiver: Quiver,
+                  relations: frozenset[tuple[ArrowId, ArrowId]]) -> BoundQuiver:
+        """The pair without ``__init__``'s check, for relations the caller
+        has proved to be composable 2-paths of the quiver's arrows."""
+        bq = cls.__new__(cls)
+        _set(bq, "quiver", quiver)
+        _set(bq, "relations", relations)
+        return bq
 
     def _raise_first_bad_relation(self):
         """Raise for the first relation in name order, whatever the hash
@@ -464,6 +474,20 @@ class SkewedGentleTriple(Record):
         from .validate import validate_skewed_gentle
 
         return validate_skewed_gentle(self)
+
+    @cached_property
+    def sg_lifts(self) -> dict[VertexId, tuple[VertexId, ...]]:
+        """The lift table of Q^sg, special vertices split, as ``vertex_lifts`` makes it."""
+        from .construct import vertex_lifts
+
+        return vertex_lifts(self, self.special, "Q^sg vertex")
+
+    @cached_property
+    def g_lifts(self) -> dict[VertexId, tuple[VertexId, ...]]:
+        """The lift table of Q^g, ordinary vertices split, as ``vertex_lifts`` makes it."""
+        from .construct import vertex_lifts
+
+        return vertex_lifts(self, self.pair.quiver.vertices - self.special, "Q^g vertex")
 
     @cached_property
     def sp_pair(self) -> BoundQuiver:

@@ -10,23 +10,24 @@ DSL form from ``serialize``.
 All output is deterministic: identifiers are sorted before emission and
 JSON objects have sorted keys, so equal inputs give byte-identical text.
 
-JSON is written by ``_json``, byte for byte what ``json.dumps(payload,
-sort_keys=True, indent=2)`` writes, at C speed for the bulk of it: every
-string goes through the C ``encode_basestring_ascii``, a list of strings
-(vertices, relations, a witness's items) is encoded by one C-level ``map``
-with no Python call per item, and a list of str-valued objects that share
-one key set (the arrows of a pair and the comm relations of Q^sg, most of
-the bytes) is written from one ``%`` template per list, one formatting per
-row.  Anything else takes the general recursion.  The payloads hold only
-str, int, bool, None, lists, tuples and str-keyed dicts; any other value, a
-float included, raises TypeError.
+JSON is byte for byte what ``json.dumps(payload, sort_keys=True,
+indent=2)`` writes for the object's payload, and every string goes through
+the C ``encode_basestring_ascii``.  A bound quiver, Q^g and Q^sg, most of
+the bytes, are written straight from their records, with no payload: each
+list of rows (the arrows of a pair, the arrows and comm relations of Q^sg)
+is one ``%`` over one row template repeated once per row, its values
+encoded by one C-level ``map``, and each list of strings (vertices,
+relations) is one ``map`` too.  Every other report is a payload written by
+``_json``, the general recursion, whose lists of strings take the same
+``map``.  The payloads hold only str, int, bool, None, lists, tuples and
+str-keyed dicts; any other value, a float included, raises TypeError.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, starmap
 from json.encoder import encode_basestring_ascii as _str
-from operator import itemgetter
+from operator import attrgetter
 
 from .algebra import (
     DEFAULT_ORACLE_CAP,
@@ -124,12 +125,16 @@ def _pair_view(x) -> BoundQuiver:
     raise TypeError(f"cannot render {type(x).__name__}")
 
 
+_plus, _minus = attrgetter("plus"), attrgetter("minus")
+
+
 def _sg_view(p: SgPresentation):
-    """(name, arrow) pairs by name, zero relations and comm relations, in
-    output order; each name is read from ``arrow_map``, not formatted again."""
-    return (sorted(p.arrow_map.items(), key=itemgetter(0)),
-            [relation_text(x, y) for x, y in sorted(p.zero_relations)],
-            sorted(p.comm_relations, key=lambda c: c.plus))
+    """The arrows' names and the arrows, zero relations and comm relations,
+    in output order; each name is read from ``arrow_map``, not formatted again."""
+    names = sorted(p.arrow_map)
+    return (names, list(map(p.arrow_map.__getitem__, names)),
+            list(starmap(relation_text, sorted(p.zero_relations))),
+            sorted(p.comm_relations, key=_plus))
 
 
 def _validation_lines(name, report):
@@ -163,10 +168,11 @@ def _text_lines(r, name):
                 f"dim im phi: {r.dim_im_phi}",
                 f"identity: {'holds' if r.identity_holds else 'FAILS'}"]
     if isinstance(r, SgPresentation):
-        arrows, zero, comm = _sg_view(r)
+        names, arrows, zero, comm = _sg_view(r)
         return [f"sg-presentation {name}",
                 f"vertices: {', '.join(r.vertex_names)}",
-                "arrows: " + ", ".join(f"{n}: {a.source} -> {a.target}" for n, a in arrows),
+                "arrows: " + ", ".join(f"{n}: {a.source} -> {a.target}"
+                                       for n, a in zip(names, arrows)),
                 f"zero: {', '.join(zero)}",
                 f"comm: {', '.join(map(_comm_text, comm))}"]
     return [serialize(SkewedGentleTriple(_pair_view(r), frozenset(), name=name))]
@@ -224,43 +230,6 @@ def _payload(r, name):
             "t1_basis": [_basis_path_payload(p) for p in r.t1_basis],
             "t2_basis": [_basis_path_payload(p) for p in r.t2_basis],
         }
-    if isinstance(r, SgPresentation):
-        arrows, zero, comm = _sg_view(r)
-        return {
-            "name": name,
-            "vertices": list(r.vertex_names),
-            "arrows": [{"name": n, "base": a.base, "source": a.source, "target": a.target}
-                       for n, a in arrows],
-            "zero_relations": zero,
-            "comm_relations": [{"plus": relation_text(*c.plus), "minus": relation_text(*c.minus)}
-                               for c in comm],
-        }
-    pair = _pair_view(r)
-    q = pair.quiver
-    return {
-        "name": name,
-        "vertices": list(q.vertex_list),
-        "arrows": [{"name": a.name, "source": a.source, "target": a.target} for a in q.arrows],
-        "relations": [relation_text(x, y) for x, y in pair.relation_list],
-    }
-
-
-def _rows(items, pad):
-    """The items of a list of dicts, at ``pad``, each from one template when
-    all have one nonempty set of str keys and only str values; else None."""
-    first = items[0]
-    if (not first or set(map(type, first)) != {str}
-            or not all(map(first.keys().__eq__, map(dict.keys, items)))
-            or set(map(type, chain.from_iterable(map(dict.values, items)))) != {str}):
-        return None
-    keys = sorted(first)
-    inner = pad + "  "
-    template = "{\n" + ",\n".join(
-        f"{inner}{_str(k).replace('%', '%%')}: %s" for k in keys) + f"\n{pad}}}"
-    get = itemgetter(*keys)
-    if len(keys) == 1:
-        return [template % _str(get(d)) for d in items]
-    return [template % tuple(map(_str, get(d))) for d in items]
 
 
 def _json(value, pad: str) -> str:
@@ -280,11 +249,10 @@ def _json(value, pad: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        kinds = set(map(type, value))
-        if kinds == {str}:
+        if set(map(type, value)) == {str}:
             rows = map(_str, value)
         else:
-            rows = kinds == {dict} and _rows(value, inner) or [_json(v, inner) for v in value]
+            rows = [_json(v, inner) for v in value]
         open_, close = "[", "]"
     elif isinstance(value, dict):
         if not value:
@@ -299,9 +267,67 @@ def _json(value, pad: str) -> str:
     return f"{open_}\n{inner}" + f",\n{inner}".join(rows) + f"\n{pad}{close}"
 
 
+def _row_template(*keys) -> str:
+    """One row of a top-level list: an object with ``keys``, given sorted, a ``%s`` each."""
+    fields = ",\n".join(f"      {_str(k)}: %s" for k in keys)
+    return f"{{\n{fields}\n    }}"
+
+
+_PAIR_ARROW = _row_template("name", "source", "target")
+_SG_ARROW = _row_template("base", "name", "source", "target")
+_COMM = _row_template("minus", "plus")
+_arrow_fields = attrgetter("name", "source", "target")
+_base, _source, _target = attrgetter("base"), attrgetter("source"), attrgetter("target")
+
+
+def _row_list(row: str, count: int, values) -> str:
+    """A top-level list of ``count`` rows of the template ``row``: one ``%``
+    over the template repeated once per row.  ``values`` holds the rows'
+    strings row by row, in key order."""
+    if not count:
+        return "[]"
+    rows = ",\n    ".join([row] * count) % tuple(map(_str, values))
+    return f"[\n    {rows}\n  ]"
+
+
+def _object(fields) -> str:
+    """The top-level object of ``fields``, (key, written value) pairs in key order."""
+    return "{\n" + ",\n".join(f"  {_str(k)}: {v}" for k, v in fields) + "\n}\n"
+
+
+def _pair_json(pair: BoundQuiver, name: str) -> str:
+    q = pair.quiver
+    return _object((
+        ("arrows", _row_list(_PAIR_ARROW, len(q.arrows),
+                             chain.from_iterable(map(_arrow_fields, q.arrows)))),
+        ("name", _str(name)),
+        ("relations", _json(list(starmap(relation_text, pair.relation_list)), "  ")),
+        ("vertices", _json(q.vertex_list, "  ")),
+    ))
+
+
+def _sg_json(p: SgPresentation, name: str) -> str:
+    names, arrows, zero, comm = _sg_view(p)
+    arrow_values = zip(map(_base, arrows), names, map(_source, arrows), map(_target, arrows))
+    comm_values = zip(starmap(relation_text, map(_minus, comm)),
+                      starmap(relation_text, map(_plus, comm)))
+    return _object((
+        ("arrows", _row_list(_SG_ARROW, len(names), chain.from_iterable(arrow_values))),
+        ("comm_relations", _row_list(_COMM, len(comm), chain.from_iterable(comm_values))),
+        ("name", _str(name)),
+        ("vertices", _json(p.vertex_names, "  ")),
+        ("zero_relations", _json(zero, "  ")),
+    ))
+
+
 def report_json(r, name: str | None = None) -> str:
     """Deterministic JSON: sorted keys, multisets as ascending arrays."""
-    return _json(_payload(r, _name(r, name)), "") + "\n"
+    name = _name(r, name)
+    if isinstance(r, (ValidationReport, InvariantReport, CornerData)):
+        return _json(_payload(r, name), "") + "\n"
+    if isinstance(r, SgPresentation):
+        return _sg_json(r, name)
+    return _pair_json(_pair_view(r), name)
 
 
 def _dot_quote(s):
@@ -312,7 +338,8 @@ def to_dot(x, name: str | None = None) -> str:
     """One DOT digraph; special/split vertices drawn as double circles."""
     name = _name(x, name)
     if isinstance(x, SgPresentation):
-        arrows, zero, comm = _sg_view(x)
+        names, sg_arrows, zero, comm = _sg_view(x)
+        arrows = zip(names, sg_arrows)
         nodes = x.vertex_names
         doubled = frozenset(v.name for v in x.vertices if v.sign != "")
         comments = [f"zero: {z}" for z in zero] + [f"comm: {_comm_text(c)}" for c in comm]

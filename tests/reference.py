@@ -11,9 +11,19 @@ count of the package, and is not part of it: no command needs it.
 * ``sign_swap``: the sign swap of (Q^g, I^g), named from the triple.
 * ``walk``: the plain depth-first walk of a successor graph, an iterator
   per node on the trail, as ``quiver._walk`` must walk it.
+* ``construction_payload``: the JSON payload of a bound quiver, Q^g or
+  Q^sg as a dict, which ``json.dumps(..., sort_keys=True, indent=2)``
+  writes as ``report_json`` must write the object.
 """
 
-from skewgentle import BasisPath, BoundQuiver, InfiniteDimensional, InternalInconsistency
+from skewgentle import (
+    BasisPath,
+    BoundQuiver,
+    GPairLabels,
+    InfiniteDimensional,
+    InternalInconsistency,
+    SgPresentation,
+)
 
 
 def relation_free_paths(bq):
@@ -122,3 +132,32 @@ def walk(graph):
                 trail.append(nxt)
                 pending.append(iter(graph[nxt]))
     return None, order
+
+
+def _relation(pair):
+    return f"{pair[0]}*{pair[1]}"
+
+
+def construction_payload(x, name="Q"):
+    """The payload of a bound quiver, of Q^g (its pair) or of Q^sg: the
+    vertices, the arrows by name and the relations, each relation written
+    ``x*y``; a comm relation is its two sides, ordered by the plus side."""
+    if isinstance(x, SgPresentation):
+        return {
+            "name": name,
+            "vertices": list(x.vertex_names),
+            "arrows": [{"name": n, "base": a.base, "source": a.source, "target": a.target}
+                       for n, a in sorted(x.arrow_map.items(), key=lambda item: item[0])],
+            "zero_relations": [_relation(r) for r in sorted(x.zero_relations)],
+            "comm_relations": [{"plus": _relation(c.plus), "minus": _relation(c.minus)}
+                               for c in sorted(x.comm_relations, key=lambda c: c.plus)],
+        }
+    pair = x.pair if isinstance(x, GPairLabels) else x
+    q = pair.quiver
+    return {
+        "name": name,
+        "vertices": sorted(q.vertices),
+        "arrows": [{"name": a.name, "source": a.source, "target": a.target}
+                   for a in sorted(q.arrows, key=lambda a: a.name)],
+        "relations": [_relation(r) for r in sorted(pair.relations)],
+    }

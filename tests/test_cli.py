@@ -532,6 +532,23 @@ def test_q_g_dot_of_the_20000_cycle_as_a_process(tmp_path):
     assert sum("doublecircle" in line for line in result.stdout.splitlines()) == 6667
 
 
+@pytest.mark.parametrize("target", ["g", "sg"])
+def test_json_construct_of_the_20000_cycle_as_a_process(tmp_path, target):
+    # the console-script gate of CI in tier-1: on the same 20000-cycle, JSON
+    # `construct` of Q^g and Q^sg finishes within 10 s and writes what the
+    # stdlib's encoder writes for it, sorted keys and indent 2
+    path = tmp_path / "C20000.q"
+    _write_full_relation_cycle(path, 20000, 3)
+    result = subprocess.run(
+        [sys.executable, "-m", "skewgentle", "construct", str(path), "--target", target,
+         "--format", "json"],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    out = result.stdout
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("special", [False, True])
 def test_invariants_of_the_20000_line_as_a_process(tmp_path, special):
     # the console-script gate of CI in tier-1: text `invariants` on L_20000,

@@ -4,9 +4,13 @@ import random
 
 import pytest
 
-from conftest import fixture_path
+from pathlib import Path
+
+from conftest import FIXTURES, fixture_path
+from reference import construction_payload
 
 from skewgentle import (
+    Arrow,
     BoundQuiver,
     SkewedGentleTriple,
     admissible_special_sets,
@@ -17,6 +21,7 @@ from skewgentle import (
     corner_data,
     descriptor_gentle,
     descriptor_pretty,
+    parse,
     random_triple,
     report_json,
     to_dot,
@@ -137,6 +142,60 @@ def test_to_dot_bound_quiver(fix_b):
     dot = to_dot(BoundQuiver(fix_b.pair.quiver, fix_b.pair.relations), name="B")
     assert "// zero: a*g" in dot
     assert dot == to_dot(BoundQuiver(fix_b.pair.quiver, fix_b.pair.relations), name="B")
+
+
+def _assert_constructions_written_as_the_reference(t):
+    """Q^sp, and Q^sg and Q^g when the triple is valid, as JSON: what the
+    stdlib writes for the reference payload, under the default name and a
+    given one."""
+    built = [t.sp_pair]
+    if t.validation.skewed_gentle:
+        built += [t.sg_presentation, t.g_pair]
+    for x in built:
+        for name in (None, 'n%s"\\\u00e9'):
+            expected = json.dumps(construction_payload(x, name or "Q"), sort_keys=True, indent=2)
+            assert report_json(x, name) == expected + "\n", (t, type(x).__name__, name)
+
+
+_INPUTS = sorted([*FIXTURES.glob("*.q"), *(Path(__file__).parent / "golden").glob("*.q")])
+
+
+@pytest.mark.parametrize("path", _INPUTS, ids=[p.stem for p in _INPUTS])
+def test_constructions_json_matches_the_reference_on_every_input(path):
+    _assert_constructions_written_as_the_reference(parse(path.read_text(encoding="utf-8")))
+
+
+def test_constructions_json_matches_the_reference_on_generated_triples():
+    valid = 0
+    for seed in range(300):
+        pair = random_triple(seed, 8, 11).pair
+        for special in admissible_special_sets(pair)[:3]:
+            t = SkewedGentleTriple(pair, frozenset(special))
+            _assert_constructions_written_as_the_reference(t)
+            valid += 1
+    assert valid > 600
+
+
+def _odd_pairs():
+    """Pairs built through the library with names the DSL cannot write: a
+    template's ``%`` and ``%s``, JSON escapes, control and non-ASCII
+    characters; one with no relation and one with no arrow."""
+    p, q, r = "%s", 'q"\\\u00e9', "\U0001f600\n%(x)s"
+    x, y, z = "%", '\\"\x00', "\u2603%%"
+    cycle = build_quiver([p, q], [Arrow(x, p, q), Arrow(y, q, p)])
+    line = build_quiver([p, q, r], [Arrow(x, p, q), Arrow(z, q, r)])
+    return [BoundQuiver(cycle, frozenset({(x, y), (y, x)})), BoundQuiver(line),
+            BoundQuiver(build_quiver([p, q, r], []))]
+
+
+@pytest.mark.parametrize("pair", _odd_pairs(), ids=["cycle", "no-relation", "no-arrow"])
+def test_constructions_json_matches_the_reference_on_names_the_dsl_cannot_write(pair):
+    sets = admissible_special_sets(pair)
+    assert len(sets) > 1
+    for special in sets:
+        _assert_constructions_written_as_the_reference(SkewedGentleTriple(pair, frozenset(special)))
+    assert report_json(pair) == json.dumps(construction_payload(pair), sort_keys=True,
+                                           indent=2) + "\n"
 
 
 # Pieces of strings: ASCII, non-ASCII (one outside the BMP), control

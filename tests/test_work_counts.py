@@ -8,7 +8,8 @@ step per junction, paths are listed only where the output lists them, every
 sg and g count reads the verdict's walk of (Q, I1) and Q^g is built only
 where it is read and its lift table read only by DOT, valid text is
 parsed without tokens, source positions are computed only for a
-diagnostic, a pair's relations are checked once, a valid command's pairs
+diagnostic, a pair's relations are checked once, Q^g's not at all, each
+lift table is made once per triple and split, a valid command's pairs
 are decided gentle from their counts, with no witness pass and no index of
 arrows by end or of relations, a plainly written command
 builds no argument parser and calls none, and a command calls the renderer
@@ -452,8 +453,9 @@ def test_a_command_builds_no_parser_and_parses_its_input_once(monkeypatch):
     (["dim", "FILE", "--algebra", "sg"], 1),
     (["dim", "FILE", "--algebra", "g"], 1),
     (["reduce", "FILE", "--vertex", "2"], 1),
-    # and Q^g, which --dims checks against the g count
-    (["invariants", "FILE", "--dims"], 2),
+    # Q^g, which --dims checks against the g count, lifts the file's checked
+    # relations to composable ones by construction, so it is not checked again
+    (["invariants", "FILE", "--dims"], 1),
 ])
 def test_relations_checked_once_per_pair(monkeypatch, argv, pairs):
     made, init = [], quiver.BoundQuiver.__init__
@@ -468,6 +470,27 @@ def test_relations_checked_once_per_pair(monkeypatch, argv, pairs):
     assert run(argv, out=io.StringIO(), err=io.StringIO()) == 0
 
     assert len(made) == pairs
+
+
+@pytest.mark.parametrize("argv,tables", [
+    # Q^sg's table for the sg count, basis and oracle, Q^g's for the g count and Q^g
+    (["invariants", "FILE", "--dims", "--json"], 2),
+    # the triple's Q^sg table and its reduced triple's
+    (["reduce", "FILE", "--vertex", "2"], 2),
+    (["reduce", "FILE", "--vertex", "2", "--json"], 2),
+    (["construct", "FILE", "--target", "sg", "--format", "json"], 1),
+    (["construct", "FILE", "--target", "g", "--format", "json"], 1),
+])
+def test_one_lift_table_per_triple_and_split(monkeypatch, argv, tables):
+    made = _count_calls(monkeypatch, construct.vertex_lifts)
+    argv = [str(fixture_path("fix_a2.q")) if a == "FILE" else a for a in argv]
+
+    assert run(argv, out=io.StringIO(), err=io.StringIO()) == 0
+
+    # each (triple, split) once: a table's split is its vertices with two lifts
+    splits = {(id(t), frozenset(v for v, names in lifts.items() if len(names) == 2))
+              for t, lifts in made}
+    assert len(made) == len(splits) == tables
 
 
 def test_the_renderer_is_read_from_the_module_at_each_call(monkeypatch):
