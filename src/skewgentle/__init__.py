@@ -9,11 +9,8 @@ from .algebra import (
     dimension_oracle,
 )
 from .construct import (
-    CommRelation,
     GPairLabels,
-    SgArrow,
     SgPresentation,
-    SignedVertex,
     build_g_pair,
     build_sg_presentation,
     build_sp_pair,

@@ -37,16 +37,8 @@ class BasisPath(Record):
         _set(self, "source", source)
         _set(self, "target", target)
 
-    @property
-    def is_trivial(self) -> bool:
-        return not self.arrows
-
-    @property
-    def length(self) -> int:
-        return len(self.arrows)
-
     def __repr__(self):
-        if self.is_trivial:
+        if not self.arrows:
             return f"e({self.source})"
         return f"{''.join(self.arrows)}[{self.source}->{self.target}]"
 
@@ -106,9 +98,15 @@ def longest_relation_free_length(walk: ArrowWalk, special=frozenset()) -> int:
     depth: dict[str, int] = {}
     longest = 1 if special else 0
     for a in successor_order(walk):
-        d = 1 + (a.target in special) + max(map(depth.__getitem__, succ[a.name]), default=0)
+        d = 0
+        for g in succ[a.name]:
+            if depth[g] > d:
+                d = depth[g]
+        d += 1 + (a.target in special)
         depth[a.name] = d
-        longest = max(longest, d + (a.source in special))
+        d += a.source in special
+        if d > longest:
+            longest = d
     return longest
 
 
@@ -161,14 +159,13 @@ def _oracle_presentation(t, which):
                 longest_relation_free_length(bq.walk))
     if which == "sg":
         pres = t.sg_presentation
-        triples = [(name, a.source, a.target) for name, a in pres.arrow_map.items()]
+        triples = [(name, src, tgt) for name, _, src, tgt in pres.arrows]
         # in application order a comm factor reads (first, later)
         comm = {}
-        for rel in pres.comm_relations:
-            comm[(rel.plus[1], rel.plus[0])] = (rel.minus[1], rel.minus[0])
-            comm[(rel.minus[1], rel.minus[0])] = (rel.plus[1], rel.plus[0])
-        return (pres.vertex_names, triples,
-                set(pres.zero_relations), comm,
+        for (plus_later, plus_first), (minus_later, minus_first) in pres.comm_relations:
+            comm[(plus_first, plus_later)] = (minus_first, minus_later)
+            comm[(minus_first, minus_later)] = (plus_first, plus_later)
+        return (pres.vertex_names, triples, pres.zero_relations, comm,
                 longest_relation_free_length(t.admissible_walk, t.special))
     raise ValueError(f"unknown algebra {which!r}")
 

@@ -16,88 +16,41 @@ moved across the equation, so both stored sides carry coefficient +1.
 Each lift table, Q^sg's and Q^g's, is made once per triple by
 ``vertex_lifts`` and kept on it (``sg_lifts``, ``g_lifts``); the
 constructions, dimensions, basis and corner data all read the kept one.
+Q^sg is held as plain names, with no record per vertex, arrow or relation:
+an arrow is a (name, base, source, target) tuple, formatted once and
+checked for distinctness, and a comm relation is its two sides as name
+pairs.  The three renderers and the sg oracle read these tuples.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import chain
 
 from .errors import InternalInconsistency, NameCollision, NotSkewedGentle
 from .quiver import Arrow, BoundQuiver, Quiver, Record, SkewedGentleTriple, _set, build_quiver
 
 
-class SignedVertex(Record):
-    __slots__ = ("base", "sign")
-
-    def __init__(self, base: str, sign: str):  # sign is "", "+", or "-"
-        _set(self, "base", base)
-        _set(self, "sign", sign)
-
-    @property
-    def name(self) -> str:
-        return self.base + self.sign
-
-
-def _sg_arrow_name(base: str, source: str, target: str) -> str:
-    """The name of the lift of base arrow ``base`` from signed vertex ``source`` to ``target``."""
-    return f"{base}@{source}@{target}"
-
-
-class SgArrow(Record):
-    """One lift (a, alpha, b) of a base arrow to signed endpoints."""
-
-    __slots__ = ("base", "source", "target")
-
-    def __init__(self, base: str, source: str, target: str):
-        _set(self, "base", base)
-        _set(self, "source", source)
-        _set(self, "target", target)
-
-    @property
-    def name(self) -> str:
-        return _sg_arrow_name(self.base, self.source, self.target)
-
-
-class CommRelation(Record):
-    """Equality of the through-plus and through-minus 2-paths.
-
-    Each side is a pair of SgArrow names (later, first) sharing outer
-    endpoints and differing only in the sign of the middle vertex.
-    """
-
-    __slots__ = ("plus", "minus")
-
-    def __init__(self, plus: tuple[str, str], minus: tuple[str, str]):
-        _set(self, "plus", plus)
-        _set(self, "minus", minus)
-
-
 class SgPresentation(Record):
-    """Q^sg and I^sg.  ``vertex_names`` holds the vertices' names, sorted.
-    ``arrow_map`` sends each arrow's name to the arrow, in ``arrows`` order;
-    ``build_sg_presentation`` gives the map it made the names in, and
-    otherwise it is made from ``arrows`` on first read."""
+    """Q^sg and I^sg as plain names.  ``vertex_names`` holds the vertices'
+    names, sorted, and ``split`` the names v+ and v- of the special
+    vertices' lifts.  ``arrows`` holds one (name, base, source, target) per
+    arrow: the lifts a@s@t of each base arrow a, in ``Quiver.arrows`` order,
+    source lift major.  ``zero_relations`` holds name pairs (later, first),
+    and ``comm_relations`` (plus side, minus side) pairs of them: the two
+    sides share their outer ends and differ only in the sign of the middle
+    vertex."""
 
-    __slots__ = ("vertices", "vertex_names", "arrows", "zero_relations", "comm_relations",
-                 "__dict__")
+    __slots__ = ("vertex_names", "split", "arrows", "zero_relations", "comm_relations")
 
-    def __init__(self, vertices: tuple[SignedVertex, ...], vertex_names: tuple[str, ...],
-                 arrows: tuple[SgArrow, ...],
+    def __init__(self, vertex_names: tuple[str, ...], split: frozenset[str],
+                 arrows: tuple[tuple[str, str, str, str], ...],
                  zero_relations: frozenset[tuple[str, str]],
-                 comm_relations: frozenset[CommRelation],
-                 arrow_map: dict[str, SgArrow] | None = None):
-        _set(self, "vertices", vertices)
+                 comm_relations: frozenset[tuple[tuple[str, str], tuple[str, str]]]):
         _set(self, "vertex_names", vertex_names)
+        _set(self, "split", split)
         _set(self, "arrows", arrows)
         _set(self, "zero_relations", zero_relations)
         _set(self, "comm_relations", comm_relations)
-        if arrow_map is not None:
-            self.__dict__["arrow_map"] = arrow_map
-
-    @cached_property
-    def arrow_map(self) -> dict[str, SgArrow]:
-        return {a.name: a for a in self.arrows}
 
 
 class GPairLabels(Record, eq=False):
@@ -171,18 +124,16 @@ def build_sg_presentation(t: SkewedGentleTriple) -> SgPresentation:
     special = t.special
     signed = t.sg_lifts
 
-    vertices = tuple(SignedVertex(v, name[len(v):])
-                     for v, names in signed.items() for name in names)
-    # each lift named once; lifted[a] holds a's lift names source-major
-    arrow_map, lifted = {}, {}
+    # each lift named once, a@s@t; lifted[a] holds a's lift names source-major
+    arrows, lifted = [], {}
     for a in q.arrows:
         names = lifted[a.name] = []
         for src in signed[a.source]:
             for tgt in signed[a.target]:
-                name = _sg_arrow_name(a.name, src, tgt)
-                arrow_map[name] = SgArrow(a.name, src, tgt)
+                name = f"{a.name}@{src}@{tgt}"
+                arrows.append((name, a.name, src, tgt))
                 names.append(name)
-    if len(arrow_map) != sum(map(len, lifted.values())):
+    if len(set(chain.from_iterable(lifted.values()))) != len(arrows):
         raise NameCollision("derived Q^sg arrow names are not distinct")
 
     # Every composition through a special vertex is a base relation, or
@@ -198,14 +149,14 @@ def build_sg_presentation(t: SkewedGentleTriple) -> SgPresentation:
             half = len(out) // 2
             for y_plus, y_minus in zip(into[::2], into[1::2]):
                 for x_plus, x_minus in zip(out[:half], out[half:]):
-                    comm.add(CommRelation((x_plus, y_plus), (x_minus, y_minus)))
+                    comm.add(((x_plus, y_plus), (x_minus, y_minus)))
         else:
             for y_lift in into:
                 for x_lift in out:
                     zero.add((x_lift, y_lift))
     names = tuple(sorted(chain.from_iterable(signed.values())))
-    return SgPresentation(vertices, names, tuple(arrow_map.values()), frozenset(zero),
-                          frozenset(comm), arrow_map)
+    split = frozenset(chain.from_iterable(map(signed.__getitem__, special)))
+    return SgPresentation(names, split, tuple(arrows), frozenset(zero), frozenset(comm))
 
 
 def build_g_pair(t: SkewedGentleTriple) -> GPairLabels:

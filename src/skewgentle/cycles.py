@@ -59,10 +59,6 @@ class SingularityDescriptor(Record):
     def is_trivial(self) -> bool:
         return not self.shifts
 
-    @property
-    def total(self) -> int:
-        return sum(self.shifts)
-
 
 def _canonical_rotation(arrows: tuple[str, ...]) -> tuple[str, ...]:
     k = arrows.index(min(arrows))

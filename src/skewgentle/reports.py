@@ -17,7 +17,10 @@ the bytes, are written straight from their records, with no payload: each
 list of rows (the arrows of a pair, the arrows and comm relations of Q^sg)
 is one ``%`` over one row template repeated once per row, its values
 encoded by one C-level ``map``, and each list of strings (vertices,
-relations) is one ``map`` too.  Every other report is a payload written by
+relations) is one ``map`` too.  Q^sg is read as its plain name tuples: its
+arrows sort by name and its comm relations by plus side, an
+``itemgetter`` puts each row's values in key order, and DOT doubles the
+split lifts the presentation names.  Every other report is a payload written by
 ``_json``, the general recursion, whose lists of strings take the same
 ``map``.  The payloads hold only str, int, bool, None, lists, tuples and
 str-keyed dicts; any other value, a float included, raises TypeError.
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 from itertools import chain, starmap
 from json.encoder import encode_basestring_ascii as _str
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .algebra import (
     DEFAULT_ORACLE_CAP,
@@ -37,7 +40,7 @@ from .algebra import (
     dimension_oracle,
     pair_dimension,
 )
-from .construct import CommRelation, GPairLabels, SgPresentation
+from .construct import GPairLabels, SgPresentation
 from .cycles import (
     CycleClass,
     SingularityDescriptor,
@@ -107,8 +110,9 @@ def _yes_no(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _comm_text(c: CommRelation) -> str:
-    return f"{relation_text(*c.plus)} = {relation_text(*c.minus)}"
+def _comm_text(plus, minus) -> str:
+    """A comm relation, its plus side then its minus side."""
+    return f"{relation_text(*plus)} = {relation_text(*minus)}"
 
 
 def _name(r, name):
@@ -125,16 +129,16 @@ def _pair_view(x) -> BoundQuiver:
     raise TypeError(f"cannot render {type(x).__name__}")
 
 
-_plus, _minus = attrgetter("plus"), attrgetter("minus")
+_first = itemgetter(0)
 
 
 def _sg_view(p: SgPresentation):
-    """The arrows' names and the arrows, zero relations and comm relations,
-    in output order; each name is read from ``arrow_map``, not formatted again."""
-    names = sorted(p.arrow_map)
-    return (names, list(map(p.arrow_map.__getitem__, names)),
+    """The arrows, the zero relations written out and the comm relations, in
+    output order: an arrow by its name, which is distinct, and a comm
+    relation by its plus side, which determines it."""
+    return (sorted(p.arrows, key=_first),
             list(starmap(relation_text, sorted(p.zero_relations))),
-            sorted(p.comm_relations, key=_plus))
+            sorted(p.comm_relations, key=_first))
 
 
 def _validation_lines(name, report):
@@ -168,13 +172,12 @@ def _text_lines(r, name):
                 f"dim im phi: {r.dim_im_phi}",
                 f"identity: {'holds' if r.identity_holds else 'FAILS'}"]
     if isinstance(r, SgPresentation):
-        names, arrows, zero, comm = _sg_view(r)
+        arrows, zero, comm = _sg_view(r)
         return [f"sg-presentation {name}",
                 f"vertices: {', '.join(r.vertex_names)}",
-                "arrows: " + ", ".join(f"{n}: {a.source} -> {a.target}"
-                                       for n, a in zip(names, arrows)),
+                "arrows: " + ", ".join(f"{n}: {src} -> {tgt}" for n, _, src, tgt in arrows),
                 f"zero: {', '.join(zero)}",
-                f"comm: {', '.join(map(_comm_text, comm))}"]
+                f"comm: {', '.join(starmap(_comm_text, comm))}"]
     return [serialize(SkewedGentleTriple(_pair_view(r), frozenset(), name=name))]
 
 
@@ -277,7 +280,10 @@ _PAIR_ARROW = _row_template("name", "source", "target")
 _SG_ARROW = _row_template("base", "name", "source", "target")
 _COMM = _row_template("minus", "plus")
 _arrow_fields = attrgetter("name", "source", "target")
-_base, _source, _target = attrgetter("base"), attrgetter("source"), attrgetter("target")
+# a Q^sg arrow tuple (name, base, source, target) in _SG_ARROW's key order,
+# and as DOT's (name, source, target); a comm relation minus side first
+_sg_arrow_row, _sg_dot_fields = itemgetter(1, 0, 2, 3), itemgetter(0, 2, 3)
+_minus_plus = itemgetter(1, 0)
 
 
 def _row_list(row: str, count: int, values) -> str:
@@ -307,13 +313,12 @@ def _pair_json(pair: BoundQuiver, name: str) -> str:
 
 
 def _sg_json(p: SgPresentation, name: str) -> str:
-    names, arrows, zero, comm = _sg_view(p)
-    arrow_values = zip(map(_base, arrows), names, map(_source, arrows), map(_target, arrows))
-    comm_values = zip(starmap(relation_text, map(_minus, comm)),
-                      starmap(relation_text, map(_plus, comm)))
+    arrows, zero, comm = _sg_view(p)
+    arrow_values = chain.from_iterable(map(_sg_arrow_row, arrows))
+    comm_values = starmap(relation_text, chain.from_iterable(map(_minus_plus, comm)))
     return _object((
-        ("arrows", _row_list(_SG_ARROW, len(names), chain.from_iterable(arrow_values))),
-        ("comm_relations", _row_list(_COMM, len(comm), chain.from_iterable(comm_values))),
+        ("arrows", _row_list(_SG_ARROW, len(arrows), arrow_values)),
+        ("comm_relations", _row_list(_COMM, len(comm), comm_values)),
         ("name", _str(name)),
         ("vertices", _json(p.vertex_names, "  ")),
         ("zero_relations", _json(zero, "  ")),
@@ -338,15 +343,15 @@ def to_dot(x, name: str | None = None) -> str:
     """One DOT digraph; special/split vertices drawn as double circles."""
     name = _name(x, name)
     if isinstance(x, SgPresentation):
-        names, sg_arrows, zero, comm = _sg_view(x)
-        arrows = zip(names, sg_arrows)
+        sg_arrows, zero, comm = _sg_view(x)
+        arrows = map(_sg_dot_fields, sg_arrows)
         nodes = x.vertex_names
-        doubled = frozenset(v.name for v in x.vertices if v.sign != "")
-        comments = [f"zero: {z}" for z in zero] + [f"comm: {_comm_text(c)}" for c in comm]
+        doubled = x.split
+        comments = [f"zero: {z}" for z in zero] + [f"comm: {c}" for c in starmap(_comm_text, comm)]
     else:
         pair = _pair_view(x)
         nodes = pair.quiver.vertex_list
-        arrows = [(a.name, a) for a in pair.quiver.arrows]
+        arrows = map(_arrow_fields, pair.quiver.arrows)
         doubled = frozenset()
         if isinstance(x, GPairLabels):
             # Q^g draws doubled its unsigned vertices, the special ones: the
@@ -359,8 +364,7 @@ def to_dot(x, name: str | None = None) -> str:
     for v in nodes:
         attr = " [shape=doublecircle]" if v in doubled else ""
         lines.append(f"  {_dot_quote(v)}{attr};")
-    for n, a in arrows:
-        src, tgt, label = _dot_quote(a.source), _dot_quote(a.target), _dot_quote(n)
-        lines.append(f"  {src} -> {tgt} [label={label}];")
+    for n, src, tgt in arrows:
+        lines.append(f"  {_dot_quote(src)} -> {_dot_quote(tgt)} [label={_dot_quote(n)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

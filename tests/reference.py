@@ -79,9 +79,9 @@ def multiply(t, p, q):
     """
     if p is ZERO or q is ZERO or p.source != q.target:
         return ZERO
-    if p.is_trivial:
+    if not p.arrows:
         return q
-    if q.is_trivial:
+    if not q.arrows:
         return p
     later, first = p.arrows[-1], q.arrows[0]
     middle = t.pair.quiver.arrow_map[first].target
@@ -146,11 +146,11 @@ def construction_payload(x, name="Q"):
         return {
             "name": name,
             "vertices": list(x.vertex_names),
-            "arrows": [{"name": n, "base": a.base, "source": a.source, "target": a.target}
-                       for n, a in sorted(x.arrow_map.items(), key=lambda item: item[0])],
+            "arrows": [{"name": n, "base": base, "source": src, "target": tgt}
+                       for n, base, src, tgt in sorted(x.arrows, key=lambda a: a[0])],
             "zero_relations": [_relation(r) for r in sorted(x.zero_relations)],
-            "comm_relations": [{"plus": _relation(c.plus), "minus": _relation(c.minus)}
-                               for c in sorted(x.comm_relations, key=lambda c: c.plus)],
+            "comm_relations": [{"plus": _relation(plus), "minus": _relation(minus)}
+                               for plus, minus in sorted(x.comm_relations, key=lambda c: c[0])],
         }
     pair = x.pair if isinstance(x, GPairLabels) else x
     q = pair.quiver

@@ -89,7 +89,7 @@ def test_nonzero_junction_products(fix_a2, fix_b3, fix_c1):
         elements = set(basis(t))
         for p, q in _composable_pairs(t):
             result = multiply(t, p, q)
-            if p.is_trivial or q.is_trivial:
+            if not p.arrows or not q.arrows:
                 continue
             junction = (p.arrows[-1], q.arrows[0])
             middle = t.pair.quiver.arrow_map[q.arrows[0]].target
@@ -98,13 +98,13 @@ def test_nonzero_junction_products(fix_a2, fix_b3, fix_c1):
             else:
                 assert result is not ZERO
                 assert result in elements
-                assert result.length == p.length + q.length
+                assert len(result.arrows) == len(p.arrows) + len(q.arrows)
 
 
 def test_cyclic_basis_paths_square_to_zero(fix_a2, fix_b3, fix_c1):
     for t in (fix_a2, fix_b3, fix_c1):
         for p in basis(t):
-            if not p.is_trivial and p.source == p.target:
+            if p.arrows and p.source == p.target:
                 assert multiply(t, p, p) is ZERO
 
 

@@ -532,6 +532,20 @@ def test_q_g_dot_of_the_20000_cycle_as_a_process(tmp_path):
     assert sum("doublecircle" in line for line in result.stdout.splitlines()) == 6667
 
 
+def test_q_sg_dot_of_the_1200_cycle_doubles_exactly_the_split_lifts(tmp_path):
+    # on the full-relation 1200-cycle with every 3rd vertex special, DOT of
+    # Q^sg draws as doublecircles the 800 lifts v+ and v- of the 400 special
+    # vertices, which the presentation names from its lift table, and no
+    # other vertex
+    path = tmp_path / "C1200.q"
+    _write_full_relation_cycle(path, 1200, 3)
+    code, out, err = invoke("construct", str(path), "--target", "sg", "--format", "dot")
+    assert (code, err) == (0, "")
+    doubled = [line.split('"')[1] for line in out.splitlines() if "doublecircle" in line]
+    assert len(doubled) == 800
+    assert set(doubled) == {f"v{i}{sign}" for i in range(0, 1200, 3) for sign in "+-"}
+
+
 @pytest.mark.parametrize("target", ["g", "sg"])
 def test_json_construct_of_the_20000_cycle_as_a_process(tmp_path, target):
     # the console-script gate of CI in tier-1: on the same 20000-cycle, JSON
@@ -560,6 +574,30 @@ def test_invariants_of_the_20000_line_as_a_process(tmp_path, special):
                             capture_output=True, text=True, timeout=10)
     assert (result.returncode, result.stderr) == (0, "")
     assert "gldim_finite: g=yes gentle=yes sg=yes" in result.stdout.splitlines()
+
+
+_L_ORACLE_GATES = {
+    12: (0, "dims: g=146 gentle=23 sg=243", ""),
+    14: (3, None, "limit exceeded: oracle path count exceeded cap 20000 (24546 paths counted"
+                  " through degree 11 of at most 25)\n"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(_L_ORACLE_GATES))
+def test_sg_oracle_of_the_special_line_as_a_process(tmp_path, monkeypatch, n):
+    # the console-script gate of CI in tier-1: `invariants --dims` on L_n,
+    # the densest case for commutativity relations, at the default oracle
+    # cap; on L_12 the sg oracle agrees within 10 s, and on L_14 it reaches
+    # the cap within 10 s, exits 3 and says how far it got
+    monkeypatch.delenv("QSG_ORACLE_CAP", raising=False)
+    path = tmp_path / f"L{n}.q"
+    path.write_text(special_line_text(n), encoding="utf-8")
+    result = subprocess.run([sys.executable, "-m", "skewgentle", "invariants", str(path), "--dims"],
+                            capture_output=True, text=True, timeout=10)
+    code, dims, err = _L_ORACLE_GATES[n]
+    assert (result.returncode, result.stderr) == (code, err)
+    if dims is not None:
+        assert dims in result.stdout.splitlines()
 
 
 @pytest.mark.parametrize("star,hub,side", [(in_star, "x", "y"), (out_star, "y", "z")])

@@ -8,14 +8,11 @@ from reference import relation_free_paths, sign_swap
 from skewgentle import (
     Arrow,
     BoundQuiver,
-    CommRelation,
     GPairLabels,
     InternalInconsistency,
     NameCollision,
     NotSkewedGentle,
-    SgArrow,
     SgPresentation,
-    SignedVertex,
     SkewedGentleTriple,
     SkewGentleError,
     admissible_special_sets,
@@ -77,34 +74,32 @@ def test_sp_loop_takes_the_least_free_suffix(tmp_path):
 def test_sg_presentation_fix_a2(fix_a2):
     pres = build_sg_presentation(fix_a2)
     assert pres.vertex_names == ("1", "2+", "2-")
-    assert sorted(a.name for a in pres.arrows) == [
-        "a@1@2+", "a@1@2-", "b@2+@1", "b@2-@1",
-    ]
+    assert pres.split == {"2+", "2-"}
+    assert pres.arrows == (
+        ("a@1@2+", "a", "1", "2+"), ("a@1@2-", "a", "1", "2-"),
+        ("b@2+@1", "b", "2+", "1"), ("b@2-@1", "b", "2-", "1"),
+    )
     assert pres.zero_relations == {
         ("a@1@2+", "b@2+@1"), ("a@1@2+", "b@2-@1"),
         ("a@1@2-", "b@2+@1"), ("a@1@2-", "b@2-@1"),
     }
-    (comm,) = pres.comm_relations
-    assert comm.plus == ("b@2+@1", "a@1@2+")
-    assert comm.minus == ("b@2-@1", "a@1@2-")
+    assert pres.comm_relations == {(("b@2+@1", "a@1@2+"), ("b@2-@1", "a@1@2-"))}
 
 
 def test_sg_presentation_fix_b3(fix_b3):
     pres = build_sg_presentation(fix_b3)
-    assert len(pres.vertices) == 4
+    assert len(pres.vertex_names) == 4
+    assert pres.split == {"3+", "3-"}
     assert len(pres.arrows) == 5
     assert len(pres.zero_relations) == 4
-    assert len(pres.comm_relations) == 1
-    (comm,) = pres.comm_relations
-    assert comm.plus == ("g@3+@1", "b@2@3+")
-    assert comm.minus == ("g@3-@1", "b@2@3-")
+    assert pres.comm_relations == {(("g@3+@1", "b@2@3+"), ("g@3-@1", "b@2@3-"))}
 
 
 def test_sg_presentation_no_special(fix_a):
     pres = build_sg_presentation(fix_a)
     assert len(pres.arrows) == len(fix_a.pair.quiver.arrows)
     assert len(pres.zero_relations) == len(fix_a.pair.relations)
-    assert not pres.comm_relations
+    assert not pres.comm_relations and not pres.split
 
 
 def test_g_pair_fix_a2(fix_a2):
@@ -156,7 +151,7 @@ def test_construction_counts():
     for t in triples:
         q = t.pair.quiver
         pres = build_sg_presentation(t)
-        assert len(pres.vertices) == len(q.vertices) + len(t.special)
+        assert len(pres.vertex_names) == len(q.vertices) + len(t.special)
         expected_arrows = sum(
             2 ** ((a.source in t.special) + (a.target in t.special)) for a in q.arrows
         )
@@ -267,18 +262,19 @@ def test_comm_relations_flip_only_the_middle():
     for seed in range(40):
         t = random_triple(seed, 6, 7)
         pres = build_sg_presentation(t)
-        for rel in pres.comm_relations:
-            plus_late, plus_first = (pres.arrow_map[n] for n in rel.plus)
-            minus_late, minus_first = (pres.arrow_map[n] for n in rel.minus)
+        ends = {name: (src, tgt) for name, _, src, tgt in pres.arrows}
+        for plus, minus in pres.comm_relations:
+            (plus_late, plus_first), (minus_late, minus_first) = (
+                (ends[later], ends[first]) for later, first in (plus, minus))
             # shared outer endpoints
-            assert plus_first.source == minus_first.source
-            assert plus_late.target == minus_late.target
+            assert plus_first[0] == minus_first[0]
+            assert plus_late[1] == minus_late[1]
             # middle vertex differs exactly in its sign
-            assert plus_first.target == plus_late.source
-            assert minus_first.target == minus_late.source
-            assert plus_first.target.endswith("+")
-            assert minus_first.target.endswith("-")
-            assert plus_first.target[:-1] == minus_first.target[:-1]
+            assert plus_first[1] == plus_late[0]
+            assert minus_first[1] == minus_late[0]
+            assert plus_first[1].endswith("+")
+            assert minus_first[1].endswith("-")
+            assert plus_first[1][:-1] == minus_first[1][:-1]
 
 
 def test_sp_loops_iff_special_generated():
@@ -302,11 +298,15 @@ def test_involution_preserves_relations_randomized():
 
 
 # The two constructions as they were before their lift tables, kept whole as
-# the reference: a SignedVertex per lift and an SgArrow per relation endpoint,
-# each named by its own f-string.
+# the reference: each lift a (vertex, sign) pair, each name made by its own
+# f-string, and Q^sg emitted as plain names.
 
 def _reference_sg_name(base, source, target):
     return f"{base}@{source}@{target}"
+
+
+def _signed(lift):
+    return lift[0] + lift[1]
 
 
 def _reference_vertex_lifts(t, split, what):
@@ -315,10 +315,7 @@ def _reference_vertex_lifts(t, split, what):
     if clashes:
         name = min(clashes)
         raise NameCollision(f"{what} name {name!r} produced twice (from {name[:-1]!r} and {name!r})")
-    return {
-        v: (SignedVertex(v, "+"), SignedVertex(v, "-")) if v in split else (SignedVertex(v, ""),)
-        for v in q.vertex_list
-    }
+    return {v: ((v, "+"), (v, "-")) if v in split else ((v, ""),) for v in q.vertex_list}
 
 
 def _reference_build_sg_presentation(t):
@@ -327,14 +324,14 @@ def _reference_build_sg_presentation(t):
     q = base.quiver
     lifts = _reference_vertex_lifts(t, t.special, "Q^sg vertex")
 
-    vertices = tuple(sv for v in q.vertex_list for sv in lifts[v])
+    vertices = [sv for v in q.vertex_list for sv in lifts[v]]
     arrows = tuple(
-        SgArrow(a.name, src.name, tgt.name)
+        (_reference_sg_name(a.name, _signed(src), _signed(tgt)), a.name, _signed(src), _signed(tgt))
         for a in sorted(q.arrows, key=lambda a: a.name)
         for src in lifts[a.source]
         for tgt in lifts[a.target]
     )
-    if len({_reference_sg_name(a.base, a.source, a.target) for a in arrows}) != len(arrows):
+    if len({arrow[0] for arrow in arrows}) != len(arrows):
         raise NameCollision("derived Q^sg arrow names are not distinct")
 
     zero = set()
@@ -343,22 +340,23 @@ def _reference_build_sg_presentation(t):
     for x, y in base.relation_list:
         ax, ay = amap[x], amap[y]
         middle = ay.target
-        for outer_src in lifts[ay.source]:
-            for outer_tgt in lifts[ax.target]:
+        for outer_src in map(_signed, lifts[ay.source]):
+            for outer_tgt in map(_signed, lifts[ax.target]):
                 if middle in t.special:
-                    plus, minus = lifts[middle]
-                    comm.add(CommRelation(
-                        plus=(_reference_sg_name(x, plus.name, outer_tgt.name),
-                              _reference_sg_name(y, outer_src.name, plus.name)),
-                        minus=(_reference_sg_name(x, minus.name, outer_tgt.name),
-                               _reference_sg_name(y, outer_src.name, minus.name)),
+                    plus, minus = map(_signed, lifts[middle])
+                    comm.add((
+                        (_reference_sg_name(x, plus, outer_tgt),
+                         _reference_sg_name(y, outer_src, plus)),
+                        (_reference_sg_name(x, minus, outer_tgt),
+                         _reference_sg_name(y, outer_src, minus)),
                     ))
                 else:
-                    mid = lifts[middle][0]
-                    zero.add((_reference_sg_name(x, mid.name, outer_tgt.name),
-                              _reference_sg_name(y, outer_src.name, mid.name)))
-    names = tuple(sorted(sv.name for sv in vertices))
-    return SgPresentation(vertices, names, arrows, frozenset(zero), frozenset(comm))
+                    mid = _signed(lifts[middle][0])
+                    zero.add((_reference_sg_name(x, mid, outer_tgt),
+                              _reference_sg_name(y, outer_src, mid)))
+    names = tuple(sorted(map(_signed, vertices)))
+    split = frozenset(_signed(sv) for sv in vertices if sv[1])
+    return SgPresentation(names, split, arrows, frozenset(zero), frozenset(comm))
 
 
 def _reference_g_endpoint(v, sign, special):
@@ -369,7 +367,7 @@ def _reference_build_g_pair(t):
     _require_valid(t)
     q = t.pair.quiver
     lifts = _reference_vertex_lifts(t, q.vertices - t.special, "Q^g vertex")
-    names = {v: tuple(sv.name for sv in lifts[v]) for v in q.vertex_list}
+    names = {v: tuple(map(_signed, lifts[v])) for v in q.vertex_list}
 
     arrows = []
     for a in sorted(q.arrows, key=lambda a: a.name):
@@ -398,13 +396,14 @@ def _reference_build_g_pair(t):
 
 
 def _outcome(build, t):
-    """What a construction gives, compared field by field, or its error."""
+    """What a construction gives, compared field by field, or its error.
+    Q^sg compares as its record, whose arrows are a tuple, in order."""
     try:
         made = build(t)
     except SkewGentleError as e:
         return type(e), str(e)
     if isinstance(made, SgPresentation):
-        return made, list(made.arrow_map.items())
+        return made, made.arrows
     assert isinstance(made, GPairLabels)
     return made.pair, list(made.lifts.items())
 
@@ -449,7 +448,8 @@ def test_constructions_match_their_reference():
             assert outcome == _outcome(reference, t), (t.name, build.__name__)
             outcomes.append(outcome[0] if isinstance(outcome[0], type) else "built")
             if isinstance(outcome[0], SgPresentation):
-                sg = outcome[0]
-                assert list(sg.arrow_map.items()) == [(a.name, a) for a in sg.arrows]
+                for arrow in outcome[1]:
+                    assert type(arrow) is tuple and len(arrow) == 4
+                    assert arrow[0] == _reference_sg_name(*arrow[1:])
     assert outcomes.count("built") > 2000
     assert outcomes.count(NameCollision) == 9

@@ -154,7 +154,7 @@ def _reference_basis(t):
     for p in relation_free_paths(pair):
         source, target = ends(pair, p)
         out += [BasisPath(p, source + s, target + u) for s in signs(source) for u in signs(target)]
-    out.sort(key=lambda b: (b.length, b.arrows, b.source, b.target))
+    out.sort(key=lambda b: (len(b.arrows), b.arrows, b.source, b.target))
     return out
 
 
@@ -231,7 +231,7 @@ def _reference_corner_data(t, a):
     t1, t2, middle = [], [], []
     for p in full:
         if p.source == minus:
-            if not p.is_trivial:
+            if p.arrows:
                 t1.append(p)
         elif p.target == minus:
             t2.append(p)

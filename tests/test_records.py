@@ -11,14 +11,11 @@ import pytest
 from skewgentle import (
     Arrow,
     BoundQuiver,
-    CommRelation,
     CycleClass,
     GPairLabels,
     InvariantReport,
     NotComposable,
     NotGentle,
-    SgArrow,
-    SignedVertex,
     SingularityDescriptor,
     SkewedGentleTriple,
     SourceSpan,
@@ -49,7 +46,6 @@ def _one_of_each():
         (t.pair.quiver.arrows[0], "name"), (t.pair.quiver, "arrows"),
         (t.pair, "relations"), (t, "special"),
         (corner.t1_basis[0], "source"), (corner, "dim_a"),
-        (sg.vertices[0], "sign"), (sg.arrows[0], "base"), (next(iter(sg.comm_relations)), "plus"),
         (sg, "comm_relations"), (t.g_pair, "pair"),
         (t.cycles[0], "parity"), (SingularityDescriptor((2,)), "shifts"),
         (SourceSpan(1, 2, 3), "line"), (build_invariant_report(t), "dims"),
@@ -63,7 +59,7 @@ def _records():
 
 
 def test_one_of_each_covers_every_record_type():
-    assert len({type(r) for r in _records()}) == 18
+    assert len({type(r) for r in _records()}) == 15
 
 
 def test_assignment_and_deletion_raise():
@@ -79,13 +75,12 @@ def test_assignment_and_deletion_raise():
 def test_equality_is_by_class_and_fields():
     assert Arrow("a", "b", "c") == Arrow("a", "b", "c")
     assert Arrow("a", "b", "c") != Arrow("a", "b", "d")
-    assert Arrow("a", "b", "c") != SgArrow("a", "b", "c")
-    assert SgArrow("a", "b", "c") != Arrow("a", "b", "c")
-    assert BasisPath((), "b", "c") != SgArrow((), "b", "c")
+    assert Arrow("a", "b", "c") != BasisPath("a", "b", "c")
+    assert BasisPath("a", "b", "c") != Arrow("a", "b", "c")
     assert Arrow("a", "b", "c") != ("a", "b", "c")
-    assert Arrow.__eq__(Arrow("a", "b", "c"), SgArrow("a", "b", "c")) is NotImplemented
+    assert Arrow.__eq__(Arrow("a", "b", "c"), BasisPath("a", "b", "c")) is NotImplemented
     assert hash(Arrow("a", "b", "c")) == hash(Arrow("a", "b", "c"))
-    assert len({SignedVertex("v", "+"), SignedVertex("v", "+"), SignedVertex("v", "-")}) == 2
+    assert len({Violation("G1", ("a",)), Violation("G1", ("a",)), Violation("SB2", ("a",))}) == 2
 
 
 def test_equal_records_hash_equal():
@@ -106,9 +101,9 @@ def test_identity_equality_classes():
 
 
 def test_keyword_construction():
-    rel = CommRelation(plus=("x", "y"), minus=("z", "w"))
-    assert (rel.plus, rel.minus) == (("x", "y"), ("z", "w"))
-    assert rel == CommRelation(("x", "y"), ("z", "w"))
+    path = BasisPath(arrows=("x", "y"), source="1", target="2")
+    assert (path.arrows, path.source, path.target) == (("x", "y"), "1", "2")
+    assert path == BasisPath(("x", "y"), "1", "2")
     flags = {"special_biserial": True, "gentle": True, "finite_dimensional": False}
     report = ValidationReport(**flags, skewed_gentle=False, violations=(Violation("FD", ("a",)),))
     assert report.finite_dimensional is False

@@ -2,15 +2,17 @@
 
 Every command, in every format, runs on the fixtures and the golden inputs
 under a profiler, and every public module-level function under
-``src/skewgentle/`` must be called by one of them, apart from the library
-entry points below, each with the reason it stays.  A function that no
-command calls and that is no entry point belongs in the tests, as a
+``src/skewgentle/`` must be called by one of them, and so must every public
+method and property of the package's public classes, apart from the library
+entry points below, each with the reason it stays.  A function or member
+that no command calls and that is no entry point belongs in the tests, as a
 reference (``tests/reference.py``), or nowhere.
 """
 
 import inspect
 import io
 import sys
+from functools import cache, cached_property
 from pathlib import Path
 
 from skewgentle import parse
@@ -56,6 +58,33 @@ def _public_functions():
                 yield f"{name.split('.', 1)[1]}.{attr}", obj
 
 
+def _member_code(value):
+    """The code a class attribute runs when read or called, or None for a field."""
+    if isinstance(value, property):
+        value = value.fget
+    elif isinstance(value, cached_property):
+        value = value.func
+    elif isinstance(value, (staticmethod, classmethod)):
+        value = value.__func__
+    return value.__code__ if inspect.isfunction(value) else None
+
+
+def _public_members():
+    """Each public method and property of a public class of the package, with its code."""
+    for name, module in sorted(sys.modules.items()):
+        if not name.startswith("skewgentle."):
+            continue
+        for attr, cls in vars(module).items():
+            if (attr.startswith("_") or not inspect.isclass(cls)
+                    or cls.__module__ != module.__name__):
+                continue
+            for member, value in vars(cls).items():
+                code = _member_code(value)
+                if not member.startswith("_") and code is not None:
+                    yield f"{name.split('.', 1)[1]}.{attr}.{member}", code
+
+
+@cache
 def _called_code():
     called = set()
 
@@ -77,10 +106,24 @@ def test_every_public_function_is_reached_by_a_command():
     assert len(INPUTS) == 11
     called = _called_code()
     functions = dict(_public_functions())
-    assert set(ENTRY_POINTS) <= set(functions)
+    assert set(ENTRY_POINTS) <= set(functions) | set(dict(_public_members()))
     unreached = sorted(name for name, fn in functions.items()
                        if fn.__code__ not in called and name not in ENTRY_POINTS)
     assert unreached == []
     # and each entry point is indeed no command's
-    assert [name for name in ENTRY_POINTS if functions[name].__code__ in called] == []
+    assert [name for name in functions
+            if name in ENTRY_POINTS and functions[name].__code__ in called] == []
+
+
+def test_every_public_class_member_is_reached_by_a_command():
+    called = _called_code()
+    members = dict(_public_members())
+    # the walk sees methods, properties, cached properties and static methods
+    assert {"quiver.BoundQuiver.unchecked", "quiver.Quiver.arrow_map",
+            "quiver.SkewedGentleTriple.sg_presentation", "cycles.SingularityDescriptor.of",
+            "algebra.CornerData.t1_basis"} <= set(members)
+    unreached = sorted(name for name, code in members.items()
+                       if code not in called and name not in ENTRY_POINTS)
+    assert unreached == []
+    assert [name for name in members if name in ENTRY_POINTS and members[name] in called] == []
 
