@@ -16,6 +16,9 @@ moved across the equation, so both stored sides carry coefficient +1.
 Each lift table, Q^sg's and Q^g's, is made once per triple by
 ``vertex_lifts`` and kept on it (``sg_lifts``, ``g_lifts``); the
 constructions, dimensions, basis and corner data all read the kept one.
+Q^g's lift rule is written once, in ``lift_to_g``, as plain names:
+``build_g_pair`` makes the pair from its output, and ``invariants`` reads
+that output as it is (``g_lift``), with no pair built.
 Q^sg is held as plain names, with no record per vertex, arrow or relation:
 an arrow is a (name, base, source, target) tuple, formatted once and
 checked for distinctness, and a comm relation is its two sides as name
@@ -24,7 +27,7 @@ pairs.  The three renderers and the sg oracle read these tuples.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, starmap
 
 from .errors import InternalInconsistency, NameCollision, NotSkewedGentle
 from .quiver import Arrow, BoundQuiver, Quiver, Record, SkewedGentleTriple, _set, build_quiver
@@ -159,33 +162,41 @@ def build_sg_presentation(t: SkewedGentleTriple) -> SgPresentation:
     return SgPresentation(names, split, tuple(arrows), frozenset(zero), frozenset(comm))
 
 
-def build_g_pair(t: SkewedGentleTriple) -> GPairLabels:
+def lift_to_g(t: SkewedGentleTriple) -> tuple[list[tuple[str, str, str]],
+                                               list[tuple[str, str]]]:
+    """(Q^g, I^g) as plain names, the one place its lift rule is written:
+    its arrows as (name, source, target), a+ then a- for each base arrow a
+    in ``Quiver.arrows`` order, and its relations as name pairs, two per
+    base relation.  ``build_g_pair`` makes the pair from them; the gldim
+    flags and the ``--dims`` check of the g count read them as they are."""
     _require_valid(t)
     q = t.pair.quiver
     special = t.special
-    signed = t.g_lifts
     # a+ ends at a vertex's first lift and a- at its last: v itself when special
-    ends = {v: (names[0], names[-1]) for v, names in signed.items()}
+    ends = {v: (names[0], names[-1]) for v, names in t.g_lifts.items()}
 
     arrows = []
     doubled = {}  # base arrow -> (a+, a-)
     for a in q.arrows:
         (src_plus, src_minus), (tgt_plus, tgt_minus) = ends[a.source], ends[a.target]
         plus, minus = doubled[a.name] = a.name + "+", a.name + "-"
-        arrows.append(Arrow(plus, src_plus, tgt_plus))
-        arrows.append(Arrow(minus, src_minus, tgt_minus))
+        arrows.append((plus, src_plus, tgt_plus))
+        arrows.append((minus, src_minus, tgt_minus))
 
-    relations = set()
+    relations = []
     amap = q.arrow_map
     for x, y in t.pair.relations:
         (x_plus, x_minus), (y_plus, y_minus) = doubled[x], doubled[y]
         if amap[y].target in special:
-            relations.add((x_plus, y_minus))
-            relations.add((x_minus, y_plus))
+            relations += ((x_plus, y_minus), (x_minus, y_plus))
         else:
-            relations.add((x_plus, y_plus))
-            relations.add((x_minus, y_minus))
+            relations += ((x_plus, y_plus), (x_minus, y_minus))
+    return arrows, relations
 
+
+def build_g_pair(t: SkewedGentleTriple) -> GPairLabels:
+    arrows, relations = lift_to_g(t)
+    signed = t.g_lifts
     # Quiver, not build_quiver: vertex_lifts refuses a vertex named as a lift,
     # x+ and x- differ from y+ and y- for x != y, and so do a+ and a- from
     # b+ and b- for arrows a != b; every endpoint comes from the lift table.
@@ -195,7 +206,7 @@ def build_g_pair(t: SkewedGentleTriple) -> GPairLabels:
     # of m: y+ and x+ at m+ and y- and x- at m- when m is ordinary; y- and
     # x+, or y+ and x-, at m itself when m is special, its one lift.
     vertices = frozenset(chain.from_iterable(signed.values()))
-    pair = BoundQuiver.unchecked(Quiver(vertices, arrows), frozenset(relations))
+    pair = BoundQuiver.unchecked(Quiver(vertices, starmap(Arrow, arrows)), frozenset(relations))
     if pair.gentle_violations or pair.walk.cycle is not None:
         raise InternalInconsistency(
             f"associated pair of {t.name!r} is not gentle/finite: {list(pair.gentle_violations)}"

@@ -10,10 +10,12 @@ kept on them as cached properties: a bound quiver's relation index, its
 arrow-successor graph with the one walk of it that decides finiteness and
 orders it for counting, and its gentle check; a triple's validation with
 its one walk of the arrow-successor graph of (Q, I1), its two lift tables,
-its three constructions and its cycles.  Each is computed at most once per
-object and dies with it.  Relation-free paths are counted and listed off a walk
-(``ArrowWalk``), not off a pair: the base pair's or Q^g's own, or the
-verdict's walk for (Q, I1), which is never built as a pair.
+Q^g's lift as plain names, its three constructions and its cycles.  Each is
+computed at most once per object and dies with it.  Relation-free paths are
+counted and listed off a walk (``ArrowWalk``), not off a pair: the base
+pair's, Q^g's own for the g oracle, or the verdict's walk for (Q, I1), which
+is never built as a pair.  Only the check of the g count reads Q^g's paths
+off its free threads instead, from its lift.
 
 A bound quiver is decided gentle from counts, in ``gentle_index``: SB1
 from the arrows out of and into each vertex, G1 from ``dict(relations)``
@@ -502,6 +504,15 @@ class SkewedGentleTriple(Record):
         from .construct import build_sg_presentation
 
         return build_sg_presentation(self)
+
+    @cached_property
+    def g_lift(self) -> tuple[list[tuple[ArrowId, VertexId, VertexId]],
+                              list[tuple[ArrowId, ArrowId]]]:
+        """Q^g's arrows (name, source, target) and relations as plain names,
+        as ``lift_to_g`` makes them; needs a valid triple."""
+        from .construct import lift_to_g
+
+        return lift_to_g(self)
 
     @cached_property
     def g_pair(self) -> GPairLabels:

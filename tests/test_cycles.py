@@ -1,6 +1,9 @@
+import io
 import re
 
 import pytest
+
+from conftest import fixture_path
 
 from skewgentle import (
     BoundQuiver,
@@ -11,14 +14,17 @@ from skewgentle import (
     SingularityDescriptor,
     SkewedGentleTriple,
     build_g_pair,
+    build_invariant_report,
     descriptor_g,
     descriptor_gentle,
     full_cycles,
     gldim_flags,
     lift_cycles,
+    parse,
     random_triple,
     sign_sequences,
 )
+from skewgentle.cli import run
 
 
 def cycle_arrow_sets(cycles):
@@ -132,7 +138,8 @@ def test_gldim_flags_examples(fix_a2, fix_b3, fix_c1):
 
 def test_gldim_flags_compare_the_g_descriptor_with_the_constructed_pair(fix_a2, monkeypatch):
     """A parity formula that forgets to double odd cycles keeps every flag
-    False on fix_a2; only the multiset comparison with (Q^g, I^g) sees it."""
+    False on fix_a2; only the multiset comparison with the cycles of the
+    relations of (Q^g, I^g), as the lift rule writes them, sees it."""
     import skewgentle.cycles as cycles
 
     def undoubled(t):  # an odd cycle gives n instead of 2n
@@ -149,8 +156,9 @@ def test_gldim_flags_compare_the_g_descriptor_with_the_constructed_pair(fix_a2, 
 
 def test_gldim_flags_compare_the_lifted_cycles_with_the_constructed_pair(fix_a, fix_a2,
                                                                          monkeypatch):
-    """A lift with a wrong sign, or one that loses a cycle, keeps the g
-    descriptor; only the comparison of the cycles as sets sees it."""
+    """A sign lift of the base cycles with a wrong sign, or one that loses a
+    cycle, keeps the g descriptor; only the comparison of the cycles as sets
+    with those of the lifted relations sees it."""
     import skewgentle.cycles as cycles
 
     lift = cycles.lift_cycles
@@ -170,6 +178,49 @@ def test_gldim_flags_compare_the_lifted_cycles_with_the_constructed_pair(fix_a, 
     with pytest.raises(InternalInconsistency, match=re.escape(
             "g cycle ['a+', 'b+'] of 'A' is a cycle of (Q^g, I^g), not a lift of a base cycle")):
         gldim_flags(fix_a)
+
+
+def test_invariants_catch_a_lift_rule_with_the_special_middle_case_swapped(monkeypatch):
+    # At a special vertex, Q^g's one lift of it, the swapped rule pairs y+
+    # with x+ and y- with x-, as at an ordinary vertex.  It still gives
+    # composable relations, each arrow at most one partner per side and the
+    # same free threads (9 paths on fix_a2), but two 2-cycles where the
+    # parity rule gives the doubled odd 2-cycle.
+    import skewgentle.construct as construct
+
+    lift = construct.lift_to_g
+    flip = {"+": "-", "-": "+"}
+
+    def swapped(t):
+        arrows, relations = lift(t)
+        target = {name: tgt for name, _, tgt in arrows}
+        return arrows, [(x, y[:-1] + flip[y[-1]]) if target[y] in t.special else (x, y)
+                        for x, y in relations]
+
+    monkeypatch.setattr(construct, "lift_to_g", swapped)
+    text = fixture_path("fix_a2.q").read_text(encoding="utf-8")
+    message = "g descriptor of 'A' from cycle parities [4] disagrees with (Q^g, I^g): [2, 2]"
+    with pytest.raises(InternalInconsistency, match=re.escape(message)):
+        build_invariant_report(parse(text))
+    err = io.StringIO()
+    assert run(["invariants", str(fixture_path("fix_a2.q"))], out=io.StringIO(), err=err) == 1
+    assert err.getvalue() == f"error: {message}\n"
+
+
+def test_gldim_flags_need_the_lifted_relations_to_be_a_partial_injection(fix_a2, monkeypatch):
+    import skewgentle.construct as construct
+
+    lift = construct.lift_to_g
+
+    def with_a_second_partner(t):  # b+ after a+ as well as b-
+        arrows, relations = lift(t)
+        return arrows, [*relations, ("b+", "a+")]
+
+    monkeypatch.setattr(construct, "lift_to_g", with_a_second_partner)
+    with pytest.raises(InternalInconsistency, match=re.escape(
+            "lifted relations of 'A' are no partial injection: "
+            "'a+' lies on one side of two of them")):
+        gldim_flags(fix_a2)
 
 
 def test_arrows_lie_on_at_most_one_cycle():

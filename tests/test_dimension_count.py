@@ -6,6 +6,8 @@ and the longest enumerated path.  The closed forms for
 lines and full-relation cycles are the ones stated in ``perfbench/README.md``.
 """
 
+import re
+
 import pytest
 
 from conftest import all_fixture_triples
@@ -28,8 +30,10 @@ from skewgentle import (
     dimension_oracle,
     random_triple,
 )
-from skewgentle.algebra import longest_relation_free_length
+from skewgentle import construct
+from skewgentle.algebra import longest_relation_free_length, pair_dimension
 from skewgentle.quiver import count_relation_free_paths
+from skewgentle.reports import _free_threads
 
 
 def _one(v):
@@ -201,25 +205,53 @@ def test_oracle_length_bound_is_the_longest_path_of_q_sp():
 
 
 def test_g_count_matches_the_constructed_q_g_and_the_oracle():
-    # the count never builds Q^g; the constructed pair and the oracle do
+    # the count never builds Q^g; the free threads of its lift read it as
+    # plain names, and the constructed pair and the oracle build it
     checked = 0
     for seed in range(300):
         pair = random_triple(seed, 8, 11).pair
         for special in admissible_special_sets(pair)[:8]:
             t = SkewedGentleTriple(pair, frozenset(special), name=f"R{seed}")
-            g = t.g_pair.pair
-            built = len(g.quiver.vertices) + count_relation_free_paths(g.walk, _one, _one)
+            threads = _free_threads(t)
+            built = pair_dimension(t.g_pair.pair)
             oracle = dimension_oracle(t, "g", cap=10 ** 6)
-            assert dimension(t, "g") == built == oracle, (t.name, special)
+            assert threads == dimension(t, "g") == built == oracle, (t.name, special)
             checked += 1
     assert checked == 1820
 
 
-def test_report_catches_a_g_count_that_disagrees_with_q_g(fix_a2):
-    # Q^g of the same pair without special vertices: 8 paths, not 9
-    fix_a2.__dict__["g_pair"] = SkewedGentleTriple(fix_a2.pair, frozenset()).g_pair
+def _lift_without(monkeypatch, arrow=None, relation=None):
+    """Route the lift rule through one that leaves out an arrow, with the
+    relations it lies in, or one relation."""
+    lift = construct.lift_to_g
+
+    def lifted(t):
+        arrows, relations = lift(t)
+        return ([a for a in arrows if a[0] != arrow],
+                [r for r in relations if r != relation and arrow not in r])
+
+    monkeypatch.setattr(construct, "lift_to_g", lifted)
+
+
+def test_report_catches_a_g_count_that_disagrees_with_q_g(fix_a2, monkeypatch):
+    # a lift that loses b-: a+ b+ is a thread of 3 paths, and a-, whose one
+    # arrow out of its target b+ is its partner, one of 1, so 3 vertices + 4
+    _lift_without(monkeypatch, arrow="b-")
     with pytest.raises(InternalInconsistency,
-                       match="g dimension 9 disagrees with the constructed Q\\^g's 8"):
+                       match=re.escape("g dimension 9 disagrees with Q^g's free threads: 7")):
+        build_invariant_report(fix_a2, with_dims=True)
+
+
+@pytest.mark.parametrize("relation,fault", [
+    # a+ then both arrows out of Q^g's vertex 2, the special one
+    (("b-", "a+"), "arrow 'a+' has the free successors ['b+', 'b-']"),
+    # a- b- a- ... is free once b- then a- is no longer zero
+    (("a-", "b-"), "the free thread ['a-', 'b-'] closes into a cycle"),
+])
+def test_report_catches_a_lift_without_free_threads(fix_a2, monkeypatch, relation, fault):
+    _lift_without(monkeypatch, relation=relation)
+    with pytest.raises(InternalInconsistency, match=re.escape(
+            f"g dimension 9 disagrees with Q^g's free threads: {fault}")):
         build_invariant_report(fix_a2, with_dims=True)
 
 

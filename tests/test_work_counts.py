@@ -5,8 +5,9 @@ is built once per command, ``spset`` decides no subset through the
 definition and builds no set it drops, the oracle joins paths only at
 commutativity flips, takes no quotient step without them and about one find
 step per junction, paths are listed only where the output lists them, every
-sg and g count reads the verdict's walk of (Q, I1) and Q^g is built only
-where it is read and its lift table read only by DOT, valid text is
+sg and g count reads the verdict's walk of (Q, I1), Q^g is built only
+where it is printed or the g oracle reads it, ``invariants`` reading its
+lift as plain names, and its lift table is read only by DOT, valid text is
 parsed without tokens, source positions are computed only for a
 diagnostic, a pair's relations are checked once, Q^g's not at all, each
 lift table is made once per triple and split, a valid command's pairs
@@ -191,11 +192,12 @@ def test_full_cycles_read_each_follower_once(monkeypatch, n, special):
 
     assert cycles.gldim_flags(t) == {"gentle": True, "sg": True, "g": True}
 
-    # the base pair's cycles, then those of Q^g
+    # the base pair's cycles, then those of Q^g's lifted relations
     assert len(reads) == 2
-    for looked, bq in zip(reads, (t.pair, t.g_pair.pair)):
+    lifted = [name for name, _, _ in t.g_lift[0]]
+    for looked, arrows in zip(reads, (t.pair.quiver.arrow_map, lifted)):
         assert len(looked) == len(set(looked)), "an arrow's follower was read twice"
-        assert set(looked) <= set(bq.quiver.arrow_map)
+        assert set(looked) <= set(arrows)
 
 
 @pytest.mark.parametrize("argv,bases", [
@@ -216,9 +218,10 @@ def test_paths_listed_only_for_the_basis(monkeypatch, argv, bases):
 
 
 @pytest.mark.parametrize("argv,fn,calls", [
-    # the verdict's walk, which (Q, I1) keeps, the base pair's and Q^g's:
-    # the sg oracle's length bound reads the walk of (Q, I1) too
-    (["invariants", "FILE", "--dims", "--json"], quiver._walk, 3),
+    # the verdict's walk, which (Q, I1) keeps, and the base pair's: the sg
+    # oracle's length bound reads the walk of (Q, I1) too, and the g count is
+    # checked on Q^g's free threads, with no walk
+    (["invariants", "FILE", "--dims", "--json"], quiver._walk, 2),
     # dim Gamma, M, N, M' and N' over (Q, I1) and dim Gamma' over the base
     # pair: six linear passes, and no path listed
     (["reduce", "FILE", "--vertex", "2"], quiver.count_relation_free_paths, 6),
@@ -232,6 +235,10 @@ def test_paths_listed_only_for_the_basis(monkeypatch, argv, bases):
     # t1/t2 only where the output lists them
     (["reduce", "FILE", "--vertex", "2"], algebra._corner_basis, 0),
     (["reduce", "FILE", "--vertex", "2", "--json"], algebra._corner_basis, 2),
+    # the g flag and the g count read Q^g's lift as plain names: no pair
+    (["invariants", "FILE"], construct.build_g_pair, 0),
+    (["invariants", "FILE", "--json"], construct.build_g_pair, 0),
+    (["invariants", "FILE", "--dims", "--json"], construct.build_g_pair, 0),
 ])
 def test_sg_layer_reads_what_the_triple_holds(monkeypatch, argv, fn, calls):
     made = _count_calls(monkeypatch, fn)
@@ -243,7 +250,6 @@ def test_sg_layer_reads_what_the_triple_holds(monkeypatch, argv, fn, calls):
 
 
 @pytest.mark.parametrize("argv,read", [
-    (["invariants", "FILE", "--dims", "--json"], {"pair"}),
     (["dim", "FILE", "--algebra", "g", "--oracle"], {"pair"}),
     (["construct", "FILE", "--target", "g", "--format", "json"], {"pair"}),
     (["construct", "FILE", "--target", "g", "--format", "text"], {"pair"}),
