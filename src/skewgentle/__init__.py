@@ -9,9 +9,9 @@ from .algebra import (
     dimension_oracle,
 )
 from .construct import (
-    GPairLabels,
+    GPresentation,
     SgPresentation,
-    build_g_pair,
+    build_g_presentation,
     build_sg_presentation,
     build_sp_pair,
 )

@@ -1,17 +1,18 @@
 """Dimensions, normal-form basis, brute-force oracle and corner data of the
 base, sg and g algebras.  Every sg and g count reads ``t.admissible_walk``,
 the walk of (Q, I1): the base pair less its relations through special
-vertices, which is never built as a pair."""
+vertices, which is never built as a pair.  The g oracle reads Q^g's lift
+rows, checked gentle and finite, and no pair either."""
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
 
 from .construct import _require_valid
 from .errors import LimitExceeded, NotSpecial
 from .quiver import (
     ArrowWalk,
-    BoundQuiver,
     Record,
     SkewedGentleTriple,
     _set,
@@ -120,12 +121,6 @@ def _counted_dimension(walk: ArrowWalk, weight) -> int:
     return trivial + count_relation_free_paths(walk, weight, weight)
 
 
-def pair_dimension(bq: BoundQuiver) -> int:
-    """Dimension of the monomial algebra of ``bq``: its relation-free paths,
-    trivial ones included, counted."""
-    return _counted_dimension(bq.walk, _one)
-
-
 def dimension(t: SkewedGentleTriple, which: str) -> int:
     """K-dimension of the chosen algebra: "gentle", "sg", or "g".
 
@@ -140,7 +135,7 @@ def dimension(t: SkewedGentleTriple, which: str) -> int:
     """
     _require_valid(t)
     if which == "gentle":
-        return pair_dimension(t.pair)
+        return _counted_dimension(t.pair.walk, _one)
     if which == "g":
         paths = count_relation_free_paths(t.admissible_walk, _one, _one)
         return sum(map(len, t.g_lifts.values())) + 2 * paths
@@ -152,11 +147,15 @@ def dimension(t: SkewedGentleTriple, which: str) -> int:
 
 def _oracle_presentation(t, which):
     """Vertices, arrows (name, source, target), relations, and length bound."""
-    if which in ("gentle", "g"):
-        bq = t.pair if which == "gentle" else t.g_pair.pair
+    if which == "gentle":
+        bq = t.pair
         triples = [(a.name, a.source, a.target) for a in bq.quiver.arrows]
         return (bq.quiver.vertex_list, triples, set(bq.relations), {},
                 longest_relation_free_length(bq.walk))
+    if which == "g":
+        g = t.g_presentation  # its longest relation-free path is its longest free thread
+        vertices = list(chain.from_iterable(g.lifts.values()))
+        return vertices, g.arrows, set(g.relations.items()), {}, g.longest
     if which == "sg":
         pres = t.sg_presentation
         triples = [(name, src, tgt) for name, _, src, tgt in pres.arrows]

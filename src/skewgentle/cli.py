@@ -41,7 +41,7 @@ from .reports import build_invariant_report, report_json, report_text, to_dot
 from .validate import admissible_special_sets
 
 
-_TARGETS = {"sp": "sp_pair", "sg": "sg_presentation", "g": "g_pair"}
+_TARGETS = {"sp": "sp_pair", "sg": "sg_presentation", "g": "g_presentation"}
 # Renderers by name, looked up in this module at each call, so a rebinding of
 # the module's name (a tracer's or a test's wrapper) is the one called.
 _FORMATS = {"text": "report_text", "dot": "to_dot", "json": "report_json"}

@@ -16,21 +16,23 @@ moved across the equation, so both stored sides carry coefficient +1.
 Each lift table, Q^sg's and Q^g's, is made once per triple by
 ``vertex_lifts`` and kept on it (``sg_lifts``, ``g_lifts``); the
 constructions, dimensions, basis and corner data all read the kept one.
-Q^g's lift rule is written once, in ``lift_to_g``, as plain names:
-``build_g_pair`` makes the pair from its output, and ``invariants`` reads
-that output as it is (``g_lift``), with no pair built.
-Q^sg is held as plain names, with no record per vertex, arrow or relation:
-an arrow is a (name, base, source, target) tuple, formatted once and
-checked for distinctness, and a comm relation is its two sides as name
-pairs.  The three renderers and the sg oracle read these tuples.
+Q^sg and Q^g are held as plain names, with no record per vertex, arrow or
+relation.  A Q^sg arrow is a (name, base, source, target) tuple, formatted
+once and checked for distinctness, and a comm relation is its two sides as
+name pairs.  Q^g's relations (which the gldim flags read alone) and its
+arrows are lifted by one rule each, as rows; ``build_g_presentation``
+checks the rows gentle and finite, with no pair built, and counts them.
 """
 
 from __future__ import annotations
 
-from itertools import chain, starmap
+from collections import Counter
+from itertools import chain
+from operator import itemgetter
 
 from .errors import InternalInconsistency, NameCollision, NotSkewedGentle
-from .quiver import Arrow, BoundQuiver, Quiver, Record, SkewedGentleTriple, _set, build_quiver
+from .quiver import (Arrow, BoundQuiver, Record, SkewedGentleTriple, _chain_cycles, _set,
+                     build_quiver)
 
 
 class SgPresentation(Record):
@@ -56,16 +58,22 @@ class SgPresentation(Record):
         _set(self, "comm_relations", comm_relations)
 
 
-class GPairLabels(Record, eq=False):
-    """(Q^g, I^g) with ``lifts``, the lift table of its vertices
-    (``vertex_lifts``), where only a special vertex has one name, its own:
-    Q^g leaves it unsigned."""
+class GPresentation(Record, eq=False):
+    """(Q^g, I^g) as its lift rows, checked gentle and finite: the lift
+    table of its vertices (a special vertex keeps its one name, unsigned),
+    its arrows, its relations as the map x -> y of each relation (x, y), the
+    dimension of its algebra and the length of its longest relation-free
+    path."""
 
-    __slots__ = ("pair", "lifts")
+    __slots__ = ("lifts", "arrows", "relations", "dimension", "longest")
 
-    def __init__(self, pair: BoundQuiver, lifts: dict[str, tuple[str, ...]]):
-        _set(self, "pair", pair)
+    def __init__(self, lifts: dict[str, tuple[str, ...]], arrows: list[tuple[str, str, str]],
+                 relations: dict[str, str], dimension: int, longest: int):
         _set(self, "lifts", lifts)
+        _set(self, "arrows", arrows)
+        _set(self, "relations", relations)
+        _set(self, "dimension", dimension)
+        _set(self, "longest", longest)
 
 
 def _fresh_loop_name(vertex, taken):
@@ -162,53 +170,114 @@ def build_sg_presentation(t: SkewedGentleTriple) -> SgPresentation:
     return SgPresentation(names, split, tuple(arrows), frozenset(zero), frozenset(comm))
 
 
-def lift_to_g(t: SkewedGentleTriple) -> tuple[list[tuple[str, str, str]],
-                                               list[tuple[str, str]]]:
-    """(Q^g, I^g) as plain names, the one place its lift rule is written:
-    its arrows as (name, source, target), a+ then a- for each base arrow a
-    in ``Quiver.arrows`` order, and its relations as name pairs, two per
-    base relation.  ``build_g_pair`` makes the pair from them; the gldim
-    flags and the ``--dims`` check of the g count read them as they are."""
+def lift_relations_to_g(t: SkewedGentleTriple) -> list[tuple[str, str]]:
+    """I^g as name pairs, two per base relation (x, y): (x+, y+) and
+    (x-, y-) when the middle vertex m = t(y) is ordinary, (x+, y-) and
+    (x-, y+) when it is special.  Each is a composable 2-path of Q^g: both
+    arrows meet at m+ or m- when m is ordinary, and at m, its one lift."""
     _require_valid(t)
-    q = t.pair.quiver
     special = t.special
-    # a+ ends at a vertex's first lift and a- at its last: v itself when special
-    ends = {v: (names[0], names[-1]) for v, names in t.g_lifts.items()}
-
-    arrows = []
-    doubled = {}  # base arrow -> (a+, a-)
-    for a in q.arrows:
-        (src_plus, src_minus), (tgt_plus, tgt_minus) = ends[a.source], ends[a.target]
-        plus, minus = doubled[a.name] = a.name + "+", a.name + "-"
-        arrows.append((plus, src_plus, tgt_plus))
-        arrows.append((minus, src_minus, tgt_minus))
-
+    amap = t.pair.quiver.arrow_map
+    # the two lifts' names of each arrow in a relation, each name made once
+    signed = {a: (a + "+", a + "-") for a in set(chain.from_iterable(t.pair.relations))}
     relations = []
-    amap = q.arrow_map
     for x, y in t.pair.relations:
-        (x_plus, x_minus), (y_plus, y_minus) = doubled[x], doubled[y]
+        (x_plus, x_minus), (y_plus, y_minus) = signed[x], signed[y]
         if amap[y].target in special:
             relations += ((x_plus, y_minus), (x_minus, y_plus))
         else:
             relations += ((x_plus, y_plus), (x_minus, y_minus))
-    return arrows, relations
+    return relations
 
 
-def build_g_pair(t: SkewedGentleTriple) -> GPairLabels:
-    arrows, relations = lift_to_g(t)
-    signed = t.g_lifts
-    # Quiver, not build_quiver: vertex_lifts refuses a vertex named as a lift,
-    # x+ and x- differ from y+ and y- for x != y, and so do a+ and a- from
-    # b+ and b- for arrows a != b; every endpoint comes from the lift table.
-    # BoundQuiver.unchecked, not BoundQuiver: each relation lifts a relation
-    # (x, y) of the checked base pair, whose middle vertex m = t(y) = s(x).
-    # Its arrows are x+ or x- and y+ or y-, and both sides meet at one lift
-    # of m: y+ and x+ at m+ and y- and x- at m- when m is ordinary; y- and
-    # x+, or y+ and x-, at m itself when m is special, its one lift.
-    vertices = frozenset(chain.from_iterable(signed.values()))
-    pair = BoundQuiver.unchecked(Quiver(vertices, starmap(Arrow, arrows)), frozenset(relations))
-    if pair.gentle_violations or pair.walk.cycle is not None:
-        raise InternalInconsistency(
-            f"associated pair of {t.name!r} is not gentle/finite: {list(pair.gentle_violations)}"
-        )
-    return GPairLabels(pair, signed)
+def lift_arrows_to_g(t: SkewedGentleTriple) -> list[tuple[str, str, str]]:
+    """Q^g's arrows as (name, source, target): a+ between the first lifts of
+    a's ends and a- between the last, for each base arrow a in
+    ``Quiver.arrows`` order.  No two names clash, as ``vertex_lifts`` refuses
+    a vertex named as a lift."""
+    _require_valid(t)
+    # a+ ends at a vertex's first lift and a- at its last: v itself when special
+    ends = {v: (names[0], names[-1]) for v, names in t.g_lifts.items()}
+    arrows = []
+    for a in t.pair.quiver.arrows:
+        (src_plus, src_minus), (tgt_plus, tgt_minus) = ends[a.source], ends[a.target]
+        arrows += ((a.name + "+", src_plus, tgt_plus), (a.name + "-", src_minus, tgt_minus))
+    return arrows
+
+
+def _lifted_partners(t: SkewedGentleTriple) -> tuple[dict[str, str], dict[str, str]]:
+    """I^g's two partner maps, ``before`` (x to y) and ``after`` (y to x) for
+    each relation (x, y); raises InternalInconsistency unless both are as
+    large as the relation list, so that no arrow lies on one side of two
+    relations (G1)."""
+    relations = lift_relations_to_g(t)
+    before = dict(relations)
+    after = dict(zip(before.values(), before))
+    if len(before) == len(relations) == len(after):
+        return before, after
+    sides = Counter(x for x, _ in relations), Counter(y for _, y in relations)
+    twice = min(name for side in sides for name, n in side.items() if n > 1)
+    raise InternalInconsistency(
+        f"lifted relations of {t.name!r} are no partial injection: {twice!r} lies on one side "
+        "of two of them"
+    )
+
+
+def build_g_presentation(t: SkewedGentleTriple) -> GPresentation:
+    """(Q^g, I^g) from its lift rows, once they are shown a gentle pair of
+    finite dimension, with its dimension and its longest relation-free path
+    read off its maximal free threads; InternalInconsistency names what
+    fails otherwise.
+
+    SB1 counts the arrows out of and into each vertex, and G1 compares the
+    partner maps' sizes.  An arrow's free successor is the arrow out of its
+    target other than its relation partner after it; SB2 asks for at most
+    one per arrow and no two arrows sharing one, and FD for no cycle of
+    them.  So the relation-free paths are the runs of the threads, L(L+1)/2
+    in a thread of L arrows.  Shares no counting code with ``dimension``."""
+    def fail(fault):
+        raise InternalInconsistency(f"associated pair of {t.name!r} is not gentle/finite: {fault}")
+
+    arrows = lift_arrows_to_g(t)
+    outs = {}
+    for name, source, _ in arrows:
+        outs.setdefault(source, []).append(name)
+    ins = Counter(map(itemgetter(2), arrows))
+    if max(map(len, outs.values()), default=0) > 2 or max(ins.values(), default=0) > 2:
+        v = next(v for v in chain(outs, ins) if len(outs.get(v, ())) > 2 or ins[v] > 2)
+        fail(f"vertex {v!r} has {len(outs.get(v, ()))} arrows out and {ins[v]} in")
+    before, after = t.g_partners
+    succ, pred = {}, {}
+    for name, _, target in arrows:
+        out = outs.get(target, ())
+        partner = after.get(name)
+        free = len(out) - (partner in out)
+        if not free:
+            continue
+        if free > 1:
+            fail(f"arrow {name!r} has the free successors {out}")
+        b = out[0] if out[0] != partner else out[1]
+        if b in pred:
+            fail(f"arrows {pred[b]!r} and {name!r} share the free successor {b!r}")
+        succ[name] = b
+        pred[b] = name
+    # a thread starts at each arrow without a free predecessor; as no two
+    # arrows share a free successor, an arrow on no thread lies on a cycle
+    lifts = t.g_lifts
+    dimension, longest, threaded = sum(map(len, lifts.values())), 0, 0
+    for name, _, _ in arrows:
+        if name in pred:
+            continue
+        length = 1
+        while name in succ:
+            name = succ[name]
+            length += 1
+        threaded += length
+        dimension += length * (length + 1) // 2
+        if length > longest:
+            longest = length
+    if threaded < len(arrows):
+        cycle = min(_chain_cycles(succ), key=min)
+        k = cycle.index(min(cycle))
+        fail(f"the free thread {cycle[k:] + cycle[:k]} closes into a cycle")
+    return GPresentation(lifts, arrows, before, dimension, longest)

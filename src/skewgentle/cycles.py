@@ -12,13 +12,11 @@ factor D^b(k)/[n] per cycle of length n; the skewed-gentle algebra has the
 base pair's (Chen-Lu).  Over the associated gentle pair, an even base cycle
 (even number of special junction vertices, counted with multiplicity)
 contributes its length twice; an odd cycle contributes its doubled length
-once.  ``gldim_flags`` checks this against the cycles of the relations of
-(Q^g, I^g), read off the lift rule with no pair built.
+once.  ``gldim_flags`` checks this against the cycles of the lifted
+relations of (Q^g, I^g), read with no arrow of Q^g made.
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 from .construct import _require_valid
 from .errors import InternalInconsistency, NotGentle
@@ -141,38 +139,22 @@ def descriptor_g(t: SkewedGentleTriple) -> SingularityDescriptor:
     return SingularityDescriptor.of(shifts)
 
 
-def _lifted_follower(t: SkewedGentleTriple) -> dict[str, str]:
-    """Q^g's relation map, each arrow to the arrow after it in a relation,
-    read off the lifted relations; raises InternalInconsistency unless the
-    map and its inverse are as large as the relation list, so that it is a
-    partial injection, as in a gentle pair."""
-    _, relations = t.g_lift
-    follower = dict(relations)
-    if len(follower) == len(relations) == len(dict(zip(follower.values(), follower))):
-        return follower
-    sides = Counter(x for x, _ in relations), Counter(y for _, y in relations)
-    twice = min(name for side in sides for name, n in side.items() if n > 1)
-    raise InternalInconsistency(
-        f"lifted relations of {t.name!r} are no partial injection: {twice!r} lies on one side "
-        "of two of them"
-    )
-
-
 def gldim_flags(t: SkewedGentleTriple) -> dict[str, bool]:
     """Finiteness of the global dimension for all three algebras: finite
     exactly when the descriptor is trivial.
 
     gentle and sg share the base cycles (Chen-Lu).  For g, the descriptor
     from cycle parities must equal the one read off the full cycles of the
-    relations of (Q^g, I^g), as the lift rule ``lift_to_g`` writes them, and
+    relations of (Q^g, I^g), as ``lift_relations_to_g`` writes them, and
     those cycles must be the sign lifts of the base cycles; a difference is
-    an implementation bug.  The relations are read as they are, with no
-    pair built: that (Q^g, I^g) is gentle and finite is checked where it is
-    built, by ``build_g_pair``.
+    an implementation bug.  Only the relations are read, and only their G1
+    is checked, so that their partner map is a partial injection: that
+    (Q^g, I^g) is gentle and finite is checked where its arrows are read,
+    by ``build_g_presentation``.
     """
     formula = descriptor_g(t)
     g_cycles = {CycleClass(_canonical_rotation(tuple(arrows)))
-                for arrows in _chain_cycles(_lifted_follower(t))}
+                for arrows in _chain_cycles(t.g_partners[0])}
     direct = SingularityDescriptor.of(c.length for c in g_cycles)
     if formula != direct:
         raise InternalInconsistency(

@@ -319,18 +319,21 @@ def _require_ident(value, what):
 
 def serialize(t: SkewedGentleTriple) -> str:
     """Canonical single-line form: fixed statement order, sorted identifiers."""
-    _require_ident(t.name, "quiver name")
     q = t.pair.quiver
-    for v in q.vertex_list:
+    return _serialized(t.name, q.vertex_list, t.special_list,
+                       [(a.name, a.source, a.target) for a in q.arrows], t.pair.relations)
+
+
+def _serialized(name, vertices, special, arrows, relations) -> str:
+    """The canonical form of a pair given as plain names: ``vertices`` and
+    ``special`` sorted, ``arrows`` (name, source, target) sorted by name, and
+    ``relations`` name pairs in any order."""
+    _require_ident(name, "quiver name")
+    for v in vertices:
         _require_ident(v, "vertex")
-    vertices = ", ".join(q.vertex_list)
-    special = ", ".join(t.special_list)
-    arrows = ", ".join(
-        f"{_require_ident(a.name, 'arrow')}: {a.source} -> {a.target}"
-        for a in q.arrows
-    )
-    relations = ", ".join(sorted(relation_text(x, y) for x, y in t.pair.relations))
+    arrows = ", ".join(f"{_require_ident(a, 'arrow')}: {src} -> {tgt}" for a, src, tgt in arrows)
+    relations = ", ".join(sorted(relation_text(x, y) for x, y in relations))
     return (
-        f"quiver {t.name} {{ vertices: {vertices}; special: {special}; "
+        f"quiver {name} {{ vertices: {', '.join(vertices)}; special: {', '.join(special)}; "
         f"arrows: {arrows}; relations: {relations}; }}"
     )

@@ -10,12 +10,13 @@ kept on them as cached properties: a bound quiver's relation index, its
 arrow-successor graph with the one walk of it that decides finiteness and
 orders it for counting, and its gentle check; a triple's validation with
 its one walk of the arrow-successor graph of (Q, I1), its two lift tables,
-Q^g's lift as plain names, its three constructions and its cycles.  Each is
-computed at most once per object and dies with it.  Relation-free paths are
-counted and listed off a walk (``ArrowWalk``), not off a pair: the base
-pair's, Q^g's own for the g oracle, or the verdict's walk for (Q, I1), which
-is never built as a pair.  Only the check of the g count reads Q^g's paths
-off its free threads instead, from its lift.
+Q^g's relations as their partner maps, its three constructions and its
+cycles.
+Each is computed at most once per object and dies with it.  Relation-free
+paths are counted and listed off a walk (``ArrowWalk``), not off a pair:
+the base pair's, or the verdict's walk for (Q, I1), which is never built as
+a pair.  Q^g is no pair either: it is held as its lift rows, and its paths
+are read off its free threads.
 
 A bound quiver is decided gentle from counts, in ``gentle_index``: SB1
 from the arrows out of and into each vertex, G1 from ``dict(relations)``
@@ -61,7 +62,7 @@ from .errors import (
 
 TYPE_CHECKING = False  # as typing.TYPE_CHECKING, without importing typing at start-up
 if TYPE_CHECKING:
-    from .construct import GPairLabels, SgPresentation
+    from .construct import GPresentation, SgPresentation
     from .cycles import CycleClass
     from .validate import ValidationReport, Violation
 
@@ -231,16 +232,6 @@ class BoundQuiver(Record):
         for x, y in relations:
             if x not in amap or y not in amap or amap[y].target != amap[x].source:
                 self._raise_first_bad_relation()
-
-    @classmethod
-    def unchecked(cls, quiver: Quiver,
-                  relations: frozenset[tuple[ArrowId, ArrowId]]) -> BoundQuiver:
-        """The pair without ``__init__``'s check, for relations the caller
-        has proved to be composable 2-paths of the quiver's arrows."""
-        bq = cls.__new__(cls)
-        _set(bq, "quiver", quiver)
-        _set(bq, "relations", relations)
-        return bq
 
     def _raise_first_bad_relation(self):
         """Raise for the first relation in name order, whatever the hash
@@ -506,20 +497,20 @@ class SkewedGentleTriple(Record):
         return build_sg_presentation(self)
 
     @cached_property
-    def g_lift(self) -> tuple[list[tuple[ArrowId, VertexId, VertexId]],
-                              list[tuple[ArrowId, ArrowId]]]:
-        """Q^g's arrows (name, source, target) and relations as plain names,
-        as ``lift_to_g`` makes them; needs a valid triple."""
-        from .construct import lift_to_g
+    def g_partners(self) -> tuple[dict[ArrowId, ArrowId], dict[ArrowId, ArrowId]]:
+        """I^g as its two partner maps, checked a partial injection, as
+        ``construct._lifted_partners`` makes them; needs a valid triple."""
+        from .construct import _lifted_partners
 
-        return lift_to_g(self)
+        return _lifted_partners(self)
 
     @cached_property
-    def g_pair(self) -> GPairLabels:
-        """(Q^g, I^g) with its lift table, as ``build_g_pair`` makes it; needs a valid triple."""
-        from .construct import build_g_pair
+    def g_presentation(self) -> GPresentation:
+        """(Q^g, I^g) as its lift rows, checked gentle and finite, as
+        ``build_g_presentation`` makes it; needs a valid triple."""
+        from .construct import build_g_presentation
 
-        return build_g_pair(self)
+        return build_g_presentation(self)
 
     @cached_property
     def admissible_walk(self) -> ArrowWalk | None:

@@ -3,9 +3,9 @@
 This is the one module that knows an output format.  There is one
 renderer per format, ``report_text``, ``report_json`` and ``to_dot``, and
 each takes every object the command line prints: a ValidationReport, an
-InvariantReport, CornerData, the bound quiver Q^sp, the GPairLabels of Q^g,
-and the SgPresentation of Q^sg.  The text form of a pair is its canonical
-DSL form from ``serialize``.
+InvariantReport, CornerData, the bound quiver Q^sp, and Q^g and Q^sg as
+their presentations, GPresentation and SgPresentation.  The text form of a
+pair, Q^g's included, is its canonical DSL form, as ``serialize`` writes it.
 
 All output is deterministic: identifiers are sorted before emission and
 JSON objects have sorted keys, so equal inputs give byte-identical text.
@@ -17,13 +17,14 @@ the bytes, are written straight from their records, with no payload: each
 list of rows (the arrows of a pair, the arrows and comm relations of Q^sg)
 is one ``%`` over one row template repeated once per row, its values
 encoded by one C-level ``map``, and each list of strings (vertices,
-relations) is one ``map`` too.  Q^sg is read as its plain name tuples: its
-arrows sort by name and its comm relations by plus side, an
-``itemgetter`` puts each row's values in key order, and DOT doubles the
-split lifts the presentation names.  Every other report is a payload written by
-``_json``, the general recursion, whose lists of strings take the same
-``map``.  The payloads hold only str, int, bool, None, lists, tuples and
-str-keyed dicts; any other value, a float included, raises TypeError.
+relations) is one ``map`` too.  Q^g and Q^sg are read as their plain name
+tuples: arrows sort by name and comm relations by plus side, an
+``itemgetter`` puts each Q^sg row's values in key order, and DOT doubles
+Q^g's unsigned vertices and Q^sg's split lifts, off their lift tables.
+Every other report is a payload written by ``_json``, the general
+recursion, whose lists of strings take the same ``map``.  The payloads
+hold only str, int, bool, None, lists, tuples and str-keyed dicts; any
+other value, a float included, raises TypeError.
 """
 
 from __future__ import annotations
@@ -39,14 +40,14 @@ from .algebra import (
     dimension,
     dimension_oracle,
 )
-from .construct import GPairLabels, SgPresentation
+from .construct import GPresentation, SgPresentation
 from .cycles import (
     CycleClass,
     SingularityDescriptor,
     descriptor_g,
     gldim_flags,
 )
-from .dsl import serialize
+from .dsl import _serialized
 from .errors import InternalInconsistency
 from .quiver import BoundQuiver, Record, SkewedGentleTriple, _set, relation_text
 from .validate import ValidationReport
@@ -68,62 +69,11 @@ class InvariantReport(Record, eq=False):
         _set(self, "dims", dims)
 
 
-def _free_threads(t: SkewedGentleTriple) -> int | str:
-    """The dimension of (Q^g, I^g) off its maximal free threads, or what
-    keeps the lifted arrows and relations from giving one.
-
-    An arrow's free successor is the arrow out of its target that is not
-    its relation partner after it.  In a gentle pair each arrow has at most
-    one and no two arrows share one, so the relation-free paths are the
-    runs of the threads these make, and a thread of L arrows holds
-    L(L+1)/2 of them, its trivial paths aside.  Shares no counting code
-    with ``dimension``, which walks (Q, I1)."""
-    arrows, relations = t.g_lift
-    after = {y: x for x, y in relations}
-    outs = {}
-    for name, source, _ in arrows:
-        outs.setdefault(source, []).append(name)
-    succ, pred = {}, {}
-    for name, _, target in arrows:
-        out = outs.get(target, ())
-        partner = after.get(name)
-        free = len(out) - (partner in out)
-        if not free:
-            continue
-        if free > 1:
-            return f"arrow {name!r} has the free successors {[b for b in out if b != partner]}"
-        b = out[0] if out[0] != partner else out[1]
-        if b in pred:
-            return f"arrows {pred[b]!r} and {name!r} share the free successor {b!r}"
-        succ[name] = b
-        pred[b] = name
-    # a thread starts at each arrow without a free predecessor; as no two
-    # arrows share a free successor, an arrow on no thread lies on a cycle
-    total = sum(map(len, t.g_lifts.values()))
-    threaded = set()
-    for name, _, _ in arrows:
-        if name in pred:
-            continue
-        length = 0
-        while name is not None:
-            threaded.add(name)
-            length += 1
-            name = succ.get(name)
-        total += length * (length + 1) // 2
-    if len(threaded) < len(arrows):
-        cycle = [min(a for a, _, _ in arrows if a not in threaded)]
-        while succ[cycle[-1]] != cycle[0]:
-            cycle.append(succ[cycle[-1]])
-        return f"the free thread {cycle} closes into a cycle"
-    return total
-
-
 def build_invariant_report(t: SkewedGentleTriple, with_dims: bool = False,
                            oracle_cap: int = DEFAULT_ORACLE_CAP) -> InvariantReport:
     """Assemble the full report; with_dims adds the dimensions with two
-    witnesses: the sg oracle, and for the g count over (Q, I1) the free
-    threads of Q^g's lifted arrows and relations, which the gldim flags
-    read too.  Neither builds Q^g as a pair."""
+    witnesses: the sg oracle, and for the g count over (Q, I1) the count
+    of Q^g's free threads, which checks Q^g's lift rows gentle and finite."""
     validation = t.validation
     cycles = t.cycles
     base = SingularityDescriptor.of(c.length for c in cycles)
@@ -137,7 +87,7 @@ def build_invariant_report(t: SkewedGentleTriple, with_dims: bool = False,
             raise InternalInconsistency(
                 f"sg dimension {dims['sg']} disagrees with oracle {oracle}"
             )
-        threads = _free_threads(t)
+        threads = t.g_presentation.dimension
         if threads != dims["g"]:
             raise InternalInconsistency(
                 f"g dimension {dims['g']} disagrees with Q^g's free threads: {threads}"
@@ -170,16 +120,18 @@ def _name(r, name):
     return name or getattr(r, "name", None) or "Q"
 
 
-def _pair_view(x) -> BoundQuiver:
-    """A bound quiver, or Q^g as its pair."""
-    if isinstance(x, GPairLabels):
-        return x.pair
-    if isinstance(x, BoundQuiver):
-        return x
-    raise TypeError(f"cannot render {type(x).__name__}")
-
-
 _first = itemgetter(0)
+
+
+def _pair_rows(x):
+    """The vertices, arrows (name, source, target) and relations of a bound
+    quiver or of Q^g, each sorted: an arrow by its name, which is distinct."""
+    if isinstance(x, GPresentation):
+        return (sorted(chain.from_iterable(x.lifts.values())), sorted(x.arrows, key=_first),
+                sorted(x.relations.items()))
+    if isinstance(x, BoundQuiver):
+        return x.quiver.vertex_list, list(map(_arrow_fields, x.quiver.arrows)), x.relation_list
+    raise TypeError(f"cannot render {type(x).__name__}")
 
 
 def _sg_view(p: SgPresentation):
@@ -228,7 +180,8 @@ def _text_lines(r, name):
                 "arrows: " + ", ".join(f"{n}: {src} -> {tgt}" for n, _, src, tgt in arrows),
                 f"zero: {', '.join(zero)}",
                 f"comm: {', '.join(starmap(_comm_text, comm))}"]
-    return [serialize(SkewedGentleTriple(_pair_view(r), frozenset(), name=name))]
+    vertices, arrows, relations = _pair_rows(r)
+    return [_serialized(name, vertices, (), arrows, relations)]
 
 
 def report_text(r, name: str | None = None) -> str:
@@ -351,14 +304,14 @@ def _object(fields) -> str:
     return "{\n" + ",\n".join(f"  {_str(k)}: {v}" for k, v in fields) + "\n}\n"
 
 
-def _pair_json(pair: BoundQuiver, name: str) -> str:
-    q = pair.quiver
+def _pair_json(name: str, vertices, arrows, relations) -> str:
+    """A pair from its sorted vertices, arrow rows (name, source, target)
+    and relation pairs."""
     return _object((
-        ("arrows", _row_list(_PAIR_ARROW, len(q.arrows),
-                             chain.from_iterable(map(_arrow_fields, q.arrows)))),
+        ("arrows", _row_list(_PAIR_ARROW, len(arrows), chain.from_iterable(arrows))),
         ("name", _str(name)),
-        ("relations", _json(list(starmap(relation_text, pair.relation_list)), "  ")),
-        ("vertices", _json(q.vertex_list, "  ")),
+        ("relations", _json(list(starmap(relation_text, relations)), "  ")),
+        ("vertices", _json(vertices, "  ")),
     ))
 
 
@@ -382,7 +335,7 @@ def report_json(r, name: str | None = None) -> str:
         return _json(_payload(r, name), "") + "\n"
     if isinstance(r, SgPresentation):
         return _sg_json(r, name)
-    return _pair_json(_pair_view(r), name)
+    return _pair_json(name, *_pair_rows(r))
 
 
 def _dot_quote(s):
@@ -399,15 +352,13 @@ def to_dot(x, name: str | None = None) -> str:
         doubled = x.split
         comments = [f"zero: {z}" for z in zero] + [f"comm: {c}" for c in starmap(_comm_text, comm)]
     else:
-        pair = _pair_view(x)
-        nodes = pair.quiver.vertex_list
-        arrows = map(_arrow_fields, pair.quiver.arrows)
+        nodes, arrows, relations = _pair_rows(x)
         doubled = frozenset()
-        if isinstance(x, GPairLabels):
+        if isinstance(x, GPresentation):
             # Q^g draws doubled its unsigned vertices, the special ones: the
             # one-name entries of its lift table
             doubled = frozenset(names[0] for names in x.lifts.values() if len(names) == 1)
-        comments = [f"zero: {relation_text(a, b)}" for a, b in pair.relation_list]
+        comments = [f"zero: {z}" for z in starmap(relation_text, relations)]
 
     lines = [f"digraph {_dot_quote(name)} {{"]
     lines += [f"  // {comment}" for comment in comments]

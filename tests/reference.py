@@ -11,18 +11,25 @@ count of the package, and is not part of it: no command needs it.
 * ``sign_swap``: the sign swap of (Q^g, I^g), named from the triple.
 * ``walk``: the plain depth-first walk of a successor graph, an iterator
   per node on the trail, as ``quiver._walk`` must walk it.
+* ``build_g_pair``: (Q^g, I^g) built as a bound quiver from its lift rows,
+  which decides its own gentleness and walks its own graph.
 * ``construction_payload``: the JSON payload of a bound quiver, Q^g or
   Q^sg as a dict, which ``json.dumps(..., sort_keys=True, indent=2)``
   writes as ``report_json`` must write the object.
 """
 
+from itertools import chain, starmap
+
 from skewgentle import (
+    Arrow,
     BasisPath,
     BoundQuiver,
-    GPairLabels,
+    GPresentation,
     InfiniteDimensional,
     InternalInconsistency,
+    Quiver,
     SgPresentation,
+    construct,
 )
 
 
@@ -106,6 +113,18 @@ def sign_swap(t):
     return vertex_map, arrow_map
 
 
+def build_g_pair(t):
+    """(Q^g, I^g) as a bound quiver on the triple's lift rows, its arrows
+    as ``construct.lift_arrows_to_g`` makes them and its relations as
+    ``construct.lift_relations_to_g`` does, checked composable.  Its
+    ``gentle_violations`` and ``walk.cycle`` say whether it is gentle and
+    finite; it is not checked here."""
+    arrows = construct.lift_arrows_to_g(t)
+    vertices = frozenset(chain.from_iterable(t.g_lifts.values()))
+    relations = frozenset(construct.lift_relations_to_g(t))
+    return BoundQuiver(Quiver(vertices, starmap(Arrow, arrows)), relations)
+
+
 def walk(graph):
     """``(cycle, [])`` for the first cycle an iterative depth-first walk of
     ``graph`` (node to successor tuple) meets, starts in name order and
@@ -152,12 +171,16 @@ def construction_payload(x, name="Q"):
             "comm_relations": [{"plus": _relation(plus), "minus": _relation(minus)}
                                for plus, minus in sorted(x.comm_relations, key=lambda c: c[0])],
         }
-    pair = x.pair if isinstance(x, GPairLabels) else x
-    q = pair.quiver
+    if isinstance(x, GPresentation):
+        vertices = chain.from_iterable(x.lifts.values())
+        arrows, relations = x.arrows, x.relations.items()
+    else:
+        vertices = x.quiver.vertices
+        arrows = [(a.name, a.source, a.target) for a in x.quiver.arrows]
+        relations = x.relations
     return {
         "name": name,
-        "vertices": sorted(q.vertices),
-        "arrows": [{"name": a.name, "source": a.source, "target": a.target}
-                   for a in sorted(q.arrows, key=lambda a: a.name)],
-        "relations": [_relation(r) for r in sorted(pair.relations)],
+        "vertices": sorted(vertices),
+        "arrows": [{"name": n, "source": src, "target": tgt} for n, src, tgt in sorted(arrows)],
+        "relations": [_relation(r) for r in sorted(relations)],
     }

@@ -8,13 +8,12 @@ import json
 import time
 
 from conftest import all_fixture_triples, fixture_path
-from reference import ZERO, multiply
+from reference import ZERO, build_g_pair, multiply
 
 from skewgentle import (
     InternalInconsistency,
     SkewedGentleTriple,
     basis,
-    build_g_pair,
     corner_data,
     descriptor_g,
     descriptor_gentle,
@@ -105,7 +104,7 @@ def test_criterion_5_lift_cycle_equivalence():
     mismatches = 0
     for t in triples:
         lifted = sorted(c.arrows for c in lift_cycles(t))
-        direct = sorted(c.arrows for c in full_cycles(build_g_pair(t).pair))
+        direct = sorted(c.arrows for c in full_cycles(build_g_pair(t)))
         if lifted != direct:
             mismatches += 1
         if sorted(len(c) for c in lifted) != sorted(len(c) for c in direct):

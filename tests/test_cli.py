@@ -8,7 +8,9 @@ import tracemalloc
 import pytest
 
 from conftest import fixture_path, in_star, out_star, special_line_text
+from reference import build_g_pair
 
+from skewgentle import SkewedGentleTriple, parse, serialize
 from skewgentle.cli import run
 
 
@@ -487,17 +489,24 @@ def test_allocation_peak_grows_linearly(tmp_path, monkeypatch, family, command):
 _OUTPUT_FAMILIES = ("cycle-every-3rd-special", "cycle-every-2nd-special", "free-line")
 
 
+# the traced peak of JSON `construct` over its output bytes, at most
+_OUTPUT_RATIO = {"sg": 20, "g": 11.5}
+
+
 @pytest.mark.parametrize("target", ["sg", "g"])
 @pytest.mark.parametrize("family", _OUTPUT_FAMILIES)
 def test_construct_peak_is_a_multiple_of_its_output(tmp_path, family, target):
     # JSON `construct` writes a few lines per vertex, arrow and relation of
     # the pair it builds, so what it allocates should be a multiple of what
     # it writes.  The traced peak over the output bytes, on the 1200-cycles
-    # and the 600-line, measured 10.1-18.0 across Python 3.10-3.13; the
-    # largest is Q^g of the cycle with every 2nd vertex special on 3.10.  A
-    # bound of 20 leaves 11% above it and still fails a writer that holds
-    # the output in pieces, as the stdlib's indenting JSON encoder does
-    # (21.1x and 21.3x on the Q^g of both cycles).
+    # and the 600-line, once measured 10.1-18.0 across Python 3.10-3.13, and
+    # a bound of 20 still fails a writer that holds the output in pieces, as
+    # the stdlib's indenting JSON encoder does (21.1x and 21.3x on the Q^g
+    # of both cycles).  Q^sg now measures 7.6-10.6 and keeps that bound.
+    # Q^g, written from its lift rows with no pair built, measures 8.3-10.4,
+    # the largest on the cycle with every 2nd vertex special on 3.10; 11.5
+    # leaves 11% above it and fails the Q^g that built a BoundQuiver
+    # (11.8-12.5 on the cycles on 3.10 and 3.11).
     write, n = _SCALING_FAMILIES[family]
     argv = {}
     for size in (12, 2 * n):
@@ -513,7 +522,7 @@ def test_construct_peak_is_a_multiple_of_its_output(tmp_path, family, target):
     finally:
         tracemalloc.stop()
     assert (code, err) == (0, "")
-    assert peak <= 20 * len(out.encode()), (peak, len(out))
+    assert peak <= _OUTPUT_RATIO[target] * len(out.encode()), (peak, len(out))
 
 
 def test_q_g_dot_of_the_20000_cycle_as_a_process(tmp_path):
@@ -544,6 +553,23 @@ def test_q_sg_dot_of_the_1200_cycle_doubles_exactly_the_split_lifts(tmp_path):
     doubled = [line.split('"')[1] for line in out.splitlines() if "doublecircle" in line]
     assert len(doubled) == 800
     assert set(doubled) == {f"v{i}{sign}" for i in range(0, 1200, 3) for sign in "+-"}
+
+
+def test_text_construct_of_the_20000_cycle_as_a_process(tmp_path):
+    # the console-script gate of CI in tier-1: on the same 20000-cycle, text
+    # `construct --target g`, written from Q^g's lift rows, finishes within
+    # 10 s and is the canonical form of the reference pair built on them
+    path = tmp_path / "C20000.q"
+    _write_full_relation_cycle(path, 20000, 3)
+    result = subprocess.run(
+        [sys.executable, "-m", "skewgentle", "construct", str(path), "--target", "g",
+         "--format", "text"],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    t = parse(path.read_text(encoding="utf-8"))
+    pair = SkewedGentleTriple(build_g_pair(t), frozenset(), name="C_g")
+    assert result.stdout == serialize(pair) + "\n"
 
 
 @pytest.mark.parametrize("target", ["g", "sg"])
@@ -646,6 +672,37 @@ def test_validate_of_a_50000_star_as_a_process(tmp_path, star, hub, side):
     assert (result.returncode, result.stderr) == (1, "")
     g1 = [v["items"] for v in json.loads(result.stdout)["violations"] if v["rule"] == "G1"]
     assert g1 == [[hub, *sorted(side + str(i) for i in range(50000))]]
+
+
+def test_spset_of_the_8_necklace_as_a_process(tmp_path):
+    # the console-script gate of CI in tier-1: `spset` on a necklace of 8
+    # full-relation 2-cycles, each a ring of two vertices, and 4 isolated
+    # vertices lists its 3^8 * 2^4 sets within 20 s
+    vertices = [*(f"p{i}" for i in range(8)), *(f"q{i}" for i in range(8)),
+                *(f"z{i}" for i in range(4))]
+    arrows = ", ".join(f"a{i}: p{i} -> q{i}, b{i}: q{i} -> p{i}" for i in range(8))
+    relations = ", ".join(f"b{i}*a{i}, a{i}*b{i}" for i in range(8))
+    path = tmp_path / "necklace.q"
+    path.write_text(f"quiver K {{ vertices: {', '.join(vertices)}; arrows: {arrows}; "
+                    f"relations: {relations}; }}\n", encoding="utf-8")
+    result = subprocess.run([sys.executable, "-m", "skewgentle", "spset", str(path)],
+                            capture_output=True, text=True, timeout=20)
+    assert (result.returncode, result.stderr) == (0, "")
+    lines = result.stdout.splitlines()
+    assert len(lines) == 104976
+    assert (lines[0], lines[-1]) == ("{}", "{q0, q1, q2, q3, q4, q5, q6, q7, z0, z1, z2, z3}")
+
+
+def test_reduce_of_the_4000_line_as_a_process(tmp_path):
+    # the console-script gate of CI in tier-1: `reduce` on the 4000-vertex
+    # line with both ends special counts its corner within 30 s
+    path = tmp_path / "line.q"
+    _write_line_with_special_ends(path, 4000)
+    result = subprocess.run([sys.executable, "-m", "skewgentle", "reduce", str(path),
+                             "--vertex", "v0"], capture_output=True, text=True, timeout=30)
+    assert (result.returncode, result.stderr) == (0, "")
+    lines = result.stdout.splitlines()
+    assert "dim M: 4000 (M'=3999)" in lines and "identity: holds" in lines
 
 
 def test_runs_without_docstrings():

@@ -1,14 +1,16 @@
 import io
 import random
+from itertools import chain
 
 import pytest
 
-from reference import relation_free_paths, sign_swap
+from conftest import fixture_path
+from reference import build_g_pair, relation_free_paths, sign_swap
 
 from skewgentle import (
     Arrow,
     BoundQuiver,
-    GPairLabels,
+    GPresentation,
     InternalInconsistency,
     NameCollision,
     NotSkewedGentle,
@@ -17,14 +19,16 @@ from skewgentle import (
     SkewGentleError,
     admissible_special_sets,
     basis,
-    build_g_pair,
+    build_g_presentation,
     build_quiver,
     build_sg_presentation,
     build_sp_pair,
     dimension,
     is_gentle,
+    parse,
     random_triple,
 )
+from skewgentle import construct
 from skewgentle.cli import run
 from skewgentle.construct import _require_valid, vertex_lifts
 
@@ -103,45 +107,89 @@ def test_sg_presentation_no_special(fix_a):
 
 
 def test_g_pair_fix_a2(fix_a2):
-    g = build_g_pair(fix_a2)
-    q = g.pair.quiver
-    assert q.vertices == {"1+", "1-", "2"}
-    assert set(q.arrow_map) == {"a+", "a-", "b+", "b-"}
-    assert q.arrow_map["a+"] == Arrow("a+", "1+", "2")
-    assert q.arrow_map["b-"] == Arrow("b-", "2", "1-")
-    assert g.pair.relations == {
-        ("a+", "b+"), ("a-", "b-"), ("b+", "a-"), ("b-", "a+"),
-    }
+    g = build_g_presentation(fix_a2)
+    assert g.lifts == {"1": ("1+", "1-"), "2": ("2",)}
+    assert g.arrows == [("a+", "1+", "2"), ("a-", "1-", "2"), ("b+", "2", "1+"), ("b-", "2", "1-")]
+    assert g.relations == {"a+": "b+", "a-": "b-", "b+": "a-", "b-": "a+"}
+    # a+ b+ and a- b- are the two threads: 3 vertices + 2 * 3 paths
+    assert (g.dimension, g.longest) == (9, 2)
 
 
 def test_g_pair_fix_b3(fix_b3):
-    g = build_g_pair(fix_b3)
-    assert g.pair.quiver.vertices == {"1+", "1-", "2+", "2-", "3"}
-    assert g.pair.relations == {
+    g = build_g_presentation(fix_b3)
+    assert sorted(chain.from_iterable(g.lifts.values())) == ["1+", "1-", "2+", "2-", "3"]
+    assert sorted(g.relations.items()) == [
         ("a+", "g+"), ("a-", "g-"),
         ("b+", "a+"), ("b-", "a-"),
         ("g+", "b-"), ("g-", "b+"),
-    }
+    ]
 
 
 def test_g_pair_no_special_is_doubling(fix_a):
     g = build_g_pair(fix_a)
-    assert g.pair.quiver.vertices == {"1+", "1-", "2+", "2-"}
-    assert g.pair.relations == {
+    assert g.quiver.vertices == {"1+", "1-", "2+", "2-"}
+    assert g.relations == {
         ("a+", "b+"), ("b+", "a+"), ("a-", "b-"), ("b-", "a-"),
     }
     # two disjoint relabeled copies: vertices and paths double
-    assert len(relation_free_paths(g.pair)) == 2 * len(relation_free_paths(fix_a.pair))
-    assert len(g.pair.quiver.vertices) == 2 * len(fix_a.pair.quiver.vertices)
+    assert len(relation_free_paths(g)) == 2 * len(relation_free_paths(fix_a.pair))
+    assert len(g.quiver.vertices) == 2 * len(fix_a.pair.quiver.vertices)
+    assert build_g_presentation(fix_a).dimension == 2 * dimension(fix_a, "gentle")
 
 
 def test_g_pair_always_gentle_and_finite():
     for seed in range(60):
         t = random_triple(seed, 6, 7)
         g = build_g_pair(t)
-        ok, violations = is_gentle(g.pair)
+        ok, violations = is_gentle(g)
         assert ok, violations
-        assert g.pair.walk.cycle is None
+        assert g.walk.cycle is None
+
+
+# Q^g of fix_a2: a+: 1+ -> 2, a-: 1- -> 2, b+: 2 -> 1+, b-: 2 -> 1-, with
+# the relations a+*b+, a-*b-, b+*a- and b-*a+ (its vertex 2 is special)
+_BAD_LIFTS = {
+    "SB1": ({"c+": ("2", "1+")}, (), (), "vertex '2' has 3 arrows out and 2 in"),
+    "G1": ({}, (), [("b+", "a+")], "lifted relations of 'A' are no partial injection: "
+                                   "'a+' lies on one side of two of them"),
+    "SB2 successor": ({}, [("b-", "a+")], (), "arrow 'a+' has the free successors ['b+', 'b-']"),
+    # without b-, b+ is the one arrow out of 2, and a+ loses its partner
+    "SB2 predecessor": ({"b-": None}, [("b+", "a-")], (),
+                        "arrows 'a+' and 'a-' share the free successor 'b+'"),
+    "FD": ({}, [("a+", "b+")], (), "the free thread ['a+', 'b+'] closes into a cycle"),
+}
+
+
+@pytest.mark.parametrize("rule", list(_BAD_LIFTS))
+@pytest.mark.parametrize("argv", [
+    ["construct", "FILE", "--target", "g", "--format", "json"],
+    ["construct", "FILE", "--target", "g", "--format", "text"],
+    ["construct", "FILE", "--target", "g", "--format", "dot"],
+    ["dim", "FILE", "--algebra", "g", "--oracle"],
+])
+def test_a_lift_that_breaks_a_rule_fails_the_commands_that_read_q_g(monkeypatch, rule, argv):
+    # each mutation of Q^g's lift rows breaks one rule of a gentle pair of
+    # finite dimension, and the check the writers and the oracle read raises
+    arrows, dropped, added, fault = _BAD_LIFTS[rule]
+    lift_arrows, lift_relations = construct.lift_arrows_to_g, construct.lift_relations_to_g
+    monkeypatch.setattr(construct, "lift_arrows_to_g", lambda t: [
+        *(a for a in lift_arrows(t) if a[0] not in arrows),
+        *((name, *ends) for name, ends in arrows.items() if ends)])
+    monkeypatch.setattr(construct, "lift_relations_to_g", lambda t: [
+        *(r for r in lift_relations(t) if r not in dropped and not set(r) & set(arrows)),
+        *added])
+    message = fault if rule == "G1" else f"associated pair of 'A' is not gentle/finite: {fault}"
+    t = parse(fixture_path("fix_a2.q").read_text(encoding="utf-8"))
+    with pytest.raises(InternalInconsistency) as raised:
+        build_g_presentation(t)
+    assert str(raised.value) == message
+
+    out, err = io.StringIO(), io.StringIO()
+    argv = [str(fixture_path("fix_a2.q")) if a == "FILE" else a for a in argv]
+    assert run(argv, out=out, err=err) == 1
+    assert err.getvalue() == f"error: {message}\n"
+    # dim prints its count, over (Q, I1), before the oracle builds Q^g
+    assert out.getvalue() == ("9\n" if argv[0] == "dim" else "")
 
 
 def test_construction_counts():
@@ -156,17 +204,17 @@ def test_construction_counts():
             2 ** ((a.source in t.special) + (a.target in t.special)) for a in q.arrows
         )
         assert len(pres.arrows) == expected_arrows
-        g = build_g_pair(t)
-        assert len(g.pair.quiver.vertices) == 2 * len(q.vertices) - len(t.special)
-        assert len(g.pair.quiver.arrows) == 2 * len(q.arrows)
-        assert len(g.pair.relations) == 2 * len(t.pair.relations)
+        g = build_g_presentation(t)
+        assert sum(map(len, g.lifts.values())) == 2 * len(q.vertices) - len(t.special)
+        assert len(g.arrows) == 2 * len(q.arrows)
+        assert len(g.relations) == 2 * len(t.pair.relations)
 
 
 def _assert_sign_swap_is_an_involution(t):
     """The sign swap, named from the triple alone, is an order-2
     automorphism of the built (Q^g, I^g) that fixes exactly the special
     vertices."""
-    g = t.g_pair.pair
+    g = build_g_pair(t)
     vertex_map, arrow_map = sign_swap(t)
     assert set(vertex_map) == g.quiver.vertices
     assert set(arrow_map) == set(g.quiver.arrow_map)
@@ -202,7 +250,7 @@ def test_involution_is_order_two(fix_b3):
 
 def test_constructions_reject_invalid(fix_a):
     bad = SkewedGentleTriple(fix_a.pair, frozenset({"1", "2"}), name="A")
-    for op in (build_sg_presentation, build_g_pair):
+    for op in (build_sg_presentation, build_g_presentation):
         with pytest.raises(NotSkewedGentle):
             op(bad)
 
@@ -218,7 +266,7 @@ def test_signed_vertex_name_collision():
     sg = SkewedGentleTriple(BoundQuiver(quiver), frozenset({"1", "2"}))
     g = SkewedGentleTriple(BoundQuiver(quiver), frozenset({"1+", "2-"}))
     cases = [(build_sg_presentation, sg, "Q^sg"), (basis, sg, "Q^sg"),
-             (lambda t: dimension(t, "sg"), sg, "Q^sg"), (build_g_pair, g, "Q^g")]
+             (lambda t: dimension(t, "sg"), sg, "Q^sg"), (build_g_presentation, g, "Q^g")]
     for op, t, what in cases:
         with pytest.raises(NameCollision) as caught:
             op(t)
@@ -392,20 +440,26 @@ def _reference_build_g_pair(t):
         raise InternalInconsistency(
             f"associated pair of {t.name!r} is not gentle/finite: {list(pair.gentle_violations)}"
         )
-    return GPairLabels(pair, names)
+    paths = relation_free_paths(pair)
+    return ([(a.name, a.source, a.target) for a in arrows], sorted(pair.relations),
+            list(names.items()), len(vertices) + len(paths), max(map(len, paths), default=0))
 
 
 def _outcome(build, t):
     """What a construction gives, compared field by field, or its error.
-    Q^sg compares as its record, whose arrows are a tuple, in order."""
+    Q^sg compares as its record, whose arrows are a tuple, in order, and Q^g
+    as its arrows in order, its relations sorted, its lift table, its
+    dimension and its longest path."""
     try:
         made = build(t)
     except SkewGentleError as e:
         return type(e), str(e)
     if isinstance(made, SgPresentation):
         return made, made.arrows
-    assert isinstance(made, GPairLabels)
-    return made.pair, list(made.lifts.items())
+    if isinstance(made, GPresentation):
+        return (made.arrows, sorted(made.relations.items()), list(made.lifts.items()),
+                made.dimension, made.longest)
+    return made
 
 
 def _construction_cases():
@@ -442,7 +496,7 @@ def _construction_cases():
 def test_constructions_match_their_reference():
     outcomes = []
     for t in _construction_cases():
-        for build, reference in ((build_g_pair, _reference_build_g_pair),
+        for build, reference in ((build_g_presentation, _reference_build_g_pair),
                                  (build_sg_presentation, _reference_build_sg_presentation)):
             outcome = _outcome(build, t)
             assert outcome == _outcome(reference, t), (t.name, build.__name__)

@@ -4,6 +4,7 @@ import re
 import pytest
 
 from conftest import fixture_path
+from reference import build_g_pair
 
 from skewgentle import (
     BoundQuiver,
@@ -13,7 +14,6 @@ from skewgentle import (
     NotSkewedGentle,
     SingularityDescriptor,
     SkewedGentleTriple,
-    build_g_pair,
     build_invariant_report,
     descriptor_g,
     descriptor_gentle,
@@ -71,8 +71,7 @@ def test_sign_sequences_examples(fix_a2, fix_b3):
 def test_sign_sequences_give_paths_in_g(fix_a2, fix_b3):
     # the signed lift of any base path must compose inside Q^g
     for t in (fix_a2, fix_b3):
-        g = build_g_pair(t)
-        amap = g.pair.quiver.arrow_map
+        amap = build_g_pair(t).quiver.arrow_map
         for cycle in full_cycles(t.pair, t.special):
             for head, signs in (("+", cycle.sigma), ("-", cycle.tau)):
                 names = [cycle.arrows[0] + head] + [
@@ -98,7 +97,7 @@ def test_lift_cycles_even_doubling(fix_a):
 
 def test_lifted_pairs_are_g_relations(fix_a, fix_a2, fix_b3):
     for t in (fix_a, fix_a2, fix_b3):
-        relations = build_g_pair(t).pair.relations
+        relations = set(t.g_partners[0].items())
         for cycle in lift_cycles(t):
             n = cycle.length
             for i in range(n):
@@ -188,16 +187,15 @@ def test_invariants_catch_a_lift_rule_with_the_special_middle_case_swapped(monke
     # parity rule gives the doubled odd 2-cycle.
     import skewgentle.construct as construct
 
-    lift = construct.lift_to_g
+    lift = construct.lift_relations_to_g
     flip = {"+": "-", "-": "+"}
 
     def swapped(t):
-        arrows, relations = lift(t)
-        target = {name: tgt for name, _, tgt in arrows}
-        return arrows, [(x, y[:-1] + flip[y[-1]]) if target[y] in t.special else (x, y)
-                        for x, y in relations]
+        amap = t.pair.quiver.arrow_map  # y is the lift of the base arrow y[:-1]
+        return [(x, y[:-1] + flip[y[-1]]) if amap[y[:-1]].target in t.special else (x, y)
+                for x, y in lift(t)]
 
-    monkeypatch.setattr(construct, "lift_to_g", swapped)
+    monkeypatch.setattr(construct, "lift_relations_to_g", swapped)
     text = fixture_path("fix_a2.q").read_text(encoding="utf-8")
     message = "g descriptor of 'A' from cycle parities [4] disagrees with (Q^g, I^g): [2, 2]"
     with pytest.raises(InternalInconsistency, match=re.escape(message)):
@@ -210,13 +208,12 @@ def test_invariants_catch_a_lift_rule_with_the_special_middle_case_swapped(monke
 def test_gldim_flags_need_the_lifted_relations_to_be_a_partial_injection(fix_a2, monkeypatch):
     import skewgentle.construct as construct
 
-    lift = construct.lift_to_g
+    lift = construct.lift_relations_to_g
 
     def with_a_second_partner(t):  # b+ after a+ as well as b-
-        arrows, relations = lift(t)
-        return arrows, [*relations, ("b+", "a+")]
+        return [*lift(t), ("b+", "a+")]
 
-    monkeypatch.setattr(construct, "lift_to_g", with_a_second_partner)
+    monkeypatch.setattr(construct, "lift_relations_to_g", with_a_second_partner)
     with pytest.raises(InternalInconsistency, match=re.escape(
             "lifted relations of 'A' are no partial injection: "
             "'a+' lies on one side of two of them")):
@@ -237,7 +234,7 @@ def test_lift_cycles_match_g_pair_cycles():
     from conftest import all_fixture_triples
 
     for t in all_fixture_triples() + [random_triple(s, 6, 7) for s in range(60)]:
-        direct = full_cycles(build_g_pair(t).pair)
+        direct = full_cycles(build_g_pair(t))
         assert cycle_arrow_sets(lift_cycles(t)) == cycle_arrow_sets(direct)
 
 

@@ -6,12 +6,14 @@ and the longest enumerated path.  The closed forms for
 lines and full-relation cycles are the ones stated in ``perfbench/README.md``.
 """
 
+import random
 import re
+from itertools import chain
 
 import pytest
 
 from conftest import all_fixture_triples
-from reference import admissible_base_pair, ends, relation_free_paths
+from reference import admissible_base_pair, build_g_pair, ends, relation_free_paths
 
 from skewgentle import (
     Arrow,
@@ -31,9 +33,8 @@ from skewgentle import (
     random_triple,
 )
 from skewgentle import construct
-from skewgentle.algebra import longest_relation_free_length, pair_dimension
+from skewgentle.algebra import longest_relation_free_length
 from skewgentle.quiver import count_relation_free_paths
-from skewgentle.reports import _free_threads
 
 
 def _one(v):
@@ -42,7 +43,7 @@ def _one(v):
 
 def _pairs(t):
     """The base pair, Q^sp, Q^g and the admissible pair of a valid triple."""
-    return (t.pair, t.sp_pair, t.g_pair.pair, admissible_base_pair(t))
+    return (t.pair, t.sp_pair, build_g_pair(t), admissible_base_pair(t))
 
 
 def _listed_corner_counts(t, a):
@@ -61,7 +62,7 @@ def _listed_dimension(bq):
 
 def _assert_counts_match_enumeration(t):
     assert dimension(t, "gentle") == _listed_dimension(t.pair)
-    assert dimension(t, "g") == _listed_dimension(t.g_pair.pair)
+    assert dimension(t, "g") == _listed_dimension(build_g_pair(t))
     assert dimension(t, "sg") == len(basis(t))
     for bq in _pairs(t):
         listed = relation_free_paths(bq)
@@ -204,33 +205,97 @@ def test_oracle_length_bound_is_the_longest_path_of_q_sp():
     assert checked > 1000
 
 
-def test_g_count_matches_the_constructed_q_g_and_the_oracle():
-    # the count never builds Q^g; the free threads of its lift read it as
-    # plain names, and the constructed pair and the oracle build it
-    checked = 0
+def _g_triples():
+    """The 1820 triples of ``random_triple`` seeds 0-299 at (8, 11), the
+    first eight admissible sets each."""
     for seed in range(300):
         pair = random_triple(seed, 8, 11).pair
         for special in admissible_special_sets(pair)[:8]:
-            t = SkewedGentleTriple(pair, frozenset(special), name=f"R{seed}")
-            threads = _free_threads(t)
-            built = pair_dimension(t.g_pair.pair)
-            oracle = dimension_oracle(t, "g", cap=10 ** 6)
-            assert threads == dimension(t, "g") == built == oracle, (t.name, special)
-            checked += 1
+            yield SkewedGentleTriple(pair, frozenset(special), name=f"R{seed}")
+
+
+def _g_verdicts(t):
+    """The check of Q^g's lift rows, (dimension, longest path) or None when
+    it raises InternalInconsistency, beside the same read off the
+    reference pair built on those rows: None unless it has no gentle
+    violation and no relation-free cycle, and else its listed paths."""
+    try:
+        g = t.g_presentation
+        checked = (g.dimension, g.longest)
+    except InternalInconsistency:
+        checked = None
+    pair = build_g_pair(t)
+    if pair.gentle_violations or pair.walk.cycle is not None:
+        return checked, None
+    paths = relation_free_paths(pair)
+    return checked, (_listed_dimension(pair), max(map(len, paths), default=0))
+
+
+def test_g_count_matches_the_constructed_q_g_and_the_oracle():
+    # the count never builds Q^g; the check of its lift rows counts its
+    # free threads, and the reference pair and the oracle build it
+    checked = 0
+    for t in _g_triples():
+        g = t.g_presentation
+        assert _g_verdicts(t) == ((g.dimension, g.longest),) * 2, t.name
+        built = build_g_pair(t)
+        oracle = dimension_oracle(t, "g", cap=10 ** 6)
+        assert g.dimension == dimension(t, "g") == _listed_dimension(built) == oracle, t.name
+        assert g.longest == longest_relation_free_length(built.walk), t.name
+        checked += 1
     assert checked == 1820
+
+
+def _mutated_rows(rng, t):
+    """Q^g's lift rows with one seeded change that keeps every relation a
+    composable 2-path: a relation dropped, an arrow dropped with its
+    relations, a relation added, or an arrow added."""
+    arrows, relations = construct.lift_arrows_to_g(t), construct.lift_relations_to_g(t)
+    ends = {name: (src, tgt) for name, src, tgt in arrows}
+    change = rng.randrange(4) if arrows else 3
+    if change == 0 and relations:
+        relations = [r for r in relations if r != rng.choice(relations)]
+    elif change == 1:
+        lost = rng.choice(arrows)[0]
+        arrows = [a for a in arrows if a[0] != lost]
+        relations = [r for r in relations if lost not in r]
+    elif change == 2:
+        y = rng.choice(arrows)[0]
+        later = [x for x, (src, _) in ends.items() if src == ends[y][1]]
+        if later:
+            relations = [*relations, (rng.choice(later), y)]
+    else:
+        vertices = sorted(chain.from_iterable(t.g_lifts.values()))
+        arrows = [*arrows, ("new", rng.choice(vertices), rng.choice(vertices))]
+    return arrows, list(dict.fromkeys(relations))
+
+
+def test_lift_check_decides_as_the_reference_pair_on_mutated_lifts(monkeypatch):
+    # each triple once more with mutated lift rows: the check accepts
+    # exactly when the reference pair is gentle and finite, and then both
+    # give the same dimension and longest path
+    rng = random.Random(7)
+    mutated = [(t, _mutated_rows(rng, t)) for t in _g_triples()]
+    rows = {}
+    monkeypatch.setattr(construct, "lift_arrows_to_g", lambda t: rows["arrows"])
+    monkeypatch.setattr(construct, "lift_relations_to_g", lambda t: rows["relations"])
+    accepted = rejected = 0
+    for t, (rows["arrows"], rows["relations"]) in mutated:
+        checked, reference = _g_verdicts(SkewedGentleTriple(t.pair, t.special, t.name))
+        assert checked == reference, (t.name, rows)
+        accepted += checked is not None
+        rejected += checked is None
+    assert accepted > 300 and rejected > 300, (accepted, rejected)
 
 
 def _lift_without(monkeypatch, arrow=None, relation=None):
     """Route the lift rule through one that leaves out an arrow, with the
     relations it lies in, or one relation."""
-    lift = construct.lift_to_g
-
-    def lifted(t):
-        arrows, relations = lift(t)
-        return ([a for a in arrows if a[0] != arrow],
-                [r for r in relations if r != relation and arrow not in r])
-
-    monkeypatch.setattr(construct, "lift_to_g", lifted)
+    arrows, relations = construct.lift_arrows_to_g, construct.lift_relations_to_g
+    monkeypatch.setattr(construct, "lift_arrows_to_g",
+                        lambda t: [a for a in arrows(t) if a[0] != arrow])
+    monkeypatch.setattr(construct, "lift_relations_to_g",
+                        lambda t: [r for r in relations(t) if r != relation and arrow not in r])
 
 
 def test_report_catches_a_g_count_that_disagrees_with_q_g(fix_a2, monkeypatch):
@@ -251,7 +316,7 @@ def test_report_catches_a_g_count_that_disagrees_with_q_g(fix_a2, monkeypatch):
 def test_report_catches_a_lift_without_free_threads(fix_a2, monkeypatch, relation, fault):
     _lift_without(monkeypatch, relation=relation)
     with pytest.raises(InternalInconsistency, match=re.escape(
-            f"g dimension 9 disagrees with Q^g's free threads: {fault}")):
+            f"associated pair of 'A' is not gentle/finite: {fault}")):
         build_invariant_report(fix_a2, with_dims=True)
 
 

@@ -15,6 +15,7 @@ from collections import Counter
 import pytest
 
 from conftest import crossing, in_star, out_star
+from reference import build_g_pair
 from reference import walk as reference_walk
 
 from skewgentle import BoundQuiver, SkewedGentleTriple, build_sp_pair, parse, random_triple
@@ -47,7 +48,7 @@ def _random_pairs():
         every_zero = frozenset((x.name, y.name) for y in q.arrows for x in q.outgoing[y.target])
         yield f"{seed}", t.pair
         yield f"{seed} Q^sp", t.sp_pair
-        yield f"{seed} Q^g", t.g_pair.pair
+        yield f"{seed} Q^g", build_g_pair(t)
         yield f"{seed} every special", build_sp_pair(SkewedGentleTriple(t.pair, q.vertices))
         yield f"{seed} every 2-path zero", BoundQuiver(q, every_zero)
         if t.pair.relations:

@@ -10,6 +10,8 @@ has an oriented cycle.
 
 import pytest
 
+from reference import build_g_pair
+
 from skewgentle import BoundQuiver, full_cycles, random_triple
 
 nx = pytest.importorskip("networkx")
@@ -19,7 +21,7 @@ SEEDS = range(300)
 
 def _pairs(seed):
     t = random_triple(seed, 9, 12)
-    return t.pair, t.sp_pair, t.g_pair.pair
+    return t.pair, t.sp_pair, build_g_pair(t)
 
 
 def _successor_graph(bq):

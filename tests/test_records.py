@@ -12,7 +12,7 @@ from skewgentle import (
     Arrow,
     BoundQuiver,
     CycleClass,
-    GPairLabels,
+    GPresentation,
     InvariantReport,
     NotComposable,
     NotGentle,
@@ -46,7 +46,7 @@ def _one_of_each():
         (t.pair.quiver.arrows[0], "name"), (t.pair.quiver, "arrows"),
         (t.pair, "relations"), (t, "special"),
         (corner.t1_basis[0], "source"), (corner, "dim_a"),
-        (sg, "comm_relations"), (t.g_pair, "pair"),
+        (sg, "comm_relations"), (t.g_presentation, "arrows"),
         (t.cycles[0], "parity"), (SingularityDescriptor((2,)), "shifts"),
         (SourceSpan(1, 2, 3), "line"), (build_invariant_report(t), "dims"),
         (Violation("G1", ("a", "b")), "items"), (t.validation, "gentle"),
@@ -85,7 +85,7 @@ def test_equality_is_by_class_and_fields():
 
 def test_equal_records_hash_equal():
     for first, second in zip(_records(), _records()):
-        if isinstance(first, (GPairLabels, InvariantReport, ArrowWalk)):
+        if isinstance(first, (GPresentation, InvariantReport, ArrowWalk)):
             continue
         assert first == second, type(first)
         assert hash(first) == hash(second), type(first)
@@ -94,7 +94,7 @@ def test_equal_records_hash_equal():
 
 def test_identity_equality_classes():
     for first, second in zip(_records(), _records()):
-        if isinstance(first, (GPairLabels, InvariantReport, ArrowWalk)):
+        if isinstance(first, (GPresentation, InvariantReport, ArrowWalk)):
             assert first != second
             assert first == first
             assert hash(first) == object.__hash__(first)
@@ -162,7 +162,7 @@ def test_reprs():
 
 def test_copy_and_pickle_keep_the_value():
     for record in _records():
-        if isinstance(record, (GPairLabels, InvariantReport, ArrowWalk)):
+        if isinstance(record, (GPresentation, InvariantReport, ArrowWalk)):
             continue
         assert copy.copy(record) == record, type(record)
         assert pickle.loads(pickle.dumps(record)) == record, type(record)

@@ -7,14 +7,14 @@ import pytest
 from pathlib import Path
 
 from conftest import FIXTURES, fixture_path
-from reference import construction_payload
+from reference import build_g_pair, construction_payload
 
 from skewgentle import (
     Arrow,
     BoundQuiver,
     SkewedGentleTriple,
     admissible_special_sets,
-    build_g_pair,
+    build_g_presentation,
     build_invariant_report,
     build_quiver,
     build_sg_presentation,
@@ -24,10 +24,12 @@ from skewgentle import (
     parse,
     random_triple,
     report_json,
+    serialize,
     to_dot,
     validate_skewed_gentle,
 )
 from skewgentle.cli import run
+from skewgentle.reports import _dot_quote, report_text
 from skewgentle.reports import _json
 
 
@@ -48,7 +50,7 @@ def test_to_dot_quiver(fix_a):
 def test_to_dot_triple_marks_special(fix_a2):
     # no command draws a triple: its special vertex is drawn doubled in Q^g,
     # where it alone stays unsigned, and plain in Q^sp, which holds its loop
-    assert '"2" [shape=doublecircle];' in to_dot(fix_a2.g_pair)
+    assert '"2" [shape=doublecircle];' in to_dot(fix_a2.g_presentation)
     sp = to_dot(fix_a2.sp_pair)
     assert "doublecircle" not in sp and "// zero: sp_2*sp_2" in sp
     with pytest.raises(TypeError, match="cannot render SkewedGentleTriple"):
@@ -64,7 +66,7 @@ def test_to_dot_sg_presentation(fix_a2):
 
 
 def test_to_dot_g_pair(fix_a2):
-    dot = to_dot(build_g_pair(fix_a2), name="A_g")
+    dot = to_dot(build_g_presentation(fix_a2), name="A_g")
     nodes, edges = _node_and_edge_lines(dot)
     assert len(nodes) == 3 and len(edges) == 4
     assert '"2" [shape=doublecircle];' in dot
@@ -77,7 +79,7 @@ def test_to_dot_g_pair_doubles_exactly_the_special_vertices():
         pair = random_triple(seed, 8, 11).pair
         for special in admissible_special_sets(pair)[:4]:
             t = SkewedGentleTriple(pair, frozenset(special))
-            nodes, _ = _node_and_edge_lines(to_dot(t.g_pair))
+            nodes, _ = _node_and_edge_lines(to_dot(t.g_presentation))
             doubled = {n.split('"')[1] for n in nodes if "doublecircle" in n}
             assert doubled == set(special), (seed, special)
 
@@ -147,14 +149,31 @@ def test_to_dot_bound_quiver(fix_b):
 def _assert_constructions_written_as_the_reference(t):
     """Q^sp, and Q^sg and Q^g when the triple is valid, as JSON: what the
     stdlib writes for the reference payload, under the default name and a
-    given one."""
+    given one.  Q^g's text and DOT are those of the reference pair, its
+    DOT with the special vertices drawn doubled."""
     built = [t.sp_pair]
     if t.validation.skewed_gentle:
-        built += [t.sg_presentation, t.g_pair]
+        built += [t.sg_presentation, t.g_presentation]
     for x in built:
         for name in (None, 'n%s"\\\u00e9'):
             expected = json.dumps(construction_payload(x, name or "Q"), sort_keys=True, indent=2)
             assert report_json(x, name) == expected + "\n", (t, type(x).__name__, name)
+    if t.validation.skewed_gentle:
+        g, pair = t.g_presentation, build_g_pair(t)
+        assert _written(report_text, g, "G") == _written(
+            lambda p, name: serialize(SkewedGentleTriple(p, frozenset(), name)) + "\n", pair, "G")
+        dot, plain = to_dot(g, "G"), to_dot(pair, "G")
+        assert dot.count("doublecircle") == len(t.special)
+        assert all(f"  {_dot_quote(v)} [shape=doublecircle];" in dot for v in t.special)
+        assert dot.replace(" [shape=doublecircle]", "") == plain
+
+
+def _written(render, x, name):
+    """What ``render`` writes for ``x``, or the error it raises."""
+    try:
+        return render(x, name)
+    except ValueError as e:
+        return type(e), str(e)
 
 
 _INPUTS = sorted([*FIXTURES.glob("*.q"), *(Path(__file__).parent / "golden").glob("*.q")])

@@ -24,6 +24,8 @@ INPUTS = sorted([*(TESTS / "fixtures").glob("*.q"), *(TESTS / "golden").glob("*.
 ENTRY_POINTS = {
     "algebra.basis": "lists every normal form; reduce --json lists only the corner's",
     "cycles.descriptor_gentle": "the descriptor of a bare pair; commands read a triple's cycles",
+    "dsl.serialize": "the canonical text of a triple, which parse reads back; commands write "
+                     "a pair's, Q^sp's or Q^g's, from its rows",
     "generate.random_triple": "draws the triples of the property tests and the benchmark corpus",
     "cli.main": "the console script, which runs `run` in its own process",
 }
@@ -119,7 +121,7 @@ def test_every_public_class_member_is_reached_by_a_command():
     called = _called_code()
     members = dict(_public_members())
     # the walk sees methods, properties, cached properties and static methods
-    assert {"quiver.BoundQuiver.unchecked", "quiver.Quiver.arrow_map",
+    assert {"quiver.BoundQuiver.walk_with", "quiver.Quiver.arrow_map",
             "quiver.SkewedGentleTriple.sg_presentation", "cycles.SingularityDescriptor.of",
             "algebra.CornerData.t1_basis"} <= set(members)
     unreached = sorted(name for name, code in members.items()

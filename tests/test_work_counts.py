@@ -5,12 +5,11 @@ is built once per command, ``spset`` decides no subset through the
 definition and builds no set it drops, the oracle joins paths only at
 commutativity flips, takes no quotient step without them and about one find
 step per junction, paths are listed only where the output lists them, every
-sg and g count reads the verdict's walk of (Q, I1), Q^g is built only
-where it is printed or the g oracle reads it, ``invariants`` reading its
-lift as plain names, and its lift table is read only by DOT, valid text is
-parsed without tokens, source positions are computed only for a
-diagnostic, a pair's relations are checked once, Q^g's not at all, each
-lift table is made once per triple and split, a valid command's pairs
+sg and g count reads the verdict's walk of (Q, I1), Q^g is held as its
+lift rows and never as a pair, its arrow rows made only where they are
+read, valid text is parsed without tokens, source positions are computed
+only for a diagnostic, a pair's relations are checked once, each lift
+table is made once per triple and split, a valid command's pairs
 are decided gentle from their counts, with no witness pass and no index of
 arrows by end or of relations, a plainly written command
 builds no argument parser and calls none, and a command calls the renderer
@@ -38,6 +37,7 @@ from skewgentle import (
     quiver,
     validate,
 )
+from skewgentle import cli
 from skewgentle.cli import run
 
 
@@ -74,8 +74,8 @@ def test_one_decision_per_triple(monkeypatch, argv, triples):
     assert len(decisions) == triples
     # the oracle of --dims reads its length bound off the base pair
     assert sp_builds == []
-    # every pair is gentle, Q^g included: decided from its counts, with no
-    # witness pass and no general index of arrows by end or of relations
+    # every pair is gentle: decided from its counts, with no witness pass
+    # and no general index of arrows by end or of relations
     assert gentle_checks == []
     assert indexes == []
 
@@ -194,7 +194,7 @@ def test_full_cycles_read_each_follower_once(monkeypatch, n, special):
 
     # the base pair's cycles, then those of Q^g's lifted relations
     assert len(reads) == 2
-    lifted = [name for name, _, _ in t.g_lift[0]]
+    lifted = [name for name, _, _ in construct.lift_arrows_to_g(t)]
     for looked, arrows in zip(reads, (t.pair.quiver.arrow_map, lifted)):
         assert len(looked) == len(set(looked)), "an arrow's follower was read twice"
         assert set(looked) <= set(arrows)
@@ -231,14 +231,15 @@ def test_paths_listed_only_for_the_basis(monkeypatch, argv, bases):
     (["dim", "FILE", "--algebra", "sg"], quiver._walk, 1),
     # the g count is two sign lifts of each path of (Q, I1): no Q^g
     (["dim", "FILE", "--algebra", "g"], quiver._walk, 1),
-    (["dim", "FILE", "--algebra", "g"], construct.build_g_pair, 0),
+    (["dim", "FILE", "--algebra", "g"], construct.lift_arrows_to_g, 0),
     # t1/t2 only where the output lists them
     (["reduce", "FILE", "--vertex", "2"], algebra._corner_basis, 0),
     (["reduce", "FILE", "--vertex", "2", "--json"], algebra._corner_basis, 2),
-    # the g flag and the g count read Q^g's lift as plain names: no pair
-    (["invariants", "FILE"], construct.build_g_pair, 0),
-    (["invariants", "FILE", "--json"], construct.build_g_pair, 0),
-    (["invariants", "FILE", "--dims", "--json"], construct.build_g_pair, 0),
+    # the g flag reads Q^g's lifted relations alone; only the check of the
+    # g count under --dims reads its arrow rows
+    (["invariants", "FILE"], construct.lift_arrows_to_g, 0),
+    (["invariants", "FILE", "--json"], construct.lift_arrows_to_g, 0),
+    (["invariants", "FILE", "--dims", "--json"], construct.lift_arrows_to_g, 1),
 ])
 def test_sg_layer_reads_what_the_triple_holds(monkeypatch, argv, fn, calls):
     made = _count_calls(monkeypatch, fn)
@@ -250,32 +251,64 @@ def test_sg_layer_reads_what_the_triple_holds(monkeypatch, argv, fn, calls):
 
 
 @pytest.mark.parametrize("argv,read", [
-    (["dim", "FILE", "--algebra", "g", "--oracle"], {"pair"}),
-    (["construct", "FILE", "--target", "g", "--format", "json"], {"pair"}),
-    (["construct", "FILE", "--target", "g", "--format", "text"], {"pair"}),
+    (["dim", "FILE", "--algebra", "g", "--oracle"], {"lifts", "arrows", "relations", "longest"}),
+    (["construct", "FILE", "--target", "g", "--format", "json"], {"lifts", "arrows", "relations"}),
+    (["construct", "FILE", "--target", "g", "--format", "text"], {"lifts", "arrows", "relations"}),
     # DOT draws Q^g's unsigned vertices doubled, the one-name entries of its lift table
-    (["construct", "FILE", "--target", "g", "--format", "dot"], {"pair", "lifts"}),
+    (["construct", "FILE", "--target", "g", "--format", "dot"], {"lifts", "arrows", "relations"}),
 ])
 def test_g_labels_are_made_only_when_read(monkeypatch, argv, read):
-    # Q^g keeps one label of its vertices, its lift table: no command makes
-    # a label per vertex or arrow, and only DOT reads the table
+    # Q^g is made once, as its lift rows, its lift table the one label of
+    # its vertices: no command makes a label per vertex or arrow, and each
+    # reads only what it writes or counts
     fields = []
 
-    class Watched(construct.GPairLabels):
+    class Watched(construct.GPresentation):
         def __getattribute__(self, name):
-            if name in construct.GPairLabels._fields:
+            if name in construct.GPresentation._fields:
                 fields.append(name)
             return super().__getattribute__(name)
 
-    monkeypatch.setattr(construct, "GPairLabels", Watched)
-    built = _count_calls(monkeypatch, construct.build_g_pair)
+    monkeypatch.setattr(construct, "GPresentation", Watched)
+    built = _count_calls(monkeypatch, construct.build_g_presentation)
     argv = [str(fixture_path("fix_a2.q")) if a == "FILE" else a for a in argv]
 
     assert run(argv, out=io.StringIO(), err=io.StringIO()) == 0
 
     assert len(built) == 1
-    assert Watched._fields == ("pair", "lifts")
+    assert Watched._fields == ("lifts", "arrows", "relations", "dimension", "longest")
     assert set(fields) == read
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "FILE", "--target", "g", "--format", "json"],
+    ["construct", "FILE", "--target", "g", "--format", "text"],
+    ["construct", "FILE", "--target", "g", "--format", "dot"],
+    ["dim", "FILE", "--algebra", "g", "--oracle"],
+    ["invariants", "FILE", "--dims", "--json"],
+])
+def test_q_g_is_no_pair(monkeypatch, argv):
+    # once the file's pair is read, no Arrow, Quiver or BoundQuiver is made
+    # (the package makes none without its __init__): Q^g is written,
+    # counted and checked from its lift rows
+    made, load = [], cli._load
+
+    def loaded(path):
+        t = load(path)
+        for cls in (quiver.Arrow, quiver.Quiver, quiver.BoundQuiver):
+            def counted(self, *args, init=cls.__init__, **kwargs):
+                made.append(type(self).__name__)
+                init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        return t
+
+    monkeypatch.setattr(cli, "_load", loaded)
+    argv = [str(fixture_path("fix_a2.q")) if a == "FILE" else a for a in argv]
+
+    assert run(argv, out=io.StringIO(), err=io.StringIO()) == 0
+
+    assert made == []
 
 
 def test_spset_decides_no_subset_through_the_definition(monkeypatch):
@@ -459,8 +492,7 @@ def test_a_command_builds_no_parser_and_parses_its_input_once(monkeypatch):
     (["dim", "FILE", "--algebra", "sg"], 1),
     (["dim", "FILE", "--algebra", "g"], 1),
     (["reduce", "FILE", "--vertex", "2"], 1),
-    # Q^g, which --dims checks against the g count, lifts the file's checked
-    # relations to composable ones by construction, so it is not checked again
+    # Q^g, whose free threads --dims checks against the g count, is no pair
     (["invariants", "FILE", "--dims"], 1),
 ])
 def test_relations_checked_once_per_pair(monkeypatch, argv, pairs):
