@@ -23,12 +23,12 @@ whatever the text.  Without that anchor ``split`` would try an item at every
 position, each attempt reading to the end of a long identifier, which is
 quadratic.
 
-The integrity checks on a read file are the model's own: ``build_quiver``,
-``BoundQuiver`` and ``SkewedGentleTriple`` check names and endpoints as they
-are built, and ``parse`` adds only the duplicates that its sets would hide.
-The token parser and the item-by-item checks give the diagnostics: the first
-runs only when the reader rejects the text, to say where and why; both run
-when the model rejects the triple, to name and place the first bad item.
+Each integrity rule and its message is written once, in
+``quiver._first_bad_item``.  The model checks a read file as it is built,
+and ``parse`` adds only the duplicates that its sets would hide.  When the
+model rejects the triple, ``parse`` runs the rules once over the lists as
+written, to name the first bad item, and the token parser, to place it: a
+valid text never runs the token parser.
 
 A relation item ``x*y`` declares the 2-path "y, then x" to be zero.  The
 canonical form emits the four statements in fixed order with identifiers
@@ -46,6 +46,7 @@ from .quiver import (
     BoundQuiver,
     Record,
     SkewedGentleTriple,
+    _first_bad_item,
     _set,
     build_quiver,
     relation_text,
@@ -242,73 +243,21 @@ def _read(text: str):
 def parse(text: str) -> SkewedGentleTriple:
     """Parse a triple exactly as written; only referential integrity is checked."""
     name, stmts = _read(text) or _Parser(text).file()
+    arrows = [Arrow(*a) for a in stmts.get("arrows", ())]
     relations, special = stmts.get("relations", []), stmts.get("special", [])
     relation_set, special_set = frozenset(relations), frozenset(special)
     try:
         # the sets hide these duplicates; the model's constructors check the rest
         if len(relation_set) < len(relations) or len(special_set) < len(special):
             raise DuplicateName("a relation or a special vertex is declared twice")
-        arrows = [Arrow(*a) for a in stmts.get("arrows", ())]
         pair = BoundQuiver(build_quiver(stmts["vertices"], arrows), relation_set)
         return SkewedGentleTriple(pair, special_set, name=name)
     except SkewGentleError:
-        _diagnose(text, stmts)
-        raise
-
-
-def _diagnose(text: str, stmts) -> None:
-    """Raise the ``IntegrityError`` of the first unresolved item, placed at
-    the item; return when every item resolves.
-
-    Statements are checked in the order vertices, arrows, relations, special,
-    and items in the order written.  Only ``parse`` calls this, once the
-    model has rejected the triple.
-    """
-
-    def error(message, kind, index):
-        # the token parser places the item, only for this diagnostic
+        # the first bad item in written order, placed by the token parser
+        statement, index, error = _first_bad_item(stmts["vertices"], arrows, relations, special)
         parser = _Parser(text)
         parser.file()
-        return IntegrityError(message, _span(text, parser.firsts[kind][index]))
-
-    vertices = set()
-    for i, v in enumerate(stmts["vertices"]):
-        if v in vertices:
-            raise error(f"vertex {v!r} declared twice", "vertices", i)
-        vertices.add(v)
-
-    arrow_names = {}
-    for i, (a, src, tgt) in enumerate(stmts.get("arrows", ())):
-        if a in arrow_names:
-            raise error(f"arrow {a!r} declared twice", "arrows", i)
-        if src not in vertices:
-            raise error(f"arrow {a!r} starts at unknown vertex {src!r}", "arrows", i)
-        if tgt not in vertices:
-            raise error(f"arrow {a!r} ends at unknown vertex {tgt!r}", "arrows", i)
-        arrow_names[a] = (src, tgt)
-
-    relations = set()
-    for i, (x, y) in enumerate(stmts.get("relations", ())):
-        for arrow in (x, y):
-            if arrow not in arrow_names:
-                raise error(f"relation names unknown arrow {arrow!r}", "relations", i)
-        if arrow_names[y][1] != arrow_names[x][0]:
-            raise error(
-                f"relation {relation_text(x, y)} is not composable: "
-                f"t({y}) = {arrow_names[y][1]!r} but s({x}) = {arrow_names[x][0]!r}",
-                "relations", i,
-            )
-        if (x, y) in relations:
-            raise error(f"relation {relation_text(x, y)} declared twice", "relations", i)
-        relations.add((x, y))
-
-    special = set()
-    for i, v in enumerate(stmts.get("special", ())):
-        if v not in vertices:
-            raise error(f"special names unknown vertex {v!r}", "special", i)
-        if v in special:
-            raise error(f"special vertex {v!r} declared twice", "special", i)
-        special.add(v)
+        raise IntegrityError(str(error), _span(text, parser.firsts[statement][index])) from None
 
 
 def _require_ident(value, what):

@@ -5,6 +5,9 @@ arrow applied first, so ``t(a_i) = s(a_{i-1})`` for i = 2..r, the source of
 ``p`` is ``s(ar)`` and its target is ``t(a1)``.  A relation pair ``(x, y)``
 (serialized as ``x*y``) declares the length-2 path "y, then x" to be zero.
 
+Every rule that names and endpoints resolve, with its message, lives in
+``_first_bad_item``; the constructors raise its error, ``dsl.parse`` places it.
+
 Bound quivers and triples are immutable, so what is derived from them is
 kept on them as cached properties: a bound quiver's relation index, its
 arrow-successor graph with the one walk of it that decides finiteness and
@@ -194,25 +197,62 @@ def _chain_cycles(follower: dict) -> list[list]:
     return cycles
 
 
-def build_quiver(vertices, arrows) -> Quiver:
-    """Validate and freeze a quiver."""
-    seen_v = set()
+def _first_bad_item(vertices, arrows, relations=(), special=()):
+    """``(statement, index, error)`` for the first item that does not
+    resolve, or None: statements in the order vertices, arrows (``Arrow``
+    records), relations (name pairs), special, and items in the order given,
+    each good one kept, so a bad one's index is the count kept.  Each
+    integrity rule and its message is written here only."""
+    seen = set()
     for v in vertices:
         if not v:
-            raise DuplicateName("empty vertex id")
-        if v in seen_v:
-            raise DuplicateName(f"vertex {v!r} declared twice")
-        seen_v.add(v)
-    seen_a = set()
+            return "vertices", len(seen), DuplicateName("empty vertex id")
+        if v in seen:
+            return "vertices", len(seen), DuplicateName(f"vertex {v!r} declared twice")
+        seen.add(v)
+    names = set()
     for a in arrows:
-        if a.name in seen_a:
-            raise DuplicateName(f"arrow {a.name!r} declared twice")
-        seen_a.add(a.name)
-        if a.source not in seen_v:
-            raise DanglingEndpoint(f"arrow {a.name!r} starts at unknown vertex {a.source!r}")
-        if a.target not in seen_v:
-            raise DanglingEndpoint(f"arrow {a.name!r} ends at unknown vertex {a.target!r}")
-    return Quiver(frozenset(seen_v), arrows)
+        name = a.name
+        if name in names:
+            return "arrows", len(names), DuplicateName(f"arrow {name!r} declared twice")
+        if a.source not in seen:
+            return "arrows", len(names), DanglingEndpoint(
+                f"arrow {name!r} starts at unknown vertex {a.source!r}")
+        if a.target not in seen:
+            return "arrows", len(names), DanglingEndpoint(
+                f"arrow {name!r} ends at unknown vertex {a.target!r}")
+        names.add(name)
+    amap = {a.name: a for a in arrows} if relations else {}  # none for build_quiver
+    pairs = set()
+    for x, y in relations:
+        i = len(pairs)
+        for arrow in (x, y):
+            if arrow not in amap:
+                return "relations", i, UnknownVertex(f"relation names unknown arrow {arrow!r}")
+        if amap[y].target != amap[x].source:
+            return "relations", i, NotComposable(
+                f"relation {relation_text(x, y)} is not composable: "
+                f"t({y}) = {amap[y].target!r} but s({x}) = {amap[x].source!r}")
+        if (x, y) in pairs:
+            return "relations", i, DuplicateName(f"relation {relation_text(x, y)} declared twice")
+        pairs.add((x, y))
+    chosen = set()
+    for v in special:
+        if v not in seen:
+            return "special", len(chosen), UnknownVertex(f"special names unknown vertex {v!r}")
+        if v in chosen:
+            return "special", len(chosen), DuplicateName(f"special vertex {v!r} declared twice")
+        chosen.add(v)
+    return None
+
+
+def build_quiver(vertices, arrows) -> Quiver:
+    """Validate and freeze a quiver; raises for the first bad item in the order given."""
+    vertices, arrows = tuple(vertices), tuple(arrows)  # each is read twice
+    bad = _first_bad_item(vertices, arrows)
+    if bad is not None:
+        raise bad[2]
+    return Quiver(frozenset(vertices), arrows)
 
 
 class BoundQuiver(Record):
@@ -231,17 +271,8 @@ class BoundQuiver(Record):
         amap = quiver.arrow_map
         for x, y in relations:
             if x not in amap or y not in amap or amap[y].target != amap[x].source:
-                self._raise_first_bad_relation()
-
-    def _raise_first_bad_relation(self):
-        """Raise for the first relation in name order, whatever the hash
-        seed, that names an unknown arrow or is no composable 2-path."""
-        amap = self.quiver.arrow_map
-        for x, y in self.relation_list:
-            if x not in amap or y not in amap:
-                raise UnknownVertex(f"relation {relation_text(x, y)} names an unknown arrow")
-            if amap[y].target != amap[x].source:
-                raise NotComposable(f"relation {relation_text(x, y)} is not a composable 2-path")
+                # the first bad relation in name order, whatever the hash seed
+                raise _first_bad_item(quiver.vertex_list, quiver.arrows, self.relation_list)[2]
 
     @cached_property
     def relation_list(self) -> tuple[tuple[ArrowId, ArrowId], ...]:
@@ -446,12 +477,12 @@ class SkewedGentleTriple(Record):
 
     def __init__(self, pair: BoundQuiver, special: frozenset[VertexId] = frozenset(),
                  name: str = "Q"):
-        unknown = special - pair.quiver.vertices
-        if unknown:
-            raise UnknownVertex(f"special vertices {sorted(unknown)} not in quiver")
         _set(self, "pair", pair)
         _set(self, "special", special)
         _set(self, "name", name)
+        if not special <= pair.quiver.vertices:
+            # the first unknown special vertex in name order
+            raise _first_bad_item(pair.quiver.vertex_list, (), (), self.special_list)[2]
 
     @cached_property
     def special_list(self) -> tuple[VertexId, ...]:

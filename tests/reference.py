@@ -16,6 +16,9 @@ count of the package, and is not part of it: no command needs it.
 * ``construction_payload``: the JSON payload of a bound quiver, Q^g or
   Q^sg as a dict, which ``json.dumps(..., sort_keys=True, indent=2)``
   writes as ``report_json`` must write the object.
+* ``first_unresolved_item``: the message and place of the first item of a
+  well-formed text that does not resolve, each rule checked item by item in
+  written order, as the reader once checked them after the model.
 """
 
 from itertools import chain, starmap
@@ -31,6 +34,7 @@ from skewgentle import (
     SgPresentation,
     construct,
 )
+from skewgentle.dsl import _Parser, _span
 
 
 def relation_free_paths(bq):
@@ -184,3 +188,53 @@ def construction_payload(x, name="Q"):
         "arrows": [{"name": n, "source": src, "target": tgt} for n, src, tgt in sorted(arrows)],
         "relations": [_relation(r) for r in sorted(relations)],
     }
+
+
+def first_unresolved_item(text):
+    """``(message, span)`` of the first item of the well-formed ``text``
+    that does not resolve, or None when every item resolves.  Statements are
+    checked in the order vertices, arrows, relations, special, and items in
+    the order written."""
+    parser = _Parser(text)
+    _, stmts = parser.file()
+
+    def error(message, kind, index):
+        return message, _span(text, parser.firsts[kind][index])
+
+    vertices = set()
+    for i, v in enumerate(stmts["vertices"]):
+        if v in vertices:
+            return error(f"vertex {v!r} declared twice", "vertices", i)
+        vertices.add(v)
+
+    arrow_ends = {}
+    for i, (a, src, tgt) in enumerate(stmts.get("arrows", ())):
+        if a in arrow_ends:
+            return error(f"arrow {a!r} declared twice", "arrows", i)
+        if src not in vertices:
+            return error(f"arrow {a!r} starts at unknown vertex {src!r}", "arrows", i)
+        if tgt not in vertices:
+            return error(f"arrow {a!r} ends at unknown vertex {tgt!r}", "arrows", i)
+        arrow_ends[a] = (src, tgt)
+
+    relations = set()
+    for i, (x, y) in enumerate(stmts.get("relations", ())):
+        for arrow in (x, y):
+            if arrow not in arrow_ends:
+                return error(f"relation names unknown arrow {arrow!r}", "relations", i)
+        if arrow_ends[y][1] != arrow_ends[x][0]:
+            return error(f"relation {x}*{y} is not composable: "
+                         f"t({y}) = {arrow_ends[y][1]!r} but s({x}) = {arrow_ends[x][0]!r}",
+                         "relations", i)
+        if (x, y) in relations:
+            return error(f"relation {x}*{y} declared twice", "relations", i)
+        relations.add((x, y))
+
+    special = set()
+    for i, v in enumerate(stmts.get("special", ())):
+        if v not in vertices:
+            return error(f"special names unknown vertex {v!r}", "special", i)
+        if v in special:
+            return error(f"special vertex {v!r} declared twice", "special", i)
+        special.add(v)
+    return None

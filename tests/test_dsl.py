@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from skewgentle import (
     Arrow,
     BoundQuiver,
-    DuplicateName,
     IntegrityError,
     ParseError,
     SkewedGentleTriple,
@@ -21,6 +20,8 @@ from skewgentle import (
 )
 from skewgentle import dsl
 from skewgentle.dsl import _Parser, _read, _span, _tokenize
+
+from reference import first_unresolved_item
 
 FIX_A2_TEXT = (
     "quiver A { vertices: 1, 2; special: 2; "
@@ -89,15 +90,12 @@ def test_parse_missing_vertices():
         parse("quiver C { vertices: ; }")
 
 
-def test_item_checks_run_only_when_the_model_rejects():
-    with mock.patch.object(dsl, "_diagnose", side_effect=AssertionError("diagnosed")):
+def test_token_parser_runs_only_when_the_text_is_rejected():
+    # the token parser is the diagnostic pass: a valid text never builds it
+    with mock.patch.object(dsl, "_Parser", side_effect=AssertionError("token parser")):
         assert parse(FIX_A2_TEXT) == hand_built_a2()
-        with pytest.raises(AssertionError, match="diagnosed"):
+        with pytest.raises(AssertionError, match="token parser"):
             parse("quiver C { vertices: 1; special: 1, 1; }")
-    # when the item checks find nothing, the model's own error stands
-    with mock.patch.object(dsl, "_diagnose", return_value=None):
-        with pytest.raises(DuplicateName, match="vertex '1' declared twice"):
-            parse("quiver C { vertices: 1, 1; }")
 
 
 def test_parse_error_carries_span():
@@ -380,6 +378,66 @@ def test_parse_matches_token_parser_on_edge_cases(text):
     _assert_parse_matches_reference(text)
 
 
+# The faults a well-formed text can hold, each one bad item put into a list.
+_FAULTS = ("vertex twice", "arrow twice", "relation twice", "special twice",
+           "dangling endpoint", "unknown arrow", "not composable", "unknown special")
+
+
+@st.composite
+def _faulty_texts(draw):
+    """A ``random_triple`` written as ``serialize`` writes it, with its
+    statements in any order and one to three bad items put into its lists."""
+    t = random_triple(draw(st.integers(0, 10_000)), 6, 7)
+    vertices = list(t.pair.quiver.vertex_list)
+    arrows = [(a.name, a.source, a.target) for a in t.pair.quiver.arrows]
+    relations, special = sorted(t.pair.relations), list(t.special_list)
+    uncomposable = [(x, y) for x, start, _ in arrows for y, _, end in arrows if end != start]
+    faults = [f for f in _FAULTS
+              if (f != "arrow twice" or arrows) and (f != "relation twice" or relations)
+              and (f != "special twice" or special) and (f != "not composable" or uncomposable)]
+    vertex = st.sampled_from(vertices)
+    for fault in draw(st.lists(st.sampled_from(faults), min_size=1, max_size=3)):
+        if fault == "vertex twice":
+            items, item = vertices, draw(vertex)
+        elif fault == "arrow twice":
+            items, item = arrows, (draw(st.sampled_from(arrows))[0], draw(vertex), draw(vertex))
+        elif fault == "relation twice":
+            items, item = relations, draw(st.sampled_from(relations))
+        elif fault == "special twice":
+            items, item = special, draw(st.sampled_from(special))
+        elif fault == "dangling endpoint":
+            ends = [draw(vertex), "nowhere"]
+            if draw(st.booleans()):
+                ends.reverse()
+            items, item = arrows, (f"d{len(arrows)}", *ends)
+        elif fault == "unknown arrow":
+            known = draw(st.sampled_from([a[0] for a in arrows] or ["nothing"]))
+            items, item = relations, draw(st.sampled_from([(known, "gone"), ("gone", known)]))
+        elif fault == "not composable":
+            items, item = relations, draw(st.sampled_from(uncomposable))
+        else:
+            items, item = special, "nowhere"
+        items.insert(draw(st.integers(0, len(items))), item)
+    statements = {
+        "vertices": ", ".join(vertices),
+        "special": ", ".join(special),
+        "arrows": ", ".join(f"{a}: {src} -> {tgt}" for a, src, tgt in arrows),
+        "relations": ", ".join(f"{x}*{y}" for x, y in relations),
+    }
+    order = draw(st.permutations(list(statements)))
+    return f"quiver {t.name} {{ " + " ".join(f"{k}: {statements[k]};" for k in order) + " }"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_faulty_texts())
+def test_parse_reports_the_first_fault_in_written_order(text):
+    # several faults in one text pin the order: statements by kind, items as written
+    with pytest.raises(IntegrityError) as raised:
+        parse(text)
+    message, span = first_unresolved_item(text)
+    assert (raised.value.args[0], raised.value.span) == (message, span)
+
+
 # Long texts of about 200 kB that a reader trying an item at every position,
 # or a backtracking pattern, would take minutes over.
 _LONG = 200_000
@@ -392,6 +450,15 @@ _ADVERSARIAL = {
     "arrows ending without a target": (
         "quiver Q { vertices: 1; arrows: "
         + ", ".join(f"a{i}: 1 -> 1" for i in range(_LONG // 14)) + ", z: 1 -> ; }"),
+    # well-formed texts whose one bad item comes last
+    "many arrows, then a relation naming an unknown arrow": (
+        "quiver Q { vertices: 1; arrows: "
+        + ", ".join(f"a{i}: 1 -> 1" for i in range(14000)) + "; relations: a0*z; }"),
+    "many vertices, then one twice": (
+        "quiver Q { vertices: " + "".join(f"v{i}, " for i in range(20000)) + "v0; }"),
+    "many vertices and specials, then an unknown special": (
+        "quiver Q { vertices: " + ", ".join(f"v{i}" for i in range(20000))
+        + "; special: " + "".join(f"v{i}, " for i in range(20000)) + "z; }"),
 }
 
 

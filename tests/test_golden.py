@@ -33,6 +33,7 @@ byte of the output.  To record the tables again after a deliberate output change
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -41,8 +42,21 @@ import pytest
 
 from conftest import FIXTURES
 
-from skewgentle import parse, random_triple, serialize
+from skewgentle import (
+    Arrow,
+    BoundQuiver,
+    DanglingEndpoint,
+    DuplicateName,
+    NotComposable,
+    SkewedGentleTriple,
+    UnknownVertex,
+    build_quiver,
+    parse,
+    random_triple,
+    serialize,
+)
 from skewgentle.cli import run
+from skewgentle.dsl import _Parser
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = {p.stem: p for p in sorted([*FIXTURES.glob("*.q"), *GOLDEN.glob("*.q")])}
@@ -149,6 +163,32 @@ def test_parse_error_diagnostic(name, tmp_path):
 def test_parse_error_table_covers_every_case():
     recorded = json.loads((GOLDEN / "parse_errors.json").read_text(encoding="utf-8"))
     assert set(recorded) == set(PARSE_ERRORS)
+
+
+# The integrity cases of PARSE_ERRORS that the model itself rejects, with the
+# class it raises; a relation or special vertex written twice is parse's own
+# check, as the model holds both as sets.
+MODEL_REJECTS = {
+    "vertex_twice": DuplicateName,
+    "arrow_twice": DuplicateName,
+    "arrow_unknown_source": DanglingEndpoint,
+    "arrow_unknown_target": DanglingEndpoint,
+    "relation_unknown_arrow": UnknownVertex,
+    "relation_not_composable": NotComposable,
+    "special_unknown_vertex": UnknownVertex,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_REJECTS))
+def test_constructors_say_what_the_cli_says(name):
+    # the same lists through the constructors: the same words, without the place
+    _, stmts = _Parser(PARSE_ERRORS[name]).file()
+    expected = json.loads((GOLDEN / "parse_errors.json").read_text(encoding="utf-8"))[name]
+    with pytest.raises(MODEL_REJECTS[name]) as raised:
+        quiver = build_quiver(stmts["vertices"], [Arrow(*a) for a in stmts.get("arrows", ())])
+        pair = BoundQuiver(quiver, frozenset(stmts.get("relations", ())))
+        SkewedGentleTriple(pair, frozenset(stmts.get("special", ())))
+    assert re.sub(r"^parse error: \d+:\d+: ", "", expected["stderr"]) == f"{raised.value}\n"
 
 
 GENERATED_SEEDS = range(60)

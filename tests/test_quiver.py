@@ -36,6 +36,11 @@ def test_build_quiver_single_vertex():
     assert q.vertices == {"1"} and q.arrows == ()
 
 
+def test_build_quiver_reads_iterators():
+    a = Arrow("a", "1", "2")
+    assert build_quiver(iter(["1", "2"]), iter([a])) == build_quiver(["1", "2"], [a])
+
+
 def test_build_quiver_dangling_endpoint():
     with pytest.raises(DanglingEndpoint):
         build_quiver(["1", "2"], [Arrow("x", "1", "3")])
@@ -107,19 +112,24 @@ def test_path_length_bound(fix_a, fix_b):
 
 
 _BAD_RELATIONS = """
-from skewgentle import Arrow, BoundQuiver, build_quiver
+from skewgentle import Arrow, BoundQuiver, SkewedGentleTriple, build_quiver
 q = build_quiver("1234", [Arrow("a", "1", "2"), Arrow("b", "2", "3"),
                           Arrow("c", "3", "4"), Arrow("d", "4", "1")])
 try:
     BoundQuiver(q, frozenset({("c", "d"), ("z", "a"), ("b", "c"), ("a", "q"), ("a", "b")}))
 except Exception as e:
     print(type(e).__name__, e)
+try:
+    SkewedGentleTriple(BoundQuiver(q), frozenset({"x", "9", "1", "y", "10"}))
+except Exception as e:
+    print(type(e).__name__, e)
 """
 
 
 def test_first_bad_relation_in_name_order_whatever_the_hash_seed():
-    # three non-composable relations and two with an unknown arrow: a set's
-    # iteration order follows the string hash, the report must not
+    # three non-composable relations and two with an unknown arrow, then four
+    # unknown special vertices: a set's iteration order follows the string
+    # hash, the report must not
     src = str(FsPath(skewgentle.__file__).parents[1])
     messages = set()
     for seed in range(8):
@@ -127,7 +137,8 @@ def test_first_bad_relation_in_name_order_whatever_the_hash_seed():
         done = subprocess.run([sys.executable, "-c", _BAD_RELATIONS], env=env,
                               capture_output=True, text=True, check=True)
         messages.add(done.stdout)
-    assert messages == {"NotComposable relation a*b is not a composable 2-path\n"}
+    assert messages == {"NotComposable relation a*b is not composable: t(b) = '3' but s(a) = '1'\n"
+                        "UnknownVertex special names unknown vertex '10'\n"}
 
 
 _VALIDATE_JSON = """

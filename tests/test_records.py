@@ -19,6 +19,7 @@ from skewgentle import (
     SingularityDescriptor,
     SkewedGentleTriple,
     SourceSpan,
+    UnknownVertex,
     ValidationReport,
     Violation,
     build_invariant_report,
@@ -132,7 +133,7 @@ def test_constructor_checks_raise():
     q = build_quiver(["1", "2"], [a, b])
     with pytest.raises(NotComposable):
         BoundQuiver(q, frozenset({("a", "b")}))
-    with pytest.raises(Exception, match="special vertices"):
+    with pytest.raises(UnknownVertex, match="special names unknown vertex '9'"):
         SkewedGentleTriple(BoundQuiver(q), frozenset({"9"}))
 
 
