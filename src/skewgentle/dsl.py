@@ -16,12 +16,22 @@ A well-formed file is read one statement at a time, after its comments are
 removed (no token holds a ``#``).  A statement ends at its first ``;`` (no
 token holds one either), and one ``split`` over a pattern for one item reads
 its items; the statement is well formed exactly when no text is left between
-them.  An item may start only at the start of the list or right after a
+them.  An item pattern reads an identifier with the plain class
+``[A-Za-z0-9_][A-Za-z0-9_+-]*``, not with ``_IDENT``, which will not take a
+``-`` that starts ``->``.  Both read the same items: in an item an
+identifier is followed by blanks and then ``:``, ``->``, ``*``, ``,`` or the
+end of the list, none of which starts with ``>``, so a match in which the
+plain class takes a ``-`` before a ``>`` fails at the next character, and
+where ``_IDENT`` stops before ``->`` the plain class gives back just that
+``-``.  An item may start only at the start of the list or right after a
 ``,``, so a failed match is tried again only after the next ``,``, and every
-attempt stops at the next ``,``: reading takes time linear in the text,
-whatever the text.  Without that anchor ``split`` would try an item at every
-position, each attempt reading to the end of a long identifier, which is
-quadratic.
+attempt stops at the next ``,``.  Within an attempt no repeat is nested in
+another: a greedy run of one class, identifier or blanks, is given back one
+character at a time, and at most one of its lengths is followed by what the
+pattern needs next, so each run is given back once at most.  Reading takes
+time linear in the text, whatever the text.  Without that anchor ``split``
+would try an item at every position, each attempt reading to the end of a
+long identifier, which is quadratic.
 
 Each integrity rule and its message is written once, in
 ``quiver._first_bad_item``.  The model checks a read file as it is built,
@@ -39,6 +49,7 @@ returns a structurally equal triple.
 from __future__ import annotations
 
 import re
+from itertools import starmap
 
 from .errors import DuplicateName, IntegrityError, ParseError, SkewGentleError
 from .quiver import (
@@ -86,10 +97,14 @@ _ITEM = {  # "@" stands for an identifier
 # it (none after the last item).  It starts only at the start of the list or
 # right after a ",", so split tries no other position beyond one look back;
 # a list is well formed exactly when split leaves no text between its items.
+# Its identifiers are read by the plain class _NAME, which, unlike _IDENT,
+# also takes a "-" before a ">": the items read are the same (see the module
+# docstring), and the class is quicker to match than _IDENT's group.
+_NAME = r"[A-Za-z0-9_][A-Za-z0-9_+\-]*"
 _ITEM_RE = {
     kind: re.compile(
-        rf"(?:^|(?<=,)){_BLANKS}{item}{_BLANKS}(?:,(?!\Z)|\Z)"
-        .replace("(@)", f"({_IDENT})").replace("@", _BLANKS))
+        rf"(?<![^,]){_BLANKS}{item}{_BLANKS}(?:,(?!\Z)|\Z)"
+        .replace("(@)", f"({_NAME})").replace("@", _BLANKS))
     for kind, item in _ITEM.items()
 }
 
@@ -243,7 +258,7 @@ def _read(text: str):
 def parse(text: str) -> SkewedGentleTriple:
     """Parse a triple exactly as written; only referential integrity is checked."""
     name, stmts = _read(text) or _Parser(text).file()
-    arrows = [Arrow(*a) for a in stmts.get("arrows", ())]
+    arrows = list(starmap(Arrow, stmts.get("arrows", ())))
     relations, special = stmts.get("relations", []), stmts.get("special", [])
     relation_set, special_set = frozenset(relations), frozenset(special)
     try:
@@ -270,18 +285,19 @@ def serialize(t: SkewedGentleTriple) -> str:
     """Canonical single-line form: fixed statement order, sorted identifiers."""
     q = t.pair.quiver
     return _serialized(t.name, q.vertex_list, t.special_list,
-                       [(a.name, a.source, a.target) for a in q.arrows], t.pair.relations)
+                       [(a.name, a.source, a.target) for a in q.arrows],
+                       sorted(starmap(relation_text, t.pair.relations)))
 
 
 def _serialized(name, vertices, special, arrows, relations) -> str:
     """The canonical form of a pair given as plain names: ``vertices`` and
     ``special`` sorted, ``arrows`` (name, source, target) sorted by name, and
-    ``relations`` name pairs in any order."""
+    ``relations`` written ``x*y`` and sorted."""
     _require_ident(name, "quiver name")
     for v in vertices:
         _require_ident(v, "vertex")
     arrows = ", ".join(f"{_require_ident(a, 'arrow')}: {src} -> {tgt}" for a, src, tgt in arrows)
-    relations = ", ".join(sorted(relation_text(x, y) for x, y in relations))
+    relations = ", ".join(relations)
     return (
         f"quiver {name} {{ vertices: {', '.join(vertices)}; special: {', '.join(special)}; "
         f"arrows: {arrows}; relations: {relations}; }}"

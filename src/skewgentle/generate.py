@@ -9,14 +9,17 @@ the sampled special set), and that part rejects most draws.  Over seeds
 0-299 the first attempt is kept for 21%, 14% and 10% of seeds at
 (max_vertices, max_arrows) = (6, 7), (8, 11) and (12, 16); the mean is 4.1,
 7.1 and 8.3 attempts, and the worst 24, 46 and 44 of the RETRY_BUDGET of 64.
-The retry draws from the same seeded stream, which keeps the whole
-procedure reproducible.
+So each draw is decided by the verdict of ``validate_skewed_gentle`` alone,
+from counts and one walk, and a draw thrown away costs no Q^sp and no
+report: the report is made for the triple returned only.  The retry draws
+from the same seeded stream, which keeps the whole procedure reproducible.
 """
 
 from __future__ import annotations
 
 import random
 
+from . import validate
 from .errors import GenerationExhausted
 from .quiver import Arrow, BoundQuiver, SkewedGentleTriple, build_quiver
 
@@ -98,7 +101,8 @@ def random_triple(seed: int, max_vertices: int, max_arrows: int) -> SkewedGentle
     rng = random.Random(seed)
     for _ in range(RETRY_BUDGET):
         triple = _attempt(rng, max_vertices, max_arrows)
-        if triple.validation.skewed_gentle:
+        if validate._is_skewed_gentle(triple):
+            triple.validation  # the report, made once and kept on the triple
             return triple
     raise GenerationExhausted(
         f"no skewed-gentle triple for seed {seed} within {RETRY_BUDGET} attempts"

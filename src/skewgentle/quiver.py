@@ -7,6 +7,9 @@ arrow applied first, so ``t(a_i) = s(a_{i-1})`` for i = 2..r, the source of
 
 Every rule that names and endpoints resolve, with its message, lives in
 ``_first_bad_item``; the constructors raise its error, ``dsl.parse`` places it.
+The constructors first check the whole input (names distinct, endpoints
+among the vertices, each relation composable, special vertices among the
+vertices) and run ``_first_bad_item`` only on a fault, to name it.
 
 Bound quivers and triples are immutable, so what is derived from them is
 kept on them as cached properties: a bound quiver's relation index, its
@@ -23,15 +26,16 @@ are read off its free threads.
 
 A bound quiver is decided gentle from counts, in ``gentle_index``: SB1
 from the arrows out of and into each vertex, G1 from ``dict(relations)``
-and its inverse, compared by size, and SB2 in one pass over the arrows,
-which also builds the arrow-successor graph, as each arrow of a gentle pair
-has at most one successor.  So a gentle pair builds no index of arrows by
-end and no relation index.  Only a pair the decision rejects runs the
+and its inverse, compared by size, and SB2 at each vertex with two arrows
+in and in one pass over the arrows, which also builds the arrow-successor
+graph, as each arrow of a gentle pair has at most one successor.  So a
+gentle pair builds no index of arrows by end and no relation index.  Only a pair the decision rejects runs the
 witness pass, ``validate._gentle_witnesses``, on that general index
 (``_grouped``), which stays linear also when one arrow has many relation
 partners.  The relations are sorted only to name the first bad one and
 where an output lists them.  The walk of a successor graph follows a run of
-single successors without a stack entry per arrow.  Full relation cycles
+single successors without a stack entry per arrow, and finishes an arrow
+without successors as soon as it reaches it.  Full relation cycles
 and spset's rings are read off one linear walk, ``_chain_cycles``.
 
 Every value type of the package is a ``Record``: a plain class that lists
@@ -79,7 +83,7 @@ def relation_text(x: ArrowId, y: ArrowId) -> str:
 
 
 _set = object.__setattr__  # how a record's __init__ sets its fields
-_by_name = attrgetter("name")
+_by_name, _source, _target = attrgetter("name"), attrgetter("source"), attrgetter("target")
 
 
 class Record:
@@ -123,12 +127,17 @@ class Arrow(Record):
     __slots__ = ("name", "source", "target")
 
     def __init__(self, name: ArrowId, source: VertexId, target: VertexId):
-        _set(self, "name", name)
-        _set(self, "source", source)
-        _set(self, "target", target)
+        _set_name(self, name)
+        _set_source(self, source)
+        _set_target(self, target)
 
     def __repr__(self):
         return f"{self.name}: {self.source} -> {self.target}"
+
+
+# An arrow is made for each arrow of every file read, so its fields are set
+# through the slots' own setters, which skip object.__setattr__'s lookup.
+_set_name, _set_source, _set_target = (getattr(Arrow, f).__set__ for f in Arrow.__slots__)
 
 
 class Quiver(Record):
@@ -249,10 +258,13 @@ def _first_bad_item(vertices, arrows, relations=(), special=()):
 def build_quiver(vertices, arrows) -> Quiver:
     """Validate and freeze a quiver; raises for the first bad item in the order given."""
     vertices, arrows = tuple(vertices), tuple(arrows)  # each is read twice
-    bad = _first_bad_item(vertices, arrows)
-    if bad is not None:
-        raise bad[2]
-    return Quiver(frozenset(vertices), arrows)
+    vertex_set = frozenset(vertices)
+    if (len(vertex_set) < len(vertices) or "" in vertex_set
+            or len(set(map(_by_name, arrows))) < len(arrows)
+            or not vertex_set.issuperset(map(_source, arrows))
+            or not vertex_set.issuperset(map(_target, arrows))):
+        raise _first_bad_item(vertices, arrows)[2]
+    return Quiver(vertex_set, arrows)
 
 
 class BoundQuiver(Record):
@@ -297,29 +309,37 @@ class BoundQuiver(Record):
         arrow-successor graph.
 
         SB1 reads the counts, and G1 ``dict(relations)`` and its inverse,
-        compared by size.  SB2 takes one pass over the arrows: given G1, an
-        arrow a has as many free successors as arrows out of t(a), less one
-        for its relation partner after it, which starts there, and as many
-        free predecessors as arrows into s(a), less one for its partner
-        before it.  The pass keeps a's one free successor, if any: with no
+        compared by size.  Given G1, an arrow has as many free predecessors
+        as arrows into its source, less one for its relation partner before
+        it, so SB2 on that side asks, of each vertex with two arrows in,
+        that every arrow out has a partner before it.  Likewise an arrow a
+        has as many free successors as arrows out of t(a), less one for its
+        partner after it, which starts there: one pass over the arrows
+        checks that side and keeps a's one free successor, if any; with no
         partner, that is the tuple of ``outs`` itself."""
         arrows = self.quiver.arrows
-        ins = Counter([a.target for a in arrows])
+        ins = Counter(map(_target, arrows))
         if max(ins.values(), default=0) > 2:
             return None
         outs = {}
         for a in arrows:
-            out = outs.get(a.source)
+            source = a.source
+            out = outs.get(source)
             if out is None:
-                outs[a.source] = (a.name,)
+                outs[source] = (a.name,)
             elif len(out) == 1:
-                outs[a.source] = (*out, a.name)
+                outs[source] = (out[0], a.name)
             else:
                 return None
         before = dict(self.relations)
         after = dict(zip(before.values(), before))
         if len(after) < len(self.relations):
             return None
+        for v, k in ins.items():
+            if k == 2:
+                for g in outs.get(v, ()):
+                    if g not in before:
+                        return None
         succ = {}
         for a in arrows:
             name = a.name
@@ -331,8 +351,6 @@ class BoundQuiver(Record):
                 succ[name] = out
             else:
                 succ[name] = out[1:] if out[0] == x else out[:1]
-            if ins[a.source] - (name in before) > 1:
-                return None
         return outs, ins, before, succ
 
     @cached_property
@@ -429,13 +447,16 @@ def _walk(graph) -> tuple[tuple[ArrowId, ...] | None, list[ArrowId]]:
     single successors is followed directly and, once its end is done,
     finishes at once, last node first.  A node without successors lies on
     no cycle and finishes as soon as it is reached, without a trail entry.
+    The trail and the forks are empty between starts, so they are made once
+    for the whole walk, and a start without successors costs no list.
     """
     state = dict.fromkeys(graph, 0)  # 0 unvisited, 1 on the trail, 2 done
     order: list[ArrowId] = []
+    trail, forks = [], []  # forks: (trail length after a fork, its iterator)
     for start in sorted(graph):
         if state[start]:
             continue
-        trail, forks, node = [], [], start  # forks: (trail length after a fork, its iterator)
+        node = start
         while node is not None:
             mark = state[node]
             if not mark:
@@ -462,7 +483,8 @@ def _walk(graph) -> tuple[tuple[ArrowId, ...] | None, list[ArrowId]]:
                 del trail[at:]
                 done.reverse()
                 order += done
-                state.update(dict.fromkeys(done, 2))
+                for done_node in done:
+                    state[done_node] = 2
                 if rest is not None:
                     node = next(rest, None)
                     if node is None:

@@ -124,22 +124,27 @@ _first = itemgetter(0)
 
 
 def _pair_rows(x):
-    """The vertices, arrows (name, source, target) and relations of a bound
-    quiver or of Q^g, each sorted: an arrow by its name, which is distinct."""
+    """The vertices, arrows (name, source, target) and relations written
+    out of a bound quiver or of Q^g, each sorted: an arrow by its name,
+    which is distinct.  Q^g's relations are sorted by their text, which
+    orders them as their name pairs do, as "*" sorts below every character
+    of an identifier, and compares strings instead of tuples."""
     if isinstance(x, GPresentation):
         return (sorted(chain.from_iterable(x.lifts.values())), sorted(x.arrows, key=_first),
-                sorted(x.relations.items()))
+                sorted(starmap(relation_text, x.relations.items())))
     if isinstance(x, BoundQuiver):
-        return x.quiver.vertex_list, list(map(_arrow_fields, x.quiver.arrows)), x.relation_list
+        return (x.quiver.vertex_list, list(map(_arrow_fields, x.quiver.arrows)),
+                list(starmap(relation_text, x.relation_list)))
     raise TypeError(f"cannot render {type(x).__name__}")
 
 
 def _sg_view(p: SgPresentation):
     """The arrows, the zero relations written out and the comm relations, in
-    output order: an arrow by its name, which is distinct, and a comm
-    relation by its plus side, which determines it."""
+    output order: an arrow by its name, which is distinct, a zero relation
+    by its text, as in ``_pair_rows``, and a comm relation by its plus side,
+    which determines it."""
     return (sorted(p.arrows, key=_first),
-            list(starmap(relation_text, sorted(p.zero_relations))),
+            sorted(starmap(relation_text, p.zero_relations)),
             sorted(p.comm_relations, key=_first))
 
 
@@ -306,11 +311,11 @@ def _object(fields) -> str:
 
 def _pair_json(name: str, vertices, arrows, relations) -> str:
     """A pair from its sorted vertices, arrow rows (name, source, target)
-    and relation pairs."""
+    and relations written out."""
     return _object((
         ("arrows", _row_list(_PAIR_ARROW, len(arrows), chain.from_iterable(arrows))),
         ("name", _str(name)),
-        ("relations", _json(list(starmap(relation_text, relations)), "  ")),
+        ("relations", _json(relations, "  ")),
         ("vertices", _json(vertices, "  ")),
     ))
 
@@ -358,7 +363,7 @@ def to_dot(x, name: str | None = None) -> str:
             # Q^g draws doubled its unsigned vertices, the special ones: the
             # one-name entries of its lift table
             doubled = frozenset(names[0] for names in x.lifts.values() if len(names) == 1)
-        comments = [f"zero: {z}" for z in starmap(relation_text, relations)]
+        comments = [f"zero: {z}" for z in relations]
 
     lines = [f"digraph {_dot_quote(name)} {{"]
     lines += [f"  // {comment}" for comment in comments]

@@ -100,14 +100,12 @@ def validate_skewed_gentle(t: SkewedGentleTriple) -> ValidationReport:
     which subsumes every defect of the base pair.  ``t.validation`` keeps
     the report with the triple; every other check reads it from there.
     """
+    if _is_skewed_gentle(t):
+        # acyclic with the loops' edges, so acyclic without them: (Q, I) is finite too
+        return ValidationReport(special_biserial=True, gentle=True, finite_dimensional=True,
+                                skewed_gentle=True, violations=())
     base = t.pair
     gentle = not base.gentle_violations
-    if gentle:
-        walk = t.admissible_walk
-        # acyclic with the loops' edges, so acyclic without them: (Q, I) is finite too
-        if walk is not None and walk.cycle is None:
-            return ValidationReport(special_biserial=True, gentle=True, finite_dimensional=True,
-                                    skewed_gentle=True, violations=())
     flags = {
         # is_gentle reports the SB violations too: only G1 ones leave the pair special biserial
         "special_biserial": all(v.rule == "G1" for v in base.gentle_violations),
@@ -123,6 +121,17 @@ def validate_skewed_gentle(t: SkewedGentleTriple) -> ValidationReport:
     return ValidationReport(**flags, skewed_gentle=not violations, violations=tuple(violations))
 
 
+def _is_skewed_gentle(t: SkewedGentleTriple) -> bool:
+    """The verdict of ``validate_skewed_gentle`` alone, from counts and one
+    walk: the base pair is gentle by ``gentle_index``, every special vertex
+    passes the local rule, and ``t.admissible_walk`` finds no cycle.  It
+    builds no Q^sp, no walk of the base pair and no report."""
+    if t.pair.gentle_index is None:
+        return False
+    walk = t.admissible_walk
+    return walk is not None and walk.cycle is None
+
+
 def admissible_walk(t: SkewedGentleTriple) -> ArrowWalk | None:
     """The walk that decides a triple with a gentle base pair: of
     ``successors`` plus the edge a -> b of each valency-2 special vertex;
@@ -132,7 +141,8 @@ def admissible_walk(t: SkewedGentleTriple) -> ArrowWalk | None:
     relation through such a vertex, and I1 drops exactly these, so every sg
     and g count reads this walk, and (Q, I1) is not built as a pair.
     """
-    passing = _local_rule(t.pair, t.special_list)
+    # the edges leave distinct arrows, the one into each vertex: their order is no matter
+    passing = _local_rule(t.pair, t.special)
     if len(passing) < len(t.special):
         return None
     return t.pair.walk_with([e for _, e in passing if e])
@@ -148,10 +158,11 @@ def _local_rule(bq: BoundQuiver, vertices) -> list[tuple[str, tuple[str, str] | 
     passing = []
     for v in vertices:
         out = outs.get(v, ())
-        if ins[v] + len(out) <= 1:
+        valency = ins.get(v, 0) + len(out)
+        if valency <= 1:
             passing.append((v, None))
-        elif ins[v] == len(out) == 1 and out[0] in before:
-            passing.append((v, (before[out[0]], out[0])))
+        elif valency == 2 and len(out) == 1 and (b := out[0]) in before:
+            passing.append((v, (before[b], b)))
     return passing
 
 

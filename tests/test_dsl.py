@@ -373,8 +373,46 @@ def test_parse_matches_token_parser(text):
     "quiver Q { vertices: 1; special: 1,,1; }",
     "quiver Q { vertices: 1, 2; arrows: a: 1 -> 2,; }",
     "quiver Q { vertices: 1, 2; arrows: a: 1 -> 2 b: 2 -> 1; }",
+    # the reader's plain identifier class takes a "-" before ">", which no item can hold
+    "quiver Q { vertices: x-, y; arrows: a: x--> y; }",
+    "quiver Q { vertices: x--, y; arrows: a: x---> y; }",
+    "quiver Q { vertices: x, y; arrows: a: x--> y; }",
+    "quiver Q { vertices: x-, y-; arrows: a-: x--->y-, b--: y--->x-; relations: b--*a-; }",
+    "quiver Q { vertices: x; arrows: a: x->x; relations: a*a; }",
+    # a "-" that ends an item
+    "quiver Q { vertices: x-, y--; special: y--; }",
+    "quiver Q { vertices: 1; arrows: a-: 1 -> 1; relations: a-*a-; }",
+    "quiver Q { vertices: 1, 2-; arrows: a: 1 -> 2-, b: 2- -> 1; }",
+    "quiver Q { vertices: 1; special: 1-; }",
+    # a ">" inside an item
+    "quiver Q { vertices: x>y; }",
+    "quiver Q { vertices: x-, y; special: x->y; }",
+    "quiver Q { vertices: x, y; arrows: a: x -> y>; }",
+    "quiver Q { vertices: x, y; arrows: a>b: x -> y; }",
+    "quiver Q { vertices: x, y; arrows: a: x -> -> y; }",
+    "quiver Q { vertices: 1; arrows: a: 1 -> 1; relations: a*>a; }",
+    "quiver Q { vertices: 1; arrows: a: 1 -> 1; relations: a->*a; }",
 ])
 def test_parse_matches_token_parser_on_edge_cases(text):
+    _assert_parse_matches_reference(text)
+
+
+@pytest.mark.parametrize("text,message", [
+    # blanks the grammar does not know, between items: the token parser names the character
+    ("quiver Q { vertices: 1,\x0b2; }", "1:24: unexpected character '\\x0b'"),
+    ("quiver Q { vertices: 1\x0c, 2; }", "1:23: unexpected character '\\x0c'"),
+    ("quiver Q { vertices: 1, 2;\xa0arrows: a: 1 -> 2; }", "1:27: unexpected character '\\xa0'"),
+    ("quiver Q { vertices: 1, 2; arrows: a: 1 -> 2,\x0cb: 2 -> 1; }",
+     "1:46: unexpected character '\\x0c'"),
+    ("quiver Q { vertices: 1; arrows: a: 1 -> 1; relations: a*a,\xa0a*a; }",
+     "1:59: unexpected character '\\xa0'"),
+    ("quiver Q { vertices: 1; special: 1\x0b; }", "1:35: unexpected character '\\x0b'"),
+])
+def test_other_blanks_between_items_are_diagnosed(text, message):
+    with pytest.raises(ParseError) as raised:
+        parse(text)
+    assert str(raised.value) == message
+    assert raised.value.span.length == 1
     _assert_parse_matches_reference(text)
 
 
@@ -446,6 +484,12 @@ _ADVERSARIAL = {
     "long blank run": "quiver Q { vertices: a" + " " * _LONG + "b; }",
     "many a, items": "quiver Q { vertices: " + "a," * (_LONG // 2) + "; }",
     "long minus run before >": "quiver Q { vertices: x; arrows: a: x" + "-" * _LONG + "> x; }",
+    # runs of "-" that no "->" follows, which the reader's identifier class
+    # takes whole and gives back one character at a time
+    "long minus run, no >": "quiver Q { vertices: x; arrows: a: x" + "-" * _LONG + " x; }",
+    "long minus run ending a list": "quiver Q { vertices: x" + "-" * _LONG + " %; }",
+    "many minus runs, no >": (
+        "quiver Q { vertices: x; arrows: " + "a: x----- x, " * (_LONG // 13) + "; }"),
     "many comment lines in a list": "quiver Q { vertices: 1,\n" + "#\n" * (_LONG // 2) + "2; }",
     "arrows ending without a target": (
         "quiver Q { vertices: 1; arrows: "

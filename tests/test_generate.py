@@ -1,3 +1,5 @@
+import hashlib
+import random
 from itertools import combinations
 
 import pytest
@@ -7,6 +9,7 @@ import skewgentle.validate as validate
 from skewgentle import (
     GenerationExhausted,
     random_triple,
+    serialize,
     validate_skewed_gentle,
 )
 
@@ -43,11 +46,38 @@ def test_max_arrows_must_not_be_negative():
         random_triple(1, 3, -1)
 
 
-def test_generation_exhausted(monkeypatch):
-    class Rejecting:
-        skewed_gentle = False
+# sha256 of serialize(random_triple(seed, *size)) for seeds 0-299, a line
+# each: how a draw is decided must not change what is drawn
+_DRAW_DIGESTS = {
+    (6, 7): "2ba097a73866e40c39c5308d238585de4ce87e7550f4f3d68014a006347ab4d5",
+    (8, 11): "95cd270c0a6b2db38cff2a9528fd718cdfeadada799a11e7cf936cd960fffa6d",
+    (12, 16): "20a0f50dcd2883c399d5d40dbf4878118b66339672aa0aa4ade66c5de4091924",
+}
 
-    monkeypatch.setattr(validate, "validate_skewed_gentle", lambda t: Rejecting())
+
+@pytest.mark.parametrize("size", sorted(_DRAW_DIGESTS))
+def test_draws_are_pinned(size):
+    text = "".join(serialize(random_triple(seed, *size)) + "\n" for seed in range(300))
+    assert hashlib.sha256(text.encode()).hexdigest() == _DRAW_DIGESTS[size]
+
+
+def test_each_attempt_is_decided_as_the_definition_decides_it():
+    # the verdict a draw is kept or thrown away by, against (Q^sp, I^sp)
+    # gentle and finite dimensional, on attempts of every outcome
+    kept = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        for _ in range(10):
+            t = generate._attempt(rng, 8, 11)
+            sp = t.sp_pair
+            expected = not sp.gentle_violations and sp.walk.cycle is None
+            assert validate._is_skewed_gentle(t) == expected, seed
+            kept += expected
+    assert 200 < kept < 2800, kept
+
+
+def test_generation_exhausted(monkeypatch):
+    monkeypatch.setattr(validate, "_is_skewed_gentle", lambda t: False)
     with pytest.raises(GenerationExhausted):
         generate.random_triple(0, 3, 3)
 

@@ -308,3 +308,27 @@ def test_json_output_runs_no_python_encoder(monkeypatch, argv):
 
     assert made == []
     assert json.loads(out.getvalue())["name"].startswith("A")
+
+
+def test_relation_texts_sort_as_their_name_pairs():
+    # the renderers sort Q^sg's zero relations and Q^g's relations by their
+    # text: on identifiers, and on the names lifted from them, "*" sorts
+    # below every name character, so the order is that of the name pairs
+    from itertools import starmap
+
+    from skewgentle.quiver import relation_text
+
+    lists = 0
+    for seed in range(300):
+        t = random_triple(seed, 8, 11)
+        for pairs in (t.sg_presentation.zero_relations, t.g_presentation.relations.items()):
+            assert (sorted(starmap(relation_text, pairs))
+                    == list(starmap(relation_text, sorted(pairs)))), seed
+            lists += len(pairs) > 1
+    # names that are prefixes of others, and lifted names ending in + and -
+    text = ("quiver P { vertices: 1, 2, 3; arrows: a: 1 -> 2, ab: 1 -> 2,"
+            " b: 2 -> 3, b_: 2 -> 3; relations: b*a, b_*ab; }")
+    t = parse(text)
+    for pairs in (t.sg_presentation.zero_relations, t.g_presentation.relations.items()):
+        assert sorted(starmap(relation_text, pairs)) == list(starmap(relation_text, sorted(pairs)))
+    assert lists > 300, lists

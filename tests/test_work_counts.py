@@ -7,7 +7,8 @@ commutativity flips, takes no quotient step without them and about one find
 step per junction, paths are listed only where the output lists them, every
 sg and g count reads the verdict's walk of (Q, I1), Q^g is held as its
 lift rows and never as a pair, its arrow rows made only where they are
-read, valid text is parsed without tokens, source positions are computed
+read, valid text is parsed without tokens and without the per-item
+integrity rules, source positions are computed
 only for a diagnostic, a pair's relations are checked once, each lift
 table is made once per triple and split, a valid command's pairs
 are decided gentle from their counts, with no witness pass and no index of
@@ -97,15 +98,20 @@ def _count_builds(monkeypatch, properties):
 
 
 def test_a_drawn_triple_keeps_its_verdict(monkeypatch):
-    decisions = _count_calls(monkeypatch, validate.validate_skewed_gentle)
+    verdicts = _count_calls(monkeypatch, validate._is_skewed_gentle)
+    reports = _count_calls(monkeypatch, validate.validate_skewed_gentle)
 
     t = generate.random_triple(7, 8, 11)  # drawn at the 7th attempt
     assert t.validation.skewed_gentle
 
-    # one decision per attempt; the drawn triple's is the one it keeps
-    drawn = [arg for arg, _ in decisions]
-    assert len(drawn) == 7 and drawn[-1] is t
-    assert sum(arg is t for arg in drawn) == 1
+    # one verdict per attempt, and one report, made for the drawn triple
+    # (whose verdict it reads again) before it is returned, and kept on it
+    [(reported, _)] = reports
+    assert reported is t
+    drawn = [arg for arg, _ in verdicts]
+    assert len(drawn) == 8 and drawn[6] is drawn[7] is t
+    assert sum(arg is t for arg in drawn) == 2
+    assert [accepted for _, accepted in verdicts] == [False] * 6 + [True, True]
 
 
 @pytest.mark.parametrize("name,valid", [("fixtures/fix_a2.q", True), ("golden/bad_g1.q", False)])
@@ -508,6 +514,25 @@ def test_relations_checked_once_per_pair(monkeypatch, argv, pairs):
     assert run(argv, out=io.StringIO(), err=io.StringIO()) == 0
 
     assert len(made) == pairs
+
+
+def test_a_valid_parse_runs_no_item_rule(monkeypatch):
+    # the constructors check whole sets and run the per-item rules only to
+    # name a fault
+    item_checks = _count_calls(monkeypatch, quiver._first_bad_item)
+    texts = [fixture_path(name).read_text(encoding="utf-8")
+             for name in ("fix_a.q", "fix_a2.q", "fix_b.q", "fix_c.q", "fix_d.q")]
+    texts += [dsl.serialize(generate.random_triple(seed, 8, 11)) for seed in range(100)]
+    texts.append(dsl.serialize(special_line(300)))
+
+    for text in texts:
+        dsl.parse(text)
+
+    assert item_checks == []
+    # a fault: the model names it, then parse names the first in written order
+    with pytest.raises(ParseError, match="arrow 'b' ends at unknown vertex '3'"):
+        dsl.parse("quiver Q { vertices: 1, 2; arrows: a: 1 -> 2, b: 2 -> 3; }")
+    assert len(item_checks) == 2
 
 
 @pytest.mark.parametrize("argv,tables", [
