@@ -23,7 +23,6 @@ from .cycles import (
     full_cycles,
     gldim_flags,
     lift_cycles,
-    sign_sequences,
 )
 from .dsl import SourceSpan, parse, serialize
 from .errors import (
@@ -62,7 +61,6 @@ from .validate import (
     ValidationReport,
     Violation,
     admissible_special_sets,
-    is_gentle,
     validate_skewed_gentle,
 )
 

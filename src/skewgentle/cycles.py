@@ -5,39 +5,35 @@ a1 ... an, no arrow repeated, in which every consecutive pair (and the wrap
 pair) is a relation.  Because each arrow has at most one relation partner
 on each side, these cycles are the disjoint cycles of a partial injection
 on arrows and every arrow lies on at most one of them, read off the
-shared linear walk ``quiver._chain_cycles``.
+shared linear walk ``quiver._chain_cycles``.  A cycle holds what is
+printed: its arrows and its parity, that of the number of special junction
+vertices it passes, counted with multiplicity.
 
 The singularity descriptor is the multiset of positive shift integers, one
 factor D^b(k)/[n] per cycle of length n; the skewed-gentle algebra has the
 base pair's (Chen-Lu).  Over the associated gentle pair, an even base cycle
-(even number of special junction vertices, counted with multiplicity)
 contributes its length twice; an odd cycle contributes its doubled length
 once.  ``gldim_flags`` checks this against the cycles of the lifted
-relations of (Q^g, I^g), read with no arrow of Q^g made.
+relations of (Q^g, I^g), read with no arrow of Q^g made, and those cycles
+against the sign lifts of the base cycles, whose rule ``lift_cycles`` holds.
 """
 
 from __future__ import annotations
 
-from .construct import _require_valid
+from operator import attrgetter
+
 from .errors import InternalInconsistency, NotGentle
-from .quiver import BoundQuiver, Quiver, Record, SkewedGentleTriple, _chain_cycles, _set
+from .quiver import BoundQuiver, Record, SkewedGentleTriple, _chain_cycles, _set
 
 
 class CycleClass(Record):
-    """One cycle in canonical rotation (lexicographically smallest sequence).
+    """A cycle in canonical rotation (least arrow first) and its parity, "even" or "odd"."""
 
-    ``parity`` is "even" or "odd" and ``sigma`` and ``tau`` are the signs for
-    positions 2..n, all set when a special set is known.
-    """
+    __slots__ = ("arrows", "parity")
 
-    __slots__ = ("arrows", "parity", "sigma", "tau")
-
-    def __init__(self, arrows: tuple[str, ...], parity: str | None = None,
-                 sigma: tuple[str, ...] | None = None, tau: tuple[str, ...] | None = None):
+    def __init__(self, arrows: tuple[str, ...], parity: str):
         _set(self, "arrows", arrows)
         _set(self, "parity", parity)
-        _set(self, "sigma", sigma)
-        _set(self, "tau", tau)
 
     @property
     def length(self) -> int:
@@ -66,60 +62,48 @@ def _canonical_rotation(arrows: tuple[str, ...]) -> tuple[str, ...]:
     return arrows[k:] + arrows[:k]
 
 
-def sign_sequences(quiver: Quiver, arrows, special) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Prefix-parity signs (sigma, tau) for positions 2..n of a path.
-
-    sigma_i is "+" when the prefix a1 ... ai passes through an even number
-    of special vertices, where passing through counts the junctions t(a_j)
-    for j = 2..i; tau_i is the opposite sign.
-    """
-    amap = quiver.arrow_map
-    sigma, tau = [], []
-    count = 0
-    for name in list(arrows)[1:]:
-        if amap[name].target in special:
-            count += 1
-        sigma.append("+" if count % 2 == 0 else "-")
-        tau.append("-" if count % 2 == 0 else "+")
-    return tuple(sigma), tuple(tau)
-
-
-def full_cycles(bq: BoundQuiver, special=None) -> set[CycleClass]:
-    """All full repetition-free relation cycles of a gentle pair."""
+def full_cycles(bq: BoundQuiver, special=frozenset()) -> set[CycleClass]:
+    """All full repetition-free relation cycles of a gentle pair, with their
+    parities over ``special``."""
     if bq.gentle_violations or bq.walk.cycle is not None:
         raise NotGentle("full_cycles needs a gentle finite-dimensional pair: "
                         f"{list(bq.gentle_violations)}")
-    follower = dict(bq.relations)  # y follows x in the written sequence
-    return {_classify(bq.quiver, _canonical_rotation(tuple(arrows)), special)
-            for arrows in _chain_cycles(follower)}
+    return set(_relation_cycles(bq, special))
 
 
-def _classify(quiver, arrows, special):
-    if special is None:
-        return CycleClass(arrows)
-    junctions = sum(1 for name in arrows if quiver.arrow_map[name].target in special)
-    sigma, tau = sign_sequences(quiver, arrows, special)
-    return CycleClass(arrows, "even" if junctions % 2 == 0 else "odd", sigma, tau)
+def _relation_cycles(bq: BoundQuiver, special) -> tuple[CycleClass, ...]:
+    """The cycles of a pair known gentle, by arrows: one linear walk of
+    ``dict(relations)``, in which y follows x in the written sequence."""
+    amap = bq.quiver.arrow_map
+    cycles = [CycleClass(_canonical_rotation(tuple(arrows)),
+                         "odd" if sum(amap[a].target in special for a in arrows) % 2 else "even")
+              for arrows in _chain_cycles(dict(bq.relations))]
+    return tuple(sorted(cycles, key=attrgetter("arrows")))
 
 
-def lift_cycles(t: SkewedGentleTriple) -> set[CycleClass]:
-    """Full cycles of (Q^g, I^g), produced from the base cycles by sign lifts.
-
-    An even base cycle a1 ... an yields the two cycles a1+ a2^s2 ... an^sn
-    and a1- a2^t2 ... an^tn; an odd one yields the single doubled cycle
-    a1+ a2^s2 ... an^sn a1- a2^t2 ... an^tn.
+def lift_cycles(t: SkewedGentleTriple) -> set[tuple[str, ...]]:
+    """Full cycles of (Q^g, I^g) as canonical arrow tuples, the sign lifts
+    of the base cycles.  The sign s_i of a_i, i = 2..n, is "+" when t(a_2)
+    ... t(a_i) hold an even number of special vertices, and t_i is the
+    other sign.  An even base cycle a1 ... an yields the two cycles
+    a1+ a2^s2 ... an^sn and a1- a2^t2 ... an^tn; an odd one yields the
+    single doubled cycle a1+ a2^s2 ... an^sn a1- a2^t2 ... an^tn.
     """
-    _require_valid(t)
+    amap, special = t.pair.quiver.arrow_map, t.special
     lifted = set()
     for cycle in t.cycles:
-        names = cycle.arrows
-        plus = [names[0] + "+"] + [n + s for n, s in zip(names[1:], cycle.sigma)]
-        minus = [names[0] + "-"] + [n + s for n, s in zip(names[1:], cycle.tau)]
+        first, *rest = cycle.arrows
+        plus, minus = [first + "+"], [first + "-"]
+        odd = False
+        for name in rest:
+            odd ^= amap[name].target in special
+            plus.append(name + ("-" if odd else "+"))
+            minus.append(name + ("+" if odd else "-"))
         if cycle.parity == "even":
-            lifted.add(CycleClass(_canonical_rotation(tuple(plus))))
-            lifted.add(CycleClass(_canonical_rotation(tuple(minus))))
+            lifted.add(_canonical_rotation(tuple(plus)))
+            lifted.add(_canonical_rotation(tuple(minus)))
         else:
-            lifted.add(CycleClass(_canonical_rotation(tuple(plus + minus))))
+            lifted.add(_canonical_rotation(tuple(plus + minus)))
     return lifted
 
 
@@ -129,7 +113,6 @@ def descriptor_gentle(bq: BoundQuiver) -> SingularityDescriptor:
 
 def descriptor_g(t: SkewedGentleTriple) -> SingularityDescriptor:
     """Descriptor of the associated gentle algebra, from base cycle parities."""
-    _require_valid(t)
     shifts = []
     for cycle in t.cycles:
         if cycle.parity == "even":
@@ -153,9 +136,8 @@ def gldim_flags(t: SkewedGentleTriple) -> dict[str, bool]:
     by ``build_g_presentation``.
     """
     formula = descriptor_g(t)
-    g_cycles = {CycleClass(_canonical_rotation(tuple(arrows)))
-                for arrows in _chain_cycles(t.g_partners[0])}
-    direct = SingularityDescriptor.of(c.length for c in g_cycles)
+    g_cycles = {_canonical_rotation(tuple(arrows)) for arrows in _chain_cycles(t.g_partners[0])}
+    direct = SingularityDescriptor.of(map(len, g_cycles))
     if formula != direct:
         raise InternalInconsistency(
             f"g descriptor of {t.name!r} from cycle parities {list(formula.shifts)} "
@@ -163,9 +145,9 @@ def gldim_flags(t: SkewedGentleTriple) -> dict[str, bool]:
         )
     lifted = lift_cycles(t)
     if lifted != g_cycles:
-        odd_one = min(lifted ^ g_cycles, key=lambda c: c.arrows)
+        odd_one = min(lifted ^ g_cycles)
         where = ("a lift of a base cycle, not a cycle of (Q^g, I^g)" if odd_one in lifted
                  else "a cycle of (Q^g, I^g), not a lift of a base cycle")
-        raise InternalInconsistency(f"g cycle {list(odd_one.arrows)} of {t.name!r} is {where}")
+        raise InternalInconsistency(f"g cycle {list(odd_one)} of {t.name!r} is {where}")
     base = not t.cycles
     return {"gentle": base, "sg": base, "g": direct.is_trivial}

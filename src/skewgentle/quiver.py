@@ -17,7 +17,9 @@ arrow-successor graph with the one walk of it that decides finiteness and
 orders it for counting, and its gentle check; a triple's validation with
 its one walk of the arrow-successor graph of (Q, I1), its two lift tables,
 Q^g's relations as their partner maps, its three constructions and its
-cycles.
+cycles.  The constructions of Q^sg and Q^g and the cycles need a valid
+triple, whose verdict has decided the base pair gentle and finite, so the
+cycles are read with no walk of the base pair.
 Each is computed at most once per object and dies with it.  Relation-free
 paths are counted and listed off a walk (``ArrowWalk``), not off a pair:
 the base pair's, or the verdict's walk for (Q, I1), which is never built as
@@ -29,10 +31,11 @@ from the arrows out of and into each vertex, G1 from ``dict(relations)``
 and its inverse, compared by size, and SB2 at each vertex with two arrows
 in and in one pass over the arrows, which also builds the arrow-successor
 graph, as each arrow of a gentle pair has at most one successor.  So a
-gentle pair builds no index of arrows by end and no relation index.  Only a pair the decision rejects runs the
-witness pass, ``validate._gentle_witnesses``, on that general index
-(``_grouped``), which stays linear also when one arrow has many relation
-partners.  The relations are sorted only to name the first bad one and
+gentle pair builds no index of arrows by end and no relation index.  Only
+a pair the decision rejects runs the witness pass, which
+``gentle_violations`` calls and keeps, ``validate._gentle_witnesses``, on
+that general index (``_grouped``), which stays linear also when one arrow
+has many relation partners.  The relations are sorted only to name the first bad one and
 where an output lists them.  The walk of a successor graph follows a run of
 single successors without a stack entry per arrow, and finishes an arrow
 without successors as soon as it reaches it.  Full relation cycles
@@ -366,25 +369,15 @@ class BoundQuiver(Record):
         """The one walk of the arrow-successor graph, successors in name order."""
         return ArrowWalk.of(self.quiver, self.successors)
 
-    def walk_with(self, edges) -> ArrowWalk:
-        """The walk of the arrow-successor graph once each edge a -> b in
-        ``edges`` is added to it; this pair's own ``walk`` when there is none."""
-        if not edges:
-            return self.walk
-        graph = dict(self.successors)
-        for a, b in edges:
-            graph[a] = (*graph[a], b)
-        return ArrowWalk.of(self.quiver, graph)
-
     @cached_property
     def gentle_violations(self) -> tuple[Violation, ...]:
-        """The violations ``is_gentle`` reports, found once; empty when
-        gentle, and then without its witness pass."""
+        """The gentle violations, found once: empty when the counted decision
+        accepts the pair, else the witness pass ``validate._gentle_witnesses``."""
         if self.gentle_index is not None:
             return ()
-        from .validate import is_gentle  # deferred: validate imports this module
+        from .validate import _gentle_witnesses  # deferred: validate imports this module
 
-        return tuple(is_gentle(self)[1])
+        return tuple(_gentle_witnesses(self))
 
 
 def _successors(bq: BoundQuiver) -> dict[ArrowId, tuple[ArrowId, ...]]:
@@ -576,10 +569,13 @@ class SkewedGentleTriple(Record):
 
     @cached_property
     def cycles(self) -> tuple[CycleClass, ...]:
-        """Full relation cycles of the base pair with their parities, by arrows."""
-        from .cycles import full_cycles
+        """Full relation cycles of the base pair with their parities, by arrows;
+        needs a valid triple, whose verdict has decided the base pair gentle and finite."""
+        from .construct import _require_valid
+        from .cycles import _relation_cycles
 
-        return tuple(sorted(full_cycles(self.pair, self.special), key=lambda c: c.arrows))
+        _require_valid(self)
+        return _relation_cycles(self.pair, self.special)
 
 
 def successor_order(walk: ArrowWalk) -> tuple[Arrow, ...]:

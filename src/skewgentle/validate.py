@@ -40,16 +40,6 @@ class ValidationReport(Record):
         _set(self, "violations", violations)
 
 
-def is_gentle(bq: BoundQuiver) -> tuple[bool, list[Violation]]:
-    """Whether ``bq`` is gentle, with its violations: the counted decision
-    (``BoundQuiver.gentle_index``), and the witness pass only for a pair it
-    rejects.  ``bq.gentle_violations`` keeps the answer."""
-    if bq.gentle_index is not None:
-        return True, []
-    violations = _gentle_witnesses(bq)
-    return not violations, violations
-
-
 def _gentle_witnesses(bq: BoundQuiver) -> list[Violation]:
     """One pass: SB1 over the vertices, then SB2 and G1 over the arrows;
     the violations come out SB1, then SB2 by arrow, then G1 by arrow.
@@ -107,7 +97,7 @@ def validate_skewed_gentle(t: SkewedGentleTriple) -> ValidationReport:
     base = t.pair
     gentle = not base.gentle_violations
     flags = {
-        # is_gentle reports the SB violations too: only G1 ones leave the pair special biserial
+        # the witnesses hold SB violations too: only G1 ones leave the pair special biserial
         "special_biserial": all(v.rule == "G1" for v in base.gentle_violations),
         "gentle": gentle,
         "finite_dimensional": base.walk.cycle is None,
@@ -142,10 +132,17 @@ def admissible_walk(t: SkewedGentleTriple) -> ArrowWalk | None:
     and g count reads this walk, and (Q, I1) is not built as a pair.
     """
     # the edges leave distinct arrows, the one into each vertex: their order is no matter
-    passing = _local_rule(t.pair, t.special)
+    base = t.pair
+    passing = _local_rule(base, t.special)
     if len(passing) < len(t.special):
         return None
-    return t.pair.walk_with([e for _, e in passing if e])
+    edges = [e for _, e in passing if e]
+    if not edges:  # the graph of (Q, I1) is the base pair's: one walk for both
+        return base.walk
+    graph = dict(base.successors)
+    for a, b in edges:
+        graph[a] = (*graph[a], b)
+    return ArrowWalk.of(base.quiver, graph)
 
 
 def _local_rule(bq: BoundQuiver, vertices) -> list[tuple[str, tuple[str, str] | None]]:

@@ -13,6 +13,9 @@ count of the package, and is not part of it: no command needs it.
   per node on the trail, as ``quiver._walk`` must walk it.
 * ``build_g_pair``: (Q^g, I^g) built as a bound quiver from its lift rows,
   which decides its own gentleness and walks its own graph.
+* ``sign_sequences`` and ``lift_cycles``: the prefix-parity signs (sigma,
+  tau) of a path, and the sign lifts of a triple's base cycles built from
+  them, as the package once kept them on each cycle.
 * ``construction_payload``: the JSON payload of a bound quiver, Q^g or
   Q^sg as a dict, which ``json.dumps(..., sort_keys=True, indent=2)``
   writes as ``report_json`` must write the object.
@@ -127,6 +130,50 @@ def build_g_pair(t):
     vertices = frozenset(chain.from_iterable(t.g_lifts.values()))
     relations = frozenset(construct.lift_relations_to_g(t))
     return BoundQuiver(Quiver(vertices, starmap(Arrow, arrows)), relations)
+
+
+def sign_sequences(quiver, arrows, special):
+    """Prefix-parity signs (sigma, tau) for positions 2..n of a path.
+
+    sigma_i is "+" when the prefix a1 ... ai passes through an even number
+    of special vertices, where passing through counts the junctions t(a_j)
+    for j = 2..i; tau_i is the opposite sign.
+    """
+    amap = quiver.arrow_map
+    sigma, tau = [], []
+    count = 0
+    for name in list(arrows)[1:]:
+        if amap[name].target in special:
+            count += 1
+        sigma.append("+" if count % 2 == 0 else "-")
+        tau.append("-" if count % 2 == 0 else "+")
+    return tuple(sigma), tuple(tau)
+
+
+def _rotated(arrows):
+    k = arrows.index(min(arrows))
+    return arrows[k:] + arrows[:k]
+
+
+def lift_cycles(t):
+    """The full cycles of (Q^g, I^g) as sign lifts of the base cycles, each
+    as its arrows in canonical rotation: an even base cycle a1 ... an gives
+    a1+ a2^s2 ... an^sn and a1- a2^t2 ... an^tn, an odd one the doubled
+    cycle a1+ a2^s2 ... an^sn a1- a2^t2 ... an^tn, (s, t) its signs.  The
+    parity is counted here: that of the arrows of the cycle that end at a
+    special vertex."""
+    amap = t.pair.quiver.arrow_map
+    lifted = set()
+    for cycle in t.cycles:
+        names = cycle.arrows
+        sigma, tau = sign_sequences(t.pair.quiver, names, t.special)
+        plus = [names[0] + "+"] + [n + s for n, s in zip(names[1:], sigma)]
+        minus = [names[0] + "-"] + [n + s for n, s in zip(names[1:], tau)]
+        if sum(amap[n].target in t.special for n in names) % 2 == 0:
+            lifted |= {_rotated(tuple(plus)), _rotated(tuple(minus))}
+        else:
+            lifted.add(_rotated(tuple(plus + minus)))
+    return lifted
 
 
 def walk(graph):

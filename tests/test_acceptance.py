@@ -103,7 +103,7 @@ def test_criterion_5_lift_cycle_equivalence():
     triples = all_fixture_triples() + _random_suite(200)
     mismatches = 0
     for t in triples:
-        lifted = sorted(c.arrows for c in lift_cycles(t))
+        lifted = sorted(lift_cycles(t))
         direct = sorted(c.arrows for c in full_cycles(build_g_pair(t)))
         if lifted != direct:
             mismatches += 1

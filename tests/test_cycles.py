@@ -3,17 +3,19 @@ import re
 
 import pytest
 
-from conftest import fixture_path
+from conftest import all_fixture_triples, fixture_path, load
 from reference import build_g_pair
+from reference import lift_cycles as reference_lift
+from reference import sign_sequences
 
 from skewgentle import (
     BoundQuiver,
-    CycleClass,
     InternalInconsistency,
     NotGentle,
     NotSkewedGentle,
     SingularityDescriptor,
     SkewedGentleTriple,
+    admissible_special_sets,
     build_invariant_report,
     descriptor_g,
     descriptor_gentle,
@@ -22,7 +24,6 @@ from skewgentle import (
     lift_cycles,
     parse,
     random_triple,
-    sign_sequences,
 )
 from skewgentle.cli import run
 
@@ -32,10 +33,11 @@ def cycle_arrow_sets(cycles):
 
 
 def test_full_cycles_fix_a(fix_a):
+    # a bare pair has no special vertex: its cycles are even
     (c,) = full_cycles(fix_a.pair)
     assert c.arrows == ("a", "b")
     assert c.length == 2
-    assert c.parity is None
+    assert c.parity == "even"
 
 
 def test_full_cycles_fix_b(fix_b):
@@ -54,26 +56,61 @@ def test_full_cycles_requires_gentle(fix_a):
 
 def test_full_cycles_parity(fix_a2, fix_b3):
     (c,) = full_cycles(fix_a2.pair, fix_a2.special)
-    assert c.parity == "odd" and c.sigma == ("+",) and c.tau == ("-",)
+    assert c.parity == "odd"
     (c,) = full_cycles(fix_b3.pair, fix_b3.special)
-    assert c.parity == "odd" and c.sigma == ("+", "-") and c.tau == ("-", "+")
+    assert c.parity == "odd"
 
 
-def test_sign_sequences_examples(fix_a2, fix_b3):
-    sigma, tau = sign_sequences(fix_a2.pair.quiver, ("a", "b"), fix_a2.special)
-    assert sigma == ("+",) and tau == ("-",)
-    sigma, tau = sign_sequences(fix_b3.pair.quiver, ("a", "g", "b"), fix_b3.special)
-    assert sigma == ("+", "-") and tau == ("-", "+")
-    sigma, tau = sign_sequences(fix_b3.pair.quiver, ("a", "g", "b"), frozenset())
-    assert sigma == ("+", "+") and tau == ("-", "-")
+def _triple(name, special):
+    t = load(f"{name}.q")
+    return t if special is None else SkewedGentleTriple(t.pair, special, t.name)
+
+
+# Worked examples of the sign rule: a fixture, its special set (None for
+# its own), its base cycle and that cycle's signs (sigma, tau).
+SIGN_EXAMPLES = [
+    ("fix_a2", None, ("a", "b"), ("+",), ("-",)),
+    ("fix_b3", None, ("a", "g", "b"), ("+", "-"), ("-", "+")),
+    ("fix_b3", frozenset(), ("a", "g", "b"), ("+", "+"), ("-", "-")),
+]
+
+
+def _lift_cases():
+    """The sign examples, every fixture, and ``random_triple`` seeds 0-299
+    at (8, 11), each with the first six of its admissible special sets."""
+    for name, special, _, _, _ in SIGN_EXAMPLES:
+        yield _triple(name, special)
+    yield from all_fixture_triples()
+    for seed in range(300):
+        t = random_triple(seed, 8, 11)
+        for special in admissible_special_sets(t.pair)[:6]:
+            yield SkewedGentleTriple(t.pair, frozenset(special), f"{t.name}/{seed}")
+
+
+def test_sign_sequences_examples():
+    # the reference rule on its worked examples, which lift_cycles follows
+    for name, special, cycle, sigma, tau in SIGN_EXAMPLES:
+        t = _triple(name, special)
+        assert [c.arrows for c in t.cycles] == [cycle]
+        assert sign_sequences(t.pair.quiver, cycle, t.special) == (sigma, tau)
+        assert lift_cycles(t) == reference_lift(t), name
+
+
+def test_lift_cycles_follow_the_reference_sign_rule():
+    cases = 0
+    for t in _lift_cases():
+        assert lift_cycles(t) == reference_lift(t), (t.name, t.special_list)
+        cases += 1
+    assert cases > 1000
 
 
 def test_sign_sequences_give_paths_in_g(fix_a2, fix_b3):
     # the signed lift of any base path must compose inside Q^g
     for t in (fix_a2, fix_b3):
         amap = build_g_pair(t).quiver.arrow_map
-        for cycle in full_cycles(t.pair, t.special):
-            for head, signs in (("+", cycle.sigma), ("-", cycle.tau)):
+        for cycle in t.cycles:
+            sigma, tau = sign_sequences(t.pair.quiver, cycle.arrows, t.special)
+            for head, signs in (("+", sigma), ("-", tau)):
                 names = [cycle.arrows[0] + head] + [
                     n + s for n, s in zip(cycle.arrows[1:], signs)
                 ]
@@ -82,26 +119,26 @@ def test_sign_sequences_give_paths_in_g(fix_a2, fix_b3):
 
 
 def test_lift_cycles_fix_a2(fix_a2):
-    assert cycle_arrow_sets(lift_cycles(fix_a2)) == {("a+", "b+", "a-", "b-")}
+    assert lift_cycles(fix_a2) == {("a+", "b+", "a-", "b-")}
 
 
 def test_lift_cycles_fix_b3(fix_b3):
     (c,) = lift_cycles(fix_b3)
-    assert c.arrows == ("a+", "g+", "b-", "a-", "g-", "b+")
-    assert c.length == 6
+    assert c == ("a+", "g+", "b-", "a-", "g-", "b+")
+    assert len(c) == 6
 
 
 def test_lift_cycles_even_doubling(fix_a):
-    assert cycle_arrow_sets(lift_cycles(fix_a)) == {("a+", "b+"), ("a-", "b-")}
+    assert lift_cycles(fix_a) == {("a+", "b+"), ("a-", "b-")}
 
 
 def test_lifted_pairs_are_g_relations(fix_a, fix_a2, fix_b3):
     for t in (fix_a, fix_a2, fix_b3):
         relations = set(t.g_partners[0].items())
         for cycle in lift_cycles(t):
-            n = cycle.length
+            n = len(cycle)
             for i in range(n):
-                assert (cycle.arrows[i], cycle.arrows[(i + 1) % n]) in relations
+                assert (cycle[i], cycle[(i + 1) % n]) in relations
 
 
 def test_descriptors_fix_a2(fix_a, fix_a2):
@@ -127,6 +164,10 @@ def test_descriptor_rejects_invalid(fix_a):
     bad = SkewedGentleTriple(fix_a.pair, frozenset({"1", "2"}))
     with pytest.raises(NotSkewedGentle):
         descriptor_g(bad)
+    # the cycles of a triple are read only once its verdict accepts it
+    for read in (lambda t: t.cycles, lift_cycles):
+        with pytest.raises(NotSkewedGentle, match=r"triple 'Q' is not skewed-gentle"):
+            read(bad)
 
 
 def test_gldim_flags_examples(fix_a2, fix_b3, fix_c1):
@@ -164,8 +205,7 @@ def test_gldim_flags_compare_the_lifted_cycles_with_the_constructed_pair(fix_a, 
     flip = {"+": "-", "-": "+"}
 
     def last_sign_flipped(t):
-        return {CycleClass(c.arrows[:-1] + (c.arrows[-1][:-1] + flip[c.arrows[-1][-1]],))
-                for c in lift(t)}
+        return {c[:-1] + (c[-1][:-1] + flip[c[-1][-1]],) for c in lift(t)}
 
     monkeypatch.setattr(cycles, "lift_cycles", last_sign_flipped)
     with pytest.raises(InternalInconsistency, match=re.escape(
@@ -173,7 +213,7 @@ def test_gldim_flags_compare_the_lifted_cycles_with_the_constructed_pair(fix_a, 
             "not a cycle of (Q^g, I^g)")):
         gldim_flags(fix_a2)
 
-    monkeypatch.setattr(cycles, "lift_cycles", lambda t: set(sorted(lift(t), key=lambda c: c.arrows)[1:]))
+    monkeypatch.setattr(cycles, "lift_cycles", lambda t: set(sorted(lift(t))[1:]))
     with pytest.raises(InternalInconsistency, match=re.escape(
             "g cycle ['a+', 'b+'] of 'A' is a cycle of (Q^g, I^g), not a lift of a base cycle")):
         gldim_flags(fix_a)
@@ -221,8 +261,6 @@ def test_gldim_flags_need_the_lifted_relations_to_be_a_partial_injection(fix_a2,
 
 
 def test_arrows_lie_on_at_most_one_cycle():
-    from conftest import all_fixture_triples
-
     for t in all_fixture_triples() + [random_triple(s, 6, 7) for s in range(60)]:
         seen = set()
         for c in full_cycles(t.pair, t.special):
@@ -231,16 +269,12 @@ def test_arrows_lie_on_at_most_one_cycle():
 
 
 def test_lift_cycles_match_g_pair_cycles():
-    from conftest import all_fixture_triples
-
     for t in all_fixture_triples() + [random_triple(s, 6, 7) for s in range(60)]:
         direct = full_cycles(build_g_pair(t))
-        assert cycle_arrow_sets(lift_cycles(t)) == cycle_arrow_sets(direct)
+        assert lift_cycles(t) == cycle_arrow_sets(direct)
 
 
 def test_descriptor_sum_and_count_relations():
-    from conftest import all_fixture_triples
-
     for t in all_fixture_triples() + [random_triple(s, 6, 7) for s in range(60)]:
         base = descriptor_gentle(t.pair)
         doubled = descriptor_g(t)
@@ -262,8 +296,6 @@ def test_rotation_invariance(fix_b3):
 
 
 def test_empty_descriptor_iff_acyclic_successor_graph():
-    from conftest import all_fixture_triples
-
     for t in all_fixture_triples() + [random_triple(s, 6, 7) for s in range(40)]:
         nxt = {x: y for x, y in t.pair.relations}
         has_cycle = False

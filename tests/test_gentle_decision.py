@@ -80,7 +80,6 @@ def test_the_decision_is_the_witness_pass_verdict():
     for name, bq in _all_pairs():
         gentle = bq.gentle_index is not None
         assert gentle == (not _witnesses(bq)), name
-        assert validate.is_gentle(bq) == (gentle, _witnesses(bq)), name
         assert bq.gentle_violations == tuple(_witnesses(bq)), name
         verdicts[gentle] += 1
     # both verdicts are well represented

@@ -120,8 +120,10 @@ def test_defaults():
     t = SkewedGentleTriple(bq)
     assert t.special == frozenset()
     assert t.name == "Q"
-    assert CycleClass(("a",)).parity is None
-    assert CycleClass(("a",)).sigma is None and CycleClass(("a",)).tau is None
+    # a cycle's parity has no default: every cycle is classified
+    assert CycleClass._fields == ("arrows", "parity")
+    with pytest.raises(TypeError):
+        CycleClass(("a",))
     report = InvariantReport("Q", ValidationReport(True, True, True, True, ()), (), {}, {})
     assert report.dims is None
 
@@ -154,7 +156,7 @@ def test_reprs():
         "ValidationReport(special_biserial=True, gentle=True, finite_dimensional=True, "
         "skewed_gentle=True, violations=())")
     assert repr(t.cycles[0]) == (
-        "CycleClass(arrows=('a', 'b'), parity='odd', sigma=('+',), tau=('-',))")
+        "CycleClass(arrows=('a', 'b'), parity='odd')")
     assert repr(SingularityDescriptor((4,))) == "SingularityDescriptor(shifts=(4,))"
     assert repr(SourceSpan(1, 2, 3)) == "SourceSpan(line=1, column=2, length=3)"
     assert repr(Arrow("a", "1", "2")) == "a: 1 -> 2"

@@ -16,7 +16,6 @@ from skewgentle import (
     admissible_special_sets,
     build_quiver,
     build_sp_pair,
-    is_gentle,
     parse,
     random_triple,
     validate_skewed_gentle,
@@ -48,8 +47,7 @@ def test_special_biserial_star_fails():
 
 def test_gentle_fixtures(fix_a, fix_b, fix_c):
     for t in (fix_a, fix_b, fix_c):
-        ok, violations = is_gentle(t.pair)
-        assert ok and not violations
+        assert t.pair.gentle_index is not None and t.pair.gentle_violations == ()
 
 
 def test_gentle_fix_d_skeleton(fix_d):
@@ -57,8 +55,7 @@ def test_gentle_fix_d_skeleton(fix_d):
     # this language.  Its zero-relation skeleton is a genuinely different
     # algebra, and that one is gentle: at the branching vertex exactly one
     # of the two compositions is a relation.
-    ok, violations = is_gentle(fix_d.pair)
-    assert ok and not violations
+    assert fix_d.pair.gentle_index is not None and fix_d.pair.gentle_violations == ()
     assert fix_d.pair.walk.cycle is None
 
 
@@ -79,18 +76,16 @@ def _sb2_violator(fix_d):
 
 def test_gentle_g1_violation(fix_d):
     doubled = _g1_violator(fix_d)
-    ok, violations = is_gentle(doubled)
-    assert not ok
-    assert any(v.rule == "G1" and v.items[0] == "al" for v in violations)
+    assert doubled.gentle_index is None
+    assert any(v.rule == "G1" and v.items[0] == "al" for v in doubled.gentle_violations)
 
 
 def test_gentle_sb2_violation(fix_d):
     # dropping the zero relation leaves the branching vertex with two free
     # compositions after al
     dropped = _sb2_violator(fix_d)
-    ok, violations = is_gentle(dropped)
-    assert not ok
-    assert any(v.rule == "SB2" and v.items[0] == "al" for v in violations)
+    assert dropped.gentle_index is None
+    assert any(v.rule == "SB2" and v.items[0] == "al" for v in dropped.gentle_violations)
 
 
 def test_validate_fix_a2(fix_a2):
@@ -140,7 +135,7 @@ def test_empty_special_matches_gentle_check():
         t = random_triple(seed, 5, 6)
         base = SkewedGentleTriple(t.pair, frozenset())
         report = validate_skewed_gentle(base)
-        gentle, _ = is_gentle(t.pair)
+        gentle = not t.pair.gentle_violations
         assert report.skewed_gentle == (gentle and t.pair.walk.cycle is None)
 
 
@@ -217,10 +212,12 @@ def _reference_gentle(bq):
 
 
 def _assert_matches_reference(bq):
-    # special biserial: no violation of is_gentle but G1 ones
-    sb = [v for v in is_gentle(bq)[1] if v.rule != "G1"]
+    # special biserial: no gentle violation but G1 ones
+    violations = list(bq.gentle_violations)
+    sb = [v for v in violations if v.rule != "G1"]
     assert (not sb, sb) == _reference_special_biserial(bq)
-    assert is_gentle(bq) == _reference_gentle(bq)
+    assert (not violations, violations) == _reference_gentle(bq)
+    assert (bq.gentle_index is not None) == (not violations)
 
 
 def test_indexed_checks_match_reference_on_random_triples():

@@ -64,7 +64,7 @@ def _count_calls(monkeypatch, fn):
 def test_one_decision_per_triple(monkeypatch, argv, triples):
     decisions = _count_calls(monkeypatch, validate.validate_skewed_gentle)
     sp_builds = _count_calls(monkeypatch, construct.build_sp_pair)
-    gentle_checks = _count_calls(monkeypatch, validate.is_gentle)
+    gentle_checks = _count_calls(monkeypatch, validate._gentle_witnesses)
     indexes = _count_builds(monkeypatch, [(quiver.Quiver, "outgoing"), (quiver.Quiver, "incoming"),
                                           (quiver.BoundQuiver, "relations_before"),
                                           (quiver.BoundQuiver, "relations_after")])
@@ -118,7 +118,7 @@ def test_a_drawn_triple_keeps_its_verdict(monkeypatch):
 def test_validate_builds_q_sp_only_for_a_failure(monkeypatch, name, valid):
     decisions = _count_calls(monkeypatch, validate.validate_skewed_gentle)
     sp_builds = _count_calls(monkeypatch, construct.build_sp_pair)
-    gentle_checks = _count_calls(monkeypatch, validate.is_gentle)
+    gentle_checks = _count_calls(monkeypatch, validate._gentle_witnesses)
 
     path = Path(__file__).parent / name
     assert run(["validate", str(path)], out=io.StringIO(), err=io.StringIO()) == (0 if valid else 1)
@@ -246,6 +246,10 @@ def test_paths_listed_only_for_the_basis(monkeypatch, argv, bases):
     (["invariants", "FILE"], construct.lift_arrows_to_g, 0),
     (["invariants", "FILE", "--json"], construct.lift_arrows_to_g, 0),
     (["invariants", "FILE", "--dims", "--json"], construct.lift_arrows_to_g, 1),
+    # the verdict's walk alone: the cycles of a valid triple are read with
+    # no walk of the base pair
+    (["invariants", "FILE"], quiver._walk, 1),
+    (["invariants", "FILE", "--json"], quiver._walk, 1),
 ])
 def test_sg_layer_reads_what_the_triple_holds(monkeypatch, argv, fn, calls):
     made = _count_calls(monkeypatch, fn)
