@@ -62,13 +62,14 @@ def _canonical_rotation(arrows: tuple[str, ...]) -> tuple[str, ...]:
     return arrows[k:] + arrows[:k]
 
 
-def full_cycles(bq: BoundQuiver, special=frozenset()) -> set[CycleClass]:
-    """All full repetition-free relation cycles of a gentle pair, with their
-    parities over ``special``."""
+def full_cycles(bq: BoundQuiver) -> set[CycleClass]:
+    """All full repetition-free relation cycles of a gentle pair; a bare pair
+    has no special vertex, so each is even.  A triple's, with their parities
+    over its special set, are ``t.cycles``."""
     if bq.gentle_violations or bq.walk.cycle is not None:
         raise NotGentle("full_cycles needs a gentle finite-dimensional pair: "
                         f"{list(bq.gentle_violations)}")
-    return set(_relation_cycles(bq, special))
+    return set(_relation_cycles(bq, frozenset()))
 
 
 def _relation_cycles(bq: BoundQuiver, special) -> tuple[CycleClass, ...]:

@@ -55,9 +55,11 @@ def test_full_cycles_requires_gentle(fix_a):
 
 
 def test_full_cycles_parity(fix_a2, fix_b3):
-    (c,) = full_cycles(fix_a2.pair, fix_a2.special)
+    # a triple reads its parities over its own special set; full_cycles, for a
+    # bare pair, has none
+    (c,) = fix_a2.cycles
     assert c.parity == "odd"
-    (c,) = full_cycles(fix_b3.pair, fix_b3.special)
+    (c,) = fix_b3.cycles
     assert c.parity == "odd"
 
 
@@ -88,12 +90,12 @@ def _lift_cases():
 
 
 def test_sign_sequences_examples():
-    # the reference rule on its worked examples, which lift_cycles follows
+    # the reference rule on its worked examples; lift_cycles follows it on
+    # them in test_lift_cycles_follow_the_reference_sign_rule
     for name, special, cycle, sigma, tau in SIGN_EXAMPLES:
         t = _triple(name, special)
         assert [c.arrows for c in t.cycles] == [cycle]
         assert sign_sequences(t.pair.quiver, cycle, t.special) == (sigma, tau)
-        assert lift_cycles(t) == reference_lift(t), name
 
 
 def test_lift_cycles_follow_the_reference_sign_rule():
@@ -263,7 +265,7 @@ def test_gldim_flags_need_the_lifted_relations_to_be_a_partial_injection(fix_a2,
 def test_arrows_lie_on_at_most_one_cycle():
     for t in all_fixture_triples() + [random_triple(s, 6, 7) for s in range(60)]:
         seen = set()
-        for c in full_cycles(t.pair, t.special):
+        for c in t.cycles:
             assert not (set(c.arrows) & seen)
             seen.update(c.arrows)
 
@@ -279,7 +281,7 @@ def test_descriptor_sum_and_count_relations():
         base = descriptor_gentle(t.pair)
         doubled = descriptor_g(t)
         assert sum(doubled.shifts) == 2 * sum(base.shifts)
-        cycles = full_cycles(t.pair, t.special)
+        cycles = t.cycles
         evens = sum(1 for c in cycles if c.parity == "even")
         odds = sum(1 for c in cycles if c.parity == "odd")
         assert len(doubled.shifts) == 2 * evens + odds
@@ -287,7 +289,7 @@ def test_descriptor_sum_and_count_relations():
 
 def test_rotation_invariance(fix_b3):
     # classifying the same cycle from any starting arrow gives one class
-    (c,) = full_cycles(fix_b3.pair, fix_b3.special)
+    (c,) = fix_b3.cycles
     from skewgentle.cycles import _canonical_rotation
 
     for k in range(c.length):
