@@ -7,6 +7,7 @@ from .algebra import (
     corner_data,
     dimension,
     dimension_oracle,
+    dimensions,
 )
 from .construct import (
     GPresentation,
@@ -20,6 +21,7 @@ from .cycles import (
     SingularityDescriptor,
     descriptor_g,
     descriptor_gentle,
+    descriptors,
     full_cycles,
     gldim_flags,
     lift_cycles,

@@ -1,13 +1,17 @@
 """Dimensions, normal-form basis, brute-force oracle and corner data of the
-base, sg and g algebras.  Every sg and g count reads ``t.admissible_walk``,
-the walk of (Q, I1): the base pair less its relations through special
-vertices, which is never built as a pair.  The g oracle reads Q^g's lift
-rows, checked gentle and finite, and no pair either."""
+base, sg and g algebras.  A command's counts, the dimensions of
+``invariants --dims`` or the corner numbers of ``reduce``, come from one
+pass, ``quiver.path_sums``, over ``t.admissible_walk``, the walk of (Q, I1):
+the base pair less its relations through special vertices, which is never
+built as a pair.  The base pair's paths are counted in the same pass, along
+its own successors, with no walk of their own.  The g oracle reads Q^g's
+lift rows, checked gentle and finite, and no pair either."""
 
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain
+from operator import mul
 
 from .construct import _require_valid
 from .errors import LimitExceeded, NotSpecial
@@ -16,7 +20,8 @@ from .quiver import (
     Record,
     SkewedGentleTriple,
     _set,
-    count_relation_free_paths,
+    _source,
+    path_sums,
     successor_order,
 )
 
@@ -111,38 +116,58 @@ def longest_relation_free_length(walk: ArrowWalk, special=frozenset()) -> int:
     return longest
 
 
-def _one(vertex) -> int:
-    return 1
+def _dot(weight, arrows, column) -> int:
+    """The sum of ``weight[s(a)] * column[a]`` over ``arrows``, the order
+    ``path_sums`` lists its columns in; with ``weight`` None, every source
+    weighs 1."""
+    if weight is None:
+        return sum(column.values())
+    return sum(map(mul, map(weight.__getitem__, map(_source, arrows)), column.values()))
 
 
-def _counted_dimension(walk: ArrowWalk, weight) -> int:
-    """Trivial paths weigh ``weight(v)``, a nontrivial path p ``weight(s(p)) * weight(t(p))``."""
-    trivial = sum(weight(v) for v in walk.quiver.vertex_list)
-    return trivial + count_relation_free_paths(walk, weight, weight)
+def dimensions(t: SkewedGentleTriple, algebras=("gentle", "sg", "g")) -> dict[str, int]:
+    """K-dimensions of the chosen algebras, "gentle", "sg" or "g", counted
+    in one pass, ``path_sums``, over the verdict's walk of (Q, I1), which
+    reads only the chosen algebras' columns and lift tables.  Each is its
+    trivial paths, one per vertex of the algebra, plus a weighted count of
+    the relation-free paths of a graph:
+    - gentle: the base pair's, each path once.  Its graph is (Q, I1)'s less
+      the edge a -> b at each two-arrow special vertex;
+    - sg: (Q, I1)'s, each end weighing its number of signed names, which is
+      what ``basis`` lists;
+    - g: (Q, I1)'s, each path twice.  Q^g is the sign lift of (Q, I1) and
+      is not built: its arrow-successor graph is two copies of that of
+      (Q, I1), one per sign, since at an ordinary vertex a+ continues only
+      to g+ and a- only to g-, and at a two-arrow special vertex the
+      relations (b+, a-) and (b-, a+) leave only a+ -> b+ and a- -> b-.
+    """
+    _require_valid(t)
+    walk = t.admissible_walk
+    vertices = walk.quiver.vertex_list
+    # each algebra's graph with its paths' weights at the target, and its
+    # trivial paths with its paths' weights at the source (None: 1 at each)
+    columns, ends = [], []
+    for which in algebras:
+        if which == "gentle":
+            columns.append((t.pair.successors, dict.fromkeys(vertices, 1)))
+            ends.append((len(vertices), None))
+        elif which == "sg":
+            signed = {v: len(names) for v, names in t.sg_lifts.items()}
+            columns.append((walk.successors, signed))
+            ends.append((sum(signed.values()), signed))
+        elif which == "g":
+            columns.append((walk.successors, dict.fromkeys(vertices, 2)))
+            ends.append((sum(map(len, t.g_lifts.values())), None))
+        else:
+            raise ValueError(f"unknown algebra {which!r}")
+    arrows = walk.arrows
+    return {which: trivial + _dot(source, arrows, column)
+            for which, (trivial, source), column in zip(algebras, ends, path_sums(walk, columns))}
 
 
 def dimension(t: SkewedGentleTriple, which: str) -> int:
-    """K-dimension of the chosen algebra: "gentle", "sg", or "g".
-
-    Counted, not listed.  For sg an endpoint of a path of (Q, I1) weighs its
-    number of signed names, which is what ``basis`` lists.  Q^g is the sign
-    lift of (Q, I1) and is not built: its arrow-successor graph is two
-    copies of that of (Q, I1), one per sign, since at an ordinary vertex a+
-    continues only to g+ and a- only to g-, and at a two-arrow special
-    vertex the relations (b+, a-) and (b-, a+) leave only a+ -> b+ and
-    a- -> b-.  So each nontrivial path of (Q, I1) lifts to exactly two, and
-    the trivial paths are Q^g's vertices.
-    """
-    _require_valid(t)
-    if which == "gentle":
-        return _counted_dimension(t.pair.walk, _one)
-    if which == "g":
-        paths = count_relation_free_paths(t.admissible_walk, _one, _one)
-        return sum(map(len, t.g_lifts.values())) + 2 * paths
-    if which == "sg":
-        lifts = t.sg_lifts
-        return _counted_dimension(t.admissible_walk, lambda v: len(lifts[v]))
-    raise ValueError(f"unknown algebra {which!r}")
+    """K-dimension of the chosen algebra: "gentle", "sg", or "g"; see ``dimensions``."""
+    return dimensions(t, (which,))[which]
 
 
 def _oracle_presentation(t, which):
@@ -370,28 +395,34 @@ def _corner_basis(t: SkewedGentleTriple, a: str, leaving: bool) -> tuple[BasisPa
 def corner_data(t: SkewedGentleTriple, a: str) -> CornerData:
     """The corner numbers of special vertex ``a``, counted without listing a path.
 
-    Each of M, N and their base-path counts M' and N' is one weighted pass
-    over (Q, I1): weight [v = a] on the side of a, and on the other side
-    the number of signed names of v, or 1.  The trivial path is the only
-    one from a- to a-: a longer one would be relation-free through special
-    a, so its square would be too, and (Q, I1) would have a cycle.  So
-    dim A = dim Gamma - 1 - dim M - dim N.
+    Gamma, M, N and their base-path counts M' and N' come from one counting
+    pass over (Q, I1), ``path_sums``, with three columns over the paths that
+    apply each arrow first: their number, their targets' signed names, and
+    their number that end at a.  Over the arrows out of a, the first sums to
+    M' and the second to M; over all arrows, each source weighing its signed
+    names, the second sums to Gamma less the trivial paths and the third to
+    N; the third sums plainly to N'.  The trivial path is the only one from a- to
+    a-: a longer one would be relation-free through special a, so its
+    square would be too, and (Q, I1) would have a cycle.  So
+    dim A = dim Gamma - 1 - dim M - dim N.  Gamma' is the reduced triple's
+    own count, over its own verdict and walk, the independent side of the
+    identity.
     """
     _require_valid(t)
     if a not in t.special:
         raise NotSpecial(f"vertex {a!r} is not special in {t.name!r}")
-    lifts = t.sg_lifts
-    admissible = t.admissible_walk
-
-    def at_a(v):
-        return int(v == a)
-
-    def signed(v):
-        return len(lifts[v])
-
-    dim_gamma = dimension(t, "sg")
-    dim_m = count_relation_free_paths(admissible, at_a, signed)
-    dim_n = count_relation_free_paths(admissible, signed, at_a)
+    walk = t.admissible_walk
+    vertices = walk.quiver.vertex_list
+    succ = walk.successors
+    at_a = dict.fromkeys(vertices, 0)
+    at_a[a] = 1
+    signed = {v: len(names) for v, names in t.sg_lifts.items()}
+    paths, weighed, to_a = path_sums(walk, [(succ, dict.fromkeys(vertices, 1)), (succ, signed),
+                                            (succ, at_a)])
+    arrows = walk.arrows
+    dim_gamma = sum(signed.values()) + _dot(signed, arrows, weighed)
+    dim_m = _dot(at_a, arrows, weighed)
+    dim_n = _dot(signed, arrows, to_a)
     dim_a = dim_gamma - 1 - dim_m - dim_n
     reduced = SkewedGentleTriple(t.pair, t.special - {a}, name=t.name)
     dim_gamma_prime = dimension(reduced, "sg")
@@ -404,8 +435,8 @@ def corner_data(t: SkewedGentleTriple, a: str) -> CornerData:
         dim_n=dim_n,
         dim_im_phi=dim_m * dim_n,
         # S1 / S2: the admissible base paths leaving / entering a
-        dim_m_prime=count_relation_free_paths(admissible, at_a, _one),
-        dim_n_prime=count_relation_free_paths(admissible, _one, at_a),
+        dim_m_prime=_dot(at_a, arrows, paths),
+        dim_n_prime=sum(to_a.values()),
         identity_holds=dim_gamma_prime == dim_a - dim_m * dim_n,
         triple=t,
     )

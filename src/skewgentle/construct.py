@@ -20,7 +20,9 @@ Q^sg and Q^g are held as plain names, with no record per vertex, arrow or
 relation.  A Q^sg arrow is a (name, base, source, target) tuple, formatted
 once and checked for distinctness, and a comm relation is its two sides as
 name pairs.  Q^g's relations (which the gldim flags read alone) and its
-arrows are lifted by one rule each, as rows; ``build_g_presentation``
+arrows are lifted by one rule each, as rows, with the arrows' signed names
+read from the one table the triple keeps, ``g_arrow_names``;
+``build_g_presentation``
 checks the rows gentle and finite, with no pair built, and counts them.
 """
 
@@ -178,8 +180,7 @@ def lift_relations_to_g(t: SkewedGentleTriple) -> list[tuple[str, str]]:
     _require_valid(t)
     special = t.special
     amap = t.pair.quiver.arrow_map
-    # the two lifts' names of each arrow in a relation, each name made once
-    signed = {a: (a + "+", a + "-") for a in set(chain.from_iterable(t.pair.relations))}
+    signed = t.g_arrow_names
     relations = []
     for x, y in t.pair.relations:
         (x_plus, x_minus), (y_plus, y_minus) = signed[x], signed[y]
@@ -198,10 +199,12 @@ def lift_arrows_to_g(t: SkewedGentleTriple) -> list[tuple[str, str, str]]:
     _require_valid(t)
     # a+ ends at a vertex's first lift and a- at its last: v itself when special
     ends = {v: (names[0], names[-1]) for v, names in t.g_lifts.items()}
+    signed = t.g_arrow_names
     arrows = []
     for a in t.pair.quiver.arrows:
         (src_plus, src_minus), (tgt_plus, tgt_minus) = ends[a.source], ends[a.target]
-        arrows += ((a.name + "+", src_plus, tgt_plus), (a.name + "-", src_minus, tgt_minus))
+        plus, minus = signed[a.name]
+        arrows += ((plus, src_plus, tgt_plus), (minus, src_minus, tgt_minus))
     return arrows
 
 

@@ -13,9 +13,10 @@ The singularity descriptor is the multiset of positive shift integers, one
 factor D^b(k)/[n] per cycle of length n; the skewed-gentle algebra has the
 base pair's (Chen-Lu).  Over the associated gentle pair, an even base cycle
 contributes its length twice; an odd cycle contributes its doubled length
-once.  ``gldim_flags`` checks this against the cycles of the lifted
+once.  ``descriptors`` checks this against the cycles of the lifted
 relations of (Q^g, I^g), read with no arrow of Q^g made, and those cycles
-against the sign lifts of the base cycles, whose rule ``lift_cycles`` holds.
+against the sign lifts of the base cycles, whose rule ``lift_cycles`` holds;
+the gldim flags are read off the checked descriptors.
 """
 
 from __future__ import annotations
@@ -90,16 +91,18 @@ def lift_cycles(t: SkewedGentleTriple) -> set[tuple[str, ...]]:
     a1+ a2^s2 ... an^sn and a1- a2^t2 ... an^tn; an odd one yields the
     single doubled cycle a1+ a2^s2 ... an^sn a1- a2^t2 ... an^tn.
     """
-    amap, special = t.pair.quiver.arrow_map, t.special
+    amap, special, signed = t.pair.quiver.arrow_map, t.special, t.g_arrow_names
     lifted = set()
     for cycle in t.cycles:
         first, *rest = cycle.arrows
-        plus, minus = [first + "+"], [first + "-"]
+        first_plus, first_minus = signed[first]
+        plus, minus = [first_plus], [first_minus]
         odd = False
         for name in rest:
             odd ^= amap[name].target in special
-            plus.append(name + ("-" if odd else "+"))
-            minus.append(name + ("+" if odd else "-"))
+            lifts = signed[name]  # (a+, a-): s_i is a+ past an even prefix
+            plus.append(lifts[odd])
+            minus.append(lifts[not odd])
         if cycle.parity == "even":
             lifted.add(_canonical_rotation(tuple(plus)))
             lifted.add(_canonical_rotation(tuple(minus)))
@@ -123,18 +126,17 @@ def descriptor_g(t: SkewedGentleTriple) -> SingularityDescriptor:
     return SingularityDescriptor.of(shifts)
 
 
-def gldim_flags(t: SkewedGentleTriple) -> dict[str, bool]:
-    """Finiteness of the global dimension for all three algebras: finite
-    exactly when the descriptor is trivial.
+def descriptors(t: SkewedGentleTriple) -> dict[str, SingularityDescriptor]:
+    """The singularity descriptors of the base, sg and g algebras.
 
     gentle and sg share the base cycles (Chen-Lu).  For g, the descriptor
-    from cycle parities must equal the one read off the full cycles of the
-    relations of (Q^g, I^g), as ``lift_relations_to_g`` writes them, and
-    those cycles must be the sign lifts of the base cycles; a difference is
-    an implementation bug.  Only the relations are read, and only their G1
-    is checked, so that their partner map is a partial injection: that
-    (Q^g, I^g) is gentle and finite is checked where its arrows are read,
-    by ``build_g_presentation``.
+    from cycle parities, ``descriptor_g``, must equal the one read off the
+    full cycles of the relations of (Q^g, I^g), as ``lift_relations_to_g``
+    writes them, and those cycles must be the sign lifts of the base
+    cycles; a difference is an implementation bug.  Only the relations are
+    read, and only their G1 is checked, so that their partner map is a
+    partial injection: that (Q^g, I^g) is gentle and finite is checked
+    where its arrows are read, by ``build_g_presentation``.
     """
     formula = descriptor_g(t)
     g_cycles = {_canonical_rotation(tuple(arrows)) for arrows in _chain_cycles(t.g_partners[0])}
@@ -150,5 +152,11 @@ def gldim_flags(t: SkewedGentleTriple) -> dict[str, bool]:
         where = ("a lift of a base cycle, not a cycle of (Q^g, I^g)" if odd_one in lifted
                  else "a cycle of (Q^g, I^g), not a lift of a base cycle")
         raise InternalInconsistency(f"g cycle {list(odd_one)} of {t.name!r} is {where}")
-    base = not t.cycles
-    return {"gentle": base, "sg": base, "g": direct.is_trivial}
+    base = SingularityDescriptor.of(c.length for c in t.cycles)
+    return {"gentle": base, "sg": base, "g": formula}
+
+
+def gldim_flags(found: dict[str, SingularityDescriptor]) -> dict[str, bool]:
+    """Finiteness of the global dimension of each algebra of ``found``, as
+    ``descriptors`` gives them: finite exactly when the descriptor is trivial."""
+    return {which: d.is_trivial for which, d in found.items()}

@@ -16,15 +16,17 @@ kept on them as cached properties: a bound quiver's relation index, its
 arrow-successor graph with the one walk of it that decides finiteness and
 orders it for counting, and its gentle check; a triple's validation with
 its one walk of the arrow-successor graph of (Q, I1), its two lift tables,
-Q^g's relations as their partner maps, its three constructions and its
-cycles.  The constructions of Q^sg and Q^g and the cycles need a valid
-triple, whose verdict has decided the base pair gentle and finite, so the
-cycles are read with no walk of the base pair.
+Q^g's signed arrow names, Q^g's relations as their partner maps, its three
+constructions and its cycles.  The constructions of Q^sg and Q^g, the
+cycles and the counts need a valid triple, whose verdict has decided the
+base pair gentle and finite, so none of them walks the base pair.
 Each is computed at most once per object and dies with it.  Relation-free
-paths are counted and listed off a walk (``ArrowWalk``), not off a pair:
-the base pair's, or the verdict's walk for (Q, I1), which is never built as
-a pair.  Q^g is no pair either: it is held as its lift rows, and its paths
-are read off its free threads.
+paths are counted in one pass, ``path_sums``, over the verdict's walk of
+(Q, I1), which is never built as a pair: the base pair's graph is a
+subgraph of (Q, I1)'s, so its paths are counted in the same pass, along its
+own successors.  They are listed off a walk (``ArrowWalk``) too.  Q^g is no
+pair either: it is held as its lift rows, and its paths are read off its
+free threads.
 
 A bound quiver is decided gentle from counts, in ``gentle_index``: SB1
 from the arrows out of and into each vertex, G1 from ``dict(relations)``
@@ -529,6 +531,12 @@ class SkewedGentleTriple(Record):
         return vertex_lifts(self, self.pair.quiver.vertices - self.special, "Q^g vertex")
 
     @cached_property
+    def g_arrow_names(self) -> dict[ArrowId, tuple[str, str]]:
+        """The names a+ and a- of Q^g's two lifts of each base arrow a, made
+        once: every lift rule of Q^g and of its cycles reads them here."""
+        return {name: (name + "+", name + "-") for name in map(_by_name, self.pair.quiver.arrows)}
+
+    @cached_property
     def sp_pair(self) -> BoundQuiver:
         """(Q^sp, I^sp), as ``build_sp_pair`` makes it."""
         from .construct import build_sp_pair
@@ -588,21 +596,26 @@ def successor_order(walk: ArrowWalk) -> tuple[Arrow, ...]:
     return walk.arrows
 
 
-def count_relation_free_paths(walk: ArrowWalk, source_weight, target_weight) -> int:
-    """Sum of ``source_weight(s(p)) * target_weight(t(p))`` over the nontrivial
-    relation-free paths p of the walk's graph, without building any of them.
-
-    One pass over the arrow-successor graph, successors first: the paths
-    that apply arrow a first weigh F(a) = target_weight(t(a)) plus the sum
-    of F(g) over the successors g of a.
+def path_sums(walk: ArrowWalk, columns) -> list[dict[ArrowId, int]]:
+    """The one counting pass over relation-free paths: for each column
+    ``(successors, weight)``, a graph and a table of vertex weights, the map
+    from each arrow a to F(a) = weight[t(a)] plus F(g) over the successors g
+    of a, the sum of ``weight[t(p)]`` over the paths p of that graph that
+    apply a first.  The walk's order, successors first, is read once and
+    each column is one loop over it, so a column's graph must be the walk's
+    or a subgraph of it, as the base pair's is of (Q, I1)'s.  Each map lists
+    the arrows in that order, so a sum of ``w[s(p)] * weight[t(p)]`` is the
+    dot product of ``w`` at their sources with the map's values.
     """
-    succ = walk.successors
-    weight: dict[ArrowId, int] = {}
-    total = 0
-    for a in successor_order(walk):
-        f = target_weight(a.target)
-        for g in succ[a.name]:
-            f += weight[g]
-        weight[a.name] = f
-        total += source_weight(a.source) * f
-    return total
+    order = successor_order(walk)
+    filled = []
+    for succ, weight in columns:
+        value = {}
+        for a in order:
+            name = a.name
+            f = weight[a.target]
+            for g in succ[name]:
+                f += value[g]
+            value[name] = f
+        filled.append(value)
+    return filled

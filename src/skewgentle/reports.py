@@ -37,14 +37,14 @@ from .algebra import (
     DEFAULT_ORACLE_CAP,
     BasisPath,
     CornerData,
-    dimension,
     dimension_oracle,
+    dimensions,
 )
 from .construct import GPresentation, SgPresentation
 from .cycles import (
     CycleClass,
     SingularityDescriptor,
-    descriptor_g,
+    descriptors,
     gldim_flags,
 )
 from .dsl import _serialized
@@ -71,17 +71,14 @@ class InvariantReport(Record, eq=False):
 
 def build_invariant_report(t: SkewedGentleTriple, with_dims: bool = False,
                            oracle_cap: int = DEFAULT_ORACLE_CAP) -> InvariantReport:
-    """Assemble the full report; with_dims adds the dimensions with two
-    witnesses: the sg oracle, and for the g count over (Q, I1) the count
-    of Q^g's free threads, which checks Q^g's lift rows gentle and finite."""
+    """Assemble the full report; with_dims adds the dimensions, all three
+    from one counting pass, with two witnesses: the sg oracle, and for the
+    g count over (Q, I1) the count of Q^g's free threads, which checks Q^g's
+    lift rows gentle and finite."""
     validation = t.validation
-    cycles = t.cycles
-    base = SingularityDescriptor.of(c.length for c in cycles)
-    # sg is singularity equivalent to the base pair (Chen-Lu): one descriptor
-    descriptors = {"gentle": base, "sg": base, "g": descriptor_g(t)}
     dims = None
     if with_dims:
-        dims = {which: dimension(t, which) for which in ("gentle", "sg", "g")}
+        dims = dimensions(t)
         oracle = dimension_oracle(t, "sg", cap=oracle_cap)
         if oracle != dims["sg"]:
             raise InternalInconsistency(
@@ -92,8 +89,8 @@ def build_invariant_report(t: SkewedGentleTriple, with_dims: bool = False,
             raise InternalInconsistency(
                 f"g dimension {dims['g']} disagrees with Q^g's free threads: {threads}"
             )
-    return InvariantReport(t.name, validation, cycles, descriptors,
-                           gldim_flags(t), dims)
+    found = descriptors(t)
+    return InvariantReport(t.name, validation, t.cycles, found, gldim_flags(found), dims)
 
 
 def descriptor_pretty(d: SingularityDescriptor) -> str:

@@ -19,8 +19,8 @@ from skewgentle import (
     descriptor_gentle,
     dimension,
     dimension_oracle,
+    descriptors,
     full_cycles,
-    gldim_flags,
     lift_cycles,
     parse,
     random_triple,
@@ -179,7 +179,7 @@ def test_criterion_8_gldim_consistency():
     failures = 0
     for t in triples:
         try:
-            gldim_flags(t)
+            descriptors(t)
         except InternalInconsistency:
             failures += 1
         if sum(descriptor_g(t).shifts) != 2 * sum(descriptor_gentle(t.pair).shifts):

@@ -614,6 +614,27 @@ def test_invariants_of_the_20000_cycle_as_a_process(tmp_path):
     assert "gldim_finite: g=no gentle=no sg=no" in result.stdout.splitlines()
 
 
+@pytest.mark.parametrize("argv,lines", [
+    (["dim", "FILE", "--algebra", "gentle"], ["40000"]),
+    (["reduce", "FILE", "--vertex", "v0"],
+     ["dim gamma: 66668", "dim gamma': 66664", "identity: holds"]),
+])
+def test_counts_of_the_20000_cycle_as_a_process(tmp_path, argv, lines):
+    # the console-script gate of CI in tier-1: on the same 20000-cycle, the
+    # base pair's dimension and the corner of v0, each one counting pass
+    # over the verdict's walk (and the reduced triple's own), finish within
+    # 10 s: 2n paths in the base pair, 2n + 4s in the sg algebra with s
+    # special vertices
+    path = tmp_path / "C20000.q"
+    _write_full_relation_cycle(path, 20000, 3)
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    result = subprocess.run([sys.executable, "-m", "skewgentle", *argv],
+                            capture_output=True, text=True, timeout=10)
+    assert (result.returncode, result.stderr) == (0, "")
+    out = result.stdout.splitlines()
+    assert all(line in out for line in lines), out
+
+
 def test_invariants_peak_is_a_multiple_of_its_text(tmp_path):
     # Text `invariants` on the same 20000-cycle (963 kB of text) reads Q^g's
     # lift as plain names, with no pair built.  Its traced peak over the

@@ -19,6 +19,7 @@ from skewgentle import (
     build_invariant_report,
     descriptor_g,
     descriptor_gentle,
+    descriptors,
     full_cycles,
     gldim_flags,
     lift_cycles,
@@ -173,9 +174,9 @@ def test_descriptor_rejects_invalid(fix_a):
 
 
 def test_gldim_flags_examples(fix_a2, fix_b3, fix_c1):
-    assert gldim_flags(fix_a2) == {"gentle": False, "sg": False, "g": False}
-    assert gldim_flags(fix_b3) == {"gentle": False, "sg": False, "g": False}
-    assert gldim_flags(fix_c1) == {"gentle": True, "sg": True, "g": True}
+    assert gldim_flags(descriptors(fix_a2)) == {"gentle": False, "sg": False, "g": False}
+    assert gldim_flags(descriptors(fix_b3)) == {"gentle": False, "sg": False, "g": False}
+    assert gldim_flags(descriptors(fix_c1)) == {"gentle": True, "sg": True, "g": True}
 
 
 def test_gldim_flags_compare_the_g_descriptor_with_the_constructed_pair(fix_a2, monkeypatch):
@@ -193,7 +194,7 @@ def test_gldim_flags_compare_the_g_descriptor_with_the_constructed_pair(fix_a2, 
     monkeypatch.setattr(cycles, "descriptor_g", undoubled)
     with pytest.raises(InternalInconsistency,
                        match=r"from cycle parities \[2\] disagrees with \(Q\^g, I\^g\): \[4\]"):
-        gldim_flags(fix_a2)
+        descriptors(fix_a2)
 
 
 def test_gldim_flags_compare_the_lifted_cycles_with_the_constructed_pair(fix_a, fix_a2,
@@ -213,12 +214,12 @@ def test_gldim_flags_compare_the_lifted_cycles_with_the_constructed_pair(fix_a, 
     with pytest.raises(InternalInconsistency, match=re.escape(
             "g cycle ['a+', 'b+', 'a-', 'b+'] of 'A' is a lift of a base cycle, "
             "not a cycle of (Q^g, I^g)")):
-        gldim_flags(fix_a2)
+        descriptors(fix_a2)
 
     monkeypatch.setattr(cycles, "lift_cycles", lambda t: set(sorted(lift(t))[1:]))
     with pytest.raises(InternalInconsistency, match=re.escape(
             "g cycle ['a+', 'b+'] of 'A' is a cycle of (Q^g, I^g), not a lift of a base cycle")):
-        gldim_flags(fix_a)
+        descriptors(fix_a)
 
 
 def test_invariants_catch_a_lift_rule_with_the_special_middle_case_swapped(monkeypatch):
@@ -259,7 +260,7 @@ def test_gldim_flags_need_the_lifted_relations_to_be_a_partial_injection(fix_a2,
     with pytest.raises(InternalInconsistency, match=re.escape(
             "lifted relations of 'A' are no partial injection: "
             "'a+' lies on one side of two of them")):
-        gldim_flags(fix_a2)
+        descriptors(fix_a2)
 
 
 def test_arrows_lie_on_at_most_one_cycle():

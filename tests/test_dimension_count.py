@@ -34,11 +34,13 @@ from skewgentle import (
 )
 from skewgentle import construct
 from skewgentle.algebra import longest_relation_free_length
-from skewgentle.quiver import count_relation_free_paths
+from skewgentle.quiver import path_sums
 
 
-def _one(v):
-    return 1
+def _path_count(walk):
+    """The number of relation-free paths of the walk's graph, from the counting pass."""
+    (counted,) = path_sums(walk, [(walk.successors, dict.fromkeys(walk.quiver.vertices, 1))])
+    return sum(counted.values())
 
 
 def _pairs(t):
@@ -66,8 +68,7 @@ def _assert_counts_match_enumeration(t):
     assert dimension(t, "sg") == len(basis(t))
     for bq in _pairs(t):
         listed = relation_free_paths(bq)
-        counted = count_relation_free_paths(bq.walk, _one, _one)
-        assert counted == len(listed)
+        assert _path_count(bq.walk) == len(listed)
         assert longest_relation_free_length(bq.walk) == max(map(len, listed), default=0)
     for a in t.special_list:
         corner = corner_data(t, a)
@@ -121,8 +122,7 @@ def test_full_relation_cycle_closed_forms(n, k):
 def test_counts_raise_with_the_finiteness_witness(fix_a):
     free = BoundQuiver(fix_a.pair.quiver, frozenset())
     witness = free.walk.cycle
-    for count in (lambda walk: count_relation_free_paths(walk, _one, _one),
-                  longest_relation_free_length):
+    for count in (_path_count, longest_relation_free_length):
         with pytest.raises(InfiniteDimensional) as caught:
             count(free.walk)
         assert caught.value.witness == witness

@@ -4,10 +4,11 @@ built only for a failure's witnesses or where it is read; each derived pair
 is built once per command, ``spset`` decides no subset through the
 definition and builds no set it drops, the oracle joins paths only at
 commutativity flips, takes no quotient step without them and about one find
-step per junction, paths are listed only where the output lists them, every
-sg and g count reads the verdict's walk of (Q, I1), Q^g is held as its
-lift rows and never as a pair, its arrow rows made only where they are
-read, valid text is parsed without tokens and without the per-item
+step per junction, paths are listed only where the output lists them, a
+command's counts are one pass over the verdict's walk of (Q, I1), Q^g is
+held as its lift rows and never as a pair, its arrow rows made only where
+they are read and its signed arrow names once, a report's g descriptor is
+computed once, valid text is parsed without tokens and without the per-item
 integrity rules, source positions are computed
 only for a diagnostic, a pair's relations are checked once, each lift
 table is made once per triple and split, a valid command's pairs
@@ -29,6 +30,7 @@ from conftest import fixture_path, special_line
 from skewgentle import (
     ParseError,
     algebra,
+    build_invariant_report,
     construct,
     cycles,
     dimension,
@@ -133,6 +135,37 @@ def test_validate_builds_q_sp_only_for_a_failure(monkeypatch, name, valid):
         assert [bq for bq, _ in gentle_checks] == [t.pair, sp]
 
 
+def test_successors_of_a_fan_look_each_partner_up_once():
+    # a: p -> q, k arrows z_i: q -> r_i and every z_i*a zero but z_0*a: q
+    # has k arrows out, so the decision rejects the pair and its successors,
+    # and Q^sp's, are read off the general index, where a has k - 1
+    # partners after it.  Looked up in a set, the k arrows out of q need no
+    # name comparison; scanned in a tuple, about k^2 / 2 per pair.
+    compared = []
+
+    class Name(str):
+        __hash__ = str.__hash__
+
+        def __eq__(self, other):
+            compared.append(self)
+            return str.__eq__(self, other)
+
+    k = 500
+    a, zs = Name("a"), [Name(f"z{i}") for i in range(k)]
+    vertices = ["p", "q", *(f"r{i}" for i in range(k))]
+    arrows = [quiver.Arrow(a, "p", "q"), *(quiver.Arrow(z, "q", f"r{i}") for i, z in enumerate(zs))]
+    bq = quiver.BoundQuiver(quiver.build_quiver(vertices, arrows),
+                            frozenset((z, a) for z in zs[1:]))
+    t = quiver.SkewedGentleTriple(bq)
+
+    report = validate.validate_skewed_gentle(t)
+
+    assert len(compared) <= k
+    assert [(v.rule, v.items) for v in report.violations] == [
+        ("G1", (a, *sorted(zs[1:]))), ("SB1", ("q",))]
+    assert bq.successors["a"] == t.sp_pair.successors["a"] == ("z0",)
+
+
 def test_verdict_is_one_walk_and_no_reachability_check(monkeypatch):
     # a full-relation line whose interior vertices are all special, named so
     # that name order runs against the line: the verdict walks the arrows
@@ -196,7 +229,7 @@ def test_full_cycles_read_each_follower_once(monkeypatch, n, special):
 
     monkeypatch.setattr(cycles, "_chain_cycles", counted)
 
-    assert cycles.gldim_flags(t) == {"gentle": True, "sg": True, "g": True}
+    assert cycles.gldim_flags(cycles.descriptors(t)) == {"gentle": True, "sg": True, "g": True}
 
     # the base pair's cycles, then those of Q^g's lifted relations
     assert len(reads) == 2
@@ -224,13 +257,13 @@ def test_paths_listed_only_for_the_basis(monkeypatch, argv, bases):
 
 
 @pytest.mark.parametrize("argv,fn,calls", [
-    # the verdict's walk, which (Q, I1) keeps, and the base pair's: the sg
-    # oracle's length bound reads the walk of (Q, I1) too, and the g count is
-    # checked on Q^g's free threads, with no walk
-    (["invariants", "FILE", "--dims", "--json"], quiver._walk, 2),
-    # dim Gamma, M, N, M' and N' over (Q, I1) and dim Gamma' over the base
-    # pair: six linear passes, and no path listed
-    (["reduce", "FILE", "--vertex", "2"], quiver.count_relation_free_paths, 6),
+    # the verdict's walk alone: the three counts are one pass over it, the
+    # base pair's along its own successors, the sg oracle's length bound
+    # reads it too, and the g count is checked on Q^g's free threads
+    (["invariants", "FILE", "--dims", "--json"], quiver._walk, 1),
+    # dim Gamma, M, N, M' and N' in one pass over (Q, I1) and dim Gamma'
+    # in one over the reduced triple's walk, and no path listed
+    (["reduce", "FILE", "--vertex", "2"], quiver.path_sums, 2),
     # the verdict's walk, which (Q, I1) keeps, and the reduced triple's,
     # which is the base pair's
     (["reduce", "FILE", "--vertex", "2"], quiver._walk, 2),
@@ -250,6 +283,13 @@ def test_paths_listed_only_for_the_basis(monkeypatch, argv, bases):
     # no walk of the base pair
     (["invariants", "FILE"], quiver._walk, 1),
     (["invariants", "FILE", "--json"], quiver._walk, 1),
+    # (appended, so that earlier case ids keep their numbers)
+    (["invariants", "FILE", "--dims", "--json"], quiver.path_sums, 1),
+    # the base pair's count follows its successors in the verdict's walk
+    (["dim", "FILE", "--algebra", "gentle"], quiver._walk, 1),
+    # the g descriptor from cycle parities, once per report
+    (["invariants", "FILE"], cycles.descriptor_g, 1),
+    (["invariants", "FILE", "--dims", "--json"], cycles.descriptor_g, 1),
 ])
 def test_sg_layer_reads_what_the_triple_holds(monkeypatch, argv, fn, calls):
     made = _count_calls(monkeypatch, fn)
@@ -258,6 +298,19 @@ def test_sg_layer_reads_what_the_triple_holds(monkeypatch, argv, fn, calls):
     assert run(argv, out=io.StringIO(), err=io.StringIO()) == 0
 
     assert len(made) == calls
+
+
+def test_q_g_signed_arrow_names_are_made_once(fix_a2):
+    # the lift rules of Q^g's relations, its arrows and its cycles read the
+    # names a+ and a- from the one table the triple keeps
+    report = build_invariant_report(fix_a2, with_dims=True)
+    names = {id(name) for pair in fix_a2.g_arrow_names.values() for name in pair}
+    assert len(names) == 2 * len(fix_a2.pair.quiver.arrows)
+    assert {id(name) for name, _, _ in fix_a2.g_presentation.arrows} == names
+    before, _ = fix_a2.g_partners
+    assert {id(name) for relation in before.items() for name in relation} == names
+    assert {id(name) for cycle in cycles.lift_cycles(fix_a2) for name in cycle} == names
+    assert report.descriptors["g"].shifts == (4,)
 
 
 @pytest.mark.parametrize("argv,read", [
