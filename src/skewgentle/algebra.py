@@ -174,8 +174,7 @@ def _oracle_presentation(t, which):
     """Vertices, arrows (name, source, target), relations, and length bound."""
     if which == "gentle":
         bq = t.pair
-        triples = [(a.name, a.source, a.target) for a in bq.quiver.arrows]
-        return (bq.quiver.vertex_list, triples, set(bq.relations), {},
+        return (bq.quiver.vertex_list, bq.quiver.rows, set(bq.relations), {},
                 longest_relation_free_length(bq.walk))
     if which == "g":
         g = t.g_presentation  # its longest relation-free path is its longest free thread

@@ -21,20 +21,22 @@ relation.  A Q^sg arrow is a (name, base, source, target) tuple, formatted
 once and checked for distinctness, and a comm relation is its two sides as
 name pairs.  Q^g's relations (which the gldim flags read alone) and its
 arrows are lifted by one rule each, as rows, with the arrows' signed names
-read from the one table the triple keeps, ``g_arrow_names``;
-``build_g_presentation``
-checks the rows gentle and finite, with no pair built, and counts them.
+read from the one table the triple keeps, ``g_arrow_names``.  The
+relations become partner maps by ``quiver.partner_maps``, and
+``build_g_presentation`` decides the rows gentle by
+``quiver.gentle_decision``, the decision of the base pair and of Q^sp too,
+and counts them off its successor graph, with no pair built.  Only a fault
+builds Q^g as a pair, in ``_q_g_fault``, for the witnesses its message
+names.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import chain
-from operator import itemgetter
 
 from .errors import InternalInconsistency, NameCollision, NotSkewedGentle
-from .quiver import (Arrow, BoundQuiver, Record, SkewedGentleTriple, _chain_cycles, _set,
-                     build_quiver)
+from .quiver import (Arrow, BoundQuiver, Quiver, Record, SkewedGentleTriple, _first_bad_item,
+                     _set, build_quiver, gentle_decision)
 
 
 class SgPresentation(Record):
@@ -208,79 +210,57 @@ def lift_arrows_to_g(t: SkewedGentleTriple) -> list[tuple[str, str, str]]:
     return arrows
 
 
-def _lifted_partners(t: SkewedGentleTriple) -> tuple[dict[str, str], dict[str, str]]:
-    """I^g's two partner maps, ``before`` (x to y) and ``after`` (y to x) for
-    each relation (x, y); raises InternalInconsistency unless both are as
-    large as the relation list, so that no arrow lies on one side of two
-    relations (G1)."""
+def _q_g_fault(t: SkewedGentleTriple):
+    """Raise InternalInconsistency for lift rows that are no gentle pair of
+    finite dimension, naming why in the rules ``validate`` prints: Q^g is
+    built as a ``BoundQuiver`` from its rows, and the message lists the
+    witness pass's violations or, for a gentle pair, the cycle of its walk
+    (FD).  A row that does not resolve is named by ``_first_bad_item``, so
+    any rows get a message."""
+    vertices = list(chain.from_iterable(t.g_lifts.values()))
+    arrows = [Arrow(*row) for row in lift_arrows_to_g(t)]
     relations = lift_relations_to_g(t)
-    before = dict(relations)
-    after = dict(zip(before.values(), before))
-    if len(before) == len(relations) == len(after):
-        return before, after
-    sides = Counter(x for x, _ in relations), Counter(y for _, y in relations)
-    twice = min(name for side in sides for name, n in side.items() if n > 1)
-    raise InternalInconsistency(
-        f"lifted relations of {t.name!r} are no partial injection: {twice!r} lies on one side "
-        "of two of them"
-    )
+    bad = _first_bad_item(vertices, arrows, sorted(relations))
+    if bad is not None:
+        fault = str(bad[2])
+    else:
+        pair = BoundQuiver(Quiver(frozenset(vertices), arrows), frozenset(relations))
+        witnesses = [(v.rule, v.items) for v in pair.gentle_violations] or [("FD", pair.walk.cycle)]
+        fault = "; ".join(f"{rule}: {', '.join(items)}" for rule, items in witnesses)
+    raise InternalInconsistency(f"associated pair of {t.name!r} is not gentle/finite: {fault}")
 
 
 def build_g_presentation(t: SkewedGentleTriple) -> GPresentation:
     """(Q^g, I^g) from its lift rows, once they are shown a gentle pair of
     finite dimension, with its dimension and its longest relation-free path
-    read off its maximal free threads; InternalInconsistency names what
-    fails otherwise.
-
-    SB1 counts the arrows out of and into each vertex, and G1 compares the
-    partner maps' sizes.  An arrow's free successor is the arrow out of its
-    target other than its relation partner after it; SB2 asks for at most
-    one per arrow and no two arrows sharing one, and FD for no cycle of
-    them.  So the relation-free paths are the runs of the threads, L(L+1)/2
-    in a thread of L arrows.  Shares no counting code with ``dimension``."""
-    def fail(fault):
-        raise InternalInconsistency(f"associated pair of {t.name!r} is not gentle/finite: {fault}")
-
+    read off its maximal free threads; ``_q_g_fault`` names what fails
+    otherwise.  ``gentle_decision``, the one decision of every pair, gives
+    each arrow at most one free successor and no two arrows the same one,
+    so the relation-free paths are the runs of the threads, L(L+1)/2 in a
+    thread of L arrows, and an arrow on no thread lies on a cycle (FD).
+    Shares no counting code with ``dimension``."""
     arrows = lift_arrows_to_g(t)
-    outs = {}
-    for name, source, _ in arrows:
-        outs.setdefault(source, []).append(name)
-    ins = Counter(map(itemgetter(2), arrows))
-    if max(map(len, outs.values()), default=0) > 2 or max(ins.values(), default=0) > 2:
-        v = next(v for v in chain(outs, ins) if len(outs.get(v, ())) > 2 or ins[v] > 2)
-        fail(f"vertex {v!r} has {len(outs.get(v, ()))} arrows out and {ins[v]} in")
     before, after = t.g_partners
-    succ, pred = {}, {}
-    for name, _, target in arrows:
-        out = outs.get(target, ())
-        partner = after.get(name)
-        free = len(out) - (partner in out)
-        if not free:
-            continue
-        if free > 1:
-            fail(f"arrow {name!r} has the free successors {out}")
-        b = out[0] if out[0] != partner else out[1]
-        if b in pred:
-            fail(f"arrows {pred[b]!r} and {name!r} share the free successor {b!r}")
-        succ[name] = b
-        pred[b] = name
-    # a thread starts at each arrow without a free predecessor; as no two
-    # arrows share a free successor, an arrow on no thread lies on a cycle
+    index = gentle_decision(arrows, before, after)
+    if index is None:
+        _q_g_fault(t)
+    succ = index[3]
+    # a thread starts at each arrow without a free predecessor
+    followed = set(chain.from_iterable(succ.values()))
     lifts = t.g_lifts
     dimension, longest, threaded = sum(map(len, lifts.values())), 0, 0
     for name, _, _ in arrows:
-        if name in pred:
+        if name in followed:
             continue
         length = 1
-        while name in succ:
-            name = succ[name]
+        out = succ[name]
+        while out:
+            out = succ[out[0]]
             length += 1
         threaded += length
         dimension += length * (length + 1) // 2
         if length > longest:
             longest = length
     if threaded < len(arrows):
-        cycle = min(_chain_cycles(succ), key=min)
-        k = cycle.index(min(cycle))
-        fail(f"the free thread {cycle[k:] + cycle[:k]} closes into a cycle")
+        _q_g_fault(t)
     return GPresentation(lifts, arrows, before, dimension, longest)

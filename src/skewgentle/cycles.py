@@ -134,9 +134,9 @@ def descriptors(t: SkewedGentleTriple) -> dict[str, SingularityDescriptor]:
     full cycles of the relations of (Q^g, I^g), as ``lift_relations_to_g``
     writes them, and those cycles must be the sign lifts of the base
     cycles; a difference is an implementation bug.  Only the relations are
-    read, and only their G1 is checked, so that their partner map is a
-    partial injection: that (Q^g, I^g) is gentle and finite is checked
-    where its arrows are read, by ``build_g_presentation``.
+    read, and only their G1 is checked, by ``partner_maps``, so that their
+    partner map is a partial injection: that (Q^g, I^g) is gentle and
+    finite is checked where its arrows are read, by ``build_g_presentation``.
     """
     formula = descriptor_g(t)
     g_cycles = {_canonical_rotation(tuple(arrows)) for arrows in _chain_cycles(t.g_partners[0])}

@@ -284,8 +284,7 @@ def _require_ident(value, what):
 def serialize(t: SkewedGentleTriple) -> str:
     """Canonical single-line form: fixed statement order, sorted identifiers."""
     q = t.pair.quiver
-    return _serialized(t.name, q.vertex_list, t.special_list,
-                       [(a.name, a.source, a.target) for a in q.arrows],
+    return _serialized(t.name, q.vertex_list, t.special_list, q.rows,
                        sorted(starmap(relation_text, t.pair.relations)))
 
 

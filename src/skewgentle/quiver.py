@@ -28,20 +28,20 @@ own successors.  They are listed off a walk (``ArrowWalk``) too.  Q^g is no
 pair either: it is held as its lift rows, and its paths are read off its
 free threads.
 
-A bound quiver is decided gentle from counts, in ``gentle_index``: SB1
-from the arrows out of and into each vertex, G1 from ``dict(relations)``
-and its inverse, compared by size, and SB2 at each vertex with two arrows
-in and in one pass over the arrows, which also builds the arrow-successor
-graph, as each arrow of a gentle pair has at most one successor.  So a
-gentle pair builds no index of arrows by end and no relation index.  Only
-a pair the decision rejects runs the witness pass, which
-``gentle_violations`` calls and keeps, ``validate._gentle_witnesses``, on
-that general index (``_grouped``), which stays linear also when one arrow
-has many relation partners.  The relations are sorted only to name the first bad one and
-where an output lists them.  The walk of a successor graph follows a run of
-single successors without a stack entry per arrow, and finishes an arrow
-without successors as soon as it reaches it.  Full relation cycles
-and spset's rings are read off one linear walk, ``_chain_cycles``.
+Every pair, the base pair and Q^sp over ``Quiver.rows`` and Q^g over its
+lift rows, is decided gentle from counts by ``gentle_decision``: G1 by the
+sizes of its ``partner_maps``, SB1 from the arrows out of and into each
+vertex, and SB2 in one pass over the rows, which also builds the
+arrow-successor graph, as each arrow of a gentle pair has at most one
+successor.  So a gentle pair builds no index of arrows by end and no
+relation index.  Only a pair the decision rejects runs the witness pass,
+``validate._gentle_witnesses``, on that general index (``_grouped``), which
+stays linear also when one arrow has many relation partners.  The relations
+are sorted only to name the first bad one and where an output lists them.
+The walk of a successor graph follows a run of single successors without a
+stack entry per arrow, and finishes an arrow without successors as soon as
+it reaches it.  Full relation cycles and spset's rings are read off one
+linear walk, ``_chain_cycles``.
 
 Every value type of the package is a ``Record``: a plain class that lists
 its fields in ``__slots__`` (plus ``"__dict__"`` when it keeps cached
@@ -62,7 +62,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .errors import (
     DanglingEndpoint,
@@ -89,6 +89,7 @@ def relation_text(x: ArrowId, y: ArrowId) -> str:
 
 _set = object.__setattr__  # how a record's __init__ sets its fields
 _by_name, _source, _target = attrgetter("name"), attrgetter("source"), attrgetter("target")
+_third = itemgetter(2)
 
 
 class Record:
@@ -157,6 +158,11 @@ class Quiver(Record):
     @cached_property
     def vertex_list(self) -> tuple[VertexId, ...]:
         return tuple(sorted(self.vertices))
+
+    @cached_property
+    def rows(self) -> tuple[tuple[ArrowId, VertexId, VertexId], ...]:
+        """The arrows as ``(name, source, target)`` rows, in name order."""
+        return tuple([(a.name, a.source, a.target) for a in self.arrows])
 
     @cached_property
     def arrow_map(self) -> dict[ArrowId, Arrow]:
@@ -307,56 +313,9 @@ class BoundQuiver(Record):
 
     @cached_property
     def gentle_index(self) -> tuple[dict, Counter, dict, dict] | None:
-        """The counted decision: ``(outs, ins, before, successors)`` when the
-        pair is gentle, else None.  ``outs`` holds each vertex's arrows out
-        by name, ``ins`` its number of arrows in, ``before`` each arrow's
-        relation partner before it, and ``successors`` is the
-        arrow-successor graph.
-
-        SB1 reads the counts, and G1 ``dict(relations)`` and its inverse,
-        compared by size.  Given G1, an arrow has as many free predecessors
-        as arrows into its source, less one for its relation partner before
-        it, so SB2 on that side asks, of each vertex with two arrows in,
-        that every arrow out has a partner before it.  Likewise an arrow a
-        has as many free successors as arrows out of t(a), less one for its
-        partner after it, which starts there: one pass over the arrows
-        checks that side and keeps a's one free successor, if any; with no
-        partner, that is the tuple of ``outs`` itself."""
-        arrows = self.quiver.arrows
-        ins = Counter(map(_target, arrows))
-        if max(ins.values(), default=0) > 2:
-            return None
-        outs = {}
-        for a in arrows:
-            source = a.source
-            out = outs.get(source)
-            if out is None:
-                outs[source] = (a.name,)
-            elif len(out) == 1:
-                outs[source] = (out[0], a.name)
-            else:
-                return None
-        before = dict(self.relations)
-        after = dict(zip(before.values(), before))
-        if len(after) < len(self.relations):
-            return None
-        for v, k in ins.items():
-            if k == 2:
-                for g in outs.get(v, ()):
-                    if g not in before:
-                        return None
-        succ = {}
-        for a in arrows:
-            name = a.name
-            out = outs.get(a.target, ())
-            x = after.get(name)
-            if x is None:
-                if len(out) == 2:
-                    return None
-                succ[name] = out
-            else:
-                succ[name] = out[1:] if out[0] == x else out[:1]
-        return outs, ins, before, succ
+        """``gentle_decision`` over the rows and partner maps; None if not gentle."""
+        partners = partner_maps(self.relations)
+        return partners and gentle_decision(self.quiver.rows, *partners)
 
     @cached_property
     def successors(self) -> dict[ArrowId, tuple[ArrowId, ...]]:
@@ -380,6 +339,63 @@ class BoundQuiver(Record):
         from .validate import _gentle_witnesses  # deferred: validate imports this module
 
         return tuple(_gentle_witnesses(self))
+
+
+def partner_maps(relations) -> tuple[dict[ArrowId, ArrowId], dict[ArrowId, ArrowId]] | None:
+    """``before`` (x to y) and ``after`` (y to x) for each relation pair (x,
+    y); None when an arrow lies on one side of two pairs (G1), as a map is
+    then smaller than the pairs."""
+    before = dict(relations)
+    after = dict(zip(before.values(), before))
+    return (before, after) if len(after) == len(relations) else None
+
+
+def gentle_decision(rows, before, after) -> tuple[dict, Counter, dict, dict] | None:
+    """The counted decision of every pair, over its ``(name, source, target)``
+    rows and its partner maps: ``(outs, ins, before, successors)`` when it
+    is gentle, else None, with each vertex's arrows out in row order and its
+    number of arrows in, and the arrow-successor graph.
+
+    Given G1, an arrow a has as many free successors as arrows out of t(a),
+    less one for its partner after it, and as many free predecessors as
+    arrows into s(a), less one for its partner before it.  SB1 reads the
+    counts; one pass over the rows checks SB2 on the successor side and
+    keeps a's one free successor, if any, with no partner the tuple of
+    ``outs`` itself; a vertex with two arrows in needs, for each arrow out,
+    a partner before it that the pass met.  A partner off its arrow's end
+    fails the pair, so any rows with distinct names are decided."""
+    ins = Counter(map(_third, rows))
+    if max(ins.values(), default=0) > 2:
+        return None
+    outs = {}
+    for name, source, _ in rows:
+        out = outs.get(source)
+        if out is None:
+            outs[source] = (name,)
+        elif len(out) == 1:
+            outs[source] = (out[0], name)
+        else:
+            return None
+    succ = {}
+    for name, _, target in rows:
+        out = outs.get(target, ())
+        x = after.get(name)
+        if x is None:
+            if len(out) == 2:
+                return None
+            succ[name] = out
+        elif out and out[0] == x:
+            succ[name] = out[1:]
+        elif len(out) == 2 and out[1] == x:
+            succ[name] = out[:1]
+        else:
+            return None
+    for v, k in ins.items():
+        if k == 2:
+            for g in outs.get(v, ()):
+                if before.get(g) not in succ:
+                    return None
+    return outs, ins, before, succ
 
 
 def _successors(bq: BoundQuiver) -> dict[ArrowId, tuple[ArrowId, ...]]:
@@ -552,11 +568,14 @@ class SkewedGentleTriple(Record):
 
     @cached_property
     def g_partners(self) -> tuple[dict[ArrowId, ArrowId], dict[ArrowId, ArrowId]]:
-        """I^g as its two partner maps, checked a partial injection, as
-        ``construct._lifted_partners`` makes them; needs a valid triple."""
-        from .construct import _lifted_partners
+        """I^g as its ``partner_maps``; needs a valid triple.  A G1 fault
+        is a fault of Q^g, which ``construct._q_g_fault`` names."""
+        from .construct import _q_g_fault, lift_relations_to_g
 
-        return _lifted_partners(self)
+        partners = partner_maps(lift_relations_to_g(self))
+        if partners is None:
+            _q_g_fault(self)
+        return partners
 
     @cached_property
     def g_presentation(self) -> GPresentation:

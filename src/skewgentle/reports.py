@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from itertools import chain, starmap
 from json.encoder import encode_basestring_ascii as _str
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from .algebra import (
     DEFAULT_ORACLE_CAP,
@@ -130,7 +130,7 @@ def _pair_rows(x):
         return (sorted(chain.from_iterable(x.lifts.values())), sorted(x.arrows, key=_first),
                 sorted(starmap(relation_text, x.relations.items())))
     if isinstance(x, BoundQuiver):
-        return (x.quiver.vertex_list, list(map(_arrow_fields, x.quiver.arrows)),
+        return (x.quiver.vertex_list, x.quiver.rows,
                 list(starmap(relation_text, x.relation_list)))
     raise TypeError(f"cannot render {type(x).__name__}")
 
@@ -284,7 +284,6 @@ def _row_template(*keys) -> str:
 _PAIR_ARROW = _row_template("name", "source", "target")
 _SG_ARROW = _row_template("base", "name", "source", "target")
 _COMM = _row_template("minus", "plus")
-_arrow_fields = attrgetter("name", "source", "target")
 # a Q^sg arrow tuple (name, base, source, target) in _SG_ARROW's key order,
 # and as DOT's (name, source, target); a comm relation minus side first
 _sg_arrow_row, _sg_dot_fields = itemgetter(1, 0, 2, 3), itemgetter(0, 2, 3)

@@ -145,16 +145,24 @@ def test_g_pair_always_gentle_and_finite():
 
 
 # Q^g of fix_a2: a+: 1+ -> 2, a-: 1- -> 2, b+: 2 -> 1+, b-: 2 -> 1-, with
-# the relations a+*b+, a-*b-, b+*a- and b-*a+ (its vertex 2 is special)
+# the relations a+*b+, a-*b-, b+*a- and b-*a+ (its vertex 2 is special).
+# Each fault is the witness pass's violations on the mutated rows, or the
+# cycle of its walk, as validate prints them: an SB2 item is an arrow with
+# its free successors or predecessors, a G1 item an arrow with its
+# relation partners on one side.
 _BAD_LIFTS = {
-    "SB1": ({"c+": ("2", "1+")}, (), (), "vertex '2' has 3 arrows out and 2 in"),
-    "G1": ({}, (), [("b+", "a+")], "lifted relations of 'A' are no partial injection: "
-                                   "'a+' lies on one side of two of them"),
-    "SB2 successor": ({}, [("b-", "a+")], (), "arrow 'a+' has the free successors ['b+', 'b-']"),
+    # c+ is a third arrow out of 2, free after a+ and a- and before them
+    "SB1": ({"c+": ("2", "1+")}, (), (),
+            "SB1: 2; SB2: a+, b+, c+; SB2: a-, b-, c+; SB2: c+, a+, a-"),
+    "G1": ({}, (), [("b+", "a+")], "G1: a+, b+, b-; G1: b+, a+, a-"),
+    "SB2 successor": ({}, [("b-", "a+")], (), "SB2: a+, b+, b-; SB2: b-, a+, a-"),
     # without b-, b+ is the one arrow out of 2, and a+ loses its partner
-    "SB2 predecessor": ({"b-": None}, [("b+", "a-")], (),
-                        "arrows 'a+' and 'a-' share the free successor 'b+'"),
-    "FD": ({}, [("a+", "b+")], (), "the free thread ['a+', 'b+'] closes into a cycle"),
+    "SB2 predecessor": ({"b-": None}, [("b+", "a-")], (), "SB2: b+, a+, a-"),
+    "FD": ({}, [("a+", "b+")], (), "FD: a+, b+"),
+    # as "SB2 predecessor", but b+ keeps a partner before it, c, that is no
+    # arrow: taken as a relation, it would leave a+ and a- both running into b+
+    "unresolved": ({"b-": None}, [("b+", "a-")], [("b+", "c")],
+                   "relation names unknown arrow 'c'"),
 }
 
 
@@ -167,7 +175,8 @@ _BAD_LIFTS = {
 ])
 def test_a_lift_that_breaks_a_rule_fails_the_commands_that_read_q_g(monkeypatch, rule, argv):
     # each mutation of Q^g's lift rows breaks one rule of a gentle pair of
-    # finite dimension, and the check the writers and the oracle read raises
+    # finite dimension, or names no arrow, and the check the writers and the
+    # oracle read raises
     arrows, dropped, added, fault = _BAD_LIFTS[rule]
     lift_arrows, lift_relations = construct.lift_arrows_to_g, construct.lift_relations_to_g
     monkeypatch.setattr(construct, "lift_arrows_to_g", lambda t: [
@@ -176,7 +185,7 @@ def test_a_lift_that_breaks_a_rule_fails_the_commands_that_read_q_g(monkeypatch,
     monkeypatch.setattr(construct, "lift_relations_to_g", lambda t: [
         *(r for r in lift_relations(t) if r not in dropped and not set(r) & set(arrows)),
         *added])
-    message = fault if rule == "G1" else f"associated pair of 'A' is not gentle/finite: {fault}"
+    message = f"associated pair of 'A' is not gentle/finite: {fault}"
     t = parse(fixture_path("fix_a2.q").read_text(encoding="utf-8"))
     with pytest.raises(InternalInconsistency) as raised:
         build_g_presentation(t)

@@ -1,12 +1,16 @@
 """The counted gentle decision and the chain walk against the code they spare.
 
-``BoundQuiver.gentle_index`` decides a pair from its counts and builds its
+``quiver.gentle_decision`` decides every pair from its counts, over its
+``(name, source, target)`` rows and its partner maps, and builds its
 arrow-successor graph in the same pass, so only a pair it rejects runs the
-witness pass and the general successor builder.  ``quiver._walk`` follows a
-run of single successors without a stack entry per node.  Each is checked
-against the general code on the same inputs: the decision against the
-witness pass, its graph and counts against the general index, and the walk
-against the plain depth-first walk of ``reference.walk``.
+witness pass and the general successor builder.  A bound quiver reads it as
+``gentle_index``, over ``Quiver.rows``; ``build_g_presentation`` calls it on
+Q^g's lift rows.  ``quiver._walk`` follows a run of single successors
+without a stack entry per node.  Each is checked against the general code on
+the same inputs: the decision against the witness pass, its graph and counts
+against the general index, the decision on Q^g's lift rows against the one
+on the pair built from them, and the walk against the plain depth-first
+walk of ``reference.walk``.
 """
 
 import random
@@ -19,7 +23,7 @@ from reference import build_g_pair
 from reference import walk as reference_walk
 
 from skewgentle import BoundQuiver, SkewedGentleTriple, build_sp_pair, parse, random_triple
-from skewgentle import quiver, validate
+from skewgentle import construct, quiver, validate
 
 
 def _witnesses(bq):
@@ -99,6 +103,19 @@ def test_the_decision_indexes_as_the_general_index():
                         for v, arrows in q.outgoing.items() if arrows}, name
         assert all(ins[v] == len(q.incoming[v]) for v in q.vertex_list), name
         assert before == {x: ys[0] for x, ys in bq.relations_before.items() if ys}, name
+
+
+def test_the_decision_on_q_g_lift_rows_matches_the_built_pair():
+    # Q^g is decided over its lift rows and partner maps, and the reference
+    # pair built on those rows over its own: the same counts, and the graph
+    # of the general builder
+    for seed in range(300):
+        t = random_triple(seed, 8, 11)
+        rows = construct.lift_arrows_to_g(t)
+        index = quiver.gentle_decision(rows, *t.g_partners)
+        built = build_g_pair(t)
+        assert index == built.gentle_index, seed
+        assert index[3] == quiver._successors(built), seed
 
 
 def _walked_graphs():
