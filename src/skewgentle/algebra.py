@@ -66,7 +66,7 @@ def basis(t: SkewedGentleTriple) -> list[BasisPath]:
     successor_order(walk)  # raises InfiniteDimensional with its witness
     out = [BasisPath((), v, v) for lifts in signed.values() for v in lifts]
     for first in walk.quiver.arrows:
-        sources = signed[first.source]
+        sources = signed[first[1]]
         for names, end in _paths_from(walk, (first,)):
             out += [BasisPath(names, source, target)
                     for source in sources for target in signed[end]]
@@ -79,11 +79,11 @@ def _paths_from(walk: ArrowWalk, firsts):
     ``firsts`` first, as its arrow names in written order (last entry applied
     first) and its target, grown by one successor at a time."""
     succ, amap = walk.successors, walk.quiver.arrow_map
-    stack = [((x.name,), x.target) for x in firsts]
+    stack = [((name,), end) for name, _, end in firsts]
     while stack:
         names, end = stack.pop()
         yield names, end
-        stack += [((g, *names), amap[g].target) for g in succ[names[0]]]
+        stack += [((g, *names), amap[g][2]) for g in succ[names[0]]]
 
 
 def longest_relation_free_length(walk: ArrowWalk, special=frozenset()) -> int:
@@ -103,14 +103,14 @@ def longest_relation_free_length(walk: ArrowWalk, special=frozenset()) -> int:
     succ = walk.successors
     depth: dict[str, int] = {}
     longest = 1 if special else 0
-    for a in successor_order(walk):
+    for name, source, target in successor_order(walk):
         d = 0
-        for g in succ[a.name]:
+        for g in succ[name]:
             if depth[g] > d:
                 d = depth[g]
-        d += 1 + (a.target in special)
-        depth[a.name] = d
-        d += a.source in special
+        d += 1 + (target in special)
+        depth[name] = d
+        d += source in special
         if d > longest:
             longest = d
     return longest
@@ -174,7 +174,7 @@ def _oracle_presentation(t, which):
     """Vertices, arrows (name, source, target), relations, and length bound."""
     if which == "gentle":
         bq = t.pair
-        return (bq.quiver.vertex_list, bq.quiver.rows, set(bq.relations), {},
+        return (bq.quiver.vertex_list, bq.quiver.arrows, set(bq.relations), {},
                 longest_relation_free_length(bq.walk))
     if which == "g":
         g = t.g_presentation  # its longest relation-free path is its longest free thread
@@ -381,12 +381,12 @@ def _corner_basis(t: SkewedGentleTriple, a: str, leaving: bool) -> tuple[BasisPa
             out += [BasisPath(names, minus, v) for v in signed[end]]
     else:  # grown at the end applied first, names[-1]
         succ = walk.successors
-        stack = [((x.name,), x.source) for x in q.incoming[a]]
+        stack = [((name,), start) for name, start, _ in q.incoming[a]]
         while stack:
             names, start = stack.pop()
             out += [BasisPath(names, v, minus) for v in signed[start]]
-            stack += [((*names, x.name), x.source) for x in q.incoming[start]
-                      if names[-1] in succ[x.name]]
+            stack += [((*names, x), source) for x, source, _ in q.incoming[start]
+                      if names[-1] in succ[x]]
     out.sort(key=_basis_order)
     return tuple(out)
 

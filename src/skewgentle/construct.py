@@ -35,8 +35,8 @@ from __future__ import annotations
 from itertools import chain
 
 from .errors import InternalInconsistency, NameCollision, NotSkewedGentle
-from .quiver import (Arrow, BoundQuiver, Quiver, Record, SkewedGentleTriple, _first_bad_item,
-                     _set, build_quiver, gentle_decision)
+from .quiver import (Arrow, BoundQuiver, Quiver, Record, SkewedGentleTriple, _by_name,
+                     _first_bad_item, _set, build_quiver, gentle_decision)
 
 
 class SgPresentation(Record):
@@ -99,7 +99,7 @@ def build_sp_pair(t: SkewedGentleTriple) -> BoundQuiver:
     """Adjoin one squared-zero loop per special vertex."""
     q = t.pair.quiver
     arrows = list(q.arrows)
-    taken = set(q.arrow_map)
+    taken = set(map(_by_name, q.arrows))
     relations = set(t.pair.relations)
     for v in t.special_list:
         loop = _fresh_loop_name(v, taken)
@@ -141,12 +141,12 @@ def build_sg_presentation(t: SkewedGentleTriple) -> SgPresentation:
 
     # each lift named once, a@s@t; lifted[a] holds a's lift names source-major
     arrows, lifted = [], {}
-    for a in q.arrows:
-        names = lifted[a.name] = []
-        for src in signed[a.source]:
-            for tgt in signed[a.target]:
-                name = f"{a.name}@{src}@{tgt}"
-                arrows.append((name, a.name, src, tgt))
+    for base_name, source, target in q.arrows:
+        names = lifted[base_name] = []
+        for src in signed[source]:
+            for tgt in signed[target]:
+                name = f"{base_name}@{src}@{tgt}"
+                arrows.append((name, base_name, src, tgt))
                 names.append(name)
     if len(set(chain.from_iterable(lifted.values()))) != len(arrows):
         raise NameCollision("derived Q^sg arrow names are not distinct")
@@ -158,7 +158,7 @@ def build_sg_presentation(t: SkewedGentleTriple) -> SgPresentation:
     amap = q.arrow_map
     for x, y in base.relations:
         into, out = lifted[y], lifted[x]
-        if amap[y].target in special:
+        if amap[y][2] in special:
             # y's lifts alternate into plus and minus, per source; x's lifts
             # out of plus, one per target, come before those out of minus
             half = len(out) // 2
@@ -186,7 +186,7 @@ def lift_relations_to_g(t: SkewedGentleTriple) -> list[tuple[str, str]]:
     relations = []
     for x, y in t.pair.relations:
         (x_plus, x_minus), (y_plus, y_minus) = signed[x], signed[y]
-        if amap[y].target in special:
+        if amap[y][2] in special:
             relations += ((x_plus, y_minus), (x_minus, y_plus))
         else:
             relations += ((x_plus, y_plus), (x_minus, y_minus))
@@ -203,9 +203,9 @@ def lift_arrows_to_g(t: SkewedGentleTriple) -> list[tuple[str, str, str]]:
     ends = {v: (names[0], names[-1]) for v, names in t.g_lifts.items()}
     signed = t.g_arrow_names
     arrows = []
-    for a in t.pair.quiver.arrows:
-        (src_plus, src_minus), (tgt_plus, tgt_minus) = ends[a.source], ends[a.target]
-        plus, minus = signed[a.name]
+    for name, source, target in t.pair.quiver.arrows:
+        (src_plus, src_minus), (tgt_plus, tgt_minus) = ends[source], ends[target]
+        plus, minus = signed[name]
         arrows += ((plus, src_plus, tgt_plus), (minus, src_minus, tgt_minus))
     return arrows
 
@@ -218,7 +218,7 @@ def _q_g_fault(t: SkewedGentleTriple):
     (FD).  A row that does not resolve is named by ``_first_bad_item``, so
     any rows get a message."""
     vertices = list(chain.from_iterable(t.g_lifts.values()))
-    arrows = [Arrow(*row) for row in lift_arrows_to_g(t)]
+    arrows = lift_arrows_to_g(t)
     relations = lift_relations_to_g(t)
     bad = _first_bad_item(vertices, arrows, sorted(relations))
     if bad is not None:

@@ -78,7 +78,7 @@ def _relation_cycles(bq: BoundQuiver, special) -> tuple[CycleClass, ...]:
     ``dict(relations)``, in which y follows x in the written sequence."""
     amap = bq.quiver.arrow_map
     cycles = [CycleClass(_canonical_rotation(tuple(arrows)),
-                         "odd" if sum(amap[a].target in special for a in arrows) % 2 else "even")
+                         "odd" if sum(amap[a][2] in special for a in arrows) % 2 else "even")
               for arrows in _chain_cycles(dict(bq.relations))]
     return tuple(sorted(cycles, key=attrgetter("arrows")))
 
@@ -99,7 +99,7 @@ def lift_cycles(t: SkewedGentleTriple) -> set[tuple[str, ...]]:
         plus, minus = [first_plus], [first_minus]
         odd = False
         for name in rest:
-            odd ^= amap[name].target in special
+            odd ^= amap[name][2] in special
             lifts = signed[name]  # (a+, a-): s_i is a+ past an even prefix
             plus.append(lifts[odd])
             minus.append(lifts[not odd])

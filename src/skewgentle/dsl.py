@@ -49,6 +49,7 @@ returns a structurally equal triple.
 from __future__ import annotations
 
 import re
+from functools import partial
 from itertools import starmap
 
 from .errors import DuplicateName, IntegrityError, ParseError, SkewGentleError
@@ -258,7 +259,8 @@ def _read(text: str):
 def parse(text: str) -> SkewedGentleTriple:
     """Parse a triple exactly as written; only referential integrity is checked."""
     name, stmts = _read(text) or _Parser(text).file()
-    arrows = list(starmap(Arrow, stmts.get("arrows", ())))
+    # an Arrow of each row the reader gives, with no Python call per row
+    arrows = tuple(map(partial(tuple.__new__, Arrow), stmts.get("arrows", ())))
     relations, special = stmts.get("relations", []), stmts.get("special", [])
     relation_set, special_set = frozenset(relations), frozenset(special)
     try:
@@ -284,7 +286,7 @@ def _require_ident(value, what):
 def serialize(t: SkewedGentleTriple) -> str:
     """Canonical single-line form: fixed statement order, sorted identifiers."""
     q = t.pair.quiver
-    return _serialized(t.name, q.vertex_list, t.special_list, q.rows,
+    return _serialized(t.name, q.vertex_list, t.special_list, q.arrows,
                        sorted(starmap(relation_text, t.pair.relations)))
 
 

@@ -74,8 +74,8 @@ def _attempt(rng: random.Random, max_vertices: int, max_arrows: int) -> SkewedGe
     quiver = build_quiver(vertices, arrows)
     relations = set()
     for v in vertices:
-        outs = [a.name for a in quiver.outgoing[v]]
-        ins = [a.name for a in quiver.incoming[v]]
+        outs = [name for name, _, _ in quiver.outgoing[v]]
+        ins = [name for name, _, _ in quiver.incoming[v]]
         if not outs or not ins:
             continue
         options = _relation_options(outs, ins)

@@ -28,7 +28,7 @@ own successors.  They are listed off a walk (``ArrowWalk``) too.  Q^g is no
 pair either: it is held as its lift rows, and its paths are read off its
 free threads.
 
-Every pair, the base pair and Q^sp over ``Quiver.rows`` and Q^g over its
+Every pair, the base pair and Q^sp over ``Quiver.arrows`` and Q^g over its
 lift rows, is decided gentle from counts by ``gentle_decision``: G1 by the
 sizes of its ``partner_maps``, SB1 from the arrows out of and into each
 vertex, and SB2 in one pass over the rows, which also builds the
@@ -43,19 +43,22 @@ stack entry per arrow, and finishes an arrow without successors as soon as
 it reaches it.  Full relation cycles and spset's rings are read off one
 linear walk, ``_chain_cycles``.
 
-Every value type of the package is a ``Record``: a plain class that lists
-its fields in ``__slots__`` (plus ``"__dict__"`` when it keeps cached
-properties) and sets them in an explicit ``__init__``, which also holds the
-defaults and the checks.  The base guarantees that a record is immutable
-(assigning or deleting any attribute raises ``AttributeError``; a cached
-property writes to the instance ``__dict__`` directly); that two
-records are equal exactly when they are of the same class with equal fields
-(``NotImplemented`` against any other class) and that equal records hash
-equal; that ``repr`` gives ``Name(field=value, ...)``, the form error
-messages quote; and that ``copy`` and ``pickle`` rebuild a record through
-its ``__init__``.  A class made with ``eq=False`` keeps identity equality
-and hashing instead.  Unlike ``dataclasses``, the base generates no code,
-so importing the package compiles nothing beyond its own source.
+``Arrow`` is the one value type that is a tuple and not a ``Record``: it
+equals its ``(name, source, target)`` row, so a quiver's arrows are the
+parser's rows, and every pass over them unpacks them.  Every other value
+type is a record: a plain class that lists its fields in ``__slots__``
+(plus ``"__dict__"`` when it keeps cached properties) and sets them in an
+explicit ``__init__``, which also holds the defaults and the checks.  The
+base guarantees that a record is immutable (assigning or deleting any
+attribute raises ``AttributeError``; a cached property writes to the
+instance ``__dict__`` directly); that two records are equal exactly when
+they are of the same class with equal fields (``NotImplemented`` against
+any other class) and that equal records hash equal; that ``repr`` gives
+``Name(field=value, ...)``, the form error messages quote; and that
+``copy`` and ``pickle`` rebuild a record through its ``__init__``.  A
+class made with ``eq=False`` keeps identity equality and hashing instead.
+Unlike ``dataclasses`` and ``namedtuple``, neither generates code, so
+importing the package compiles nothing beyond its own source.
 """
 
 from __future__ import annotations
@@ -88,8 +91,7 @@ def relation_text(x: ArrowId, y: ArrowId) -> str:
 
 
 _set = object.__setattr__  # how a record's __init__ sets its fields
-_by_name, _source, _target = attrgetter("name"), attrgetter("source"), attrgetter("target")
-_third = itemgetter(2)
+_by_name, _source, _target = itemgetter(0), itemgetter(1), itemgetter(2)  # of an arrow's row
 
 
 class Record:
@@ -129,25 +131,28 @@ class Record:
         return self.__class__, self._values(self)
 
 
-class Arrow(Record):
-    __slots__ = ("name", "source", "target")
+class Arrow(tuple):
+    """An arrow as the ``(name, source, target)`` row it equals; the package
+    reads it by position.  The class and its field names stay for their
+    reader outside the package, ``perfbench/workloads.py``: ``to_triple``
+    calls ``Arrow(a, s, t)`` and ``spec_of`` reads the three fields."""
 
-    def __init__(self, name: ArrowId, source: VertexId, target: VertexId):
-        _set_name(self, name)
-        _set_source(self, source)
-        _set_target(self, target)
+    __slots__ = ()
+
+    def __new__(cls, name: ArrowId, source: VertexId, target: VertexId):
+        return tuple.__new__(cls, (name, source, target))
+
+    name, source, target = property(_by_name), property(_source), property(_target)
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     def __repr__(self):
-        return f"{self.name}: {self.source} -> {self.target}"
-
-
-# An arrow is made for each arrow of every file read, so its fields are set
-# through the slots' own setters, which skip object.__setattr__'s lookup.
-_set_name, _set_source, _set_target = (getattr(Arrow, f).__set__ for f in Arrow.__slots__)
+        return f"{self[0]}: {self[1]} -> {self[2]}"
 
 
 class Quiver(Record):
-    """A quiver; ``arrows`` is kept sorted by name, whatever order it is given in."""
+    """A quiver; ``arrows``, any rows of distinct names, is kept in name order."""
 
     __slots__ = ("vertices", "arrows", "__dict__")
 
@@ -160,21 +165,16 @@ class Quiver(Record):
         return tuple(sorted(self.vertices))
 
     @cached_property
-    def rows(self) -> tuple[tuple[ArrowId, VertexId, VertexId], ...]:
-        """The arrows as ``(name, source, target)`` rows, in name order."""
-        return tuple([(a.name, a.source, a.target) for a in self.arrows])
-
-    @cached_property
     def arrow_map(self) -> dict[ArrowId, Arrow]:
-        return {a.name: a for a in self.arrows}
+        return dict(zip(map(_by_name, self.arrows), self.arrows))
 
     @cached_property
     def outgoing(self) -> dict[VertexId, tuple[Arrow, ...]]:
-        return _grouped(self.vertex_list, ((a.source, a) for a in self.arrows), _by_name)
+        return _grouped(self.vertex_list, zip(map(_source, self.arrows), self.arrows), _by_name)
 
     @cached_property
     def incoming(self) -> dict[VertexId, tuple[Arrow, ...]]:
-        return _grouped(self.vertex_list, ((a.target, a) for a in self.arrows), _by_name)
+        return _grouped(self.vertex_list, zip(map(_target, self.arrows), self.arrows), _by_name)
 
 
 def _grouped(keys, pairs, order=None) -> dict:
@@ -219,10 +219,10 @@ def _chain_cycles(follower: dict) -> list[list]:
 
 def _first_bad_item(vertices, arrows, relations=(), special=()):
     """``(statement, index, error)`` for the first item that does not
-    resolve, or None: statements in the order vertices, arrows (``Arrow``
-    records), relations (name pairs), special, and items in the order given,
-    each good one kept, so a bad one's index is the count kept.  Each
-    integrity rule and its message is written here only."""
+    resolve, or None: statements in the order vertices, arrows (``(name,
+    source, target)`` rows), relations (name pairs), special, and items in
+    the order given, each good one kept, so a bad one's index is the count
+    kept.  Each integrity rule and its message is written here only."""
     seen = set()
     for v in vertices:
         if not v:
@@ -231,28 +231,27 @@ def _first_bad_item(vertices, arrows, relations=(), special=()):
             return "vertices", len(seen), DuplicateName(f"vertex {v!r} declared twice")
         seen.add(v)
     names = set()
-    for a in arrows:
-        name = a.name
+    for name, source, target in arrows:
         if name in names:
             return "arrows", len(names), DuplicateName(f"arrow {name!r} declared twice")
-        if a.source not in seen:
+        if source not in seen:
             return "arrows", len(names), DanglingEndpoint(
-                f"arrow {name!r} starts at unknown vertex {a.source!r}")
-        if a.target not in seen:
+                f"arrow {name!r} starts at unknown vertex {source!r}")
+        if target not in seen:
             return "arrows", len(names), DanglingEndpoint(
-                f"arrow {name!r} ends at unknown vertex {a.target!r}")
+                f"arrow {name!r} ends at unknown vertex {target!r}")
         names.add(name)
-    amap = {a.name: a for a in arrows} if relations else {}  # none for build_quiver
+    amap = {a[0]: a for a in arrows} if relations else {}  # none for build_quiver
     pairs = set()
     for x, y in relations:
         i = len(pairs)
         for arrow in (x, y):
             if arrow not in amap:
                 return "relations", i, UnknownVertex(f"relation names unknown arrow {arrow!r}")
-        if amap[y].target != amap[x].source:
+        if amap[y][2] != amap[x][1]:
             return "relations", i, NotComposable(
                 f"relation {relation_text(x, y)} is not composable: "
-                f"t({y}) = {amap[y].target!r} but s({x}) = {amap[x].source!r}")
+                f"t({y}) = {amap[y][2]!r} but s({x}) = {amap[x][1]!r}")
         if (x, y) in pairs:
             return "relations", i, DuplicateName(f"relation {relation_text(x, y)} declared twice")
         pairs.add((x, y))
@@ -293,7 +292,7 @@ class BoundQuiver(Record):
         _set(self, "relations", relations)
         amap = quiver.arrow_map
         for x, y in relations:
-            if x not in amap or y not in amap or amap[y].target != amap[x].source:
+            if x not in amap or y not in amap or amap[y][2] != amap[x][1]:
                 # the first bad relation in name order, whatever the hash seed
                 raise _first_bad_item(quiver.vertex_list, quiver.arrows, self.relation_list)[2]
 
@@ -313,9 +312,9 @@ class BoundQuiver(Record):
 
     @cached_property
     def gentle_index(self) -> tuple[dict, Counter, dict, dict] | None:
-        """``gentle_decision`` over the rows and partner maps; None if not gentle."""
+        """``gentle_decision`` over the arrows and partner maps; None if not gentle."""
         partners = partner_maps(self.relations)
-        return partners and gentle_decision(self.quiver.rows, *partners)
+        return partners and gentle_decision(self.quiver.arrows, *partners)
 
     @cached_property
     def successors(self) -> dict[ArrowId, tuple[ArrowId, ...]]:
@@ -364,7 +363,7 @@ def gentle_decision(rows, before, after) -> tuple[dict, Counter, dict, dict] | N
     ``outs`` itself; a vertex with two arrows in needs, for each arrow out,
     a partner before it that the pass met.  A partner off its arrow's end
     fails the pair, so any rows with distinct names are decided."""
-    ins = Counter(map(_third, rows))
+    ins = Counter(map(_target, rows))
     if max(ins.values(), default=0) > 2:
         return None
     outs = {}
@@ -406,16 +405,16 @@ def _successors(bq: BoundQuiver) -> dict[ArrowId, tuple[ArrowId, ...]]:
     out = bq.quiver.outgoing
     after = bq.relations_after
     succ = {}
-    for a in bq.quiver.arrows:
-        outs, killed = out[a.target], after[a.name]
+    for name, _, target in bq.quiver.arrows:
+        outs, killed = out[target], after[name]
         if not killed:
-            succ[a.name] = tuple([g.name for g in outs])
+            succ[name] = tuple(map(_by_name, outs))
         elif len(killed) == len(outs):
-            succ[a.name] = ()
+            succ[name] = ()
         else:
             if len(killed) > 1:
                 killed = set(killed)
-            succ[a.name] = tuple([g.name for g in outs if g.name not in killed])
+            succ[name] = tuple([g for g, _, _ in outs if g not in killed])
     return succ
 
 
@@ -630,9 +629,8 @@ def path_sums(walk: ArrowWalk, columns) -> list[dict[ArrowId, int]]:
     filled = []
     for succ, weight in columns:
         value = {}
-        for a in order:
-            name = a.name
-            f = weight[a.target]
+        for name, _, target in order:
+            f = weight[target]
             for g in succ[name]:
                 f += value[g]
             value[name] = f

@@ -130,7 +130,7 @@ def _pair_rows(x):
         return (sorted(chain.from_iterable(x.lifts.values())), sorted(x.arrows, key=_first),
                 sorted(starmap(relation_text, x.relations.items())))
     if isinstance(x, BoundQuiver):
-        return (x.quiver.vertex_list, x.quiver.rows,
+        return (x.quiver.vertex_list, x.quiver.arrows,
                 list(starmap(relation_text, x.relation_list)))
     raise TypeError(f"cannot render {type(x).__name__}")
 

@@ -53,17 +53,16 @@ def _gentle_witnesses(bq: BoundQuiver) -> list[Violation]:
                   if len(out[v]) > 2 or len(inc[v]) > 2]
     g1 = []
     succ, before, after = bq.successors, bq.relations_before, bq.relations_after
-    for a in q.arrows:
-        name = a.name
+    for name, source, _ in q.arrows:
         nonrel_succ = succ[name]
         if len(nonrel_succ) > 1:
             violations.append(Violation("SB2", (name, *nonrel_succ)))
         rel_pred = before[name]
-        ins = inc[a.source]
+        ins = inc[source]
         if len(ins) - len(rel_pred) > 1:
             killed = set(rel_pred)
-            violations.append(Violation("SB2", (name, *[b.name for b in ins
-                                                         if b.name not in killed])))
+            violations.append(Violation("SB2", (name, *[b for b, _, _ in ins
+                                                         if b not in killed])))
         if len(rel_pred) > 1:
             g1.append(Violation("G1", (name, *rel_pred)))
         rel_succ = after[name]

@@ -24,10 +24,9 @@ count of the package, and is not part of it: no command needs it.
   written order, as the reader once checked them after the model.
 """
 
-from itertools import chain, starmap
+from itertools import chain
 
 from skewgentle import (
-    Arrow,
     BasisPath,
     BoundQuiver,
     GPresentation,
@@ -48,14 +47,14 @@ def relation_free_paths(bq):
     q = bq.quiver
     limit = len(q.arrows)  # a longer relation-free path repeats an arrow, so it can grow forever
     paths = []
-    stack = [(a.name,) for a in q.arrows]
+    stack = [(a,) for a, _, _ in q.arrows]
     while stack:
         p = stack.pop()
         if len(p) > limit:
             raise InfiniteDimensional(f"relation-free path {list(p)} repeats an arrow")
         paths.append(p)
-        end = q.arrow_map[p[0]].target
-        stack += [(g.name, *p) for g in q.outgoing[end] if (g.name, p[0]) not in bq.relations]
+        _, _, end = q.arrow_map[p[0]]
+        stack += [(g, *p) for g, _, _ in q.outgoing[end] if (g, p[0]) not in bq.relations]
     paths.sort(key=lambda p: (len(p), p))
     return paths
 
@@ -63,7 +62,7 @@ def relation_free_paths(bq):
 def ends(bq, p):
     """The source and target vertex of the nontrivial path ``p`` of ``bq``."""
     amap = bq.quiver.arrow_map
-    return amap[p[-1]].source, amap[p[0]].target
+    return amap[p[-1]][1], amap[p[0]][2]
 
 
 def admissible_base_pair(t):
@@ -129,7 +128,7 @@ def build_g_pair(t):
     arrows = construct.lift_arrows_to_g(t)
     vertices = frozenset(chain.from_iterable(t.g_lifts.values()))
     relations = frozenset(construct.lift_relations_to_g(t))
-    return BoundQuiver(Quiver(vertices, starmap(Arrow, arrows)), relations)
+    return BoundQuiver(Quiver(vertices, arrows), relations)
 
 
 def sign_sequences(quiver, arrows, special):
@@ -227,7 +226,7 @@ def construction_payload(x, name="Q"):
         arrows, relations = x.arrows, x.relations.items()
     else:
         vertices = x.quiver.vertices
-        arrows = [(a.name, a.source, a.target) for a in x.quiver.arrows]
+        arrows = x.quiver.arrows
         relations = x.relations
     return {
         "name": name,

@@ -228,9 +228,9 @@ def _assert_sign_swap_is_an_involution(t):
     for m in (vertex_map, arrow_map):
         assert all(m[m[k]] == k for k in m)
     assert {v for v, w in vertex_map.items() if v == w} == set(t.special)
-    for name, arrow in g.quiver.arrow_map.items():
-        image = g.quiver.arrow_map[arrow_map[name]]
-        assert (image.source, image.target) == (vertex_map[arrow.source], vertex_map[arrow.target])
+    for name, source, target in g.quiver.arrows:
+        _, image_source, image_target = g.quiver.arrow_map[arrow_map[name]]
+        assert (image_source, image_target) == (vertex_map[source], vertex_map[target])
     assert {(arrow_map[x], arrow_map[y]) for x, y in g.relations} == g.relations
     return vertex_map, arrow_map
 

@@ -118,7 +118,7 @@ def test_sign_sequences_give_paths_in_g(fix_a2, fix_b3):
                     n + s for n, s in zip(cycle.arrows[1:], signs)
                 ]
                 for i in range(1, len(names)):
-                    assert amap[names[i]].target == amap[names[i - 1]].source
+                    assert amap[names[i]][2] == amap[names[i - 1]][1]
 
 
 def test_lift_cycles_fix_a2(fix_a2):

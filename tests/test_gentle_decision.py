@@ -99,7 +99,7 @@ def test_the_decision_indexes_as_the_general_index():
         outs, ins, before, successors = index
         assert successors == quiver._successors(bq), name
         assert bq.successors is successors, name
-        assert outs == {v: tuple(a.name for a in arrows)
+        assert outs == {v: tuple(a for a, _, _ in arrows)
                         for v, arrows in q.outgoing.items() if arrows}, name
         assert all(ins[v] == len(q.incoming[v]) for v in q.vertex_list), name
         assert before == {x: ys[0] for x, ys in bq.relations_before.items() if ys}, name

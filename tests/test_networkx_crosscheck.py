@@ -28,9 +28,9 @@ def _successor_graph(bq):
     """An edge a -> g when g starts where a ends and g*a is not a relation."""
     graph = nx.DiGraph()
     arrows = bq.quiver.arrows
-    graph.add_nodes_from(a.name for a in arrows)
-    graph.add_edges_from((a.name, g.name) for a in arrows for g in arrows
-                         if g.source == a.target and (g.name, a.name) not in bq.relations)
+    graph.add_nodes_from(a for a, _, _ in arrows)
+    graph.add_edges_from((a, g) for a, _, end in arrows for g, start, _ in arrows
+                         if start == end and (g, a) not in bq.relations)
     return graph
 
 

@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-from operator import attrgetter
 from pathlib import Path as FsPath
 
 import pytest
@@ -185,14 +184,14 @@ def _index_cases():
 
 
 def test_indexes_are_sorted_filters_of_arrows_and_relations():
-    name = attrgetter("name")
     for bq in _index_cases():
         q, rels = bq.quiver, bq.relations
-        assert q.outgoing == {v: tuple(sorted([a for a in q.arrows if a.source == v], key=name))
+        # rows sort by name, as names are distinct
+        assert q.outgoing == {v: tuple(sorted([a for a in q.arrows if a[1] == v]))
                               for v in q.vertices}
-        assert q.incoming == {v: tuple(sorted([a for a in q.arrows if a.target == v], key=name))
+        assert q.incoming == {v: tuple(sorted([a for a in q.arrows if a[2] == v]))
                               for v in q.vertices}
-        assert bq.relations_before == {a.name: tuple(sorted([y for x, y in rels if x == a.name]))
-                                       for a in q.arrows}
-        assert bq.relations_after == {a.name: tuple(sorted([x for x, y in rels if y == a.name]))
-                                      for a in q.arrows}
+        assert bq.relations_before == {a: tuple(sorted([y for x, y in rels if x == a]))
+                                       for a, _, _ in q.arrows}
+        assert bq.relations_after == {a: tuple(sorted([x for x, y in rels if y == a]))
+                                      for a, _, _ in q.arrows}

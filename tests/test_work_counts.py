@@ -352,8 +352,9 @@ def test_g_labels_are_made_only_when_read(monkeypatch, argv, read):
 ])
 def test_q_g_is_no_pair(monkeypatch, argv):
     # once the file's pair is read, no Arrow, Quiver or BoundQuiver is made
-    # (the package makes none without its __init__): Q^g is written,
-    # counted and checked from its lift rows
+    # (past parse, which makes its Arrows in C code, the package makes each
+    # through its class, which calls __init__): Q^g is written, counted and
+    # checked from its lift rows
     made, load = [], cli._load
 
     def loaded(path):
