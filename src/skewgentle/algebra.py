@@ -9,7 +9,6 @@ lift rows, checked gentle and finite, and no pair either."""
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import chain
 from operator import mul
 
@@ -21,6 +20,7 @@ from .quiver import (
     SkewedGentleTriple,
     _set,
     _source,
+    cached,
     path_sums,
     successor_order,
 )
@@ -356,12 +356,12 @@ class CornerData(Record):
         _set(self, "identity_holds", identity_holds)
         _set(self, "triple", triple)
 
-    @cached_property
+    @cached
     def t1_basis(self) -> tuple[BasisPath, ...]:
         """The basis paths from a-, in ``basis`` order."""
         return _corner_basis(self.triple, self.special_vertex, leaving=True)
 
-    @cached_property
+    @cached
     def t2_basis(self) -> tuple[BasisPath, ...]:
         """The basis paths to a-, in ``basis`` order."""
         return _corner_basis(self.triple, self.special_vertex, leaving=False)

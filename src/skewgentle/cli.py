@@ -17,10 +17,19 @@ abbreviation, ``--opt=value``, ``--``, a repeated option, every usage error)
 goes to the argparse parser built from the same table on first need, so help
 and usage wording stay argparse's own.  ``run`` loads the input once and
 hands the triple to the command's handler.
+
+A command runs with Python's cyclic garbage collector paused, as nothing it
+makes is part of a reference cycle: reference counting frees all of it, and
+the collector, which would scan it all and find nothing, is enabled again
+afterwards if it was before.  argparse is the one exception: the help
+formatters it makes, for help and for each option added to the parser built
+on first need, leave a few cycles, which the collector frees once it runs
+again.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from functools import cache
@@ -223,6 +232,17 @@ def _build_parser():
 
 
 def run(argv, out=None, err=None) -> int:
+    # the cyclic collector is paused for the command (see the module docstring)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv, out, err)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv, out, err) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:

@@ -20,7 +20,8 @@ Q^g's signed arrow names, Q^g's relations as their partner maps, its three
 constructions and its cycles.  The constructions of Q^sg and Q^g, the
 cycles and the counts need a valid triple, whose verdict has decided the
 base pair gentle and finite, so none of them walks the base pair.
-Each is computed at most once per object and dies with it.  Relation-free
+Each is computed at most once per object and dies with it.  The cache is
+``cached``, a ``functools.cached_property`` that takes no lock.  Relation-free
 paths are counted in one pass, ``path_sums``, over the verdict's walk of
 (Q, I1), which is never built as a pair: the base pair's graph is a
 subgraph of (Q, I1)'s, so its paths are counted in the same pass, along its
@@ -88,6 +89,20 @@ ArrowId = str
 def relation_text(x: ArrowId, y: ArrowId) -> str:
     """The written form ``x*y`` of the relation pair (x, y), in every message and output."""
     return f"{x}*{y}"
+
+
+class cached(cached_property):
+    """``functools.cached_property`` without the lock that Python 3.10 and
+    3.11 take on each first read (3.12 dropped it): the value is computed and
+    stored in the instance ``__dict__``, which answers every later read.  Two
+    threads that read a value first at once may both compute it; the values
+    are equal, and one is kept."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
 
 
 _set = object.__setattr__  # how a record's __init__ sets its fields
@@ -160,19 +175,19 @@ class Quiver(Record):
         _set(self, "vertices", vertices)
         _set(self, "arrows", tuple(sorted(arrows, key=_by_name)))
 
-    @cached_property
+    @cached
     def vertex_list(self) -> tuple[VertexId, ...]:
         return tuple(sorted(self.vertices))
 
-    @cached_property
+    @cached
     def arrow_map(self) -> dict[ArrowId, Arrow]:
         return dict(zip(map(_by_name, self.arrows), self.arrows))
 
-    @cached_property
+    @cached
     def outgoing(self) -> dict[VertexId, tuple[Arrow, ...]]:
         return _grouped(self.vertex_list, zip(map(_source, self.arrows), self.arrows), _by_name)
 
-    @cached_property
+    @cached
     def incoming(self) -> dict[VertexId, tuple[Arrow, ...]]:
         return _grouped(self.vertex_list, zip(map(_target, self.arrows), self.arrows), _by_name)
 
@@ -296,27 +311,27 @@ class BoundQuiver(Record):
                 # the first bad relation in name order, whatever the hash seed
                 raise _first_bad_item(quiver.vertex_list, quiver.arrows, self.relation_list)[2]
 
-    @cached_property
+    @cached
     def relation_list(self) -> tuple[tuple[ArrowId, ArrowId], ...]:
         return tuple(sorted(self.relations))
 
-    @cached_property
+    @cached
     def relations_before(self) -> dict[ArrowId, tuple[ArrowId, ...]]:
         """For each arrow x, the arrows y with (x, y) a relation, in name order."""
         return _grouped(self.quiver.arrow_map, self.relations)
 
-    @cached_property
+    @cached
     def relations_after(self) -> dict[ArrowId, tuple[ArrowId, ...]]:
         """For each arrow y, the arrows x with (x, y) a relation, in name order."""
         return _grouped(self.quiver.arrow_map, [(y, x) for x, y in self.relations])
 
-    @cached_property
+    @cached
     def gentle_index(self) -> tuple[dict, Counter, dict, dict] | None:
         """``gentle_decision`` over the arrows and partner maps; None if not gentle."""
         partners = partner_maps(self.relations)
         return partners and gentle_decision(self.quiver.arrows, *partners)
 
-    @cached_property
+    @cached
     def successors(self) -> dict[ArrowId, tuple[ArrowId, ...]]:
         """The arrow-successor graph: for each arrow a, the arrows g with
         s(g) = t(a) and (g, a) not a relation, in name order; the counted
@@ -324,12 +339,12 @@ class BoundQuiver(Record):
         index = self.gentle_index
         return _successors(self) if index is None else index[3]
 
-    @cached_property
+    @cached
     def walk(self) -> ArrowWalk:
         """The one walk of the arrow-successor graph, successors in name order."""
         return ArrowWalk.of(self.quiver, self.successors)
 
-    @cached_property
+    @cached
     def gentle_violations(self) -> tuple[Violation, ...]:
         """The gentle violations, found once: empty when the counted decision
         accepts the pair, else the witness pass ``validate._gentle_witnesses``."""
@@ -438,7 +453,7 @@ class ArrowWalk(Record, eq=False):
         cycle, order = _walk(successors)
         return ArrowWalk(quiver, successors, cycle, tuple(order))
 
-    @cached_property
+    @cached
     def arrows(self) -> tuple[Arrow, ...]:
         """``order`` as arrows, made when a count first reads it."""
         amap = self.quiver.arrow_map
@@ -516,7 +531,7 @@ class SkewedGentleTriple(Record):
             # the first unknown special vertex in name order
             raise _first_bad_item(pair.quiver.vertex_list, (), (), self.special_list)[2]
 
-    @cached_property
+    @cached
     def special_list(self) -> tuple[VertexId, ...]:
         return tuple(sorted(self.special))
 
@@ -524,48 +539,48 @@ class SkewedGentleTriple(Record):
     # it dies with the triple.  The modules that compute these import this
     # one, hence the deferred imports.
 
-    @cached_property
+    @cached
     def validation(self) -> ValidationReport:
         """The report of ``validate_skewed_gentle``: the one decision on the triple."""
         from .validate import validate_skewed_gentle
 
         return validate_skewed_gentle(self)
 
-    @cached_property
+    @cached
     def sg_lifts(self) -> dict[VertexId, tuple[VertexId, ...]]:
         """The lift table of Q^sg, special vertices split, as ``vertex_lifts`` makes it."""
         from .construct import vertex_lifts
 
         return vertex_lifts(self, self.special, "Q^sg vertex")
 
-    @cached_property
+    @cached
     def g_lifts(self) -> dict[VertexId, tuple[VertexId, ...]]:
         """The lift table of Q^g, ordinary vertices split, as ``vertex_lifts`` makes it."""
         from .construct import vertex_lifts
 
         return vertex_lifts(self, self.pair.quiver.vertices - self.special, "Q^g vertex")
 
-    @cached_property
+    @cached
     def g_arrow_names(self) -> dict[ArrowId, tuple[str, str]]:
         """The names a+ and a- of Q^g's two lifts of each base arrow a, made
         once: every lift rule of Q^g and of its cycles reads them here."""
         return {name: (name + "+", name + "-") for name in map(_by_name, self.pair.quiver.arrows)}
 
-    @cached_property
+    @cached
     def sp_pair(self) -> BoundQuiver:
         """(Q^sp, I^sp), as ``build_sp_pair`` makes it."""
         from .construct import build_sp_pair
 
         return build_sp_pair(self)
 
-    @cached_property
+    @cached
     def sg_presentation(self) -> SgPresentation:
         """Q^sg, as ``build_sg_presentation`` makes it; needs a valid triple."""
         from .construct import build_sg_presentation
 
         return build_sg_presentation(self)
 
-    @cached_property
+    @cached
     def g_partners(self) -> tuple[dict[ArrowId, ArrowId], dict[ArrowId, ArrowId]]:
         """I^g as its ``partner_maps``; needs a valid triple.  A G1 fault
         is a fault of Q^g, which ``construct._q_g_fault`` names."""
@@ -576,7 +591,7 @@ class SkewedGentleTriple(Record):
             _q_g_fault(self)
         return partners
 
-    @cached_property
+    @cached
     def g_presentation(self) -> GPresentation:
         """(Q^g, I^g) as its lift rows, checked gentle and finite, as
         ``build_g_presentation`` makes it; needs a valid triple."""
@@ -584,7 +599,7 @@ class SkewedGentleTriple(Record):
 
         return build_g_presentation(self)
 
-    @cached_property
+    @cached
     def admissible_walk(self) -> ArrowWalk | None:
         """The walk that decides the triple, of the arrow-successor graph of
         (Q, I1), as ``admissible_walk`` makes it; None when a special vertex
@@ -593,7 +608,7 @@ class SkewedGentleTriple(Record):
 
         return admissible_walk(self)
 
-    @cached_property
+    @cached
     def cycles(self) -> tuple[CycleClass, ...]:
         """Full relation cycles of the base pair with their parities, by arrows;
         needs a valid triple, whose verdict has decided the base pair gentle and finite."""
