@@ -72,6 +72,26 @@ def special_line_text(n: int, special: bool = True) -> str:
             f" arrows: {arrows}; relations: {relations}; }}")
 
 
+def free_line(n: int, special=(), name: str = "A") -> str:
+    """A_n: the line v0 -> ... -> v_{n-1} with no relation."""
+    vertices = ", ".join(f"v{i}" for i in range(n))
+    arrows = ", ".join(f"a{i}: v{i} -> v{i + 1}" for i in range(n - 1))
+    marked = f"special: {', '.join(special)}; " if special else ""
+    return f"quiver {name} {{ vertices: {vertices}; {marked}arrows: {arrows}; }}"
+
+
+def full_relation_cycle(n: int, k: int = 0, offset: int = 0, name: str = "C",
+                        vertex: str = "v") -> str:
+    """The n-cycle a_i: v_i -> v_{i+1 mod n} with every composition a
+    relation, and every k-th vertex from ``offset`` special (none for k = 0)."""
+    vs = [f"{vertex}{i}" for i in range(n)]
+    marked = f" special: {', '.join(vs[offset::k])};" if k else ""
+    arrows = ", ".join(f"a{i}: {vs[i]} -> {vs[(i + 1) % n]}" for i in range(n))
+    relations = ", ".join(f"a{(i + 1) % n}*a{i}" for i in range(n))
+    return (f"quiver {name} {{ vertices: {', '.join(vs)};{marked} arrows: {arrows};"
+            f" relations: {relations}; }}")
+
+
 def in_star(k: int) -> str:
     """The in-star: k arrows y_i: p -> q, one arrow x: q -> r and every x*y_i
     a relation, so x has k relation partners before it."""

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import special_line
+from conftest import full_relation_cycle, special_line
 from reference import ZERO, admissible_base_pair, ends, multiply, relation_free_paths
 
 from skewgentle import (
@@ -21,6 +21,7 @@ from skewgentle import (
     corner_data,
     dimension,
     dimension_oracle,
+    parse,
     random_triple,
 )
 from skewgentle.algebra import _degree_dimension, _oracle_presentation
@@ -367,22 +368,13 @@ def test_oracle_matches_reference_on_random_triples():
                     (seed, size, which, cap)
 
 
-def _full_relation_cycle(n, k, offset):
-    """Every composition a relation, and every k-th vertex from ``offset`` special."""
-    vs = [f"v{i}" for i in range(n)]
-    arrows = [Arrow(f"a{i}", vs[i], vs[(i + 1) % n]) for i in range(n)]
-    relations = frozenset((arrows[(i + 1) % n].name, arrows[i].name) for i in range(n))
-    special = frozenset(vs[offset::k])
-    return SkewedGentleTriple(BoundQuiver(build_quiver(vs, arrows), relations), special)
-
-
 @pytest.mark.parametrize("n", range(2, 11))
 def test_oracle_matches_reference_on_many_commutativity_relations(n):
     # each special vertex of a full-relation cycle gives a commutativity
     # relation; with every vertex special the pair is not admissible
     for k in range(2, n + 1):
         for offset in range(k):
-            t = _full_relation_cycle(n, k, offset)
+            t = parse(full_relation_cycle(n, k, offset, name="Q"))
             for which in ("gentle", "sg", "g"):
                 for cap in (10, 300, 20000):
                     got = _oracle_or_capped(dimension_oracle, t, which, cap)

@@ -7,7 +7,8 @@ import tracemalloc
 
 import pytest
 
-from conftest import fixture_path, in_star, out_star, special_line_text
+from conftest import (fixture_path, free_line, full_relation_cycle, in_star, out_star,
+                      special_line_text)
 from reference import build_g_pair
 
 from skewgentle import SkewedGentleTriple, parse, serialize
@@ -348,6 +349,11 @@ def test_help_exits_zero_on_out_only(argv, head):
 _FIX = str(fixture_path("fix_a2.q"))
 
 
+@pytest.mark.parametrize("spelling", [["--algebra", "sg"], ["--alg", "sg"], ["--algebra=sg"]])
+def test_dim_reads_an_abbreviated_or_joined_option(spelling):
+    assert invoke("dim", _FIX, *spelling) == (0, "8\n", "")
+
+
 # Each line and the word its one diagnostic must name; argparse's own
 # wording around that word differs between Python versions and is not pinned.
 @pytest.mark.parametrize("argv,named", [
@@ -395,38 +401,23 @@ def test_text_and_json_numbers_agree():
         assert line in text
 
 
-def _write_line(path, n, special=""):
-    vertices = ", ".join(f"v{i}" for i in range(n))
-    arrows = ", ".join(f"a{i}: v{i} -> v{i + 1}" for i in range(n - 1))
-    path.write_text(f"quiver A {{ vertices: {vertices}; {special}arrows: {arrows}; }}")
-
-
-def _write_line_with_special_ends(path, n):
-    _write_line(path, n, special=f"special: v0, v{n - 1}; ")
-
-
-def _write_full_relation_cycle(path, n, k):
-    vertices = ", ".join(f"v{i}" for i in range(n))
-    special = ", ".join(f"v{i}" for i in range(0, n, k))
-    arrows = ", ".join(f"a{i}: v{i} -> v{(i + 1) % n}" for i in range(n))
-    relations = ", ".join(f"a{(i + 1) % n}*a{i}" for i in range(n))
-    path.write_text(f"quiver C {{ vertices: {vertices}; special: {special}; "
-                    f"arrows: {arrows}; relations: {relations}; }}")
+def _line_with_special_ends(n):
+    return free_line(n, special=("v0", f"v{n - 1}"))
 
 
 def test_dim_of_long_line_and_long_cycle(tmp_path):
     # thousands of arrows in one chain of successors: no recursion, no listing
     line = tmp_path / "a3000.q"
-    _write_line(line, 3000)
+    line.write_text(free_line(3000))
     assert invoke("dim", str(line), "--algebra", "g") == (0, "9003000\n", "")
     cycle = tmp_path / "c5000.q"
-    _write_full_relation_cycle(cycle, 5000, 4)
+    cycle.write_text(full_relation_cycle(5000, 4))
     assert invoke("dim", str(cycle), "--algebra", "sg") == (0, "15000\n", "")
     # the corner of v0 on a line with special ends, counted: the paths from
     # v0 reach n - 2 ordinary vertices and the split v_{n-1}; none end at v0
     n = 4000
     ends = tmp_path / "a4000ends.q"
-    _write_line_with_special_ends(ends, n)
+    ends.write_text(_line_with_special_ends(n))
     interior = (n - 2) * (n - 3) // 2  # paths between ordinary vertices
     gamma = n + 2 + 4 * (n - 2) + 4 + interior
     gamma_prime = n + 1 + 2 * (n - 1) + (n - 1) * (n - 2) // 2
@@ -437,10 +428,10 @@ def test_dim_of_long_line_and_long_cycle(tmp_path):
 
 
 _SCALING_FAMILIES = {
-    "cycle-every-3rd-special": (lambda path, n: _write_full_relation_cycle(path, n, 3), 600),
-    "cycle-every-2nd-special": (lambda path, n: _write_full_relation_cycle(path, n, 2), 600),
-    "free-line": (_write_line, 300),
-    "line-with-special-ends": (_write_line_with_special_ends, 300),
+    "cycle-every-3rd-special": (lambda n: full_relation_cycle(n, 3), 600),
+    "cycle-every-2nd-special": (lambda n: full_relation_cycle(n, 2), 600),
+    "free-line": (free_line, 300),
+    "line-with-special-ends": (_line_with_special_ends, 300),
 }
 
 
@@ -467,11 +458,11 @@ def test_allocation_peak_grows_linearly(tmp_path, monkeypatch, family, command):
     # oracle in --dims lists about n^2 / 2 paths of a line, hence the raised
     # cap.
     monkeypatch.setenv("QSG_ORACLE_CAP", str(10 ** 6))
-    write, n = _SCALING_FAMILIES[family]
+    text, n = _SCALING_FAMILIES[family]
     argv = {}
     for size in (12, n, 2 * n):
         path = tmp_path / f"{size}.q"
-        write(path, size)
+        path.write_text(text(size))
         argv[size] = (command[0], str(path), *command[1:])
     assert invoke(*argv[12])[::2] == (0, "")  # warm-up: imports and first-use caches
     peaks = []
@@ -507,11 +498,11 @@ def test_construct_peak_is_a_multiple_of_its_output(tmp_path, family, target):
     # the largest on the cycle with every 2nd vertex special on 3.10; 11.5
     # leaves 11% above it and fails the Q^g that built a BoundQuiver
     # (11.8-12.5 on the cycles on 3.10 and 3.11).
-    write, n = _SCALING_FAMILIES[family]
+    text, n = _SCALING_FAMILIES[family]
     argv = {}
     for size in (12, 2 * n):
         path = tmp_path / f"{size}.q"
-        write(path, size)
+        path.write_text(text(size))
         argv[size] = ("construct", str(path), "--target", target, "--format", "json")
     assert invoke(*argv[12])[::2] == (0, "")  # warm-up: imports and first-use caches
     gc.collect()
@@ -525,13 +516,14 @@ def test_construct_peak_is_a_multiple_of_its_output(tmp_path, family, target):
     assert peak <= _OUTPUT_RATIO[target] * len(out.encode()), (peak, len(out))
 
 
+# The scale gates: each `*_as_a_process` test runs one command as a process
+# on thousands of items under a wall-clock bound.  CI has no other copy.
 def test_q_g_dot_of_the_20000_cycle_as_a_process(tmp_path):
-    # the console-script gate of CI in tier-1: on the full-relation
-    # 20000-cycle with every 3rd vertex special, DOT of Q^g finishes within
-    # 10 s and draws each of the 6667 special vertices, unsigned in Q^g, as
-    # one doublecircle, read off the lift table
+    # on the full-relation 20000-cycle with every 3rd vertex special, DOT of
+    # Q^g finishes within 10 s and draws each of the 6667 special vertices,
+    # unsigned in Q^g, as one doublecircle, read off the lift table
     path = tmp_path / "C20000.q"
-    _write_full_relation_cycle(path, 20000, 3)
+    path.write_text(full_relation_cycle(20000, 3))
     result = subprocess.run(
         [sys.executable, "-m", "skewgentle", "construct", str(path), "--target", "g",
          "--format", "dot"],
@@ -547,7 +539,7 @@ def test_q_sg_dot_of_the_1200_cycle_doubles_exactly_the_split_lifts(tmp_path):
     # vertices, which the presentation names from its lift table, and no
     # other vertex
     path = tmp_path / "C1200.q"
-    _write_full_relation_cycle(path, 1200, 3)
+    path.write_text(full_relation_cycle(1200, 3))
     code, out, err = invoke("construct", str(path), "--target", "sg", "--format", "dot")
     assert (code, err) == (0, "")
     doubled = [line.split('"')[1] for line in out.splitlines() if "doublecircle" in line]
@@ -556,11 +548,11 @@ def test_q_sg_dot_of_the_1200_cycle_doubles_exactly_the_split_lifts(tmp_path):
 
 
 def test_text_construct_of_the_20000_cycle_as_a_process(tmp_path):
-    # the console-script gate of CI in tier-1: on the same 20000-cycle, text
-    # `construct --target g`, written from Q^g's lift rows, finishes within
-    # 10 s and is the canonical form of the reference pair built on them
+    # on the same 20000-cycle, text `construct --target g`, written from Q^g's
+    # lift rows, finishes within 10 s and is the canonical form of the
+    # reference pair built on them
     path = tmp_path / "C20000.q"
-    _write_full_relation_cycle(path, 20000, 3)
+    path.write_text(full_relation_cycle(20000, 3))
     result = subprocess.run(
         [sys.executable, "-m", "skewgentle", "construct", str(path), "--target", "g",
          "--format", "text"],
@@ -574,11 +566,11 @@ def test_text_construct_of_the_20000_cycle_as_a_process(tmp_path):
 
 @pytest.mark.parametrize("target", ["g", "sg"])
 def test_json_construct_of_the_20000_cycle_as_a_process(tmp_path, target):
-    # the console-script gate of CI in tier-1: on the same 20000-cycle, JSON
-    # `construct` of Q^g and Q^sg finishes within 10 s and writes what the
-    # stdlib's encoder writes for it, sorted keys and indent 2
+    # on the same 20000-cycle, JSON `construct` of Q^g and Q^sg finishes
+    # within 10 s and writes what the stdlib's encoder writes for it, sorted
+    # keys and indent 2
     path = tmp_path / "C20000.q"
-    _write_full_relation_cycle(path, 20000, 3)
+    path.write_text(full_relation_cycle(20000, 3))
     result = subprocess.run(
         [sys.executable, "-m", "skewgentle", "construct", str(path), "--target", target,
          "--format", "json"],
@@ -591,9 +583,8 @@ def test_json_construct_of_the_20000_cycle_as_a_process(tmp_path, target):
 
 @pytest.mark.parametrize("special", [False, True])
 def test_invariants_of_the_20000_line_as_a_process(tmp_path, special):
-    # the console-script gate of CI in tier-1: text `invariants` on L_20000,
-    # with no special vertex and with every inner vertex special, finishes
-    # within 10 s with every gldim finite
+    # text `invariants` on L_20000, with no special vertex and with every
+    # inner vertex special, finishes within 10 s with every gldim finite
     path = tmp_path / "L20000.q"
     path.write_text(special_line_text(20000, special), encoding="utf-8")
     result = subprocess.run([sys.executable, "-m", "skewgentle", "invariants", str(path)],
@@ -603,11 +594,10 @@ def test_invariants_of_the_20000_line_as_a_process(tmp_path, special):
 
 
 def test_invariants_of_the_20000_cycle_as_a_process(tmp_path):
-    # the console-script gate of CI in tier-1: text `invariants` on the
-    # full-relation 20000-cycle with every 3rd vertex special finishes within
-    # 10 s with no gldim finite
+    # text `invariants` on the full-relation 20000-cycle with every 3rd vertex
+    # special finishes within 10 s with no gldim finite
     path = tmp_path / "C20000.q"
-    _write_full_relation_cycle(path, 20000, 3)
+    path.write_text(full_relation_cycle(20000, 3))
     result = subprocess.run([sys.executable, "-m", "skewgentle", "invariants", str(path)],
                             capture_output=True, text=True, timeout=10)
     assert (result.returncode, result.stderr) == (0, "")
@@ -620,13 +610,12 @@ def test_invariants_of_the_20000_cycle_as_a_process(tmp_path):
      ["dim gamma: 66668", "dim gamma': 66664", "identity: holds"]),
 ])
 def test_counts_of_the_20000_cycle_as_a_process(tmp_path, argv, lines):
-    # the console-script gate of CI in tier-1: on the same 20000-cycle, the
-    # base pair's dimension and the corner of v0, each one counting pass
-    # over the verdict's walk (and the reduced triple's own), finish within
-    # 10 s: 2n paths in the base pair, 2n + 4s in the sg algebra with s
-    # special vertices
+    # on the same 20000-cycle, the base pair's dimension and the corner of v0,
+    # each one counting pass over the verdict's walk (and the reduced triple's
+    # own), finish within 10 s: 2n paths in the base pair, 2n + 4s in the sg
+    # algebra with s special vertices
     path = tmp_path / "C20000.q"
-    _write_full_relation_cycle(path, 20000, 3)
+    path.write_text(full_relation_cycle(20000, 3))
     argv = [str(path) if a == "FILE" else a for a in argv]
     result = subprocess.run([sys.executable, "-m", "skewgentle", *argv],
                             capture_output=True, text=True, timeout=10)
@@ -642,8 +631,8 @@ def test_invariants_peak_is_a_multiple_of_its_text(tmp_path):
     # Q^g, and 31.9-35.2 without, the largest on 3.10; a bound of 40 fails
     # a command that builds Q^g again.
     small, path = tmp_path / "C12.q", tmp_path / "C20000.q"
-    _write_full_relation_cycle(small, 12, 3)
-    _write_full_relation_cycle(path, 20000, 3)
+    small.write_text(full_relation_cycle(12, 3))
+    path.write_text(full_relation_cycle(20000, 3))
     assert invoke("invariants", str(small))[::2] == (0, "")  # warm-up: imports and first-use caches
     gc.collect()
     tracemalloc.start()
@@ -665,10 +654,10 @@ _L_ORACLE_GATES = {
 
 @pytest.mark.parametrize("n", sorted(_L_ORACLE_GATES))
 def test_sg_oracle_of_the_special_line_as_a_process(tmp_path, monkeypatch, n):
-    # the console-script gate of CI in tier-1: `invariants --dims` on L_n,
-    # the densest case for commutativity relations, at the default oracle
-    # cap; on L_12 the sg oracle agrees within 10 s, and on L_14 it reaches
-    # the cap within 10 s, exits 3 and says how far it got
+    # `invariants --dims` on L_n, the densest case for commutativity
+    # relations, at the default oracle cap; on L_12 the sg oracle agrees
+    # within 10 s, and on L_14 it reaches the cap within 10 s, exits 3 and
+    # says how far it got
     monkeypatch.delenv("QSG_ORACLE_CAP", raising=False)
     path = tmp_path / f"L{n}.q"
     path.write_text(special_line_text(n), encoding="utf-8")
@@ -682,10 +671,9 @@ def test_sg_oracle_of_the_special_line_as_a_process(tmp_path, monkeypatch, n):
 
 @pytest.mark.parametrize("star,hub,side", [(in_star, "x", "y"), (out_star, "y", "z")])
 def test_validate_of_a_50000_star_as_a_process(tmp_path, star, hub, side):
-    # the console-script gate of CI in tier-1: `validate --json` on the
-    # relation star at k = 50000 exits 1 within 10 s with one G1 item that
-    # lists all k partners of the hub, from the witness pass that runs once
-    # the counted decision rejects the pair
+    # `validate --json` on the relation star at k = 50000 exits 1 within 10 s
+    # with one G1 item that lists all k partners of the hub, from the witness
+    # pass that runs once the counted decision rejects the pair
     path = tmp_path / "star.q"
     path.write_text(star(50000), encoding="utf-8")
     result = subprocess.run([sys.executable, "-m", "skewgentle", "validate", str(path), "--json"],
@@ -696,9 +684,8 @@ def test_validate_of_a_50000_star_as_a_process(tmp_path, star, hub, side):
 
 
 def test_spset_of_the_8_necklace_as_a_process(tmp_path):
-    # the console-script gate of CI in tier-1: `spset` on a necklace of 8
-    # full-relation 2-cycles, each a ring of two vertices, and 4 isolated
-    # vertices lists its 3^8 * 2^4 sets within 20 s
+    # `spset` on a necklace of 8 full-relation 2-cycles, each a ring of two
+    # vertices, and 4 isolated vertices lists its 3^8 * 2^4 sets within 20 s
     vertices = [*(f"p{i}" for i in range(8)), *(f"q{i}" for i in range(8)),
                 *(f"z{i}" for i in range(4))]
     arrows = ", ".join(f"a{i}: p{i} -> q{i}, b{i}: q{i} -> p{i}" for i in range(8))
@@ -715,10 +702,10 @@ def test_spset_of_the_8_necklace_as_a_process(tmp_path):
 
 
 def test_reduce_of_the_4000_line_as_a_process(tmp_path):
-    # the console-script gate of CI in tier-1: `reduce` on the 4000-vertex
-    # line with both ends special counts its corner within 30 s
+    # `reduce` on the 4000-vertex line with both ends special counts its
+    # corner within 30 s
     path = tmp_path / "line.q"
-    _write_line_with_special_ends(path, 4000)
+    path.write_text(_line_with_special_ends(4000))
     result = subprocess.run([sys.executable, "-m", "skewgentle", "reduce", str(path),
                              "--vertex", "v0"], capture_output=True, text=True, timeout=30)
     assert (result.returncode, result.stderr) == (0, "")

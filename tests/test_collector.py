@@ -13,8 +13,7 @@ import io
 
 import pytest
 
-from conftest import fixture_path
-from test_cli import _write_full_relation_cycle
+from conftest import fixture_path, full_relation_cycle
 from test_golden import FIXTURE_NAMES, GOLDEN, INPUTS, PARSE_ERRORS, commands
 
 from skewgentle import cli
@@ -121,7 +120,7 @@ def test_a_long_command_makes_no_collection(tmp_path, monkeypatch, command):
     # `invariants --dims --json` 64, and none of them found anything
     monkeypatch.delenv("QSG_ORACLE_CAP", raising=False)
     path = tmp_path / "C2000.q"
-    _write_full_relation_cycle(path, 2000, 3)
+    path.write_text(full_relation_cycle(2000, 3))
     out, err = io.StringIO(), io.StringIO()
     started = []
 

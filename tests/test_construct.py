@@ -4,7 +4,7 @@ from itertools import chain
 
 import pytest
 
-from conftest import fixture_path
+from conftest import fixture_path, full_relation_cycle
 from reference import build_g_pair, relation_free_paths, sign_swap
 
 from skewgentle import (
@@ -476,12 +476,8 @@ def _construction_cases():
         for special in admissible_special_sets(t.pair)[1:4]:
             yield SkewedGentleTriple(t.pair, frozenset(special), name=f"R{seed}")
     for n in range(2, 13):
-        vs = [f"v{i}" for i in range(n)]
-        arrows = [Arrow(f"a{i}", vs[i], vs[(i + 1) % n]) for i in range(n)]
-        relations = frozenset((arrows[(i + 1) % n].name, arrows[i].name) for i in range(n))
-        pair = BoundQuiver(build_quiver(vs, arrows), relations)
         for k in range(1, n + 1):  # k = 1: every vertex special, not skewed-gentle
-            yield SkewedGentleTriple(pair, frozenset(vs[::k]), name=f"C{n}k{k}")
+            yield parse(full_relation_cycle(n, k, name=f"C{n}k{k}"))
     for vertices, special in [(["2", "2+"], {"2"}), (["1", "1+", "1-", "2", "2-"], {"1", "2"}),
                               (["1", "1+", "1-", "2", "2-"], {"1+", "2-"}),
                               (["x", "x-", "x+", "y"], {"x-"}), (["x", "x-", "x+", "y"], {"x"}),

@@ -12,11 +12,10 @@ from itertools import chain
 
 import pytest
 
-from conftest import all_fixture_triples
+from conftest import all_fixture_triples, free_line, full_relation_cycle
 from reference import admissible_base_pair, build_g_pair, ends, relation_free_paths
 
 from skewgentle import (
-    Arrow,
     BoundQuiver,
     InfiniteDimensional,
     InternalInconsistency,
@@ -30,6 +29,7 @@ from skewgentle import (
     corner_data,
     dimension,
     dimension_oracle,
+    parse,
     random_triple,
 )
 from skewgentle import construct
@@ -87,18 +87,11 @@ def test_counts_match_enumeration_on_fixtures():
 
 
 def _line(n):
-    vs = [f"v{i}" for i in range(n)]
-    arrows = [Arrow(f"a{i}", vs[i], vs[i + 1]) for i in range(n - 1)]
-    return SkewedGentleTriple(BoundQuiver(build_quiver(vs, arrows)), name=f"A{n}")
+    return parse(free_line(n, name=f"A{n}"))
 
 
 def _full_relation_cycle(n, k):
-    vs = [f"v{i}" for i in range(n)]
-    arrows = [Arrow(f"a{i}", vs[i], vs[(i + 1) % n]) for i in range(n)]
-    relations = frozenset((arrows[(i + 1) % n].name, arrows[i].name) for i in range(n))
-    special = frozenset(vs[i] for i in range(0, n, k))
-    return SkewedGentleTriple(BoundQuiver(build_quiver(vs, arrows), relations), special,
-                              name=f"C{n}k{k}")
+    return parse(full_relation_cycle(n, k, name=f"C{n}k{k}"))
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 60, 2000])

@@ -106,6 +106,18 @@ def test_golden_files_cover_every_case():
     assert recorded == set(CASES)
 
 
+def test_json_outputs_are_what_the_stdlib_encoder_writes():
+    # every recorded JSON stdout, decoded and written again by this Python's
+    # own encoder with sorted keys and indent 2, comes back unchanged
+    tables = [json.loads((GOLDEN / f"{f}.json").read_text(encoding="utf-8")) for f in FIXTURE_NAMES]
+    tables += json.loads((GOLDEN / "generated.json").read_text(encoding="utf-8")).values()
+    outputs = [record["stdout"] for table in tables for command, record in table.items()
+               if command.endswith("json") and record["stdout"]]
+    assert len(outputs) == 66 + 60
+    for out in outputs:
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
 # Malformed inputs, each taking one diagnostic path of the parser.
 PARSE_ERRORS = {
     "empty_input": "",

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from conftest import crossing, in_star, out_star
+from conftest import crossing, full_relation_cycle, in_star, out_star
 from test_dsl import _triples
 
 from skewgentle import (
@@ -361,9 +361,7 @@ def _pair(vertices, arrows, relations=()):
 
 
 def _full_relation_cycle(n):
-    arrows = [(f"a{i}", str(i), str((i + 1) % n)) for i in range(n)]
-    return _pair([str(i) for i in range(n)], arrows,
-                 [(f"a{(i + 1) % n}", f"a{i}") for i in range(n)])
+    return parse(full_relation_cycle(n, vertex="")).pair
 
 
 @pytest.mark.parametrize("bq,expected", [

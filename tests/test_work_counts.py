@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import fixture_path, special_line
+from conftest import fixture_path, free_line, special_line
 
 from skewgentle import (
     ParseError,
@@ -464,9 +464,7 @@ def test_oracle_rows_only_for_commutativity_flips(monkeypatch, which, flips):
 def test_oracle_ranks_nothing_without_commutativity_relations(monkeypatch, tmp_path, argv):
     # a free line has no special vertex, so no degree has a flip to join
     line = tmp_path / "a40.q"
-    vertices = ", ".join(f"v{i}" for i in range(40))
-    arrows = ", ".join(f"a{i}: v{i} -> v{i + 1}" for i in range(39))
-    line.write_text(f"quiver A {{ vertices: {vertices}; arrows: {arrows}; }}")
+    line.write_text(free_line(40))
     quotients = _record_quotients(monkeypatch)
     argv = [str(line) if a == "FILE" else a for a in argv]
 
