@@ -141,9 +141,18 @@ def test_serialize_sorts_identifiers():
 
 
 def test_serialize_rejects_bad_identifier():
-    t = SkewedGentleTriple(BoundQuiver(build_quiver(["sp ace"], [])), name="Q")
-    with pytest.raises(ValueError):
-        serialize(t)
+    # each names the first bad identifier in output order: the quiver name,
+    # then the vertices, then the arrows
+    for name, vertices, arrow, message in [
+        ("Q", ["1", "a b"], "x->y", "vertex 'a b'"),
+        ("Q", ["1", "2"], "x->y", "arrow 'x->y'"),
+        ("Q R", ["1", "a b"], "x->y", "quiver name 'Q R'"),
+    ]:
+        quiver = build_quiver(vertices, [Arrow(arrow, "1", vertices[1])])
+        t = SkewedGentleTriple(BoundQuiver(quiver), name=name)
+        pattern = f"^{re.escape(message)} is not a serializable identifier$"
+        with pytest.raises(ValueError, match=pattern):
+            serialize(t)
 
 
 def test_round_trip_fixtures():

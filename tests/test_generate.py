@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -47,11 +48,13 @@ def test_max_arrows_must_not_be_negative():
 
 
 # sha256 of serialize(random_triple(seed, *size)) for seeds 0-299, a line
-# each: how a draw is decided must not change what is drawn
+# each: how a draw is decided must not change what is drawn.  Past 26 arrows
+# draw order is not name order ("a1" < "b"), which (40, 30) reaches.
 _DRAW_DIGESTS = {
     (6, 7): "2ba097a73866e40c39c5308d238585de4ce87e7550f4f3d68014a006347ab4d5",
     (8, 11): "95cd270c0a6b2db38cff2a9528fd718cdfeadada799a11e7cf936cd960fffa6d",
     (12, 16): "20a0f50dcd2883c399d5d40dbf4878118b66339672aa0aa4ade66c5de4091924",
+    (40, 30): "aea123b9719d7488482b577af96a53a14db543d7cd1898d5d1e0ff555b3e6275",
 }
 
 
@@ -80,6 +83,20 @@ def test_generation_exhausted(monkeypatch):
     monkeypatch.setattr(validate, "_is_skewed_gentle", lambda t: False)
     with pytest.raises(GenerationExhausted):
         generate.random_triple(0, 3, 3)
+
+
+def test_generation_exhausted_says_how_the_attempts_failed():
+    # the 64 attempts again, each classed by its (Q^sp, I^sp): not gentle,
+    # as a special vertex fails the local rule, or gentle with a cycle
+    rng = random.Random(15)
+    sps = [generate._attempt(rng, 10, 30).sp_pair for _ in range(generate.RETRY_BUDGET)]
+    local = sum(1 for sp in sps if sp.gentle_violations)
+    cycles = sum(1 for sp in sps if not sp.gentle_violations and sp.walk.cycle is not None)
+    assert (cycles, local) == (59, 5)
+    message = ("no skewed-gentle triple for seed 15 within 64 attempts "
+               "(59 with a relation-free cycle, 5 failing the local rule)")
+    with pytest.raises(GenerationExhausted, match=f"^{re.escape(message)}$"):
+        random_triple(15, 10, 30)
 
 
 def _reference_relation_options(outs, ins):

@@ -1,5 +1,6 @@
 """Each triple is decided once, by the local rule and one walk, a drawn
-triple keeps the generator's verdict, and Q^sp is
+triple keeps the generator's verdict and its draw builds no index of arrows
+by end, and Q^sp is
 built only for a failure's witnesses or where it is read; each derived pair
 is built once per command, ``spset`` decides no subset through the
 definition and builds no set it drops, the oracle joins paths only at
@@ -114,6 +115,13 @@ def test_a_drawn_triple_keeps_its_verdict(monkeypatch):
     assert len(drawn) == 8 and drawn[6] is drawn[7] is t
     assert sum(arg is t for arg in drawn) == 2
     assert [accepted for _, accepted in verdicts] == [False] * 6 + [True, True]
+
+
+def test_a_draw_builds_no_index_of_arrows_by_end(monkeypatch):
+    # each attempt reads the arrows at a vertex as it drew them
+    indexes = _count_builds(monkeypatch, [(quiver.Quiver, "outgoing"), (quiver.Quiver, "incoming")])
+    generate.random_triple(7, 8, 11)  # drawn at the 7th attempt
+    assert indexes == []
 
 
 @pytest.mark.parametrize("name,valid", [("fixtures/fix_a2.q", True), ("golden/bad_g1.q", False)])
